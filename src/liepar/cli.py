@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from .fiber import InfiniteCenterFixedPoints, central_fixed_points
-from .intlinalg import IntMatrix, RatVecModZ
+from .intlinalg import IntMatrix, RatVecModZ, rational_inverse
 from .kgb import (enumerate_form, enumerate_X, real_weyl, strong_real_forms,
                   _validate_square)
 from .rootdatum import (RootDatumError, from_type, new_root_datum,
@@ -97,10 +97,9 @@ def _diagram_involutions(cartan):
 
 
 class Session:
-    def __init__(self, out=None, verbose=False, threads=1):
+    def __init__(self, out=None, verbose=False):
         self.out = out if out is not None else sys.stdout
         self.verbose = verbose
-        self.threads = threads
         self.rd = None
         self.type_desc = None
         self.ic = None
@@ -212,17 +211,16 @@ class Session:
             raise CommandError("lattice basis rows must be integers")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CommandError(f"lattice basis must be {n}x{n}")
-        basis = IntMatrix.from_rows(rows)
-        if basis.det() == 0:
+        inv = rational_inverse(rows)
+        if inv is None:
             raise CommandError("lattice basis is singular")
         # simple root j in fundamental-weight coordinates is row j of the
         # Cartan matrix (zero on torus coordinates); rewrite the roots in
         # the chosen basis and read the coroots off the basis columns
-        inv = _rational_inverse_rows(rows)
         simple_roots = []
         for j in range(k):
             col = list(cartan[j]) + [0] * torus
-            coords = [sum(Fraction(col[t]) * inv[t][c] for t in range(n))
+            coords = [sum(col[t] * inv[t][c] for t in range(n))
                       for c in range(n)]
             if any(x.denominator != 1 for x in coords):
                 raise CommandError(
@@ -362,7 +360,7 @@ class Session:
             raise CommandError("usage: count-z [x2 y2]")
         rx = parse_central(ic, args[0]) if args else None
         ry = parse_central(ic.dual, args[1]) if args else None
-        rows, total = count_z_blocks(ic, rx, ry, threads=self.threads)
+        rows, total = count_z_blocks(ic, rx, ry)
         tbl = twisted_involutions(ic)
         for idx, nx, ny in rows:
             if nx and ny:
@@ -403,8 +401,12 @@ class Session:
             form = self._form_table(what)
             table = enumerate_form(self.ic, self._x_table()
                                    .elements[form.element_ids[0]])
-        with open(path, "w") as fh:
-            fh.write(table.dot())
+        try:
+            with open(path, "w") as fh:
+                fh.write(table.dot())
+        except OSError as exc:
+            raise CommandError(f"cannot write {path}: "
+                               f"{exc.strerror or exc}")
         self.emit(f"wrote {path}")
 
     def cmd_quit(self, args):
@@ -423,24 +425,6 @@ def _block_diagonal(blocks):
     return [tuple(r) for r in out]
 
 
-def _rational_inverse_rows(rows):
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise CommandError("lattice basis is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        aug[k] = [x / pv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="liepar",
@@ -448,10 +432,8 @@ def main(argv=None):
     parser.add_argument("--cmd-file", help="read commands from a file")
     parser.add_argument("--verbose", action="store_true",
                         help="append timing comments to command output")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for counting commands")
     opts = parser.parse_args(argv)
-    session = Session(sys.stdout, verbose=opts.verbose, threads=opts.threads)
+    session = Session(sys.stdout, verbose=opts.verbose)
     if opts.cmd_file:
         with open(opts.cmd_file) as fh:
             session.run(fh)

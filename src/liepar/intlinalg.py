@@ -111,29 +111,15 @@ class IntMatrix:
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (det = +-1)."""
-        n = self.rows
-        d = self.det()
-        if d not in (1, -1):
+        inv = rational_inverse(self.entries) if self.rows == self.cols \
+            else None
+        if inv is None or any(x.denominator != 1 for row in inv for x in row):
             raise ValueError("matrix is not unimodular")
-        aug = [[Fraction(self.entries[i][j]) for j in range(n)] +
-               [Fraction(1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-        for k in range(n):
-            piv = next(i for i in range(k, n) if aug[i][k] != 0)
-            aug[k], aug[piv] = aug[piv], aug[k]
-            pv = aug[k][k]
-            aug[k] = [x / pv for x in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k] != 0:
-                    f = aug[i][k]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-        out = tuple(tuple(int(aug[i][n + j]) for j in range(n)) for i in range(n))
-        return IntMatrix(out)
+        return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        return _frac_rank(m)
+        return len(row_reduce(self.entries)[1])
 
     def rank_mod2(self) -> int:
         m = [list(row) for row in self.mod2()]
@@ -154,24 +140,37 @@ class IntMatrix:
         return self.rows == self.cols and self @ self == IntMatrix.identity(self.rows)
 
 
-def _frac_rank(m) -> int:
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][j] != 0), None)
+def row_reduce(rows):
+    """Reduced row echelon form over Q of a matrix given by its rows (int
+    or Fraction entries): (rows as lists of Fraction, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][j]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][j] != 0:
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][j]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != 0:
                 f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(j)
+    return m, tuple(pivots)
+
+
+def rational_inverse(rows):
+    """Inverse over Q of a square matrix given by its rows, as lists of
+    Fraction; None when the matrix is singular."""
+    n = len(rows)
+    rref, pivots = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n:] for row in rref]
 
 
 def smith_normal_form(m: IntMatrix):

@@ -22,7 +22,7 @@ from .intlinalg import (RatVecModZ, frac_vec, is_integral, solve_congruence,
 from .intlinalg import IntMatrix
 from .rootdatum import _simple_coordinates, new_root_datum
 from .weyl import (InnerClass, TwistedInvolution, WeylError, WeylGroup,
-                   _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
+                   _mat_apply, _mat_mul, cartan_class_of, cartan_index,
                    twisted_involutions)
 
 
@@ -84,6 +84,11 @@ class KGBTable:
         self.quasisplit_forms = quasisplit_forms
         self.squares = squares
         self.generation_log = generation_log
+        form_of = [None] * len(elements)
+        for f, ids in form_partition.items():
+            for i in ids:
+                form_of[i] = f
+        self._form_of = tuple(form_of)
         self._down = {}
         for x in elements:
             for s, target in enumerate(x.cayley):
@@ -100,19 +105,14 @@ class KGBTable:
         return tuple(sorted(self._down.get((s, xid), ())))
 
     def form_of(self, xid: int) -> int:
-        for f, ids in self.form_partition.items():
-            if xid in ids:
-                return f
-        raise KeyError(xid)
+        if not 0 <= xid < len(self._form_of):
+            raise KeyError(xid)
+        return self._form_of[xid]
 
     def lines(self):
         """One text line per element: id: length cartan# [status] cross
         columns, cayley columns, tau word."""
-        classes = cartan_classes(self.ic)
-        cls_of = {}
-        for c in classes:
-            for t in c.members:
-                cls_of[t] = c.index
+        cls_of = cartan_index(self.ic)
         out = []
         for x in self.elements:
             cr = " ".join(str(j) for j in x.cross)
@@ -244,7 +244,8 @@ def _cross_raw(ic, tau_idx, lam, grading, s):
         if not rd.is_positive(img):
             img = rd.negative_of(img)
         g2[img] = g
-    assert set(g2) == set(tbl.classification(tau2_idx).im_pos)
+    if set(g2) != set(tbl.classification(tau2_idx).im_pos):
+        raise WeylError("cross action misses an imaginary root")
     return tau2_idx, lam2, g2
 
 
@@ -259,7 +260,8 @@ def _cayley_raw(ic, tau_idx, lam, grading, s):
     ws = wg.simple(s)
     mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word)
     tau2_idx = tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]
-    assert tau2_idx == tbl.cayley[tau_idx][s]
+    if tau2_idx != tbl.cayley[tau_idx][s]:
+        raise WeylError("Cayley transform disagrees with the involution table")
     slam = _mat_apply(wg.simple_mats_dual[s], frac_vec(lam.entries))
     shift = _mat_apply(tuple(zip(*inv)), _half(t))
     fs2 = fiber_space(tbl.elements[tau2_idx], ic)
@@ -271,7 +273,8 @@ def _cayley_raw(ic, tau_idx, lam, grading, s):
             flip = tuple(x + y for x, y in zip(alpha, rd.roots[b])) \
                 in rd.root_index
             g2[b] = g ^ (1 if flip else 0)
-    assert set(g2) == set(tbl.classification(tau2_idx).im_pos)
+    if set(g2) != set(tbl.classification(tau2_idx).im_pos):
+        raise WeylError("Cayley transform misses an imaginary root")
     return tau2_idx, lam2, g2
 
 
@@ -315,8 +318,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         key = (tau_idx, lam)
         if key in key_index:
             j = key_index[key]
-            assert sqs[j] == z and grads[j] == grading, \
-                "inconsistent duplicate element"
+            if sqs[j] != z or grads[j] != grading:
+                raise WeylError("inconsistent duplicate element")
             return j, False
         j = len(taus)
         key_index[key] = j
@@ -373,10 +376,11 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         statuses.append(tuple(row))
     # sanity: squares recompute, lengths nondecreasing
     for i in range(n):
-        assert _square_of(ic, taus[i], lams[i].entries) == sqs[i]
-        if i:
-            assert tbl.elements[taus[i]].length >= \
-                tbl.elements[taus[i - 1]].length
+        if _square_of(ic, taus[i], lams[i].entries) != sqs[i]:
+            raise WeylError(f"square of element {i} does not recompute")
+        if i and tbl.elements[taus[i]].length < \
+                tbl.elements[taus[i - 1]].length:
+            raise WeylError("element lengths decrease")
 
     # strong real forms = connected components of the move graph
     parent = list(range(n))
@@ -502,7 +506,8 @@ def cayley_down(s: int, x: KGBElt):
     if x.status[s] != 'r':
         raise NotReal(f"simple root {s} is not real here")
     ids = x.table.cayley_down_ids(s, x.id)
-    assert len(ids) in (1, 2)
+    if len(ids) not in (1, 2):
+        raise WeylError(f"{len(ids)} Cayley preimages, expected 1 or 2")
     return tuple(x.table.elements[i] for i in ids)
 
 
@@ -551,7 +556,6 @@ def real_weyl(x: KGBElt) -> RealWeylInfo:
         [rd.reflection_for_root(i).entries for i in cls.deltaC_simples])
     theta = x.tau.theta_X
     if wc:
-        from .weyl import _mat_mul
         fixed = sum(1 for m in wc if _mat_mul(theta, _mat_mul(m, theta)) == m)
     else:
         fixed = 1

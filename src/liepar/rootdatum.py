@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import (Fraction as _F, IntMatrix, RatVecModZ, frac_vec,
-                        torsion_solutions, vec_dot)
+from .intlinalg import (IntMatrix, RatVecModZ, row_reduce, torsion_solutions,
+                        vec_dot)
 
 
 class RootDatumError(ValueError):
@@ -102,19 +102,12 @@ class RootDatum:
     def simple_indices(self) -> tuple:
         return tuple(self.root_index[r] for r in self.simple_roots)
 
-    def coroot_of(self, root_idx: int) -> tuple:
-        return self.coroots[root_idx]
-
     def negative_of(self, root_idx: int) -> int:
         return self.root_index[tuple(-x for x in self.roots[root_idx])]
 
     def reflection_X(self, i: int) -> IntMatrix:
         """Matrix on X of the reflection in the i-th simple root."""
-        a, av = self.simple_roots[i], self.simple_coroots[i]
-        n = self.rank
-        return IntMatrix.from_rows(
-            [[(1 if r == c else 0) - a[r] * av[c] for c in range(n)]
-             for r in range(n)])
+        return self.reflection_for_root(self.root_index[self.simple_roots[i]])
 
     def reflection_Xv(self, i: int) -> IntMatrix:
         """Matrix on Xv of the same reflection (transpose relation)."""
@@ -282,28 +275,11 @@ def new_root_datum(simple_roots, simple_coroots) -> RootDatum:
 def _simple_coordinates(root, simple_roots):
     """Coefficients of root in the simple-root basis (exact)."""
     k = len(simple_roots)
-    n = len(root)
-    # solve sum c_i * alpha_i = root by Gaussian elimination
-    aug = [[Fraction(simple_roots[i][r]) for i in range(k)] + [Fraction(root[r])]
-           for r in range(n)]
+    rref, pivots = row_reduce([[a[r] for a in simple_roots] + [x]
+                               for r, x in enumerate(root)])
     coeffs = [Fraction(0)] * k
-    row = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][k]
+    for row, col in zip(rref, pivots):
+        coeffs[col] = row[k]
     total = sum(coeffs)
     if total.denominator != 1:
         raise NotACartanMatrix("root has non-integral height")

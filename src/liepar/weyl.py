@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import IntMatrix, vec_dot
+from .intlinalg import IntMatrix, rational_inverse, vec_dot
 from .rootdatum import RootDatum, RootDatumError
 
 
@@ -320,32 +320,16 @@ def inner_class_from_perm(rd: RootDatum, perm, coord_perm=None) -> InnerClass:
     a_perm = IntMatrix.from_rows([rd.simple_roots[perm[j]]
                                   for j in range(k)]).transpose()
     n = rd.rank
-    ainv = _rational_inverse(a_cols)
-    g_frac = [[sum(Fraction(a_perm[r, t]) * ainv[t][c] for t in range(n))
+    ainv = rational_inverse(a_cols.entries)
+    if ainv is None:
+        raise InvalidInvolution("simple roots are linearly dependent")
+    g_frac = [[sum(a_perm[r, t] * ainv[t][c] for t in range(n))
                for c in range(n)] for r in range(n)]
     if any(x.denominator != 1 for row in g_frac for x in row):
         raise InvalidInvolution(
             "the permutation does not extend to a lattice involution")
     g = IntMatrix.from_rows([[int(x) for x in row] for row in g_frac])
     return InnerClass(rd, g)
-
-
-def _rational_inverse(m: IntMatrix):
-    n = m.rows
-    aug = [[Fraction(m[i, j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise InvalidInvolution("simple roots are linearly dependent")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pv = aug[k][k]
-        aug[k] = [x / pv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [row[n:] for row in aug]
 
 
 def trivial_inner_class(rd: RootDatum) -> InnerClass:
@@ -516,12 +500,6 @@ class TwistedInvolutionTable:
                 self.elements[idx], self.ic.rd)
         return self._classification[idx]
 
-    def index_of_weyl(self, w: WeylElt) -> int:
-        theta = self.ic.theta_X(w)
-        if theta not in self.index_by_theta:
-            raise WeylError("not a twisted involution of this inner class")
-        return self.index_by_theta[theta]
-
 
 def twisted_involutions(ic: InnerClass) -> TwistedInvolutionTable:
     if 'involutions' not in ic._cache:
@@ -567,13 +545,23 @@ def cartan_classes(ic: InnerClass):
                               table.elements[rm[0]].w.word))
     classes = tuple(CartanClass(k, rep, members)
                     for k, (rep, members) in enumerate(reps))
+    class_of = [None] * n
+    for c in classes:
+        for t in c.members:
+            class_of[t] = c.index
     ic._cache['cartans'] = classes
+    ic._cache['cartan_index'] = tuple(class_of)
     return classes
 
 
+def cartan_index(ic: InnerClass) -> tuple:
+    """The Cartan class index of each twisted involution, by tau index."""
+    cartan_classes(ic)
+    return ic._cache['cartan_index']
+
+
 def cartan_class_of(ic: InnerClass, tau_idx: int) -> int:
-    classes = cartan_classes(ic)
-    for cls in classes:
-        if tau_idx in cls.members:
-            return cls.index
-    raise WeylError("tau not found in any Cartan class")
+    index = cartan_index(ic)
+    if not 0 <= tau_idx < len(index):
+        raise WeylError("tau not found in any Cartan class")
+    return index[tau_idx]

@@ -9,16 +9,15 @@ irreducible representations at regular integral infinitesimal character.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fiber import FiberSpace, central_fixed_points, tits_group
+from .fiber import FiberSpace, central_fixed_points
 from .intlinalg import RatVecModZ
 from .kgb import KGBElt, cartans_for, enumerate_X, real_weyl
 from .rootdatum import from_type
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _mat_mul,
-                   trivial_inner_class, twisted_involutions)
+                   cartan_class_of, trivial_inner_class, twisted_involutions)
 
 
 class NoMatch(ValueError):
@@ -100,7 +99,7 @@ def _slice_size(ic, tau, squares) -> int:
 
 
 def count_z_blocks(ic: InnerClass, restrict_x_square=None,
-                   restrict_y_square=None, threads: int = 1):
+                   restrict_y_square=None):
     """Per-tau block sizes (tau index, |X_tau|, |X^dual_dualtau|) and the
     total number of pairs, without enumerating elements."""
     dic = ic.dual
@@ -108,29 +107,16 @@ def count_z_blocks(ic: InnerClass, restrict_x_square=None,
         else central_fixed_points(ic)
     ys = (restrict_y_square,) if restrict_y_square is not None \
         else central_fixed_points(dic)
-    tbl = twisted_involutions(ic)
-    twisted_involutions(dic)
-    tits_group(ic)
-    tits_group(dic)
-
-    def work(idx):
-        tau = tbl.elements[idx]
+    rows = []
+    for tau in twisted_involutions(ic).elements:
         nx = _slice_size(ic, tau, xs)
         ny = _slice_size(dic, dual_tau(tau, ic), ys) if nx else 0
-        return idx, nx, ny
-
-    indices = range(len(tbl.elements))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, indices))
-    else:
-        rows = [work(i) for i in indices]
-    rows.sort()
+        rows.append((tau.index, nx, ny))
     total = sum(nx * ny for _, nx, ny in rows)
     return rows, total
 
 
-def sp2n_count(n: int, threads: int = 1) -> int:
+def sp2n_count(n: int) -> int:
     """Number of pairs for Sp(2n) simply connected, equal rank, with
     x^2 = -I and y^2 = I."""
     ic = trivial_inner_class(from_type(f"C{n}", "sc"))
@@ -141,7 +127,7 @@ def sp2n_count(n: int, threads: int = 1) -> int:
     n_rank = ic.dual.rank
     plus = RatVecModZ.reduce(tuple(Fraction(0) for _ in range(n_rank)))
     _, total = count_z_blocks(ic, restrict_x_square=minus[0],
-                              restrict_y_square=plus, threads=threads)
+                              restrict_y_square=plus)
     return total
 
 
@@ -156,15 +142,24 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     """Pairs whose x lies in the strong real form of x0, counted per
     dual-central-square class (infinitesimal character class)."""
     full = enumerate_X(ic)
-    # locate x0 in the full table (it may come from a per-form table)
-    key_ids = [x.id for x in full.elements
-               if x.tau.theta_X == x0.tau.theta_X
-               and x.torus_coord == x0.torus_coord]
-    ids = set(full.form_partition[full.form_of(key_ids[0])])
+    if x0.table is not full:
+        # x0 comes from another table, e.g. a per-form one
+        x0 = next(x for x in full.elements if x.tau == x0.tau
+                  and x.torus_coord == x0.torus_coord)
+    ids = full.form_partition[full.form_of(x0.id)]
+    # a tau block pairs each x over tau with each y over dual_tau(tau)
+    nx = {}
+    for i in ids:
+        t = full.elements[i].tau.index
+        nx[t] = nx.get(t, 0) + 1
+    ys_by_tau = {}
+    for y in enumerate_X(ic.dual).elements:
+        ys_by_tau.setdefault(y.tau.index, []).append(y.square)
+    tbl = twisted_involutions(ic)
     counts = {}
-    for p in enumerate_Z(ic):
-        if p.x.id in ids:
-            counts[p.y_square] = counts.get(p.y_square, 0) + 1
+    for t in sorted(nx):
+        for z in ys_by_tau.get(dual_tau(tbl.elements[t], ic).index, ()):
+            counts[z] = counts.get(z, 0) + nx[t]
     formula = None
     note = None
     if ic.rd.rho_in_X():
@@ -172,16 +167,12 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
         by_class = {}
         for i in ids:
             x = full.elements[i]
-            from .weyl import cartan_class_of
-            c = cartan_class_of(ic, x.tau.index)
-            by_class.setdefault(c, x)
+            by_class.setdefault(cartan_class_of(ic, x.tau.index), x)
         formula = 0
-        for c, sig in cartans_for(full.elements[min(ids)]):
-            rep = by_class[c]
-            formula += (w_order // real_weyl(rep).total) * 2 ** sig.a
-        if counts:
-            assert formula * len(counts) == sum(counts.values()), \
-                "closed-form count disagrees with pair enumeration"
+        for c, sig in cartans_for(x0):
+            formula += (w_order // real_weyl(by_class[c]).total) * 2 ** sig.a
+        if counts and formula * len(counts) != sum(counts.values()):
+            raise WeylError("closed-form count disagrees with pair count")
     else:
         note = ("half-sum of positive roots is not a character: counts "
                 "refer to the rho-cover")

@@ -7,13 +7,13 @@ import sys
 import pytest
 
 from cli_demo import DEMO_EXPECTED, DEMO_SCRIPT
-from liepar.cli import CommandError, Session, parse_central
+from liepar.cli import CommandError, Session, main, parse_central
 from liepar import from_type, trivial_inner_class
 
 
-def run_session(script, threads=1, verbose=False):
+def run_session(script, verbose=False):
     out = io.StringIO()
-    session = Session(out, verbose=verbose, threads=threads)
+    session = Session(out, verbose=verbose)
     session.run(io.StringIO(script))
     return out.getvalue()
 
@@ -23,8 +23,7 @@ def test_demo_script_golden():
 
 
 def test_demo_script_deterministic():
-    runs = [run_session(DEMO_SCRIPT) for _ in range(2)]
-    runs += [run_session(DEMO_SCRIPT, threads=k) for k in (4, 8)]
+    runs = [run_session(DEMO_SCRIPT) for _ in range(4)]
     assert all(r == runs[0] for r in runs)
 
 
@@ -32,10 +31,9 @@ def test_cmd_file_subprocess(tmp_path):
     script = tmp_path / "cmds.txt"
     script.write_text(DEMO_SCRIPT)
     outs = []
-    for k in ("1", "4", "8"):
+    for _ in range(3):
         proc = subprocess.run(
-            [sys.executable, "-m", "liepar.cli",
-             "--cmd-file", str(script), "--threads", k],
+            [sys.executable, "-m", "liepar.cli", "--cmd-file", str(script)],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
@@ -128,6 +126,20 @@ def test_dot_command(tmp_path):
     assert f"wrote {path}" in out
     text = path.read_text()
     assert text.startswith("digraph") and "->" in text
+
+
+def test_dot_unwritable_path_is_an_error(tmp_path):
+    path = tmp_path / "missing" / "graph.dot"
+    out = run_session(f"type A1 sc\ninner c\ndot X {path}\nX\n")
+    assert f"error (line 3): cannot write {path}" in out
+    assert "X size: 5" in out
+
+
+def test_threads_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_quit_stops():

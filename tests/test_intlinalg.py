@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liepar.intlinalg import (F2Basis, IntMatrix, RatVecModZ, f2_add,
                               f2_mat_apply, f2_vec, frac_vec, is_integral,
+                              rational_inverse, row_reduce,
                               smith_normal_form, solve_congruence,
                               torsion_solutions, two_group_quotient, vec_add,
                               vec_dot, vec_mod1, vec_scale, vec_sub)
@@ -65,6 +66,35 @@ def test_inverse_of_unimodular(m):
     inv = m.inverse()
     assert m @ inv == IntMatrix.identity(m.rows)
     assert inv @ m == IntMatrix.identity(m.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_rational_inverse(m):
+    inv = rational_inverse(m.entries)
+    if m.det() == 0:
+        assert inv is None
+        return
+    n = m.rows
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
+            for row in m.entries] == ident
+
+
+@settings(max_examples=200, deadline=None)
+@given(rect_matrices())
+def test_row_reduce_is_reduced_echelon(m):
+    rref, pivots = row_reduce(m.entries)
+    assert list(pivots) == sorted(set(pivots))
+    for r, j in enumerate(pivots):
+        assert [row[j] for row in rref] == [int(i == r) for i in range(m.rows)]
+        assert all(x == 0 for x in rref[r][:j])
+    assert all(x == 0 for row in rref[len(pivots):] for x in row)
+    # the row space is unchanged: each input row is a combination of the
+    # pivot rows with its own entries in the pivot columns as weights
+    for row in m.entries:
+        assert [sum(row[j] * rref[r][c] for r, j in enumerate(pivots))
+                for c in range(m.cols)] == list(row)
 
 
 @settings(max_examples=300, deadline=None)

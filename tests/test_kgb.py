@@ -270,6 +270,17 @@ def test_reduced_space_pgl2():
     assert rs.slices[rv(0)] == (0, 1, 2)
 
 
+def test_form_of_reads_the_partition():
+    ic = make_ic("C2", "sc")
+    table = enumerate_X(ic)
+    for f, ids in table.form_partition.items():
+        for i in ids:
+            assert table.form_of(i) == f
+    for bad in (len(table), -1):
+        with pytest.raises(KeyError):
+            table.form_of(bad)
+
+
 def test_move_errors():
     table = enumerate_X(make_ic("A1", "sc"))
     compact, noncpt, split = table.elements[0], table.elements[2], \

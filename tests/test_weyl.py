@@ -5,9 +5,9 @@ import random
 import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (InvalidInvolution, WeylGroup, cartan_classes, from_type,
-                    inner_class_from_perm, trivial_inner_class,
-                    twisted_involutions)
+from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
+                    cartan_classes, from_type, inner_class_from_perm,
+                    trivial_inner_class, twisted_involutions)
 from liepar.weyl import _mat_apply, _mat_mul
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
@@ -154,6 +154,17 @@ def test_cartan_classes_sp4():
     assert sorted(len(c.members) for c in classes) == [1, 1, 2, 2]
     # representative of class 0 is the identity
     assert classes[0].rep == 0
+
+
+def test_cartan_class_of_reads_the_classes():
+    ic = make_ic("C2", "sc")
+    for c in cartan_classes(ic):
+        for t in c.members:
+            assert cartan_class_of(ic, t) == c.index
+    n = len(twisted_involutions(ic))
+    for bad in (n, -1):
+        with pytest.raises(WeylError):
+            cartan_class_of(ic, bad)
 
 
 def test_cartan_classes_sl2():

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (RatVecModZ, central_fixed_points, count_z_blocks,
-                    dual_tau, duality_check, enumerate_X, enumerate_Z,
+                    dual_tau, duality_check, enumerate_form, enumerate_X,
+                    enumerate_Z,
                     langlands_count, sp2n_count, strong_real_forms,
                     twisted_involutions)
 
@@ -71,10 +72,6 @@ def test_sp2n_counts_small():
     assert [sp2n_count(n) for n in range(1, 5)] == [4, 18, 88, 460]
 
 
-def test_sp2n_threads_agree():
-    assert sp2n_count(3, threads=4) == 88
-
-
 def test_count_z_blocks_golden():
     ic = make_ic("C2", "sc")
     minus = rv("1/2", 0)
@@ -86,9 +83,6 @@ def test_count_z_blocks_golden():
              for i, nx, ny in rows]
     assert named == [("e", 4, 1), ("1", 1, 1), ("2", 2, 2),
                      ("1,2,1", 2, 2), ("2,1,2", 1, 1), ("1,2,1,2", 1, 4)]
-    # thread count must not change anything
-    rows4, total4 = count_z_blocks(ic, minus, plus, threads=4)
-    assert (rows4, total4) == (rows, total)
 
 
 def test_count_matches_enumeration():
@@ -118,6 +112,26 @@ def test_langlands_count_adjoint_note():
     assert split.counts == {rv(0): 2, rv("1/2"): 3}
     assert split.formula_total is None
     assert "rho-cover" in split.note
+
+
+@pytest.mark.parametrize("spec", [("C2", "sc", "c"), ("C3", "sc", "c"),
+                                  ("B3", "sc", "c"), ("G2", "sc", "c"),
+                                  ("A3", "sc", (2, 1, 0))])
+def test_langlands_count_matches_pair_tally(spec):
+    ic = make_ic(*spec)
+    table = enumerate_X(ic)
+    pairs = enumerate_Z(ic)
+    for form in strong_real_forms(ic):
+        ids = set(form.element_ids)
+        tally = {}
+        for p in pairs:
+            if p.x.id in ids:
+                tally[p.y_square] = tally.get(p.y_square, 0) + 1
+        lc = langlands_count(ic, table.elements[form.element_ids[0]])
+        assert lc.counts == tally
+        # a per-form table's element names the same form
+        sub = enumerate_form(ic, table.elements[form.element_ids[-1]])
+        assert langlands_count(ic, sub.elements[0]).counts == tally
 
 
 def test_restricted_z():
