@@ -35,7 +35,7 @@ from .rootdatum import (RootDatumError, from_type, new_root_datum,
 from .weyl import (InnerClass, InvalidInvolution, cartan_classes,
                    inner_class_from_perm, trivial_inner_class,
                    twisted_involutions)
-from .zspace import count_z_blocks, enumerate_Z, langlands_count
+from .zspace import count_z_blocks, langlands_count, match_pairs
 
 
 class CommandError(Exception):
@@ -227,7 +227,7 @@ class Session:
                     "the root lattice is not contained in this lattice")
             simple_roots.append([int(x) for x in coords])
         simple_coroots = [[rows[i][j] for i in range(n)] for j in range(k)]
-        self.rd = new_root_datum(simple_roots, simple_coroots)
+        self.rd = new_root_datum(simple_roots, simple_coroots, n)
         self.type_desc = f"{type_string} matrix"
         self.ic = None
         self.emit(f"root datum: {self.type_desc} "
@@ -341,14 +341,15 @@ class Session:
         if not ic.rd.rho_in_X():
             self.emit("note: half-sum of positive roots is not a "
                       "character; counts refer to the rho-cover")
-        ids = set(form.element_ids)
-        rows = [p for p in enumerate_Z(ic)
-                if p.x.id in ids and (y2 is None or p.y_square == y2)]
+        xt = self._x_table()
+        rows = match_pairs(
+            ic, [xt.elements[i] for i in form.element_ids],
+            [y for y in enumerate_X(ic.dual).elements
+             if y2 is None or y.square == y2])
         self.emit(f"{len(rows)} pairs:")
         for p in rows:
             self.emit(p.line())
-        lc = langlands_count(ic, self._x_table().elements[
-            form.element_ids[0]])
+        lc = langlands_count(ic, xt.elements[form.element_ids[0]])
         per = " ".join(f"{_fmt_vec(z)}:{c}"
                        for z, c in sorted(lc.counts.items(),
                                           key=lambda kv: kv[0].entries))

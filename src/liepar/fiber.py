@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
-                        smith_normal_form, torsion_solutions, vec_add,
-                        vec_mod1, vec_scale, vec_sub)
+from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, smith_normal_form,
+                        torsion_solutions, vec_add, vec_scale, vec_sub)
 from .tits import TitsGroup
 from .weyl import InnerClass, TwistedInvolution, WeylError
 
@@ -108,7 +107,15 @@ def central_fixed_points(ic: InnerClass):
 
 class FiberSpace:
     """Solution structure of (1 + theta_v) lambda = z - nu_tau over a
-    fixed twisted involution tau."""
+    fixed twisted involution tau.
+
+    With U (1 + theta_v) V = diag(d), d_j in {0, 1, 2}, the coordinates
+    y = V^-1 lambda split the problem: a coordinate with d_j = 0 runs
+    along the kernel of 1 + theta_v and is set to 0, the others are taken
+    mod 1, and those with d_j = 2 carry the F2 fiber group.
+    canonical_form is V y in that normal form; the X search in kgb keeps
+    D y as integers mod D instead, D even and clearing every
+    denominator."""
 
     def __init__(self, tau: TwistedInvolution, ic: InnerClass):
         self.tau = tau

@@ -6,6 +6,18 @@ involution and lambda a canonical fiber coordinate.  The space carries
 the cross action of W, Cayley transforms between fibers, and a Z/2
 grading (compact/noncompact) on imaginary roots; connected components
 of the move graph are the strong real forms.
+
+The breadth-first search does not carry lambda.  Over tau it keys an
+element by integer fiber coordinates y = D V^-1 lambda mod D, where V is
+the unimodular Smith-form matrix of the fiber (see FiberSpace), the
+coordinates on the kernel of 1 + theta_v are 0, and D = 2 lcm(2,
+denominators of the central squares).  For one (tau, s) the Tits fold,
+the target tau2, the shift and the regrading of the imaginary roots are
+the same for every element, so each cross action and Cayley transform
+is tabulated once per search as an integer affine map
+y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows of
+tau2 zeroed, plus a permutation (and, for Cayley, flips) of the grading
+bits.  lambda = V y / D is formed once per element when the search ends.
 """
 
 from __future__ import annotations
@@ -13,10 +25,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .fiber import (FiberSpace, InfiniteCenterFixedPoints,  # noqa: F401
-                    central_fixed_points, fiber_space, tits_group,
-                    torus_signature)
+from .fiber import central_fixed_points, fiber_space, tits_group
 from .intlinalg import (RatVecModZ, frac_vec, is_integral, solve_congruence,
                         vec_add, vec_dot)
 from .intlinalg import IntMatrix
@@ -143,11 +155,7 @@ class KGBTable:
 
 
 # ---------------------------------------------------------------------------
-# move arithmetic on raw (tau, lambda, grading) data
-
-
-def _half(t):
-    return tuple(Fraction(x, 2) for x in t)
+# move arithmetic: per-move tables on integer fiber coordinates
 
 
 def _square_of(ic, tau_idx, lam) -> RatVecModZ:
@@ -220,62 +228,72 @@ def _base_grading(ic, lam) -> dict:
     return g
 
 
-def _cross_raw(ic, tau_idx, lam, grading, s):
-    """Conjugate exp(2 pi i lambda) sigma_w delta by sigma_s."""
-    tg = tits_group(ic)
-    wg = ic.weyl
-    tbl = twisted_involutions(ic)
-    rd = ic.rd
-    tau = tbl.elements[tau_idx]
-    gs = ic.diagram_perm[s]
-    ws = wg.simple(s)
-    # sigma_s sigma_w sigma_{gamma(s)}^{-1}, with sigma^{-1} = sigma x_m
-    mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word + (gs,))
-    t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
-    tau2_idx = tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]
-    slam = _mat_apply(wg.simple_mats_dual[s], frac_vec(lam.entries))
-    shift = _mat_apply(tuple(zip(*inv)), _half(t))
-    fs2 = fiber_space(tbl.elements[tau2_idx], ic)
-    lam2 = fs2.canonical_form(vec_add(slam, shift))
-    smat = wg.simple_mats[s]
-    g2 = {}
-    for b, g in grading.items():
-        img = rd.index_of(_mat_apply(smat, rd.roots[b]))
-        if not rd.is_positive(img):
-            img = rd.negative_of(img)
-        g2[img] = g
-    if set(g2) != set(tbl.classification(tau2_idx).im_pos):
-        raise WeylError("cross action misses an imaginary root")
-    return tau2_idx, lam2, g2
+def _move_map(ic, tau_idx, s, cayley, denom):
+    """The cross action by simple root s (or, with cayley, the Cayley
+    transform in alpha_s) on the fiber over tau_idx, as data shared by
+    every element there: (target tau index, affine rows, grading map).
 
-
-def _cayley_raw(ic, tau_idx, lam, grading, s):
-    """Left-multiply exp(2 pi i lambda) sigma_w delta by sigma_s (alpha_s
-    noncompact imaginary)."""
+    An element with fiber coordinates y and grading bits g moves to
+    y2[j] = (row_j . y + c_j) mod denom, for (row_j, c_j) in the affine
+    rows, and g2 = (g[p] ^ f for (p, f) in the grading map).  The cross
+    action conjugates exp(2 pi i lambda) sigma_w delta by sigma_s; the
+    Cayley transform left-multiplies it by sigma_s."""
     tg = tits_group(ic)
     wg = ic.weyl
     tbl = twisted_involutions(ic)
     rd = ic.rd
     tau = tbl.elements[tau_idx]
     ws = wg.simple(s)
-    mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word)
+    if cayley:
+        mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word)
+    else:
+        # sigma_s sigma_w sigma_{gamma(s)}^{-1}, with sigma^{-1} = sigma x_m
+        gs = ic.diagram_perm[s]
+        mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word + (gs,))
+        t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
     tau2_idx = tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]
-    if tau2_idx != tbl.cayley[tau_idx][s]:
+    if cayley and tau2_idx != tbl.cayley[tau_idx][s]:
         raise WeylError("Cayley transform disagrees with the involution table")
-    slam = _mat_apply(wg.simple_mats_dual[s], frac_vec(lam.entries))
-    shift = _mat_apply(tuple(zip(*inv)), _half(t))
+    # lambda2 = S_s lambda + inv^T t / 2, rewritten on y = denom V^-1 lambda
+    fs = fiber_space(tau, ic)
     fs2 = fiber_space(tbl.elements[tau2_idx], ic)
-    lam2 = fs2.canonical_form(vec_add(slam, shift))
-    alpha = rd.simple_roots[s]
-    g2 = {}
-    for b, g in grading.items():
-        if vec_dot(rd.roots[b], rd.simple_coroots[s]) == 0:
-            flip = tuple(x + y for x, y in zip(alpha, rd.roots[b])) \
-                in rd.root_index
-            g2[b] = g ^ (1 if flip else 0)
-    if set(g2) != set(tbl.classification(tau2_idx).im_pos):
-        raise WeylError("Cayley transform misses an imaginary root")
-    return tau2_idx, lam2, g2
+    m = (fs2._vinv @ IntMatrix(wg.simple_mats_dual[s]) @ fs._v).entries
+    c = fs2._vinv.apply(_mat_apply(tuple(zip(*inv)), t))
+    zero_row = (0,) * rd.rank
+    rows = tuple((zero_row, 0) if j in fs2._kernel_coords
+                 else (m[j], denom // 2 * c[j]) for j in range(rd.rank))
+    # grading bits are kept in the order of the positive imaginary roots
+    im = tbl.classification(tau_idx).im_pos
+    im2 = tbl.classification(tau2_idx).im_pos
+    source = {}
+    if cayley:
+        alpha = rd.simple_roots[s]
+        for p, b in enumerate(im):
+            if vec_dot(rd.roots[b], rd.simple_coroots[s]) == 0:
+                flip = tuple(x + y for x, y in zip(alpha, rd.roots[b])) \
+                    in rd.root_index
+                source[b] = (p, 1 if flip else 0)
+    else:
+        smat = wg.simple_mats[s]
+        for p, b in enumerate(im):
+            img = rd.index_of(_mat_apply(smat, rd.roots[b]))
+            if not rd.is_positive(img):
+                img = rd.negative_of(img)
+            source[img] = (p, 0)
+    if set(source) != set(im2):
+        raise WeylError(("Cayley transform" if cayley else "cross action")
+                        + " misses an imaginary root")
+    return tau2_idx, rows, tuple(source[b] for b in im2)
+
+
+def _simple_positions(ic, tau_idx) -> tuple:
+    """Per simple root, its position among the positive imaginary roots
+    of tau_idx, or None when it is not imaginary there."""
+    cls = twisted_involutions(ic).classification(tau_idx)
+    rd = ic.rd
+    return tuple(
+        cls.im_pos.index(a) if cls.status[a] == 'i' else None
+        for a in (rd.root_index[r] for r in rd.simple_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +328,15 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     rd = ic.rd
     k = rd.n_simple
 
-    taus, lams, sqs, grads = [], [], [], []
+    # fiber coordinates y = denom * V^-1 lambda are integers mod denom:
+    # every seed lambda lies in (1/denom) times the lattice of V columns
+    denom = 2 * lcm(2, *(x.denominator for z in squares for x in z.entries))
+    taus, ys, sqs, grads = [], [], [], []
     key_index = {}
     log = []
 
-    def add(tau_idx, lam, z, grading, origin):
-        key = (tau_idx, lam)
+    def add(tau_idx, y, z, grading, origin):
+        key = (tau_idx, y)
         if key in key_index:
             j = key_index[key]
             if sqs[j] != z or grads[j] != grading:
@@ -324,7 +345,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         j = len(taus)
         key_index[key] = j
         taus.append(tau_idx)
-        lams.append(lam)
+        ys.append(y)
         sqs.append(z)
         grads.append(grading)
         log.append((j,) + origin)
@@ -332,43 +353,59 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
 
     queue = deque()
     fs0 = fiber_space(tbl.elements[0], ic)
+    im0 = tbl.classification(0).im_pos
     for z in squares:
         for lam in fs0.elements(z):
-            j, _ = add(0, lam, z, _base_grading(ic, lam), (-1, 'seed'))
+            y = tuple(0 if j in fs0._kernel_coords else x * denom % denom
+                      for j, x in enumerate(fs0._vinv.apply(lam.entries)))
+            if any(x.denominator != 1 for x in y):
+                raise WeylError("base fiber coordinate finer than 1/denom")
+            base = _base_grading(ic, lam)
+            j, _ = add(0, tuple(int(x) for x in y), z,
+                       tuple(base[b] for b in im0), (-1, 'seed'))
             queue.append(j)
 
+    moves = {}
+    simple_pos = {}
     cross_links = {}
     cayley_links = {}
     while queue:
         i = queue.popleft()
-        tau_idx, lam, z, grading = taus[i], lams[i], sqs[i], grads[i]
-        cls = tbl.classification(tau_idx)
-        for s in range(k):
-            t2, l2, g2 = _cross_raw(ic, tau_idx, lam, grading, s)
-            j, new = add(t2, l2, z, g2, (i, f'x{s}'))
-            cross_links[(i, s)] = j
-            if new:
-                queue.append(j)
-        for s in range(k):
-            a_idx = rd.root_index[rd.simple_roots[s]]
-            if cls.status[a_idx] == 'i' and grading[a_idx] == 1:
-                t2, l2, g2 = _cayley_raw(ic, tau_idx, lam, grading, s)
-                j, new = add(t2, l2, z, g2, (i, f'c{s}'))
-                cayley_links[(i, s)] = j
+        tau_idx, y, z, g = taus[i], ys[i], sqs[i], grads[i]
+        if tau_idx not in simple_pos:
+            simple_pos[tau_idx] = _simple_positions(ic, tau_idx)
+        for cayley in (False, True):
+            for s, p in enumerate(simple_pos[tau_idx]):
+                if cayley and (p is None or g[p] != 1):
+                    continue
+                key = (tau_idx, s, cayley)
+                if key not in moves:
+                    moves[key] = _move_map(ic, tau_idx, s, cayley, denom)
+                t2, rows, gmap = moves[key]
+                y2 = tuple((sum(map(mul, row, y)) + c) % denom
+                           for row, c in rows)
+                g2 = tuple(g[q] ^ f for q, f in gmap)
+                j, new = add(t2, y2, z, g2,
+                             (i, f"{'c' if cayley else 'x'}{s}"))
+                (cayley_links if cayley else cross_links)[(i, s)] = j
                 if new:
                     queue.append(j)
 
     n = len(taus)
+    lams = []
+    for i in range(n):
+        v = fiber_space(tbl.elements[taus[i]], ic)._v.apply(ys[i])
+        lams.append(RatVecModZ(tuple(Fraction(x % denom, denom) for x in v)))
     # statuses
     statuses = []
     for i in range(n):
         cls = tbl.classification(taus[i])
         row = []
-        for s in range(k):
+        for s, p in enumerate(simple_pos[taus[i]]):
             a_idx = rd.root_index[rd.simple_roots[s]]
             st = cls.status[a_idx]
             if st == 'i':
-                row.append('n' if grads[i][a_idx] else 'c')
+                row.append('n' if grads[i][p] else 'c')
             elif st == 'r':
                 row.append('r')
             else:
@@ -421,7 +458,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
             status=statuses[i],
             cross=tuple(cross_links[(i, s)] for s in range(k)),
             cayley=tuple(cayley_links.get((i, s)) for s in range(k)),
-            grading=tuple(sorted(grads[i].items()))))
+            grading=tuple(zip(tbl.classification(taus[i]).im_pos,
+                              grads[i]))))
     table = KGBTable(ic, tuple(elements), form_partition, quasisplit_forms,
                      squares, tuple(log))
     for x in elements:

@@ -136,7 +136,8 @@ class RootDatum:
 
     def dual(self) -> "RootDatum":
         """Swap roots and coroots; an involution up to field equality."""
-        return new_root_datum(self.simple_coroots, self.simple_roots)
+        return new_root_datum(self.simple_coroots, self.simple_roots,
+                              self.rank)
 
     def center_torsion(self) -> CenterTorsion:
         m = IntMatrix.from_rows(self.simple_roots) if self.simple_roots \
@@ -200,18 +201,18 @@ def _check_finite_type(cartan, n_simple):
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
 
 
-def new_root_datum(simple_roots, simple_coroots) -> RootDatum:
+def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
     """Validate and build a root datum from simple roots/coroots,
-    generating the full root system by reflection closure."""
+    generating the full root system by reflection closure.  The lattice
+    rank is read off the vectors; it must be given when there are no
+    simple roots (a torus)."""
     simple_roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
     simple_coroots = tuple(tuple(int(x) for x in r) for r in simple_coroots)
     if len(simple_roots) != len(simple_coroots):
         raise RootDatumError("need equally many roots and coroots")
     k = len(simple_roots)
-    if k == 0:
-        rank = 0
-    else:
-        rank = len(simple_roots[0])
+    if rank is None:
+        rank = len(simple_roots[0]) if k else 0
     for r in simple_roots + simple_coroots:
         if len(r) != rank:
             raise RootDatumError("inconsistent vector lengths")
@@ -413,4 +414,4 @@ def from_type(type_string: str, isogeny: str) -> RootDatum:
             roots.append(tuple(root))
             coroots.append(tuple(coroot))
         offset += m
-    return new_root_datum(roots, coroots)
+    return new_root_datum(roots, coroots, rank)

@@ -9,11 +9,11 @@ S_{i1} @ ... @ S_{ik} (left-to-right application).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .intlinalg import IntMatrix, rational_inverse, vec_dot
-from .rootdatum import RootDatum, RootDatumError
+from .rootdatum import RootDatum
 
 
 class WeylError(ValueError):

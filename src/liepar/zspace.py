@@ -67,22 +67,29 @@ def enumerate_Z(ic: InnerClass, restrict_x_square=None,
         else enumerate_X(ic, squares=[restrict_x_square])
     yt = enumerate_X(dic) if restrict_y_square is None \
         else enumerate_X(dic, squares=[restrict_y_square])
+    return match_pairs(ic, xt.elements, yt.elements)
+
+
+def match_pairs(ic: InnerClass, xs, ys):
+    """The pairs (x, y) with x among xs and y among ys over dual twisted
+    involutions: tau by tau in table order, then x and y in the order
+    given."""
     by_tau_x = {}
-    for x in xt.elements:
+    for x in xs:
         by_tau_x.setdefault(x.tau.index, []).append(x)
     by_tau_y = {}
-    for y in yt.elements:
+    for y in ys:
         by_tau_y.setdefault(y.tau.index, []).append(y)
     pairs = []
     for tau in twisted_involutions(ic).elements:
-        xs = by_tau_x.get(tau.index)
-        if not xs:
+        tau_xs = by_tau_x.get(tau.index)
+        if not tau_xs:
             continue
-        ys = by_tau_y.get(dual_tau(tau, ic).index)
-        if not ys:
+        tau_ys = by_tau_y.get(dual_tau(tau, ic).index)
+        if not tau_ys:
             continue
-        for x in xs:
-            for y in ys:
+        for x in tau_xs:
+            for y in tau_ys:
                 pairs.append(ZPair(x, y, x.square, y.square, tau))
     return pairs
 

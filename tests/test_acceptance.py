@@ -206,3 +206,29 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # a name a module imports must be used there; __init__.py re-exports
+    # and imports on a line marked "# noqa: F401" are exempt
+    src = Path(liepar.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    (isinstance(node, ast.ImportFrom)
+                     and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and \
+                        "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == []

@@ -8,7 +8,9 @@ import pytest
 
 from cli_demo import DEMO_EXPECTED, DEMO_SCRIPT
 from liepar.cli import CommandError, Session, main, parse_central
-from liepar import from_type, trivial_inner_class
+from liepar import (InfiniteCenterFixedPoints, central_fixed_points,
+                    enumerate_X, enumerate_Z, from_type, strong_real_forms,
+                    trivial_inner_class)
 
 
 def run_session(script, verbose=False):
@@ -145,3 +147,50 @@ def test_threads_option_is_rejected(capsys):
 def test_quit_stops():
     out = run_session("type A1 sc\nquit\ntype A2 sc\n")
     assert "A2" not in out
+
+
+@pytest.mark.parametrize("type_string, inner", [
+    ("C2", "c"), ("B3", "c"), ("G2", "c"), ("A3", "u")])
+def test_block_rows_are_the_form_slice_of_z(type_string, inner):
+    # each block lists the pairs of the whole pair space whose x lies in
+    # the form (and whose y has the given square), in pair-space order
+    out = io.StringIO()
+    session = Session(out)
+    session.run(io.StringIO(f"type {type_string} sc\ninner {inner}\n"))
+    ic = session.ic
+    pairs = enumerate_Z(ic)
+    expected, script = [], []
+    for f, ids in enumerate_X(ic).form_partition.items():
+        for z in (None,) + central_fixed_points(ic.dual):
+            arg = "" if z is None else \
+                " " + ",".join(str(a) for a in z.entries)
+            script.append(f"block {f}{arg}\n")
+            rows = [p.line() for p in pairs if p.x.id in ids
+                    and (z is None or p.y_square == z)]
+            expected.append([f"{len(rows)} pairs:"] + rows)
+    out.seek(0)
+    out.truncate()
+    session.run(io.StringIO("".join(script)))
+    lines = out.getvalue().splitlines()
+    got, start = [], 0
+    for i, line in enumerate(lines):
+        if line.endswith(" pairs:"):
+            start = i
+        elif line.startswith("per infinitesimal-character class:"):
+            got.append(lines[start:i])
+    assert got == expected
+
+
+@pytest.mark.parametrize("spec, rank", [
+    ("T1 sc", 1), ("T2 sc", 2), ("T1 matrix\n1", 1)])
+def test_pure_torus_reports_its_rank_and_refuses_strongreal(spec, rank):
+    out = run_session(f"type {spec}\ninner c\nstrongreal\n").splitlines()
+    assert out[-3].endswith(f"(rank {rank}, 0 positive roots)")
+    # the same typed refusal that A1.T1 gives
+    refusal = run_session("type A1.T1 sc\ninner c\nstrongreal\n")
+    reason = ": the twist fixes a central torus; central squares are not " \
+        "finite"
+    assert refusal.splitlines()[-1] == "error (line 3)" + reason
+    assert out[-1].startswith("error (line ") and out[-1].endswith(reason)
+    with pytest.raises(InfiniteCenterFixedPoints):
+        strong_real_forms(trivial_inner_class(from_type(spec[:2], "sc")))

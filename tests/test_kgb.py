@@ -1,6 +1,7 @@
 """The one-sided space X: goldens, moves, real Weyl groups, reduced
 space, and whole-space properties."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -9,10 +10,12 @@ import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (NotImaginary, NotNoncompactImaginary, NotReal,
-                    RatVecModZ, TorusSignature, cartans_for, cayley_down,
-                    cayley_up, cross, cross_by_word, enumerate_form,
-                    enumerate_X, grading, real_weyl, reduced_space,
-                    strong_real_forms, twisted_involutions)
+                    RatVecModZ, TorusSignature, WeylError, cartans_for,
+                    cayley_down, cayley_up, cross, cross_by_word,
+                    enumerate_form, enumerate_X, fiber_space, from_type,
+                    grading, real_weyl, reduced_space, strong_real_forms,
+                    tits_group, trivial_inner_class, twisted_involutions)
+from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
@@ -313,6 +316,111 @@ def test_lengths_monotone_and_seeded_at_zero():
         lengths = [x.length for x in table.elements]
         assert lengths == sorted(lengths)
         assert lengths[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# an independent route to every move: fold the Tits lift letter by letter,
+# shift lambda by a Fraction vector and take the fiber's canonical form
+
+
+def reference_move(x, s, cayley):
+    """(tau index, torus coordinate, grading dict) of the cross action
+    of sigma_s on x, or of the Cayley transform in alpha_s."""
+    ic = x.table.ic
+    rd, wg = ic.rd, ic.weyl
+    tg = tits_group(ic)
+    tbl = twisted_involutions(ic)
+    ws = wg.simple(s)
+    word = x.tau.w.word if cayley else x.tau.w.word + (ic.diagram_perm[s],)
+    mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, word)
+    if not cayley:
+        gs = ic.diagram_perm[s]
+        t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
+    tau2 = tbl.elements[tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]]
+    lam = _mat_apply(wg.simple_mats_dual[s],
+                     [Fraction(a) for a in x.torus_coord.entries])
+    shift = _mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
+    lam2 = fiber_space(tau2, ic).canonical_form(
+        [a + b for a, b in zip(lam, shift)])
+    g2 = {}
+    for b, g in x.grading:
+        if cayley:
+            if sum(p * q for p, q in zip(rd.roots[b],
+                                         rd.simple_coroots[s])) == 0:
+                flip = tuple(p + q for p, q in zip(rd.simple_roots[s],
+                                                   rd.roots[b]))
+                g2[b] = g ^ (flip in rd.root_index)
+        else:
+            img = rd.index_of(_mat_apply(wg.simple_mats[s], rd.roots[b]))
+            g2[img if rd.is_positive(img) else rd.negative_of(img)] = g
+    return tau2.index, lam2, g2
+
+
+MOVE_ORACLE_GROUPS = [("C2", "sc", "c"), ("G2", "sc", "c"),
+                      ("B3", "sc", "c"), ("A3", "sc", (2, 1, 0)),
+                      ("A4", "sc", (3, 2, 1, 0))]
+
+
+def test_move_table_checks_the_involution_table():
+    ic = trivial_inner_class(from_type("A1", "sc"))
+    tbl = twisted_involutions(ic)
+    tbl.cayley[0] = (0,)        # the Cayley transform of delta is tau 1
+    with pytest.raises(WeylError, match="disagrees with the involution"):
+        enumerate_X(ic)
+
+
+@pytest.mark.parametrize("t,iso,tw", MOVE_ORACLE_GROUPS)
+def test_moves_match_the_reference_route(t, iso, tw):
+    table = enumerate_X(make_ic(t, iso, tw))
+    moves = 0
+    for x in table.elements:
+        for s in range(len(x.status)):
+            targets = [(False, x.cross[s])]
+            if x.status[s] == 'n':
+                targets.append((True, x.cayley[s]))
+            else:
+                assert x.cayley[s] is None
+            for cayley, j in targets:
+                y = table.elements[j]
+                assert reference_move(x, s, cayley) == \
+                    (y.tau.index, y.torus_coord, y.grading_map)
+                moves += 1
+    assert moves > len(table)
+
+
+def table_digest(table):
+    """sha256 of a table's elements, generation log and form partition."""
+    h = hashlib.sha256()
+    for x in table.elements:
+        h.update(repr((x.id, x.tau.index, x.torus_coord.entries, x.length,
+                       x.square.entries, x.status, x.cross, x.cayley,
+                       x.grading)).encode())
+    h.update(repr(table.generation_log).encode())
+    h.update(repr(sorted(table.form_partition.items())).encode())
+    return h.hexdigest()
+
+
+# frozen from the Fraction-based search the integer fiber coordinates
+# replaced; the groups of the x-ladder benchmark
+LADDER_DIGESTS = [
+    ("A5", "c", 1497,
+     "e0f243e244fd21f298a3e53fc4d5dce906f728ca117d743fb05d26911c80c96d"),
+    ("C4", "c", 277,
+     "0aa4f558aca1945cd74171563278d1345030f117b90cd3d8ac9c37578359fbc9"),
+    ("D4", "c", 341,
+     "72206efac04fb37010d672490fa2a0b43acb7d365e216b5dd552c34ab71612ab"),
+    ("F4", "c", 245,
+     "4c5875f0eae3228f47e15987160eb667ae6094521a61deae207fd86d7315343a"),
+    ("A4", (3, 2, 1, 0), 26,
+     "92e2d07a26d2e8bdb2b3d7742a84654d79e89614c2984efa757a4465d167f3d5"),
+]
+
+
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_ladder_tables_are_frozen(t, tw, size, digest):
+    table = enumerate_X(make_ic(t, "sc", tw))
+    assert len(table) == size
+    assert table_digest(table) == digest
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,16 @@ def test_torus_factor():
     assert rd.n_pos == 1
 
 
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+def test_pure_torus_keeps_its_rank(isogeny):
+    for n in (1, 2):
+        rd = from_type(f"T{n}", isogeny)
+        assert (rd.rank, rd.n_simple, rd.n_pos) == (n, 0, 0)
+        assert rd.dual().rank == n
+    assert new_root_datum([], [], 3).rank == 3
+    assert new_root_datum([], []).rank == 0
+
+
 def test_product_type():
     rd = from_type("A1.A1", "sc")
     assert rd.n_pos == 2

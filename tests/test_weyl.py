@@ -147,6 +147,21 @@ def test_twisted_involution_counts():
     assert len(twisted_involutions(make_ic("A2", "sc", (1, 0)))) == 4
 
 
+# involutions of W, the identity included: the telephone numbers for
+# type A_n (S_{n+1}) and 2, 6, 20, 76, 312, ... for the hyperoctahedral
+# groups of types B_n and C_n
+INVOLUTION_COUNTS = {
+    "A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76,
+    "B2": 6, "B3": 20, "B4": 76,
+    "C2": 6, "C3": 20, "C4": 76, "C5": 312}
+
+
+@pytest.mark.parametrize("t,n", sorted(INVOLUTION_COUNTS.items()))
+def test_equal_rank_twisted_involutions_count_the_involutions_of_w(t, n):
+    # for the trivial twist a twisted involution is an involution of W
+    assert len(twisted_involutions(make_ic(t, "sc"))) == n
+
+
 def test_cartan_classes_sp4():
     ic = make_ic("C2", "sc")
     classes = cartan_classes(ic)
