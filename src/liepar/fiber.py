@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, smith_normal_form,
@@ -72,8 +73,8 @@ def nu_tau(tau: TwistedInvolution, ic: InnerClass) -> tuple:
     tau is exp(2 pi i nu_tau) times the central square."""
     tg = tits_group(ic)
     w = tau.w
-    mat, _, t = tg.fold(w.mat, w.inv, tg.zero, ic.twist_word(w.word))
-    if mat != ic.weyl.identity.mat:
+    perm, t = tg.fold(w.perm, tg.zero, ic.twist_word(w.word))
+    if perm != ic.weyl.identity.perm:
         raise WeylError("not a twisted involution")
     return tuple(Fraction(x, 2) for x in t)
 
@@ -121,13 +122,11 @@ class FiberSpace:
         self.tau = tau
         self.ic = ic
         self.theta_v = theta_matrix(tau, ic)
-        self.signature = torus_signature(self.theta_v)
         n = ic.rank
         s = IntMatrix.identity(n) + self.theta_v
         u, d, v = smith_normal_form(s)
         self._u = u
         self._v = v
-        self._vinv = v.inverse()
         diag = tuple(d[j, j] for j in range(n))
         if any(x not in (0, 1, 2) for x in diag):
             raise NotAnInvolution("1 + theta has an invariant factor > 2")
@@ -139,6 +138,14 @@ class FiberSpace:
             RatVecModZ.reduce(vec_scale(Fraction(1, 2), v.col(j)))
             for j in self._two_coords)
         self.base_points = {}
+
+    @cached_property
+    def signature(self) -> TorusSignature:
+        return torus_signature(self.theta_v)
+
+    @cached_property
+    def _vinv(self) -> IntMatrix:
+        return self._v.inverse()
 
     @property
     def fiber_rank(self) -> int:
@@ -152,25 +159,27 @@ class FiberSpace:
             y[j] = Fraction(0) if j in self._kernel_coords else y[j] % 1
         return RatVecModZ.reduce(self._v.apply(y))
 
+    def _shifted(self, z: RatVecModZ):
+        """U (z - nu), or None when a row with d_j = 0 is not integral:
+        then nothing lies over z."""
+        uc = self._u.apply(vec_sub(frac_vec(z.entries), self.nu))
+        if any(uc[j].denominator != 1 for j in self._kernel_coords):
+            return None
+        return uc
+
+    def solvable(self, z: RatVecModZ) -> bool:
+        """Whether the fiber over central square z is nonempty."""
+        return self._shifted(z) is not None
+
     def base_point(self, z: RatVecModZ):
-        """Canonical (lex-least) solution over central square z, or None."""
+        """Canonical (lex-least) solution over z, or None."""
         if z in self.base_points:
             return self.base_points[z]
-        c = vec_sub(frac_vec(z.entries), self.nu)
-        uc = self._u.apply(c)
-        y = []
-        ok = True
-        for j, dj in enumerate(self._diag):
-            if dj == 0:
-                if uc[j].denominator != 1:
-                    ok = False
-                    break
-                y.append(Fraction(0))
-            else:
-                y.append(Fraction(uc[j], 1) / dj)
+        uc = self._shifted(z)
         base = None
-        if ok:
-            lam0 = self._v.apply(y)
+        if uc is not None:
+            lam0 = self._v.apply([Fraction(0) if dj == 0 else Fraction(x) / dj
+                                  for x, dj in zip(uc, self._diag)])
             base = min(
                 (self._translate(lam0, eps)
                  for eps in product((0, 1), repeat=self.fiber_rank)),
@@ -196,6 +205,6 @@ class FiberSpace:
 
 def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:
     fibers = ic._cache.setdefault('fibers', {})
-    if tau.theta_X not in fibers:
-        fibers[tau.theta_X] = FiberSpace(tau, ic)
-    return fibers[tau.theta_X]
+    if tau.theta not in fibers:
+        fibers[tau.theta] = FiberSpace(tau, ic)
+    return fibers[tau.theta]

@@ -30,11 +30,11 @@ from operator import mul
 
 from .fiber import central_fixed_points, fiber_space, tits_group
 from .intlinalg import (RatVecModZ, frac_vec, is_integral, solve_congruence,
-                        vec_add, vec_dot)
+                        vec_dot)
 from .intlinalg import IntMatrix
 from .rootdatum import _simple_coordinates, new_root_datum
-from .weyl import (InnerClass, TwistedInvolution, WeylError, WeylGroup,
-                   _mat_apply, _mat_mul, cartan_class_of, cartan_index,
+from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
+                   _mat_apply, cartan_class_of, cartan_index, perm_closure,
                    twisted_involutions)
 
 
@@ -158,11 +158,13 @@ class KGBTable:
 # move arithmetic: per-move tables on integer fiber coordinates
 
 
-def _square_of(ic, tau_idx, lam) -> RatVecModZ:
-    tbl = twisted_involutions(ic)
-    fs = fiber_space(tbl.elements[tau_idx], ic)
-    v = frac_vec(lam)
-    return RatVecModZ.reduce(vec_add(vec_add(v, fs.theta_v.apply(v)), fs.nu))
+def _square_map(ic, tau_idx, denom):
+    """The central square z = (1 + theta_v) lambda + nu of the element
+    with fiber coordinates y over tau_idx, as affine rows on y: with
+    lambda = V y / denom, row j gives denom z_j mod denom."""
+    fs = fiber_space(twisted_involutions(ic).elements[tau_idx], ic)
+    m = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
+    return tuple((row, int(denom * nu)) for row, nu in zip(m.entries, fs.nu))
 
 
 def _delta_signs(ic) -> dict:
@@ -243,28 +245,28 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     tbl = twisted_involutions(ic)
     rd = ic.rd
     tau = tbl.elements[tau_idx]
-    ws = wg.simple(s)
     if cayley:
-        mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word)
+        perm, t = tg.fold(wg.simple_perms[s], tg.zero, tau.w.word)
     else:
         # sigma_s sigma_w sigma_{gamma(s)}^{-1}, with sigma^{-1} = sigma x_m
         gs = ic.diagram_perm[s]
-        mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, tau.w.word + (gs,))
+        perm, t = tg.fold(wg.simple_perms[s], tg.zero, tau.w.word + (gs,))
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
-    tau2_idx = tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]
-    if cayley and tau2_idx != tbl.cayley[tau_idx][s]:
+    tau2 = tbl.elements[tbl.index_by_perm[_compose(perm, ic.gamma_perm)]]
+    if cayley and tau2.index != tbl.cayley[tau_idx][s]:
         raise WeylError("Cayley transform disagrees with the involution table")
-    # lambda2 = S_s lambda + inv^T t / 2, rewritten on y = denom V^-1 lambda
+    # lambda2 = S_s lambda + inv^T t / 2, rewritten on y = denom V^-1 lambda;
+    # the folded Weyl element is tau2's w
     fs = fiber_space(tau, ic)
-    fs2 = fiber_space(tbl.elements[tau2_idx], ic)
+    fs2 = fiber_space(tau2, ic)
     m = (fs2._vinv @ IntMatrix(wg.simple_mats_dual[s]) @ fs._v).entries
-    c = fs2._vinv.apply(_mat_apply(tuple(zip(*inv)), t))
+    c = fs2._vinv.apply(_mat_apply(tuple(zip(*tau2.w.inv)), t))
     zero_row = (0,) * rd.rank
     rows = tuple((zero_row, 0) if j in fs2._kernel_coords
                  else (m[j], denom // 2 * c[j]) for j in range(rd.rank))
     # grading bits are kept in the order of the positive imaginary roots
     im = tbl.classification(tau_idx).im_pos
-    im2 = tbl.classification(tau2_idx).im_pos
+    im2 = tbl.classification(tau2.index).im_pos
     source = {}
     if cayley:
         alpha = rd.simple_roots[s]
@@ -274,26 +276,21 @@ def _move_map(ic, tau_idx, s, cayley, denom):
                     in rd.root_index
                 source[b] = (p, 1 if flip else 0)
     else:
-        smat = wg.simple_mats[s]
         for p, b in enumerate(im):
-            img = rd.index_of(_mat_apply(smat, rd.roots[b]))
-            if not rd.is_positive(img):
-                img = rd.negative_of(img)
-            source[img] = (p, 0)
+            img = wg.simple_perms[s][b]
+            source[img if rd.is_positive(img) else wg.neg[img]] = (p, 0)
     if set(source) != set(im2):
         raise WeylError(("Cayley transform" if cayley else "cross action")
                         + " misses an imaginary root")
-    return tau2_idx, rows, tuple(source[b] for b in im2)
+    return tau2.index, rows, tuple(source[b] for b in im2)
 
 
 def _simple_positions(ic, tau_idx) -> tuple:
     """Per simple root, its position among the positive imaginary roots
     of tau_idx, or None when it is not imaginary there."""
     cls = twisted_involutions(ic).classification(tau_idx)
-    rd = ic.rd
-    return tuple(
-        cls.im_pos.index(a) if cls.status[a] == 'i' else None
-        for a in (rd.root_index[r] for r in rd.simple_roots))
+    return tuple(cls.im_pos.index(a) if cls.status[a] == 'i' else None
+                 for a in ic.weyl.simple_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +394,17 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         v = fiber_space(tbl.elements[taus[i]], ic)._v.apply(ys[i])
         lams.append(RatVecModZ(tuple(Fraction(x % denom, denom) for x in v)))
     # statuses
-    statuses = []
-    for i in range(n):
-        cls = tbl.classification(taus[i])
-        row = []
-        for s, p in enumerate(simple_pos[taus[i]]):
-            a_idx = rd.root_index[rd.simple_roots[s]]
-            st = cls.status[a_idx]
-            if st == 'i':
-                row.append('n' if grads[i][p] else 'c')
-            elif st == 'r':
-                row.append('r')
-            else:
-                row.append('C')
-        statuses.append(tuple(row))
+    statuses = [tuple(tbl.classification(t).status[a] if p is None
+                      else 'n' if g[p] else 'c'
+                      for a, p in zip(ic.weyl.simple_idx, simple_pos[t]))
+                for t, g in zip(taus, grads)]
     # sanity: squares recompute, lengths nondecreasing
+    square_rows = {t: _square_map(ic, t, denom) for t in set(taus)}
+    square_ints = {z: tuple(int(x * denom) % denom for x in z.entries)
+                   for z in squares}
     for i in range(n):
-        if _square_of(ic, taus[i], lams[i].entries) != sqs[i]:
+        if tuple((sum(map(mul, row, ys[i])) + c) % denom
+                 for row, c in square_rows[taus[i]]) != square_ints[sqs[i]]:
             raise WeylError(f"square of element {i} does not recompute")
         if i and tbl.elements[taus[i]].length < \
                 tbl.elements[taus[i - 1]].length:
@@ -570,15 +561,13 @@ def real_weyl(x: KGBElt) -> RealWeylInfo:
     tbl = twisted_involutions(ic)
     cls = tbl.classification(x.tau.index)
     wg = ic.weyl
-    wi = WeylGroup.generate_matrices(
-        [rd.reflection_for_root(i).entries for i in cls.im_simples])
-    wr = WeylGroup.generate_matrices(
-        [rd.reflection_for_root(i).entries for i in cls.re_simples])
-    wi_order = len(wi) if wi else 1
-    wr_order = len(wr) if wr else 1
+    size = len(rd.roots)
+    im = [wg.reflection_perm(i) for i in cls.im_simples]
+    wi_order = len(perm_closure(im, size))
+    wr_order = len(perm_closure(
+        [wg.reflection_perm(i) for i in cls.re_simples], size))
     # orbit of x under the imaginary Weyl group's cross action
-    gens = [wg.from_matrix(rd.reflection_for_root(i).entries)
-            for i in cls.im_simples]
+    gens = [wg.from_perm(p) for p in im]
     orbit = {x.id}
     frontier = [x]
     while frontier:
@@ -590,13 +579,10 @@ def real_weyl(x: KGBElt) -> RealWeylInfo:
                 frontier.append(z)
     stab = wi_order // len(orbit)
     # tau-fixed part of the complex factor
-    wc = WeylGroup.generate_matrices(
-        [rd.reflection_for_root(i).entries for i in cls.deltaC_simples])
-    theta = x.tau.theta_X
-    if wc:
-        fixed = sum(1 for m in wc if _mat_mul(theta, _mat_mul(m, theta)) == m)
-    else:
-        fixed = 1
+    theta = x.tau.theta
+    fixed = sum(1 for m in perm_closure(
+        [wg.reflection_perm(i) for i in cls.deltaC_simples], size)
+        if _compose(theta, _compose(m, theta)) == m)
     return RealWeylInfo(total=fixed * stab * wr_order, complex_fixed=fixed,
                         stab_imaginary=stab, real_order=wr_order,
                         imaginary_order=wi_order, orbit_size=len(orbit))

@@ -5,14 +5,19 @@ An element is normalized as (w, t) = sigma_w . x_t where sigma_w is the
 canonical lift built from the canonical reduced word of w.  The defining
 relations are the braid relations among the sigma_i together with
 sigma_i^2 = x_{m_i} (m_i the simple coroot mod 2).
+
+Products are folded one simple letter at a time on the state (perm, t),
+perm the permutation of the roots by w: sigma_w x_t sigma_i is
+sigma_{w s_i} x_{s_i(t)}, times x_{m_i} exactly when w(alpha_i) < 0, and
+s_i(t) = t + <alpha_i, t> m_i mod 2.  No lattice matrix is multiplied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import f2_add, f2_mat_apply, f2_vec
-from .weyl import InnerClass, WeylElt, WeylError, _mat_apply, _mat_mul
+from .intlinalg import f2_add, f2_vec
+from .weyl import InnerClass, WeylElt, WeylError, _mat_apply
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,7 @@ class TitsGroup:
         self.weyl = ic.weyl
         n = self.rd.rank
         self.zero = tuple(0 for _ in range(n))
-        # simple reflection action on Xv, reduced mod 2
-        self._simple_mod2 = tuple(
-            tuple(tuple(x % 2 for x in row) for row in m)
-            for m in self.weyl.simple_mats_dual)
+        self._m = tuple(f2_vec(c) for c in self.rd.simple_coroots)
         self.identity = TitsElt(self.weyl.identity, self.zero)
 
     def m_alpha(self, root_idx: int) -> tuple:
@@ -47,31 +49,28 @@ class TitsGroup:
     def canonical_lift(self, w: WeylElt) -> TitsElt:
         return TitsElt(w, self.zero)
 
-    def fold_letter(self, mat, inv, t, i):
-        """Right-multiply the state (matrices of w on X, torus part t) by
-        sigma_i: sigma_w x_t sigma_i = sigma_{w s_i} x_{s_i(t) (+ m_i)},
-        the m_i correction appearing exactly on descents."""
-        descent = self.weyl._root_is_negative(
-            _mat_apply(mat, self.rd.simple_roots[i]))
-        t = f2_mat_apply(self._simple_mod2[i], t)
-        if descent:
-            t = f2_add(t, f2_vec(self.rd.simple_coroots[i]))
-        s = self.weyl.simple_mats[i]
-        return _mat_mul(mat, s), _mat_mul(s, inv), t
-
-    def fold(self, mat, inv, t, word):
+    def fold(self, perm, t, word):
+        """Right-multiply the state (root permutation of w, torus part t)
+        by sigma_i for each letter i of word:
+        sigma_w x_t sigma_i = sigma_{w s_i} x_{s_i(t) (+ m_i)}, the m_i
+        correction appearing exactly on descents."""
+        wg = self.weyl
         for i in word:
-            mat, inv, t = self.fold_letter(mat, inv, t, i)
-        return mat, inv, t
+            flip = sum(a * x for a, x in zip(self.rd.simple_roots[i], t)) \
+                + (perm[wg.simple_idx[i]] < wg.n_pos)
+            if flip & 1:
+                t = f2_add(t, self._m[i])
+            perm = wg.times_simple[i](perm)
+        return perm, t
 
     def mult_by_simple_right(self, a: TitsElt, i: int) -> TitsElt:
         """a . sigma_i, renormalized."""
-        mat, inv, t = self.fold_letter(a.w.mat, a.w.inv, a.t, i)
-        return TitsElt(self.weyl.from_mats(mat, inv), t)
+        perm, t = self.fold(a.w.perm, a.t, (i,))
+        return TitsElt(self.weyl.from_perm(perm), t)
 
     def multiply(self, a: TitsElt, b: TitsElt) -> TitsElt:
-        mat, inv, t = self.fold(a.w.mat, a.w.inv, a.t, b.w.word)
-        return TitsElt(self.weyl.from_mats(mat, inv), f2_add(t, b.t))
+        perm, t = self.fold(a.w.perm, a.t, b.w.word)
+        return TitsElt(self.weyl.from_perm(perm), f2_add(t, b.t))
 
     def inverse(self, a: TitsElt) -> TitsElt:
         winv = self.weyl.inverse(a.w)
@@ -96,8 +95,7 @@ class TitsGroup:
         if root_idx in simple:
             return self.canonical_lift(self.weyl.simple(simple.index(root_idx)))
         for i in range(rd.n_simple):
-            img = _mat_apply(self.weyl.simple_mats[i], rd.roots[root_idx])
-            j = rd.index_of(img)
+            j = self.weyl.simple_perms[i][root_idx]
             if rd.is_positive(j) and rd.heights[j] < rd.heights[root_idx]:
                 si = self.canonical_lift(self.weyl.simple(i))
                 si_inv = TitsElt(si.w, f2_vec(rd.simple_coroots[i]))

@@ -1,16 +1,29 @@
 """Weyl group arithmetic, inner classes, twisted involutions and their
 Cartan classes.
 
-Weyl elements are stored as shortlex-minimal reduced words together
-with the exact action matrix on the character lattice X (and its
-inverse).  A word s_{i1},...,s_{ik} acts on X by the matrix product
-S_{i1} @ ... @ S_{ik} (left-to-right application).
+A Weyl element is its shortlex-minimal reduced word together with the
+permutation it induces on the roots: perm[r] is the index of w(root r)
+in the root datum's (height, lex) order, where the negative roots are
+exactly the indices below n_pos.  Composition is tuple indexing, a
+descent is a comparison with n_pos, and the canonical word is peeled off
+the permutation one smallest left descent at a time.  The action matrix
+on the character lattice X (a word s_{i1},...,s_{ik} acts by
+S_{i1} @ ... @ S_{ik}) and that of the inverse are derived on first use
+from the images of the simple roots.
+
+A twisted involution is keyed by the permutation of the roots induced
+by theta = w o gamma, where the diagram involution gamma permutes the
+roots; the table of them is a breadth-first search on those
+permutations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import itemgetter
 
 from .intlinalg import IntMatrix, rational_inverse, vec_dot
 from .rootdatum import RootDatum
@@ -34,21 +47,61 @@ def _mat_apply(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
+def _compose(a, b):
+    """The permutation a o b: b first, then a."""
+    return tuple(map(a.__getitem__, b))
+
+
+def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
+    """The group generated by the given permutations of range(size)."""
+    seen = {tuple(range(size))}
+    queue = list(seen)
+    for p in queue:
+        for q in (_compose(p, g) for g in gens):
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+        if len(seen) > cap:
+            raise WeylError("subgroup closure exceeds cap")
+    return seen
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for r, q in enumerate(perm):
+        inv[q] = r
+    return tuple(inv)
+
+
 @dataclass(frozen=True, eq=False)
 class WeylElt:
     word: tuple
-    mat: tuple   # action on X
-    inv: tuple   # action of the inverse on X
+    perm: tuple   # perm[r] is the index of w(root r)
+    group: "WeylGroup" = field(repr=False)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.mat == other.mat
+        return isinstance(other, WeylElt) and self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash(self.perm)
 
     @property
     def length(self) -> int:
         return len(self.word)
+
+    @cached_property
+    def inv_perm(self) -> tuple:
+        return _inverse(self.perm)
+
+    @cached_property
+    def mat(self) -> tuple:
+        """Action matrix on X."""
+        return self.group.lattice_matrix(self.perm)
+
+    @cached_property
+    def inv(self) -> tuple:
+        """Action matrix of the inverse on X."""
+        return self.group.lattice_matrix(self.inv_perm)
 
     def __repr__(self):
         return "WeylElt(" + ",".join(str(i + 1) for i in self.word) + ")" \
@@ -58,17 +111,20 @@ class WeylElt:
 class WeylGroup:
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        n = rd.rank
-        self._id_mat = tuple(tuple(1 if i == j else 0 for j in range(n))
-                             for i in range(n))
         self.simple_mats = tuple(rd.reflection_X(i).entries
                                  for i in range(rd.n_simple))
         self.simple_mats_dual = tuple(rd.reflection_Xv(i).entries
                                       for i in range(rd.n_simple))
-        self.identity = WeylElt((), self._id_mat, self._id_mat)
-        self._simples = tuple(
-            WeylElt((i,), self.simple_mats[i], self.simple_mats[i])
-            for i in range(rd.n_simple))
+        self.n_pos = rd.n_pos
+        self.simple_idx = rd.simple_indices()
+        self.neg = tuple(rd.negative_of(r) for r in range(len(rd.roots)))
+        self.simple_perms = tuple(self.reflection_perm(a)
+                                  for a in self.simple_idx)
+        # times_simple[i](perm) is the permutation of w s_i
+        self.times_simple = tuple(itemgetter(*p) for p in self.simple_perms)
+        self.identity = WeylElt((), tuple(range(len(rd.roots))), self)
+        self._simples = tuple(WeylElt((i,), p, self)
+                              for i, p in enumerate(self.simple_perms))
         self._longest = None
         self._order = None
 
@@ -77,152 +133,129 @@ class WeylGroup:
     def simple(self, i: int) -> WeylElt:
         return self._simples[i]
 
-    def _root_is_negative(self, vec) -> bool:
-        idx = self.rd.root_index.get(tuple(vec))
-        if idx is None:
-            raise WeylError("matrix does not permute the roots")
-        return not self.rd.is_positive(idx)
-
-    def canonical_word(self, mat, inv) -> tuple:
-        """Shortlex-minimal reduced word of the element with the given
-        action matrix: greedily peel the smallest left descent."""
-        word = []
-        m, mi = mat, inv
+    def reflection_perm(self, root_idx: int) -> tuple:
+        """The permutation of the roots by the reflection in a root."""
         rd = self.rd
-        while m != self._id_mat:
-            for i in range(rd.n_simple):
-                # i is a left descent iff w^{-1}(alpha_i) < 0
-                if self._root_is_negative(_mat_apply(mi, rd.simple_roots[i])):
+        a, av = rd.roots[root_idx], rd.coroots[root_idx]
+        return tuple(rd.index_of([x - c * y for x, y in zip(b, a)])
+                     for b, c in ((b, vec_dot(b, av)) for b in rd.roots))
+
+    @cached_property
+    def _coords(self):
+        """c_i(e_k) = sum_j (alpha_j^v)_k (C^-1)_{ji} for the standard basis
+        vectors e_k of X, as integer rows over a common denominator."""
+        rd = self.rd
+        k = rd.n_simple
+        cinv = rational_inverse(rd.cartan_matrix.entries) if k else ()
+        coords = [[sum((rd.simple_coroots[j][e] * cinv[j][i]
+                        for j in range(k)), Fraction(0)) for i in range(k)]
+                  for e in range(rd.rank)]
+        den = lcm(1, *(x.denominator for row in coords for x in row))
+        return den, tuple(tuple(int(x * den) for x in row) for row in coords)
+
+    def lattice_matrix(self, perm) -> tuple:
+        """Action matrix on X of the element permuting the roots by perm:
+        x -> x + sum_i c_i(x) (w(alpha_i) - alpha_i), where c(x) are the
+        simple-root coordinates of x read off the inverse Cartan matrix
+        (the part of x orthogonal to every coroot is fixed)."""
+        rd = self.rd
+        n = rd.rank
+        den, coords = self._coords
+        moves = [tuple(x - y for x, y in zip(rd.roots[perm[a]], rd.roots[a]))
+                 for a in self.simple_idx]
+        return tuple(
+            tuple((r == e) + sum(c * m[r] for c, m in zip(coords[e], moves))
+                  // den for e in range(n))
+            for r in range(n))
+
+    def canonical_word(self, perm) -> tuple:
+        """Shortlex-minimal reduced word of the element permuting the
+        roots by perm: greedily peel the smallest left descent i, the
+        first with w^{-1}(alpha_i) < 0."""
+        word = []
+        inv = _inverse(perm)
+        npos = self.n_pos
+        while inv != self.identity.perm:
+            for i, a in enumerate(self.simple_idx):
+                if inv[a] < npos:
                     word.append(i)
-                    s = self.simple_mats[i]
-                    m = _mat_mul(s, m)
-                    mi = _mat_mul(mi, s)
+                    inv = self.times_simple[i](inv)
                     break
             else:
-                raise WeylError("matrix is not a Weyl group element")
+                raise WeylError("permutation is not a Weyl group element")
         return tuple(word)
 
-    def from_mats(self, mat, inv) -> WeylElt:
-        return WeylElt(self.canonical_word(mat, inv), mat, inv)
+    def from_perm(self, perm) -> WeylElt:
+        return WeylElt(self.canonical_word(perm), perm, self)
 
     def from_matrix(self, mat) -> WeylElt:
-        """Build an element from its action matrix alone (the word is
-        extracted first, then the inverse recomputed from it)."""
-        word = []
-        m = mat
-        # peel right descents to find *a* reduced word, then normalize
+        """The element with the given action matrix on X, found from the
+        images of the roots."""
         rd = self.rd
-        while m != self._id_mat:
-            for i in range(rd.n_simple):
-                if self._root_is_negative(_mat_apply(m, rd.simple_roots[i])):
-                    word.append(i)
-                    m = _mat_mul(m, self.simple_mats[i])
-                    break
-            else:
-                raise WeylError("matrix is not a Weyl group element")
-        word.reverse()
-        return self.from_word(word)
+        perm = tuple(rd.root_index.get(_mat_apply(mat, r)) for r in rd.roots)
+        if None in perm:
+            raise WeylError("matrix does not permute the roots")
+        w = self.from_perm(perm)
+        if w.mat != tuple(map(tuple, mat)):
+            raise WeylError("matrix is not a Weyl group element")
+        return w
 
     def from_word(self, word) -> WeylElt:
-        mat = self._id_mat
-        inv = self._id_mat
+        perm = self.identity.perm
         for i in word:
-            s = self.simple_mats[i]
-            mat = _mat_mul(mat, s)
-            inv = _mat_mul(s, inv)
-        return self.from_mats(mat, inv)
+            perm = self.times_simple[i](perm)
+        return self.from_perm(perm)
 
     # -- group operations -------------------------------------------------
 
     def mult(self, a: WeylElt, b: WeylElt) -> WeylElt:
-        return self.from_mats(_mat_mul(a.mat, b.mat), _mat_mul(b.inv, a.inv))
+        return self.from_perm(_compose(a.perm, b.perm))
 
     def inverse(self, a: WeylElt) -> WeylElt:
-        return self.from_mats(a.inv, a.mat)
+        return self.from_perm(a.inv_perm)
 
     def act_root(self, a: WeylElt, root_idx: int) -> int:
-        return self.rd.index_of(_mat_apply(a.mat, self.rd.roots[root_idx]))
-
-    def act_Xv_mat(self, a: WeylElt):
-        """Action matrix of a on the cocharacter lattice Xv."""
-        return tuple(zip(*a.inv))
+        return a.perm[root_idx]
 
     def act_Xv(self, a: WeylElt, v):
-        return _mat_apply(self.act_Xv_mat(a), v)
+        """Action of a on the cocharacter lattice Xv (the transposed
+        inverse)."""
+        return _mat_apply(tuple(zip(*a.inv)), v)
 
     def longest_element(self) -> WeylElt:
         if self._longest is None:
-            w = self.identity
-            rd = self.rd
+            perm = self.identity.perm
             while True:
-                for i in range(rd.n_simple):
-                    # ascent: w(alpha_i) > 0
-                    if not self._root_is_negative(
-                            _mat_apply(w.mat, rd.simple_roots[i])):
-                        w = self.mult(w, self.simple(i))
-                        break
-                else:
+                # an ascent: w(alpha_i) > 0
+                up = next((i for i, a in enumerate(self.simple_idx)
+                           if perm[a] >= self.n_pos), None)
+                if up is None:
                     break
-            self._longest = w
+                perm = self.times_simple[up](perm)
+            self._longest = self.from_perm(perm)
         return self._longest
 
     def order(self, cap: int = 10 ** 7) -> int:
-        """|W|, as the size of the orbit of a regular vector."""
+        """|W|, as the size of the group the simple reflections generate."""
         if self._order is None:
-            rho = self.rd.rho()
-            if not self.rd.simple_roots:
-                self._order = 1
-                return 1
-            seen = {rho}
-            queue = [rho]
-            while queue:
-                v = queue.pop()
-                for s in self.simple_mats:
-                    nv = _mat_apply(s, v)
-                    if nv not in seen:
-                        seen.add(nv)
-                        queue.append(nv)
-                        if len(seen) > cap:
-                            raise WeylError("Weyl group order exceeds cap")
-            self._order = len(seen)
+            self._order = len(perm_closure(self.simple_perms,
+                                           len(self.rd.roots), cap))
         return self._order
 
     def all_elements(self, cap: int = 2 * 10 ** 6):
         """Brute-force enumeration of W (test oracle)."""
-        seen = {self._id_mat: self.identity}
+        seen = {self.identity.perm: self.identity}
         queue = [self.identity]
         while queue:
             w = queue.pop()
-            for i in range(self.rd.n_simple):
-                nxt = self.mult(w, self.simple(i))
-                if nxt.mat not in seen:
-                    seen[nxt.mat] = nxt
-                    queue.append(nxt)
+            for step in self.times_simple:
+                nxt = step(w.perm)
+                if nxt not in seen:
+                    seen[nxt] = self.from_perm(nxt)
+                    queue.append(seen[nxt])
                     if len(seen) > cap:
                         raise WeylError("brute-force enumeration exceeds cap")
         return list(seen.values())
-
-    @staticmethod
-    def generate_matrices(gen_mats, cap: int = 10 ** 6):
-        """Closure of a set of matrices under multiplication (subgroup
-        order computations for reflection subgroups)."""
-        if not gen_mats:
-            return set()
-        n = len(gen_mats[0])
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n))
-                      for i in range(n))
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            m = queue.pop()
-            for g in gen_mats:
-                nm = _mat_mul(m, g)
-                if nm not in seen:
-                    seen.add(nm)
-                    queue.append(nm)
-                    if len(seen) > cap:
-                        raise WeylError("subgroup closure exceeds cap")
-        return seen
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +291,8 @@ class InnerClass:
             if img != rd.simple_coroots[perm[i]]:
                 raise InvalidInvolution(
                     "gamma^t does not permute the simple coroots compatibly")
+        self.gamma_perm = tuple(rd.index_of(gamma.apply(r))
+                                for r in rd.roots)
         self.weyl = WeylGroup(rd)
         self._dual = _dual
         self._cache = {}
@@ -275,7 +310,8 @@ class InnerClass:
 
     def twist_weyl(self, w: WeylElt) -> WeylElt:
         """gamma . w . gamma as a Weyl element."""
-        return self.weyl.from_word(self.twist_word(w.word))
+        g = self.gamma_perm
+        return self.weyl.from_perm(_compose(g, _compose(w.perm, g)))
 
     @property
     def dual(self) -> "InnerClass":
@@ -288,10 +324,6 @@ class InnerClass:
             dual_rd = self.rd.dual()
             self._dual = InnerClass(dual_rd, IntMatrix(gv), _dual=self)
         return self._dual
-
-    def theta_X(self, w: WeylElt):
-        """Action on X of theta = (action of w) o gamma."""
-        return _mat_mul(w.mat, self.gamma_mat)
 
 
 def inner_class_from_perm(rd: RootDatum, perm, coord_perm=None) -> InnerClass:
@@ -357,31 +389,30 @@ class RootClassification:
 class TwistedInvolution:
     index: int
     w: WeylElt
-    theta_X: tuple       # matrix of (action of w) o gamma on X
+    theta: tuple         # permutation of the roots by (action of w) o gamma
     length: int          # graph distance from delta
+    ic: InnerClass = field(repr=False)
 
     def __eq__(self, other):
         return isinstance(other, TwistedInvolution) and \
-            self.theta_X == other.theta_X
+            self.theta == other.theta
 
     def __hash__(self):
-        return hash(self.theta_X)
+        return hash(self.theta)
+
+    @cached_property
+    def theta_X(self) -> tuple:
+        """Matrix of (action of w) o gamma on X."""
+        return _mat_mul(self.w.mat, self.ic.gamma_mat)
 
     def tau_word_str(self) -> str:
         return ",".join(str(i + 1) for i in self.w.word)
 
 
 def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
-    status = []
-    for idx, root in enumerate(rd.roots):
-        img = _mat_apply(tau.theta_X, root)
-        if img == root:
-            status.append('i')
-        elif img == tuple(-x for x in root):
-            status.append('r')
-        else:
-            status.append('C')
-    status = tuple(status)
+    neg = tau.ic.weyl.neg
+    status = tuple('i' if q == r else 'r' if q == neg[r] else 'C'
+                   for r, q in enumerate(tau.theta))
     im_pos = tuple(i for i, s in enumerate(status)
                    if s == 'i' and rd.is_positive(i))
     re_pos = tuple(i for i, s in enumerate(status)
@@ -402,15 +433,9 @@ def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
     im_simples = subsystem_simples(im_pos)
     re_simples = subsystem_simples(re_pos)
 
-    n = rd.rank
-    rho_i = [Fraction(0)] * n
-    for i in im_pos:
-        for k in range(n):
-            rho_i[k] += Fraction(rd.roots[i][k], 2)
-    rhov_r = [Fraction(0)] * n
-    for i in re_pos:
-        for k in range(n):
-            rhov_r[k] += Fraction(rd.coroots[i][k], 2)
+    # twice rho of the imaginary roots and twice rhov of the real roots
+    rho_i = [sum(col) for col in zip(*(rd.roots[i] for i in im_pos))]
+    rhov_r = [sum(col) for col in zip(*(rd.coroots[i] for i in re_pos))]
     deltaC = tuple(i for i, s in enumerate(status) if s == 'C'
                    and vec_dot(rho_i, rd.coroots[i]) == 0
                    and vec_dot(rd.roots[i], rhov_r) == 0)
@@ -427,69 +452,48 @@ class TwistedInvolutionTable:
     def __init__(self, ic: InnerClass):
         self.ic = ic
         wg = ic.weyl
-        rd = ic.rd
         self.elements = []
-        self.index_by_theta = {}
+        self.index_by_perm = {}   # theta permutation -> tau index
         self.cross = []   # per element: tuple of target indices (per simple)
         self.cayley = []  # per element: tuple of target index or None
         self._classification = {}
 
-        delta = TwistedInvolution(0, wg.identity,
-                                  ic.theta_X(wg.identity), 0)
-        self.elements.append(delta)
-        self.index_by_theta[delta.theta_X] = 0
-        level = [0]
+        level = [(wg.identity, ic.gamma_perm)]
         length = 0
         while level:
-            nxt = set()
-            for idx in level:
-                tau = self.elements[idx]
-                for theta2 in self._move_thetas(tau.theta_X):
-                    if theta2 not in self.index_by_theta:
-                        nxt.add(theta2)
-            length += 1
-            fresh = []
-            for theta2 in nxt:
-                # w = theta . gamma, since theta = (action of w) . gamma
-                fresh.append(
-                    (wg.from_matrix(_mat_mul(theta2, ic.gamma_mat)), theta2))
-            fresh.sort(key=lambda pair: (pair[0].length, pair[0].word))
-            new_level = []
-            for w2, theta2 in fresh:
+            for w, theta in level:
                 j = len(self.elements)
-                self.elements.append(TwistedInvolution(j, w2, theta2, length))
-                self.index_by_theta[theta2] = j
-                new_level.append(j)
-            level = new_level
+                self.elements.append(
+                    TwistedInvolution(j, w, theta, length, ic))
+                self.index_by_perm[theta] = j
+            fresh = {t for _, theta in level for move in self._moves(theta)
+                     for t in move
+                     if t is not None and t not in self.index_by_perm}
+            length += 1
+            # w = theta o gamma, since theta = w o gamma and gamma^2 = 1
+            level = sorted(((wg.from_perm(_compose(t, ic.gamma_perm)), t)
+                            for t in fresh),
+                           key=lambda wt: (wt[0].length, wt[0].word))
 
-        # resolve links (matrix level: cross is S_s theta S_s, Cayley
-        # S_s theta when alpha_s is tau-imaginary)
         for tau in self.elements:
-            cross_row = []
-            cayley_row = []
-            for i in range(rd.n_simple):
-                s = wg.simple_mats[i]
-                cross_row.append(
-                    self.index_by_theta[_mat_mul(s, _mat_mul(tau.theta_X, s))])
-                if _mat_apply(tau.theta_X, rd.simple_roots[i]) == \
-                        rd.simple_roots[i]:
-                    cayley_row.append(
-                        self.index_by_theta[_mat_mul(s, tau.theta_X)])
-                else:
-                    cayley_row.append(None)
-            self.cross.append(tuple(cross_row))
-            self.cayley.append(tuple(cayley_row))
+            moves = list(self._moves(tau.theta))
+            self.cross.append(tuple(self.index_by_perm[c] for c, _ in moves))
+            self.cayley.append(tuple(self.index_by_perm.get(y)
+                                     for _, y in moves))
 
-    def _move_thetas(self, theta):
+    def _moves(self, theta):
+        """Per simple root s: the cross move s theta s and the Cayley
+        move s theta, the latter None unless theta fixes alpha_s."""
         wg = self.ic.weyl
-        rd = self.ic.rd
-        out = []
-        for i in range(rd.n_simple):
-            s = wg.simple_mats[i]
-            out.append(_mat_mul(s, _mat_mul(theta, s)))
-            if _mat_apply(theta, rd.simple_roots[i]) == rd.simple_roots[i]:
-                out.append(_mat_mul(s, theta))
-        return out
+        for a, s, times_s in zip(wg.simple_idx, wg.simple_perms,
+                                 wg.times_simple):
+            yield (_compose(s, times_s(theta)),
+                   _compose(s, theta) if theta[a] == a else None)
+
+    @cached_property
+    def index_by_theta(self) -> dict:
+        """Tau index by the matrix of theta on X."""
+        return {tau.theta_X: tau.index for tau in self.elements}
 
     def __len__(self):
         return len(self.elements)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fiber import FiberSpace, central_fixed_points
+from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
 from .kgb import KGBElt, cartans_for, enumerate_X, real_weyl
 from .rootdatum import from_type
-from .weyl import (InnerClass, TwistedInvolution, WeylError, _mat_mul,
-                   cartan_class_of, trivial_inner_class, twisted_involutions)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
+                   trivial_inner_class, twisted_involutions)
 
 
 class NoMatch(ValueError):
@@ -42,21 +42,23 @@ class ZPair:
 
 def dual_tau(tau: TwistedInvolution, ic: InnerClass) -> TwistedInvolution:
     """The twisted involution of the dual inner class whose torus
-    involution is the negative transpose of tau's."""
+    involution is the negative transpose of tau's.  As theta^T sends the
+    coroot of alpha to the coroot of theta(alpha), -theta^T permutes the
+    coroots, which are the roots of the dual datum."""
     dic = ic.dual
-    neg_t = tuple(tuple(-tau.theta_X[c][r] for c in range(len(tau.theta_X)))
-                  for r in range(len(tau.theta_X)))
-    wmat = _mat_mul(neg_t, dic.gamma_mat)
-    winv = _mat_mul(dic.gamma_mat, neg_t)
-    try:
-        w = dic.weyl.from_mats(wmat, winv)
-    except (WeylError, KeyError) as exc:
-        raise NoMatch(f"no dual Weyl element: {exc}")
+    if 'coroot_order' not in ic._cache:
+        ic._cache['coroot_order'] = tuple(dic.rd.index_of(c)
+                                          for c in ic.rd.coroots)
+    order = ic._cache['coroot_order']
+    neg = ic.weyl.neg
+    perm = [0] * len(order)
+    for r, q in enumerate(tau.theta):
+        perm[order[r]] = order[neg[q]]
     dtbl = twisted_involutions(dic)
-    theta = dic.theta_X(w)
-    if theta != neg_t or theta not in dtbl.index_by_theta:
+    idx = dtbl.index_by_perm.get(tuple(perm))
+    if idx is None:
         raise NoMatch("dual torus involution is not a twisted involution")
-    return dtbl.elements[dtbl.index_by_theta[theta]]
+    return dtbl.elements[idx]
 
 
 def enumerate_Z(ic: InnerClass, restrict_x_square=None,
@@ -97,12 +99,8 @@ def match_pairs(ic: InnerClass, xs, ys):
 def _slice_size(ic, tau, squares) -> int:
     """|X_tau(z)| summed over the given central squares, from the fiber
     structure alone (no element materialization)."""
-    fs = FiberSpace(tau, ic)
-    total = 0
-    for z in squares:
-        if fs.base_point(z) is not None:
-            total += 2 ** fs.fiber_rank
-    return total
+    fs = fiber_space(tau, ic)
+    return sum(2 ** fs.fiber_rank for z in squares if fs.solvable(z))
 
 
 def count_z_blocks(ic: InnerClass, restrict_x_square=None,

@@ -4,10 +4,43 @@ Each checker walks the full one-sided space and returns the number of
 individual cases it verified, so callers can assert coverage totals.
 """
 
-from liepar import (cayley_down, cayley_up, cross, cross_by_word,
-                    enumerate_form, enumerate_X, fiber_space, grading,
-                    strong_real_forms, tits_group, twisted_involutions)
-from liepar.weyl import _mat_apply
+from liepar import (RatVecModZ, cayley_down, cayley_up, cross,
+                    cross_by_word, enumerate_form, enumerate_X, fiber_space,
+                    grading, strong_real_forms, tits_group,
+                    twisted_involutions)
+from liepar.intlinalg import frac_vec, vec_add
+from liepar.weyl import _mat_apply, _mat_mul
+
+
+def root_is_negative(rd, vec):
+    """Is the integer vector a negative root? (It must be a root.)"""
+    idx = rd.root_index.get(tuple(vec))
+    assert idx is not None, "matrix does not permute the roots"
+    return not rd.is_positive(idx)
+
+
+def matrix_canonical_word(wg, mat, inv):
+    """Shortlex-minimal reduced word of the element with the given
+    action matrices on X, by peeling the smallest left descent i (the
+    first with w^-1(alpha_i) < 0) one matrix product at a time."""
+    rd = wg.rd
+    word = []
+    m, mi = mat, inv
+    while m != wg.identity.mat:
+        i = next(i for i in range(rd.n_simple) if root_is_negative(
+            rd, _mat_apply(mi, rd.simple_roots[i])))
+        word.append(i)
+        m = _mat_mul(wg.simple_mats[i], m)
+        mi = _mat_mul(mi, wg.simple_mats[i])
+    return tuple(word)
+
+
+def square_of(ic, tau_idx, lam):
+    """The central square (1 + theta_v) lambda + nu_tau mod the lattice,
+    with Fraction arithmetic."""
+    fs = fiber_space(twisted_involutions(ic).elements[tau_idx], ic)
+    v = frac_vec(lam)
+    return RatVecModZ.reduce(vec_add(vec_add(v, fs.theta_v.apply(v)), fs.nu))
 
 
 def check_cross_involutive(ic):
@@ -75,7 +108,6 @@ def check_grading_transfer(ic):
 def check_fiber_power_two(ic):
     """Every nonempty fiber X_tau(z) has exactly 2^rank elements, all
     with the right square, base point first."""
-    from liepar.kgb import _square_of
     table = enumerate_X(ic)
     tbl = twisted_involutions(ic)
     cases = 0
@@ -88,7 +120,7 @@ def check_fiber_power_two(ic):
                 assert elts[0] == fs.base_point(z)
                 assert len(set(elts)) == len(elts)
                 for lam in elts:
-                    assert _square_of(ic, tau.index, lam.entries) == z
+                    assert square_of(ic, tau.index, lam.entries) == z
                     cases += 1
             cases += 1
     return cases
@@ -133,11 +165,10 @@ def _random_reduced_word(wg, w, rng):
     rd = wg.rd
     word = []
     m, mi = w.mat, w.inv
-    from liepar.weyl import _mat_apply, _mat_mul
     while m != wg.identity.mat:
         descents = [i for i in range(rd.n_simple)
-                    if wg._root_is_negative(
-                        _mat_apply(mi, rd.simple_roots[i]))]
+                    if root_is_negative(rd,
+                                        _mat_apply(mi, rd.simple_roots[i]))]
         i = rng.choice(descents)
         word.append(i)
         s = wg.simple_mats[i]

@@ -14,12 +14,12 @@ from liepar import (NotImaginary, NotNoncompactImaginary, NotReal,
                     cayley_down, cayley_up, cross, cross_by_word,
                     enumerate_form, enumerate_X, fiber_space, from_type,
                     grading, real_weyl, reduced_space, strong_real_forms,
-                    tits_group, trivial_inner_class, twisted_involutions)
+                    trivial_inner_class, twisted_involutions)
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
-                   check_projection_surjective)
+                   check_projection_surjective, root_is_negative)
 
 
 def rv(*entries):
@@ -319,8 +319,24 @@ def test_lengths_monotone_and_seeded_at_zero():
 
 
 # ---------------------------------------------------------------------------
-# an independent route to every move: fold the Tits lift letter by letter,
-# shift lambda by a Fraction vector and take the fiber's canonical form
+# an independent route to every move: fold the Tits lift letter by letter
+# on lattice matrices, shift lambda by a Fraction vector and take the
+# fiber's canonical form
+
+
+def matrix_fold(ic, mat, inv, t, word):
+    """sigma_w x_t times the simple lifts along word, on the action
+    matrices of w: sigma_w x_t sigma_i = sigma_{w s_i} x_{s_i(t) (+ m_i)},
+    with m_i added exactly when w(alpha_i) < 0."""
+    rd, wg = ic.rd, ic.weyl
+    for i in word:
+        descent = root_is_negative(rd, _mat_apply(mat, rd.simple_roots[i]))
+        t = tuple(a % 2 for a in _mat_apply(wg.simple_mats_dual[i], t))
+        if descent:
+            t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[i]))
+        mat = _mat_mul(mat, wg.simple_mats[i])
+        inv = _mat_mul(wg.simple_mats[i], inv)
+    return mat, inv, t
 
 
 def reference_move(x, s, cayley):
@@ -328,11 +344,10 @@ def reference_move(x, s, cayley):
     of sigma_s on x, or of the Cayley transform in alpha_s."""
     ic = x.table.ic
     rd, wg = ic.rd, ic.weyl
-    tg = tits_group(ic)
     tbl = twisted_involutions(ic)
     ws = wg.simple(s)
     word = x.tau.w.word if cayley else x.tau.w.word + (ic.diagram_perm[s],)
-    mat, inv, t = tg.fold(ws.mat, ws.inv, tg.zero, word)
+    mat, inv, t = matrix_fold(ic, ws.mat, ws.inv, (0,) * rd.rank, word)
     if not cayley:
         gs = ic.diagram_perm[s]
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
@@ -366,6 +381,17 @@ def test_move_table_checks_the_involution_table():
     tbl = twisted_involutions(ic)
     tbl.cayley[0] = (0,)        # the Cayley transform of delta is tau 1
     with pytest.raises(WeylError, match="disagrees with the involution"):
+        enumerate_X(ic)
+
+
+def test_square_check_covers_every_element():
+    # a wrong nu over tau 1 changes the square of element 4 alone, which
+    # the search reaches by a Cayley transform and never by a fiber solve
+    ic = trivial_inner_class(from_type("A1", "sc"))
+    fs = fiber_space(twisted_involutions(ic).elements[1], ic)
+    fs.nu = (fs.nu[0] + Fraction(1, 2),)
+    with pytest.raises(WeylError,
+                       match="square of element 4 does not recompute"):
         enumerate_X(ic)
 
 

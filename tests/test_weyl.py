@@ -1,14 +1,17 @@
 """Weyl groups, inner classes, twisted involutions, Cartan classes."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
                     cartan_classes, from_type, inner_class_from_perm,
                     trivial_inner_class, twisted_involutions)
 from liepar.weyl import _mat_apply, _mat_mul
+from props import matrix_canonical_word, root_is_negative
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -52,7 +55,7 @@ def _all_reduced_words(wg, w):
     out = []
     for i in range(rd.n_simple):
         # i is a left descent iff w^{-1}(alpha_i) < 0
-        if wg._root_is_negative(_mat_apply(w.inv, rd.simple_roots[i])):
+        if root_is_negative(rd, _mat_apply(w.inv, rd.simple_roots[i])):
             rest = wg.mult(wg.simple(i), w)
             out.extend((i,) + u for u in _all_reduced_words(wg, rest))
     return out
@@ -151,9 +154,9 @@ def test_twisted_involution_counts():
 # type A_n (S_{n+1}) and 2, 6, 20, 76, 312, ... for the hyperoctahedral
 # groups of types B_n and C_n
 INVOLUTION_COUNTS = {
-    "A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76,
-    "B2": 6, "B3": 20, "B4": 76,
-    "C2": 6, "C3": 20, "C4": 76, "C5": 312}
+    "A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76, "A6": 232, "A7": 764,
+    "B2": 6, "B3": 20, "B4": 76, "B5": 312, "B6": 1384,
+    "C2": 6, "C3": 20, "C4": 76, "C5": 312, "C6": 1384, "C7": 6512}
 
 
 @pytest.mark.parametrize("t,n", sorted(INVOLUTION_COUNTS.items()))
@@ -203,3 +206,90 @@ def test_classification_partition():
             for i in cls.re_pos:
                 assert _mat_apply(tau.theta_X, ic.rd.roots[i]) \
                     == tuple(-x for x in ic.rd.roots[i])
+
+
+# ---------------------------------------------------------------------------
+# root permutations against lattice matrices
+
+
+WEYL_DATA = sorted({(t, iso) for t, iso, _ in GRID}) + [("A1.T1", "sc")]
+
+
+@st.composite
+def weyl_words(draw):
+    t, iso = draw(st.sampled_from(WEYL_DATA))
+    wg = make_ic(t, iso).weyl
+    letters = st.integers(0, wg.rd.n_simple - 1)
+    return (wg, tuple(draw(st.lists(letters, max_size=12))),
+            tuple(draw(st.lists(letters, max_size=12))))
+
+
+def word_matrix(wg, word):
+    """The product of the simple reflection matrices along word."""
+    n = wg.rd.rank
+    m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        m = _mat_mul(m, wg.simple_mats[i])
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(weyl_words())
+def test_permutations_agree_with_matrices(data):
+    wg, u, v = data
+    rd = wg.rd
+    a, b = wg.from_word(u), wg.from_word(v)
+    ma, mb = word_matrix(wg, u), word_matrix(wg, v)
+    ma_inv = word_matrix(wg, reversed(u))
+    assert a.mat == ma and b.mat == mb and a.inv == ma_inv
+    for r, root in enumerate(rd.roots):
+        assert rd.roots[a.perm[r]] == _mat_apply(ma, root)
+    ab = wg.mult(a, b)
+    assert ab.mat == _mat_mul(ma, mb)
+    assert ab == wg.from_word(u + v)
+    assert wg.inverse(a).mat == ma_inv
+    assert wg.mult(a, wg.inverse(a)) == wg.identity
+    for i, a_i in enumerate(rd.simple_roots):
+        right = root_is_negative(rd, _mat_apply(ma, a_i))
+        left = root_is_negative(rd, _mat_apply(ma_inv, a_i))
+        assert right == (a.perm[wg.simple_idx[i]] < wg.n_pos)
+        assert left == (a.inv_perm[wg.simple_idx[i]] < wg.n_pos)
+        assert right == (wg.mult(a, wg.simple(i)).length < a.length)
+        assert left == (wg.mult(wg.simple(i), a).length < a.length)
+    assert a.word == matrix_canonical_word(wg, ma, ma_inv)
+    assert wg.from_matrix(ma) == a
+
+
+def involution_table_digest(ic):
+    """sha256 of a twisted-involution table: words, lengths, cross and
+    Cayley links, Cartan classes."""
+    tbl = twisted_involutions(ic)
+    h = hashlib.sha256()
+    h.update(repr([(t.w.word, t.length) for t in tbl.elements]).encode())
+    h.update(repr([tuple(r) for r in tbl.cross]).encode())
+    h.update(repr([tuple(r) for r in tbl.cayley]).encode())
+    h.update(repr(tuple(cartan_class_of(ic, i)
+                        for i in range(len(tbl)))).encode())
+    return h.hexdigest()
+
+
+# frozen from the tables built on lattice matrices
+INVOLUTION_DIGESTS = [
+    ("A5", "c", 76,
+     "c9a5e9bb2fde93ecf737261f6cb4a9f1b1a6603a41cfd8f86dc837836e028c07"),
+    ("C5", "c", 312,
+     "8cd3432caeb303238b6b6bac1ef8a5d9ad59fcc828c9a86a3e83f2bc76d68d74"),
+    ("D4", "c", 44,
+     "a189de786d226f983d7a1cc9383889531bc8613410dbe4285608f8321aa2cfb0"),
+    ("F4", "c", 140,
+     "5845fe0ff831da46e0dae91fcae6a85d7657b9a7b2decf45cc024f2256710f66"),
+    ("A4", (3, 2, 1, 0), 26,
+     "f6daa0cfbc389f93402f6cc44aec4052435d8e554be9cca77c60c02bd13596d0"),
+]
+
+
+@pytest.mark.parametrize("t,tw,size,digest", INVOLUTION_DIGESTS)
+def test_involution_tables_are_frozen(t, tw, size, digest):
+    ic = make_ic(t, "sc", tw)
+    assert len(twisted_involutions(ic)) == size
+    assert involution_table_digest(ic) == digest

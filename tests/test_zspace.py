@@ -7,9 +7,10 @@ import pytest
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (RatVecModZ, central_fixed_points, count_z_blocks,
                     dual_tau, duality_check, enumerate_form, enumerate_X,
-                    enumerate_Z,
+                    enumerate_Z, fiber_space,
                     langlands_count, sp2n_count, strong_real_forms,
                     twisted_involutions)
+from liepar.zspace import _slice_size
 
 
 def rv(*entries):
@@ -83,6 +84,18 @@ def test_count_z_blocks_golden():
              for i, nx, ny in rows]
     assert named == [("e", 4, 1), ("1", 1, 1), ("2", 2, 2),
                      ("1,2,1", 2, 2), ("2,1,2", 1, 1), ("1,2,1,2", 1, 4)]
+
+
+@pytest.mark.parametrize("t,tw", [("C3", "c"), ("B3", "c"), ("G2", "c"),
+                                  ("A3", (2, 1, 0)), ("D4", (0, 1, 3, 2))])
+def test_slice_size_counts_the_fiber_elements(t, tw):
+    for ic in (make_ic(t, "sc", tw), make_ic(t, "sc", tw).dual):
+        squares = central_fixed_points(ic)
+        for tau in twisted_involutions(ic).elements:
+            fs = fiber_space(tau, ic)
+            sizes = [len(fs.elements(z)) for z in squares]
+            assert [_slice_size(ic, tau, (z,)) for z in squares] == sizes
+            assert _slice_size(ic, tau, squares) == sum(sizes)
 
 
 def test_count_matches_enumeration():
