@@ -8,7 +8,11 @@ central square z correspond to solutions lambda of
 
 taken modulo the identity component of the fixed torus.  The solution
 set, when nonempty, is a torsor under an F2 vector space (the fiber
-group) read off from the Smith normal form of 1 + theta_v.
+group) read off from the Smith normal form U (1 + theta_v) V = diag(d).
+The solutions are computed in integer coordinates y = D V^-1 lambda mod
+D, with V^-1 kept by the Smith form itself, and lambda is formed from y
+only for output (FiberSpace.torus_coord); canonical_form is the one
+Fraction route, for a lambda given from outside.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 
-from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, smith_normal_form,
-                        torsion_solutions, vec_add, vec_scale, vec_sub)
+from .intlinalg import (IntMatrix, RatVecModZ, frac_vec,
+                        smith_normal_form_with_inverse, torsion_solutions,
+                        vec_add, vec_scale)
 from .tits import TitsGroup
 from .weyl import InnerClass, TwistedInvolution, WeylError
 
@@ -67,16 +73,21 @@ def tits_group(ic: InnerClass) -> TitsGroup:
     return ic._cache['tits']
 
 
-def nu_tau(tau: TwistedInvolution, ic: InnerClass) -> tuple:
-    """Half the torus part of sigma_w . delta(sigma_w), a vector in
-    (1/2)Z^n: the square of the canonical strong-involution lift over
-    tau is exp(2 pi i nu_tau) times the central square."""
+def _twice_nu(tau: TwistedInvolution, ic: InnerClass) -> tuple:
+    """The torus part of sigma_w . delta(sigma_w), an integer vector."""
     tg = tits_group(ic)
     w = tau.w
     perm, t = tg.fold(w.perm, tg.zero, ic.twist_word(w.word))
     if perm != ic.weyl.identity.perm:
         raise WeylError("not a twisted involution")
-    return tuple(Fraction(x, 2) for x in t)
+    return t
+
+
+def nu_tau(tau: TwistedInvolution, ic: InnerClass) -> tuple:
+    """Half the torus part of sigma_w . delta(sigma_w), a vector in
+    (1/2)Z^n: the square of the canonical strong-involution lift over
+    tau is exp(2 pi i nu_tau) times the central square."""
+    return tuple(Fraction(x, 2) for x in _twice_nu(tau, ic))
 
 
 def central_fixed_points(ic: InnerClass):
@@ -113,10 +124,11 @@ class FiberSpace:
     With U (1 + theta_v) V = diag(d), d_j in {0, 1, 2}, the coordinates
     y = V^-1 lambda split the problem: a coordinate with d_j = 0 runs
     along the kernel of 1 + theta_v and is set to 0, the others are taken
-    mod 1, and those with d_j = 2 carry the F2 fiber group.
-    canonical_form is V y in that normal form; the X search in kgb keeps
-    D y as integers mod D instead, D even and clearing every
-    denominator."""
+    mod 1, and those with d_j = 2 carry the F2 fiber group.  Solutions
+    are found in integers: for an even D that clears every denominator,
+    D y mod D is the base solution D (U (z - nu))_j / d_j plus D/2 on any
+    subset of the d_j = 2 coordinates.  canonical_form is V y in that
+    normal form."""
 
     def __init__(self, tau: TwistedInvolution, ic: InnerClass):
         self.tau = tau
@@ -124,28 +136,22 @@ class FiberSpace:
         self.theta_v = theta_matrix(tau, ic)
         n = ic.rank
         s = IntMatrix.identity(n) + self.theta_v
-        u, d, v = smith_normal_form(s)
-        self._u = u
-        self._v = v
+        self._u, d, self._v, self._vinv = smith_normal_form_with_inverse(s)
         diag = tuple(d[j, j] for j in range(n))
         if any(x not in (0, 1, 2) for x in diag):
             raise NotAnInvolution("1 + theta has an invariant factor > 2")
         self._diag = diag
         self._kernel_coords = tuple(j for j, x in enumerate(diag) if x == 0)
         self._two_coords = tuple(j for j, x in enumerate(diag) if x == 2)
-        self.nu = nu_tau(tau, ic)
-        self.basis = tuple(
-            RatVecModZ.reduce(vec_scale(Fraction(1, 2), v.col(j)))
-            for j in self._two_coords)
-        self.base_points = {}
+        self._twice_nu = _twice_nu(tau, ic)
+
+    @cached_property
+    def nu(self) -> tuple:
+        return tuple(Fraction(x, 2) for x in self._twice_nu)
 
     @cached_property
     def signature(self) -> TorusSignature:
         return torus_signature(self.theta_v)
-
-    @cached_property
-    def _vinv(self) -> IntMatrix:
-        return self._v.inverse()
 
     @property
     def fiber_rank(self) -> int:
@@ -159,48 +165,62 @@ class FiberSpace:
             y[j] = Fraction(0) if j in self._kernel_coords else y[j] % 1
         return RatVecModZ.reduce(self._v.apply(y))
 
-    def _shifted(self, z: RatVecModZ):
-        """U (z - nu), or None when a row with d_j = 0 is not integral:
-        then nothing lies over z."""
-        uc = self._u.apply(vec_sub(frac_vec(z.entries), self.nu))
-        if any(uc[j].denominator != 1 for j in self._kernel_coords):
+    def _shifted(self, z: RatVecModZ, scale: int):
+        """U (scale (z - nu)) as integers, or None when a row with d_j = 0
+        is not divisible by scale: then nothing lies over z.  scale is
+        even and a multiple of every denominator of z."""
+        half = scale // 2
+        w = [x.numerator * (scale // x.denominator) - half * t
+             for x, t in zip(z.entries, self._twice_nu)]
+        uw = self._u.apply(w)
+        if any(uw[j] % scale for j in self._kernel_coords):
             return None
-        return uc
+        return uw
 
     def solvable(self, z: RatVecModZ) -> bool:
         """Whether the fiber over central square z is nonempty."""
-        return self._shifted(z) is not None
+        scale = 2 * lcm(*(x.denominator for x in z.entries))
+        return self._shifted(z, scale) is not None
 
-    def base_point(self, z: RatVecModZ):
-        """Canonical (lex-least) solution over z, or None."""
-        if z in self.base_points:
-            return self.base_points[z]
-        uc = self._shifted(z)
-        base = None
-        if uc is not None:
-            lam0 = self._v.apply([Fraction(0) if dj == 0 else Fraction(x) / dj
-                                  for x, dj in zip(uc, self._diag)])
-            base = min(
-                (self._translate(lam0, eps)
-                 for eps in product((0, 1), repeat=self.fiber_rank)),
-                key=lambda r: r.entries)
-        self.base_points[z] = base
-        return base
+    def coordinates(self, z: RatVecModZ, denom: int) -> tuple:
+        """All solutions over z as integer tuples y = denom V^-1 lambda mod
+        denom, base point first, then in binary fiber order; () when
+        nothing lies over z.  denom is a multiple of 2 lcm(2, denominators
+        of z).  The base point has the lex-least V y mod denom, that is
+        the lex-least lambda in [0, 1)^n."""
+        uw = self._shifted(z, denom)
+        if uw is None:
+            return ()
+        half = denom // 2
 
-    def _translate(self, lam, eps) -> RatVecModZ:
-        v = frac_vec(lam)
-        for e, f in zip(eps, self.basis):
-            if e:
-                v = vec_add(v, f.entries)
-        return self.canonical_form(v)
+        def translate(y, eps):
+            y = list(y)
+            for j, e in zip(self._two_coords, eps):
+                y[j] = (y[j] + half * e) % denom
+            return tuple(y)
+
+        signs = tuple(product((0, 1), repeat=self.fiber_rank))
+        y0 = tuple(0 if dj == 0 else x // dj % denom
+                   for x, dj in zip(uw, self._diag))
+        base = min((translate(y0, eps) for eps in signs),
+                   key=lambda y: [x % denom for x in self._v.apply(y)])
+        return tuple(translate(base, eps) for eps in signs)
+
+    def torus_coord(self, y, denom: int) -> RatVecModZ:
+        """lambda = V y / denom mod the lattice."""
+        return RatVecModZ(tuple(Fraction(x % denom, denom)
+                                for x in self._v.apply(y)))
 
     def elements(self, z: RatVecModZ):
         """All solutions over z, base point first, in binary fiber order."""
-        base = self.base_point(z)
-        if base is None:
-            return ()
-        return tuple(self._translate(base.entries, eps)
-                     for eps in product((0, 1), repeat=self.fiber_rank))
+        denom = 2 * lcm(2, *(x.denominator for x in z.entries))
+        return tuple(self.torus_coord(y, denom)
+                     for y in self.coordinates(z, denom))
+
+    def base_point(self, z: RatVecModZ):
+        """Canonical (lex-least) solution over z, or None."""
+        elts = self.elements(z)
+        return elts[0] if elts else None
 
 
 def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:

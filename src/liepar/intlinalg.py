@@ -176,20 +176,28 @@ def rational_inverse(rows):
 def smith_normal_form(m: IntMatrix):
     """Return (u, d, v) with u @ m @ v = d, u and v unimodular and d
     diagonal with d[i] | d[i+1] (diagonal entries nonnegative)."""
+    return smith_normal_form_with_inverse(m)[:3]
+
+
+def smith_normal_form_with_inverse(m: IntMatrix):
+    """(u, d, v, v^-1) with (u, d, v) as in smith_normal_form; each column
+    operation on v is mirrored by the inverse row operation on v^-1."""
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    vinv = [row[:] for row in v]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j; on v^-1 row_j += q * row_i
         for r in a:
             r[i] -= q * r[j]
         for r in v:
             r[i] -= q * r[j]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -200,6 +208,7 @@ def smith_normal_form(m: IntMatrix):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     t = 0
     while t < min(rows, cols):
@@ -272,7 +281,8 @@ def smith_normal_form(m: IntMatrix):
                     u[i + 1] = [-x for x in u[i + 1]]
                 changed = True
 
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    return (IntMatrix.from_rows(u), IntMatrix.from_rows(a),
+            IntMatrix.from_rows(v), IntMatrix.from_rows(vinv))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ the same for every element, so each cross action and Cayley transform
 is tabulated once per search as an integer affine map
 y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows of
 tau2 zeroed, plus a permutation (and, for Cayley, flips) of the grading
-bits.  lambda = V y / D is formed once per element when the search ends.
+bits.  The seeds are formed in the same integer coordinates: the
+solutions over each central square on the distinguished fiber come from
+FiberSpace.coordinates, and their grading bits from the integer pairings
+(beta V) . y of the imaginary roots beta.  lambda = V y / D, the first
+Fraction the search builds, is formed once per element when the search
+ends.
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ from math import lcm
 from operator import mul
 
 from .fiber import central_fixed_points, fiber_space, tits_group
-from .intlinalg import (RatVecModZ, frac_vec, is_integral, solve_congruence,
-                        vec_dot)
-from .intlinalg import IntMatrix
-from .rootdatum import _simple_coordinates, new_root_datum
+from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
+                        solve_congruence, vec_dot)
+from .rootdatum import _reflection_closure
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
                    _mat_apply, cartan_class_of, cartan_index, perm_closure,
                    twisted_involutions)
@@ -181,24 +185,20 @@ def _delta_signs(ic) -> dict:
     rd = ic.rd
     cls = twisted_involutions(ic).classification(0)
     k = rd.n_simple
-    cartan = [[vec_dot(rd.simple_roots[i], rd.simple_coroots[j])
-               for j in range(k)] for i in range(k)]
-    sc_rd = new_root_datum(
-        cartan, [[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    cartan = rd.cartan_matrix.entries
+    sc_rd = _reflection_closure(
+        cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
+        k, cartan)
     perm = ic.diagram_perm
     sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
         [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
     if sc_ic.diagram_perm != perm:
         raise WeylError("companion datum twist mismatch")
     tg = tits_group(sc_ic)
+    sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
     signs = {}
     for b in cls.im_pos:
-        coeffs = _simple_coordinates(rd.roots[b], rd.simple_roots)
-        vec = tuple(
-            sum(int(c) * sc_rd.simple_roots[i][t]
-                for i, c in enumerate(coeffs))
-            for t in range(k))
-        j = sc_rd.index_of(vec)
+        j = sc_index[rd.coefficients[b]]
         sig = tg.sigma_for_root(j)
         d = tg.multiply(tg.twist(sig), tg.inverse(sig))
         if d.w.word:
@@ -213,21 +213,29 @@ def _delta_signs(ic) -> dict:
     return signs
 
 
-def _base_grading(ic, lam) -> dict:
-    """Grading at the distinguished fiber: a delta-imaginary positive
-    root is noncompact iff the parity of its pairing with lambda differs
+def _base_grading(ic, seeds, denom) -> list:
+    """Grading bits, in the order of the positive imaginary roots, at
+    each seed y = denom V^-1 lambda of the distinguished fiber: a
+    delta-imaginary positive root beta is noncompact iff the parity of
+    <beta, lambda> = (beta V) . y / denom, a multiple of 1/2, differs
     from the sign by which delta acts on its root vector."""
     tbl = twisted_involutions(ic)
-    cls = tbl.classification(0)
-    rd = ic.rd
+    fs = fiber_space(tbl.elements[0], ic)
     eps = _delta_signs(ic)
-    g = {}
-    for b in cls.im_pos:
-        pair = vec_dot(rd.roots[b], frac_vec(lam.entries))
-        if (2 * pair).denominator != 1:
-            raise WeylError("base fiber coordinate pairing not half-integral")
-        g[b] = (eps[b] + (0 if pair.denominator == 1 else 1)) % 2
-    return g
+    rows = [(fs._v.transpose().apply(ic.rd.roots[b]), eps[b])
+            for b in tbl.classification(0).im_pos]
+    half = denom // 2
+    out = []
+    for y in seeds:
+        g = []
+        for row, e in rows:
+            pair = sum(map(mul, row, y))
+            if pair % half:
+                raise WeylError(
+                    "base fiber coordinate pairing not half-integral")
+            g.append((e + pair // half) % 2)
+        out.append(tuple(g))
+    return out
 
 
 def _move_map(ic, tau_idx, s, cayley, denom):
@@ -326,7 +334,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     k = rd.n_simple
 
     # fiber coordinates y = denom * V^-1 lambda are integers mod denom:
-    # every seed lambda lies in (1/denom) times the lattice of V columns
+    # denom clears the denominators of every solution over the squares
     denom = 2 * lcm(2, *(x.denominator for z in squares for x in z.entries))
     taus, ys, sqs, grads = [], [], [], []
     key_index = {}
@@ -350,17 +358,10 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
 
     queue = deque()
     fs0 = fiber_space(tbl.elements[0], ic)
-    im0 = tbl.classification(0).im_pos
-    for z in squares:
-        for lam in fs0.elements(z):
-            y = tuple(0 if j in fs0._kernel_coords else x * denom % denom
-                      for j, x in enumerate(fs0._vinv.apply(lam.entries)))
-            if any(x.denominator != 1 for x in y):
-                raise WeylError("base fiber coordinate finer than 1/denom")
-            base = _base_grading(ic, lam)
-            j, _ = add(0, tuple(int(x) for x in y), z,
-                       tuple(base[b] for b in im0), (-1, 'seed'))
-            queue.append(j)
+    seeds = [(z, y) for z in squares for y in fs0.coordinates(z, denom)]
+    gradings = _base_grading(ic, [y for _, y in seeds], denom)
+    for (z, y), g in zip(seeds, gradings):
+        queue.append(add(0, y, z, g, (-1, 'seed'))[0])
 
     moves = {}
     simple_pos = {}
@@ -389,10 +390,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                     queue.append(j)
 
     n = len(taus)
-    lams = []
-    for i in range(n):
-        v = fiber_space(tbl.elements[taus[i]], ic)._v.apply(ys[i])
-        lams.append(RatVecModZ(tuple(Fraction(x % denom, denom) for x in v)))
+    lams = [fiber_space(tbl.elements[t], ic).torus_coord(y, denom)
+            for t, y in zip(taus, ys)]
     # statuses
     statuses = [tuple(tbl.classification(t).status[a] if p is None
                       else 'n' if g[p] else 'c'

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import (IntMatrix, RatVecModZ, row_reduce, torsion_solutions,
-                        vec_dot)
+from .intlinalg import IntMatrix, RatVecModZ, torsion_solutions, vec_dot
 
 
 class RootDatumError(ValueError):
@@ -81,7 +80,9 @@ class RootDatum:
     coroots: tuple        # matched to roots by the alpha <-> alphav bijection
     cartan_matrix: IntMatrix
 
-    # derived, filled in by new_root_datum
+    # derived, filled in by new_root_datum; coefficients are per root, in
+    # the simple roots
+    coefficients: tuple = field(default=(), compare=False)
     heights: tuple = field(default=(), compare=False)
     root_index: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -226,14 +227,22 @@ def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
         if IntMatrix.from_rows(simple_coroots).rank() != k:
             raise NotACartanMatrix("simple coroots are linearly dependent")
         _check_finite_type(cartan, k)
+    return _reflection_closure(simple_roots, simple_coroots, rank, cartan)
 
-    # reflection closure on (root, coroot) pairs
+
+def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
+    """The root datum of validated simple roots and coroots (tuples) with
+    Cartan matrix cartan: the reflection closure on (root, coroot) pairs,
+    carrying each root's coefficients in the simple roots (s_i subtracts
+    c from coefficient i)."""
+    k = len(simple_roots)
     pairs = {}
-    queue = list(zip(simple_roots, simple_coroots))
-    for p in queue:
-        pairs[p[0]] = p[1]
-        neg = tuple(-x for x in p[0])
-        pairs[neg] = tuple(-x for x in p[1])
+    coefficients = {}
+    for i, p in enumerate(zip(simple_roots, simple_coroots)):
+        for sign in (1, -1):
+            root = tuple(sign * x for x in p[0])
+            pairs[root] = tuple(sign * x for x in p[1])
+            coefficients[root] = tuple(sign * (i == j) for j in range(k))
     queue = list(pairs.items())
     qi = 0
     while qi < len(queue):
@@ -246,6 +255,9 @@ def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
             nc = tuple(y - cv * b for y, b in zip(coroot, simple_coroots[i]))
             if nr not in pairs:
                 pairs[nr] = nc
+                coeffs = list(coefficients[root])
+                coeffs[i] -= c
+                coefficients[nr] = tuple(coeffs)
                 queue.append((nr, nc))
                 if len(pairs) > ROOT_CLOSURE_CAP:
                     raise InfiniteClosure("root closure exceeded cap")
@@ -253,38 +265,19 @@ def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
                 raise NotACartanMatrix("root/coroot bijection broke under "
                                        "reflection closure")
 
-    # canonical order: height (coefficients in the simple basis), then lex
-    heights = {}
-    for root in pairs:
-        coeffs = _simple_coordinates(root, simple_roots)
-        heights[root] = sum(coeffs)
-    order = sorted(pairs, key=lambda r: (heights[r], r))
-    roots = tuple(order)
-    coroots = tuple(pairs[r] for r in order)
+    # canonical order: height (sum of the simple coefficients), then lex
+    order = sorted(pairs, key=lambda r: (sum(coefficients[r]), r))
     rd = RootDatum(rank=rank,
                    simple_roots=simple_roots,
                    simple_coroots=simple_coroots,
-                   roots=roots,
-                   coroots=coroots,
+                   roots=tuple(order),
+                   coroots=tuple(pairs[r] for r in order),
                    cartan_matrix=IntMatrix.from_rows(cartan) if k
                    else IntMatrix.zero(0, 0),
-                   heights=tuple(heights[r] for r in order))
+                   coefficients=tuple(coefficients[r] for r in order),
+                   heights=tuple(sum(coefficients[r]) for r in order))
     rd.root_index.update({r: i for i, r in enumerate(order)})
     return rd
-
-
-def _simple_coordinates(root, simple_roots):
-    """Coefficients of root in the simple-root basis (exact)."""
-    k = len(simple_roots)
-    rref, pivots = row_reduce([[a[r] for a in simple_roots] + [x]
-                               for r, x in enumerate(root)])
-    coeffs = [Fraction(0)] * k
-    for row, col in zip(rref, pivots):
-        coeffs[col] = row[k]
-    total = sum(coeffs)
-    if total.denominator != 1:
-        raise NotACartanMatrix("root has non-integral height")
-    return [int(c) if c.denominator == 1 else c for c in coeffs]
 
 
 # ---------------------------------------------------------------------------

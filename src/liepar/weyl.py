@@ -19,13 +19,13 @@ permutations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import itemgetter
 
-from .intlinalg import IntMatrix, rational_inverse, vec_dot
+from .intlinalg import (IntMatrix, rational_inverse, smith_normal_form,
+                        vec_dot)
 from .rootdatum import RootDatum
 
 
@@ -126,7 +126,6 @@ class WeylGroup:
         self._simples = tuple(WeylElt((i,), p, self)
                               for i, p in enumerate(self.simple_perms))
         self._longest = None
-        self._order = None
 
     # -- basic element construction -------------------------------------
 
@@ -143,15 +142,22 @@ class WeylGroup:
     @cached_property
     def _coords(self):
         """c_i(e_k) = sum_j (alpha_j^v)_k (C^-1)_{ji} for the standard basis
-        vectors e_k of X, as integer rows over a common denominator."""
+        vectors e_k of X, as integer rows over a common denominator den:
+        with U C V = diag(d), den C^-1 = V diag(den / d) U for den the
+        largest invariant factor."""
         rd = self.rd
         k = rd.n_simple
-        cinv = rational_inverse(rd.cartan_matrix.entries) if k else ()
-        coords = [[sum((rd.simple_coroots[j][e] * cinv[j][i]
-                        for j in range(k)), Fraction(0)) for i in range(k)]
-                  for e in range(rd.rank)]
-        den = lcm(1, *(x.denominator for row in coords for x in row))
-        return den, tuple(tuple(int(x * den) for x in row) for row in coords)
+        if not k:
+            return 1, ((),) * rd.rank
+        u, d, v = smith_normal_form(rd.cartan_matrix)
+        den = d[k - 1, k - 1]
+        scale = [den // d[t, t] for t in range(k)]
+        cinv = [[sum(v[j, t] * scale[t] * u[t, i] for t in range(k))
+                 for i in range(k)] for j in range(k)]
+        return den, tuple(
+            tuple(sum(rd.simple_coroots[j][e] * cinv[j][i] for j in range(k))
+                  for i in range(k))
+            for e in range(rd.rank))
 
     def lattice_matrix(self, perm) -> tuple:
         """Action matrix on X of the element permuting the roots by perm:
@@ -235,12 +241,17 @@ class WeylGroup:
             self._longest = self.from_perm(perm)
         return self._longest
 
-    def order(self, cap: int = 10 ** 7) -> int:
-        """|W|, as the size of the group the simple reflections generate."""
-        if self._order is None:
-            self._order = len(perm_closure(self.simple_perms,
-                                           len(self.rd.roots), cap))
-        return self._order
+    def order(self) -> int:
+        """|W| = prod (m_j + 1) over the exponents m_j, which are the
+        transpose of the partition "number of positive roots of each
+        height" (Kostant 1959); the transpose of a sum of partitions is
+        the union of their transposes, so this holds for reducible data
+        and torus factors too."""
+        per_height = Counter(h for h in self.rd.heights if h > 0)
+        out = 1
+        for j in range(1, per_height[1] + 1):
+            out *= 1 + sum(1 for c in per_height.values() if c >= j)
+        return out
 
     def all_elements(self, cap: int = 2 * 10 ** 6):
         """Brute-force enumeration of W (test oracle)."""

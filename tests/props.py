@@ -4,12 +4,76 @@ Each checker walks the full one-sided space and returns the number of
 individual cases it verified, so callers can assert coverage totals.
 """
 
+from fractions import Fraction
+from itertools import product
+
 from liepar import (RatVecModZ, cayley_down, cayley_up, cross,
                     cross_by_word, enumerate_form, enumerate_X, fiber_space,
                     grading, strong_real_forms, tits_group,
                     twisted_involutions)
-from liepar.intlinalg import frac_vec, vec_add
+from liepar.intlinalg import (frac_vec, row_reduce, vec_add, vec_dot,
+                              vec_scale, vec_sub)
+from liepar.kgb import _delta_signs
 from liepar.weyl import _mat_apply, _mat_mul
+
+
+def simple_coordinates(root, simple_roots):
+    """Coefficients of root in the simple-root basis, by Fraction
+    elimination."""
+    k = len(simple_roots)
+    rref, pivots = row_reduce([[a[r] for a in simple_roots] + [x]
+                               for r, x in enumerate(root)])
+    coeffs = [Fraction(0)] * k
+    for row, col in zip(rref, pivots):
+        coeffs[col] = row[k]
+    return tuple(coeffs)
+
+
+def reference_canonical_form(fs, lam):
+    """The fiber's canonical form of lambda with Fraction arithmetic and
+    V^-1 from an independent inversion of V."""
+    y = fs._v.inverse().apply(frac_vec(lam))
+    y = [Fraction(0) if j in fs._kernel_coords else x % 1
+         for j, x in enumerate(y)]
+    return RatVecModZ.reduce(fs._v.apply(y))
+
+
+def reference_fiber(fs, z):
+    """All solutions over z by the Fraction route: one solution
+    V (U (z - nu))_j / d_j, its 2^rank translates by the halves of the
+    d_j = 2 columns of V, each in canonical form; the lex-least is the
+    base point and the list starts from it in binary fiber order."""
+    uc = fs._u.apply(vec_sub(frac_vec(z.entries), fs.nu))
+    if any(uc[j].denominator != 1 for j in fs._kernel_coords):
+        return ()
+    lam0 = fs._v.apply([Fraction(0) if dj == 0 else x / dj
+                        for x, dj in zip(uc, fs._diag)])
+    halves = [vec_scale(Fraction(1, 2), fs._v.col(j)) for j in fs._two_coords]
+
+    def translate(lam, eps):
+        for e, h in zip(eps, halves):
+            if e:
+                lam = vec_add(lam, h)
+        return reference_canonical_form(fs, lam)
+
+    signs = list(product((0, 1), repeat=fs.fiber_rank))
+    base = min((translate(lam0, eps) for eps in signs),
+               key=lambda r: r.entries)
+    return tuple(translate(base.entries, eps) for eps in signs)
+
+
+def reference_base_grading(ic, lam):
+    """Grading bits at a point of the distinguished fiber from Fraction
+    pairings: <beta, lambda> must be half-integral, and beta is
+    noncompact iff its parity differs from delta's sign on beta."""
+    rd = ic.rd
+    eps = _delta_signs(ic)
+    bits = []
+    for b in twisted_involutions(ic).classification(0).im_pos:
+        pair = vec_dot(rd.roots[b], lam.entries)
+        assert (2 * pair).denominator == 1
+        bits.append((eps[b] + (pair.denominator != 1)) % 2)
+    return tuple(bits)
 
 
 def root_is_negative(rd, vec):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cli_demo import DEMO_EXPECTED, DEMO_SCRIPT
 from liepar.cli import CommandError, Session, main, parse_central
@@ -194,3 +195,34 @@ def test_pure_torus_reports_its_rank_and_refuses_strongreal(spec, rank):
     assert out[-1].startswith("error (line ") and out[-1].endswith(reason)
     with pytest.raises(InfiniteCenterFixedPoints):
         strong_real_forms(trivial_inner_class(from_type(spec[:2], "sc")))
+
+
+# ---------------------------------------------------------------------------
+# random sessions over C2, A2 u and G2: valid commands, bad ids, bad arity
+# and unknown words never end a session with a traceback, and a fresh
+# session replays the same lines to the same bytes
+
+FUZZ_STARTS = ["", "type C2 sc\ninner c\n", "type A2 sc\ninner u\n",
+               "type G2 sc\ninner c\n"]
+FUZZ_ARGS = ["0", "1", "2", "3", "9", "40", "-1", "1/2", "x", "1,0", "0,1/2",
+             "1/2,0", "1/3,2/3"]
+FUZZ_COMMANDS = st.one_of(
+    st.sampled_from([
+        "type C2 sc", "type A2 sc", "type G2 sc", "type G2 ad",
+        "type Z2 sc", "type A2 matrix", "1,0;0,1", "2,1;1,1", "1,1",
+        "inner c", "inner u", "inner 2,1", "inner 2,2", "strongreal", "cartan", "X", "dual", "count-z", "quit",
+        "dot", "dot X", "dot X a b", "# a comment", ""]),
+    st.tuples(st.sampled_from(["kgb", "block", "realweyl", "count-z", "type",
+                               "inner", "X", "strongreal", "cartan", "dual"]),
+              st.lists(st.sampled_from(FUZZ_ARGS), max_size=3))
+    .map(lambda c: " ".join([c[0]] + c[1])),
+    st.text(alphabet="abqxz-#,/19 ", min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_STARTS), st.lists(FUZZ_COMMANDS, max_size=10))
+def test_random_sessions_replay_without_traceback(start, commands):
+    script = start + "".join(c + "\n" for c in commands)
+    first = run_session(script)     # an escaping exception fails the test
+    assert "Traceback" not in first
+    assert run_session(script) == first

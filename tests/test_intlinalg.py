@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from liepar.intlinalg import (F2Basis, IntMatrix, RatVecModZ, f2_add,
                               f2_mat_apply, f2_vec, frac_vec, is_integral,
                               rational_inverse, row_reduce,
-                              smith_normal_form, solve_congruence,
+                              smith_normal_form,
+                              smith_normal_form_with_inverse,
+                              solve_congruence,
                               torsion_solutions, two_group_quotient, vec_add,
                               vec_dot, vec_mod1, vec_scale, vec_sub)
 
@@ -66,6 +68,16 @@ def test_inverse_of_unimodular(m):
     inv = m.inverse()
     assert m @ inv == IntMatrix.identity(m.rows)
     assert inv @ m == IntMatrix.identity(m.rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rect_matrices())
+def test_smith_form_tracks_v_inverse(m):
+    u, d, v, vinv = smith_normal_form_with_inverse(m)
+    assert (u, d, v) == smith_normal_form(m)
+    ident = IntMatrix.identity(m.cols)
+    assert v @ vinv == ident
+    assert vinv @ v == ident
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,11 @@
 """The one-sided space X: goldens, moves, real Weyl groups, reduced
 space, and whole-space properties."""
 
+import fractions
 import hashlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,17 @@ import pytest
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (NotImaginary, NotNoncompactImaginary, NotReal,
                     RatVecModZ, TorusSignature, WeylError, cartans_for,
-                    cayley_down, cayley_up, cross, cross_by_word,
-                    enumerate_form, enumerate_X, fiber_space, from_type,
-                    grading, real_weyl, reduced_space, strong_real_forms,
-                    trivial_inner_class, twisted_involutions)
+                    cayley_down, cayley_up, central_fixed_points, cross,
+                    cross_by_word, enumerate_form, enumerate_X, fiber_space,
+                    from_type, grading, inner_class_from_perm, real_weyl,
+                    reduced_space, strong_real_forms, trivial_inner_class,
+                    twisted_involutions)
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
-                   check_projection_surjective, root_is_negative)
+                   check_projection_surjective, reference_base_grading,
+                   reference_fiber, root_is_negative)
 
 
 def rv(*entries):
@@ -412,6 +416,65 @@ def test_moves_match_the_reference_route(t, iso, tw):
                     (y.tau.index, y.torus_coord, y.grading_map)
                 moves += 1
     assert moves > len(table)
+
+
+# the seeds against the Fraction route they replaced: translates in
+# canonical form, the lex-least base point, Fraction pairings for the
+# grading; A3 sc has center Z/4, so its fiber coordinates are mod 8
+SEED_ORACLE_GROUPS = MOVE_ORACLE_GROUPS + [("A3", "sc", "c")]
+
+
+@pytest.mark.parametrize("t,iso,tw", SEED_ORACLE_GROUPS)
+def test_seeds_match_the_reference_route(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    table = enumerate_X(ic)
+    expected = []
+    for tau in twisted_involutions(ic).elements:
+        fs = fiber_space(tau, ic)
+        for z in table.squares:
+            lams = reference_fiber(fs, z)
+            assert fs.elements(z) == lams
+            assert fs.base_point(z) == (lams[0] if lams else None)
+            assert fs.solvable(z) == bool(lams)
+            if tau.index == 0:
+                expected += [(z, lam, reference_base_grading(ic, lam))
+                             for lam in lams]
+    seeds = [table.elements[i] for i, _, move in table.generation_log
+             if move == 'seed']
+    assert [(x.square, x.torus_coord, tuple(g for _, g in x.grading))
+            for x in seeds] == expected
+
+
+@pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"),
+                                  ("A3", (2, 1, 0))])
+def test_search_builds_no_fraction_before_lambda(t, tw):
+    # a fresh inner class, so fibers, moves and the companion datum of
+    # the delta signs are all built inside the call; the central squares
+    # are the input and are computed first
+    rd = from_type(t, "sc")
+    ic = trivial_inner_class(rd) if tw == "c" \
+        else inner_class_from_perm(rd, tw)
+    central_fixed_points(ic)
+    calls = []
+    lam_step = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_name == "torus_coord":
+            lam_step.append(code)
+        elif code.co_filename == fractions.__file__ and not lam_step and \
+                code.co_name not in ("numerator", "denominator"):
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        enumerate_X(ic)
+    finally:
+        sys.setprofile(None)
+    assert lam_step
+    assert calls == []
 
 
 def table_digest(table):

@@ -2,9 +2,11 @@
 
 import pytest
 
+from conftest import GRID
 from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
                     from_type, new_root_datum, parse_type)
 from liepar.intlinalg import vec_dot
+from props import simple_coordinates
 
 # number of positive roots per simple type
 POS_ROOTS = {
@@ -75,6 +77,18 @@ def test_heights_and_positivity():
     # roots are sorted by height then lex
     hs = [rd.heights[i] for i in range(len(rd.roots))]
     assert hs == sorted(hs)
+
+
+@pytest.mark.parametrize(
+    "t,iso", sorted({(t, iso) for t, iso, _ in GRID}) + [("A1.T1", "sc")])
+def test_coefficients_from_the_closure(t, iso):
+    for rd in (from_type(t, iso), from_type(t, iso).dual()):
+        assert len(rd.coefficients) == len(rd.roots)
+        for root, coeffs, h in zip(rd.roots, rd.coefficients, rd.heights):
+            assert tuple(sum(c * a[r] for c, a in zip(coeffs, rd.simple_roots))
+                         for r in range(rd.rank)) == root
+            assert coeffs == simple_coordinates(root, rd.simple_roots)
+            assert h == sum(coeffs)
 
 
 def test_rho():

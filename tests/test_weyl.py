@@ -10,7 +10,7 @@ from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
                     cartan_classes, from_type, inner_class_from_perm,
                     trivial_inner_class, twisted_involutions)
-from liepar.weyl import _mat_apply, _mat_mul
+from liepar.weyl import _mat_apply, _mat_mul, perm_closure
 from props import matrix_canonical_word, root_is_negative
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
@@ -22,6 +22,20 @@ def test_group_order(t, n):
     wg = WeylGroup(from_type(t, "sc"))
     assert wg.order() == n
     assert len(wg.all_elements()) == n
+
+
+@pytest.mark.parametrize(
+    "t,iso", sorted({(t, iso) for t, iso, _ in GRID})
+    + [("A1.T1", "sc"), ("T2", "sc"), ("B2.G2", "ad")])
+def test_order_matches_the_closure(t, iso):
+    wg = WeylGroup(from_type(t, iso))
+    assert wg.order() == len(perm_closure(wg.simple_perms, len(wg.rd.roots)))
+
+
+@pytest.mark.parametrize("t,n", [("G2", 12), ("F4", 1152), ("E6", 51840),
+                                 ("E7", 2903040), ("E8", 696729600)])
+def test_order_closed_form(t, n):
+    assert WeylGroup(from_type(t, "sc")).order() == n
 
 
 def test_longest_element():
