@@ -13,10 +13,21 @@ The solutions are computed in integer coordinates y = D V^-1 lambda mod
 D, with V^-1 kept by the Smith form itself, and lambda is formed from y
 only for output (FiberSpace.torus_coord); canonical_form is the one
 Fraction route, for a lambda given from outside.
+
+The cross action of s is a bijection from the fiber over tau to the
+fiber over s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s
+for the reflection S_s of the cocharacter lattice.  So one Smith form per
+Cartan class serves every tau in it: the frame of tau (fiber_frame) is
+its class representative's V carried along a breadth-first spanning tree
+of cross edges by V_{s tau} = S_s V_tau, and in frame coordinates a tree
+edge moves y by a translation alone.  frame_torus_coord maps frame
+coordinates to the canonical lambda of tau's own Smith form, which is
+then built on first read.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +38,8 @@ from .intlinalg import (IntMatrix, RatVecModZ, frac_vec,
                         smith_normal_form_with_inverse, torsion_solutions,
                         vec_add, vec_scale)
 from .tits import TitsGroup
-from .weyl import InnerClass, TwistedInvolution, WeylError
+from .weyl import (InnerClass, TwistedInvolution, WeylError, _mat_apply,
+                   cartan_classes, cartan_index, twisted_involutions)
 
 
 class NotAnInvolution(ValueError):
@@ -145,9 +157,16 @@ class FiberSpace:
         self._two_coords = tuple(j for j, x in enumerate(diag) if x == 2)
         self._twice_nu = _twice_nu(tau, ic)
 
-    @cached_property
+    @property
     def nu(self) -> tuple:
         return tuple(Fraction(x, 2) for x in self._twice_nu)
+
+    @nu.setter
+    def nu(self, value):
+        twice = tuple(2 * Fraction(x) for x in value)
+        if any(x.denominator != 1 for x in twice):
+            raise ValueError("nu must lie in (1/2)Z^n")
+        self._twice_nu = tuple(int(x) for x in twice)
 
     @cached_property
     def signature(self) -> TorusSignature:
@@ -228,3 +247,78 @@ def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:
     if tau.theta not in fibers:
         fibers[tau.theta] = FiberSpace(tau, ic)
     return fibers[tau.theta]
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Fiber data of one twisted involution tau in the basis carried over
+    from its Cartan class representative: the unimodular V with its
+    inverse, the coordinates j with (1 + theta_v) V e_j = 0, the rows of
+    (1 + theta_v) V, the integer vector 2 nu_tau, and the tree edge
+    (tau index, s) it was carried along (None at the representative)."""
+    v: tuple
+    vinv: tuple
+    kernel: tuple
+    square: tuple
+    twice_nu: tuple
+    parent: tuple
+
+
+def _reflect_rows(m, a, av):
+    """S m for the reflection S v = v - <a, v> av of the cocharacters."""
+    r = [sum(x * y for x, y in zip(a, col)) for col in zip(*m)]
+    return tuple(tuple(x - c * y for x, y in zip(row, r))
+                 for row, c in zip(m, av))
+
+
+def _reflect_cols(m, a, av):
+    """m S for the same reflection S."""
+    return tuple(tuple(x - c * y for x, y in zip(row, a))
+                 for row, c in ((row, sum(x * y for x, y in zip(row, av)))
+                                for row in m))
+
+
+def _carry_frames(ic: InnerClass, rep: int, frames: dict):
+    """Frames of the Cartan class of rep: the representative's Smith form,
+    carried along cross edges breadth-first from rep in simple-root
+    order."""
+    tbl = twisted_involutions(ic)
+    rd = ic.rd
+    fs = fiber_space(tbl.elements[rep], ic)
+    square = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
+    frames[rep] = Frame(fs._v.entries, fs._vinv.entries, fs._kernel_coords,
+                        square.entries, fs._twice_nu, None)
+    queue = deque([rep])
+    while queue:
+        t = queue.popleft()
+        fr = frames[t]
+        for s, t2 in enumerate(tbl.cross[t]):
+            if t2 in frames:
+                continue
+            a, av = rd.simple_roots[s], rd.simple_coroots[s]
+            frames[t2] = Frame(
+                _reflect_rows(fr.v, a, av), _reflect_cols(fr.vinv, a, av),
+                fr.kernel, _reflect_rows(fr.square, a, av),
+                _twice_nu(tbl.elements[t2], ic), (t, s))
+            queue.append(t2)
+
+
+def fiber_frame(ic: InnerClass, tau_idx: int) -> Frame:
+    """The frame of tau_idx; the first call in a Cartan class builds the
+    representative's Smith form and the frames of the whole class."""
+    frames = ic._cache.setdefault('frames', {})
+    if tau_idx not in frames:
+        cls = cartan_classes(ic)[cartan_index(ic)[tau_idx]]
+        _carry_frames(ic, cls.rep, frames)
+    return frames[tau_idx]
+
+
+def frame_torus_coord(ic: InnerClass, tau: TwistedInvolution, y,
+                      denom: int) -> RatVecModZ:
+    """The canonical lambda of the point with coordinates y mod denom in
+    tau's frame: y_own = V_own^-1 V_frame y mod denom in tau's own Smith
+    coordinates, with the kernel coordinates zeroed."""
+    fs = fiber_space(tau, ic)
+    own = fs._vinv.apply(_mat_apply(fiber_frame(ic, tau.index).v, y))
+    return fs.torus_coord(tuple(0 if j in fs._kernel_coords else x % denom
+                                for j, x in enumerate(own)), denom)

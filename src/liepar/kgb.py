@@ -8,21 +8,23 @@ grading (compact/noncompact) on imaginary roots; connected components
 of the move graph are the strong real forms.
 
 The breadth-first search does not carry lambda.  Over tau it keys an
-element by integer fiber coordinates y = D V^-1 lambda mod D, where V is
-the unimodular Smith-form matrix of the fiber (see FiberSpace), the
-coordinates on the kernel of 1 + theta_v are 0, and D = 2 lcm(2,
-denominators of the central squares).  For one (tau, s) the Tits fold,
-the target tau2, the shift and the regrading of the imaginary roots are
-the same for every element, so each cross action and Cayley transform
-is tabulated once per search as an integer affine map
-y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows of
-tau2 zeroed, plus a permutation (and, for Cayley, flips) of the grading
-bits.  The seeds are formed in the same integer coordinates: the
-solutions over each central square on the distinguished fiber come from
-FiberSpace.coordinates, and their grading bits from the integer pairings
-(beta V) . y of the imaginary roots beta.  lambda = V y / D, the first
-Fraction the search builds, is formed once per element when the search
-ends.
+element by integer fiber coordinates y = D V^-1 lambda mod D in tau's
+frame (see fiber_frame): V is the Smith-form basis of tau's Cartan class
+representative carried along cross edges, the coordinates on the kernel
+of 1 + theta_v are 0, and D = 2 lcm(2, denominators of the central
+squares).  One Smith form per Cartan class is computed.  For one (tau, s)
+the Tits-group product, the target tau2, the shift and the regrading of
+the imaginary roots are the same for every element, so each cross action
+and Cayley transform is tabulated once per search as an integer affine
+map y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows
+of tau2 zeroed, plus a permutation (and, for Cayley, flips) of the
+grading bits.  Along an edge of the frames' spanning tree M is the
+identity and the move is the translation y -> y + c.  The seeds are
+formed in the same integer coordinates: the solutions over each central
+square on the distinguished fiber come from FiberSpace.coordinates, and
+their grading bits from the integer pairings (beta V) . y of the
+imaginary roots beta.  The search builds no Fraction; KGBElt.torus_coord
+forms lambda from y in tau's own Smith coordinates on first read.
 """
 
 from __future__ import annotations
@@ -30,16 +32,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .fiber import central_fixed_points, fiber_space, tits_group
+from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
+                    fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
                         solve_congruence, vec_dot)
 from .rootdatum import _reflection_closure
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
-                   _mat_apply, cartan_class_of, cartan_index, perm_closure,
-                   twisted_involutions)
+                   _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
+                   cartan_index, perm_closure, twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -58,7 +62,7 @@ class NotReal(ValueError):
 class KGBElt:
     id: int
     tau: TwistedInvolution
-    torus_coord: RatVecModZ
+    coords: tuple          # fiber coordinates y in tau's frame, mod denom
     length: int
     square: RatVecModZ
     status: tuple          # per simple root: 'c' / 'n' / 'r' / 'C'
@@ -73,6 +77,12 @@ class KGBElt:
 
     def __hash__(self):
         return hash((id(self.table), self.id))
+
+    @cached_property
+    def torus_coord(self) -> RatVecModZ:
+        """The canonical fiber coordinate lambda, formed on first read."""
+        return frame_torus_coord(self.table.ic, self.tau, self.coords,
+                                 self.table.denom)
 
     @property
     def grading_map(self) -> dict:
@@ -93,8 +103,9 @@ class StrongRealForm:
 
 class KGBTable:
     def __init__(self, ic, elements, form_partition, quasisplit_forms,
-                 squares, generation_log):
+                 squares, generation_log, denom):
         self.ic = ic
+        self.denom = denom       # the modulus of the elements' coords
         self.elements = elements
         self.form_partition = form_partition
         self.quasisplit_forms = quasisplit_forms
@@ -165,10 +176,11 @@ class KGBTable:
 def _square_map(ic, tau_idx, denom):
     """The central square z = (1 + theta_v) lambda + nu of the element
     with fiber coordinates y over tau_idx, as affine rows on y: with
-    lambda = V y / denom, row j gives denom z_j mod denom."""
-    fs = fiber_space(twisted_involutions(ic).elements[tau_idx], ic)
-    m = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
-    return tuple((row, int(denom * nu)) for row, nu in zip(m.entries, fs.nu))
+    lambda = V y / denom in tau's frame, row j gives denom z_j mod
+    denom."""
+    fr = fiber_frame(ic, tau_idx)
+    half = denom // 2
+    return tuple((row, half * t) for row, t in zip(fr.square, fr.twice_nu))
 
 
 def _delta_signs(ic) -> dict:
@@ -220,9 +232,9 @@ def _base_grading(ic, seeds, denom) -> list:
     <beta, lambda> = (beta V) . y / denom, a multiple of 1/2, differs
     from the sign by which delta acts on its root vector."""
     tbl = twisted_involutions(ic)
-    fs = fiber_space(tbl.elements[0], ic)
+    vt = tuple(zip(*fiber_frame(ic, 0).v))
     eps = _delta_signs(ic)
-    rows = [(fs._v.transpose().apply(ic.rd.roots[b]), eps[b])
+    rows = [(_mat_apply(vt, ic.rd.roots[b]), eps[b])
             for b in tbl.classification(0).im_pos]
     half = denom // 2
     out = []
@@ -241,37 +253,46 @@ def _base_grading(ic, seeds, denom) -> list:
 def _move_map(ic, tau_idx, s, cayley, denom):
     """The cross action by simple root s (or, with cayley, the Cayley
     transform in alpha_s) on the fiber over tau_idx, as data shared by
-    every element there: (target tau index, affine rows, grading map).
+    every element there: (target tau index, matrix rows, offset, grading
+    map), in the frames of the two taus.
 
     An element with fiber coordinates y and grading bits g moves to
-    y2[j] = (row_j . y + c_j) mod denom, for (row_j, c_j) in the affine
-    rows, and g2 = (g[p] ^ f for (p, f) in the grading map).  The cross
-    action conjugates exp(2 pi i lambda) sigma_w delta by sigma_s; the
-    Cayley transform left-multiplies it by sigma_s."""
+    y2[j] = (row_j . y + c_j) mod denom, or to y2[j] = (y[j] + c_j) mod
+    denom when the rows are None, and g2 = (g[p] ^ f for (p, f) in the
+    grading map).  The rows are None when S_s V_tau = V_tau2, so that
+    M = V_tau2^-1 S_s V_tau is the identity, and tau2 has tau's kernel
+    coordinates: on every cross edge of the frames' spanning tree, in
+    either direction, and on many other cross edges.  S_s V_tau is a
+    rank-one update of V_tau; only a move that is not a translation forms
+    the product M.  The cross action conjugates exp(2 pi i lambda)
+    sigma_w delta by sigma_s; the Cayley transform left-multiplies it by
+    sigma_s."""
     tg = tits_group(ic)
     wg = ic.weyl
     tbl = twisted_involutions(ic)
     rd = ic.rd
     tau = tbl.elements[tau_idx]
-    if cayley:
-        perm, t = tg.fold(wg.simple_perms[s], tg.zero, tau.w.word)
-    else:
-        # sigma_s sigma_w sigma_{gamma(s)}^{-1}, with sigma^{-1} = sigma x_m
-        gs = ic.diagram_perm[s]
-        perm, t = tg.fold(wg.simple_perms[s], tg.zero, tau.w.word + (gs,))
-        t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
+    # cross: sigma_s sigma_w delta sigma_s^-1 = sigma_s sigma_w
+    # sigma_{gamma(s)}^-1 delta = x_u sigma_w2 delta; Cayley: sigma_s sigma_w
+    # = x_u sigma_w2; either way lambda2 = S_s lambda + u / 2
+    perm, u = tg.conjugate_simple(s, tau.w,
+                                  None if cayley else ic.diagram_perm[s])
     tau2 = tbl.elements[tbl.index_by_perm[_compose(perm, ic.gamma_perm)]]
     if cayley and tau2.index != tbl.cayley[tau_idx][s]:
         raise WeylError("Cayley transform disagrees with the involution table")
-    # lambda2 = S_s lambda + inv^T t / 2, rewritten on y = denom V^-1 lambda;
-    # the folded Weyl element is tau2's w
-    fs = fiber_space(tau, ic)
-    fs2 = fiber_space(tau2, ic)
-    m = (fs2._vinv @ IntMatrix(wg.simple_mats_dual[s]) @ fs._v).entries
-    c = fs2._vinv.apply(_mat_apply(tuple(zip(*tau2.w.inv)), t))
-    zero_row = (0,) * rd.rank
-    rows = tuple((zero_row, 0) if j in fs2._kernel_coords
-                 else (m[j], denom // 2 * c[j]) for j in range(rd.rank))
+    # lambda2 rewritten on y = denom V^-1 lambda in the frames
+    fr = fiber_frame(ic, tau_idx)
+    fr2 = fiber_frame(ic, tau2.index)
+    kernel = fr2.kernel
+    c = _mat_apply(fr2.vinv, u)
+    offset = tuple(0 if j in kernel else denom // 2 * x
+                   for j, x in enumerate(c))
+    sv = _reflect_rows(fr.v, rd.simple_roots[s], rd.simple_coroots[s])
+    if sv == fr2.v and fr.kernel == kernel:
+        rows = None
+    else:
+        rows = tuple((0,) * rd.rank if j in kernel else row
+                     for j, row in enumerate(_mat_mul(fr2.vinv, sv)))
     # grading bits are kept in the order of the positive imaginary roots
     im = tbl.classification(tau_idx).im_pos
     im2 = tbl.classification(tau2.index).im_pos
@@ -290,7 +311,7 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     if set(source) != set(im2):
         raise WeylError(("Cayley transform" if cayley else "cross action")
                         + " misses an imaginary root")
-    return tau2.index, rows, tuple(source[b] for b in im2)
+    return tau2.index, rows, offset, tuple(source[b] for b in im2)
 
 
 def _simple_positions(ic, tau_idx) -> tuple:
@@ -340,28 +361,30 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     key_index = {}
     log = []
 
-    def add(tau_idx, y, z, grading, origin):
+    def add(tau_idx, y, q, grading, origin):
         key = (tau_idx, y)
         if key in key_index:
             j = key_index[key]
-            if sqs[j] != z or grads[j] != grading:
+            if sqs[j] != q or grads[j] != grading:
                 raise WeylError("inconsistent duplicate element")
             return j, False
         j = len(taus)
         key_index[key] = j
         taus.append(tau_idx)
         ys.append(y)
-        sqs.append(z)
+        sqs.append(q)
         grads.append(grading)
         log.append((j,) + origin)
         return j, True
 
     queue = deque()
     fs0 = fiber_space(tbl.elements[0], ic)
-    seeds = [(z, y) for z in squares for y in fs0.coordinates(z, denom)]
+    # an element's square is kept as its index in squares
+    seeds = [(q, y) for q, z in enumerate(squares)
+             for y in fs0.coordinates(z, denom)]
     gradings = _base_grading(ic, [y for _, y in seeds], denom)
-    for (z, y), g in zip(seeds, gradings):
-        queue.append(add(0, y, z, g, (-1, 'seed'))[0])
+    for (q, y), g in zip(seeds, gradings):
+        queue.append(add(0, y, q, g, (-1, 'seed'))[0])
 
     moves = {}
     simple_pos = {}
@@ -369,7 +392,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     cayley_links = {}
     while queue:
         i = queue.popleft()
-        tau_idx, y, z, g = taus[i], ys[i], sqs[i], grads[i]
+        tau_idx, y, q, g = taus[i], ys[i], sqs[i], grads[i]
         if tau_idx not in simple_pos:
             simple_pos[tau_idx] = _simple_positions(ic, tau_idx)
         for cayley in (False, True):
@@ -379,19 +402,20 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 key = (tau_idx, s, cayley)
                 if key not in moves:
                     moves[key] = _move_map(ic, tau_idx, s, cayley, denom)
-                t2, rows, gmap = moves[key]
-                y2 = tuple((sum(map(mul, row, y)) + c) % denom
-                           for row, c in rows)
+                t2, rows, offset, gmap = moves[key]
+                if rows is None:
+                    y2 = tuple((a + c) % denom for a, c in zip(y, offset))
+                else:
+                    y2 = tuple((sum(map(mul, row, y)) + c) % denom
+                               for row, c in zip(rows, offset))
                 g2 = tuple(g[q] ^ f for q, f in gmap)
-                j, new = add(t2, y2, z, g2,
+                j, new = add(t2, y2, q, g2,
                              (i, f"{'c' if cayley else 'x'}{s}"))
                 (cayley_links if cayley else cross_links)[(i, s)] = j
                 if new:
                     queue.append(j)
 
     n = len(taus)
-    lams = [fiber_space(tbl.elements[t], ic).torus_coord(y, denom)
-            for t, y in zip(taus, ys)]
     # statuses
     statuses = [tuple(tbl.classification(t).status[a] if p is None
                       else 'n' if g[p] else 'c'
@@ -399,8 +423,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 for t, g in zip(taus, grads)]
     # sanity: squares recompute, lengths nondecreasing
     square_rows = {t: _square_map(ic, t, denom) for t in set(taus)}
-    square_ints = {z: tuple(int(x * denom) % denom for x in z.entries)
-                   for z in squares}
+    square_ints = [tuple(x.numerator * (denom // x.denominator) % denom
+                         for x in z.entries) for z in squares]
     for i in range(n):
         if tuple((sum(map(mul, row, ys[i])) + c) % denom
                  for row, c in square_rows[taus[i]]) != square_ints[sqs[i]]:
@@ -443,15 +467,15 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     elements = []
     for i in range(n):
         elements.append(KGBElt(
-            id=i, tau=tbl.elements[taus[i]], torus_coord=lams[i],
-            length=tbl.elements[taus[i]].length, square=sqs[i],
+            id=i, tau=tbl.elements[taus[i]], coords=ys[i],
+            length=tbl.elements[taus[i]].length, square=squares[sqs[i]],
             status=statuses[i],
             cross=tuple(cross_links[(i, s)] for s in range(k)),
             cayley=tuple(cayley_links.get((i, s)) for s in range(k)),
             grading=tuple(zip(tbl.classification(taus[i]).im_pos,
                               grads[i]))))
     table = KGBTable(ic, tuple(elements), form_partition, quasisplit_forms,
-                     squares, tuple(log))
+                     squares, tuple(log), denom)
     for x in elements:
         object.__setattr__(x, 'table', table)
     if cache_key:
@@ -468,7 +492,7 @@ def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
     for old in ids:
         x = full.elements[old]
         elements.append(KGBElt(
-            id=remap[old], tau=x.tau, torus_coord=x.torus_coord,
+            id=remap[old], tau=x.tau, coords=x.coords,
             length=x.length, square=x.square, status=x.status,
             cross=tuple(remap[j] for j in x.cross),
             cayley=tuple(None if j is None else remap[j] for j in x.cayley),
@@ -477,7 +501,7 @@ def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
                 for (i, src, mv) in full.generation_log if i in remap)
     table = KGBTable(ic, tuple(elements), {0: tuple(range(len(ids)))},
                      (0,) if full.form_of(x0.id) in full.quasisplit_forms
-                     else (), full.squares, log)
+                     else (), full.squares, log, full.denom)
     for x in elements:
         object.__setattr__(x, 'table', table)
     return table
@@ -589,18 +613,16 @@ def real_weyl(x: KGBElt) -> RealWeylInfo:
 
 def cartans_for(x0: KGBElt):
     """Cartan classes met by the strong real form of x0, with the torus
-    signature at a representative."""
+    signature, a class invariant, read at the class representative."""
     table = x0.table
     ic = table.ic
+    tbl = twisted_involutions(ic)
+    classes = cartan_classes(ic)
     ids = table.form_partition[table.form_of(x0.id)]
-    seen = {}
-    for i in ids:
-        x = table.elements[i]
-        c = cartan_class_of(ic, x.tau.index)
-        if c not in seen:
-            fs = fiber_space(x.tau, ic)
-            seen[c] = fs.signature
-    return tuple(sorted(seen.items()))
+    met = sorted({cartan_class_of(ic, table.elements[i].tau.index)
+                  for i in ids})
+    return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
+                 for c in met)
 
 
 @dataclass(frozen=True)

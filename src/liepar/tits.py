@@ -10,6 +10,8 @@ Products are folded one simple letter at a time on the state (perm, t),
 perm the permutation of the roots by w: sigma_w x_t sigma_i is
 sigma_{w s_i} x_{s_i(t)}, times x_{m_i} exactly when w(alpha_i) < 0, and
 s_i(t) = t + <alpha_i, t> m_i mod 2.  No lattice matrix is multiplied.
+The conjugation sigma_s sigma_w sigma_r^-1 of the X search needs no fold
+along w: conjugate_simple reads it off the root permutation of w.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import f2_add, f2_vec
-from .weyl import InnerClass, WeylElt, WeylError, _mat_apply
+from .weyl import InnerClass, WeylElt, WeylError, _compose, _mat_apply
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,27 @@ class TitsGroup:
                 t = f2_add(t, self._m[i])
             perm = wg.times_simple[i](perm)
         return perm, t
+
+    def conjugate_simple(self, s: int, w: WeylElt, r=None):
+        """sigma_s sigma_w sigma_r^-1 = x_u sigma_v, or sigma_s sigma_w =
+        x_u sigma_v when r is None, as (root permutation of v, u) with the
+        torus part u on the left and no fold along w.  sigma_s sigma_w is
+        sigma_{s w}, or x_{m_s} sigma_{s w} when l(s w) < l(w), since then
+        sigma_w = sigma_s sigma_{s w}; likewise sigma_{s w} sigma_r^-1 =
+        sigma_{s w} sigma_r x_{m_r} is sigma_v x_{m_r}, or sigma_v when
+        l(s w r) < l(s w), and sigma_v x_{m_r} = x_{v(m_r)} sigma_v, where
+        v(m_r) is the coroot of the root v(alpha_r) mod 2."""
+        wg = self.weyl
+        a = wg.simple_idx[s]
+        perm = _compose(wg.simple_perms[s], w.perm)
+        u = self._m[s] if w.inv_perm[a] < wg.n_pos else self.zero
+        if r is not None:
+            b = wg.simple_idx[r]
+            ascent = perm[b] >= wg.n_pos
+            perm = wg.times_simple[r](perm)
+            if ascent:
+                u = f2_add(u, f2_vec(self.rd.coroots[perm[b]]))
+        return perm, u
 
     def mult_by_simple_right(self, a: TitsElt, i: int) -> TitsElt:
         """a . sigma_i, renormalized."""

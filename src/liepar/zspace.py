@@ -17,7 +17,8 @@ from .intlinalg import RatVecModZ
 from .kgb import KGBElt, cartans_for, enumerate_X, real_weyl
 from .rootdatum import from_type
 from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
-                   trivial_inner_class, twisted_involutions)
+                   cartan_classes, cartan_index, trivial_inner_class,
+                   twisted_involutions)
 
 
 class NoMatch(ValueError):
@@ -98,25 +99,36 @@ def match_pairs(ic: InnerClass, xs, ys):
 
 def _slice_size(ic, tau, squares) -> int:
     """|X_tau(z)| summed over the given central squares, from the fiber
-    structure alone (no element materialization)."""
-    fs = fiber_space(tau, ic)
+    structure alone (no element materialization).  The cross action is a
+    bijection X_tau(z) -> X_{s tau s}(z), so the size is read at the
+    representative of tau's Cartan class."""
+    rep = cartan_classes(ic)[cartan_index(ic)[tau.index]].rep
+    fs = fiber_space(twisted_involutions(ic).elements[rep], ic)
     return sum(2 ** fs.fiber_rank for z in squares if fs.solvable(z))
 
 
 def count_z_blocks(ic: InnerClass, restrict_x_square=None,
                    restrict_y_square=None):
     """Per-tau block sizes (tau index, |X_tau|, |X^dual_dualtau|) and the
-    total number of pairs, without enumerating elements."""
+    total number of pairs, without enumerating elements.  Both sizes are
+    Cartan-class invariants (dual_tau maps a class onto a class), so they
+    are computed once per class, at its representative, and the per-tau
+    rows are lookups."""
     dic = ic.dual
     xs = (restrict_x_square,) if restrict_x_square is not None \
         else central_fixed_points(ic)
     ys = (restrict_y_square,) if restrict_y_square is not None \
         else central_fixed_points(dic)
-    rows = []
-    for tau in twisted_involutions(ic).elements:
-        nx = _slice_size(ic, tau, xs)
-        ny = _slice_size(dic, dual_tau(tau, ic), ys) if nx else 0
-        rows.append((tau.index, nx, ny))
+    tbl = twisted_involutions(ic)
+    per_class = []
+    for c in cartan_classes(ic):
+        rep = tbl.elements[c.rep]
+        nx = _slice_size(ic, rep, xs)
+        per_class.append((nx, _slice_size(dic, dual_tau(rep, ic), ys)
+                          if nx else 0))
+    index = cartan_index(ic)
+    rows = [(tau.index,) + per_class[index[tau.index]]
+            for tau in tbl.elements]
     total = sum(nx * ny for _, nx, ny in rows)
     return rows, total
 
@@ -148,9 +160,12 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     dual-central-square class (infinitesimal character class)."""
     full = enumerate_X(ic)
     if x0.table is not full:
-        # x0 comes from another table, e.g. a per-form one
+        # x0 comes from another table, e.g. a per-form one: find it by tau
+        # and fiber coordinates (the full table's modulus is a multiple)
+        scale = full.denom // x0.table.denom
+        y0 = tuple(scale * a for a in x0.coords)
         x0 = next(x for x in full.elements if x.tau == x0.tau
-                  and x.torus_coord == x0.torus_coord)
+                  and x.coords == y0)
     ids = full.form_partition[full.form_of(x0.id)]
     # a tau block pairs each x over tau with each y over dual_tau(tau)
     nx = {}

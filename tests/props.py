@@ -8,9 +8,10 @@ from fractions import Fraction
 from itertools import product
 
 from liepar import (RatVecModZ, cayley_down, cayley_up, cross,
-                    cross_by_word, enumerate_form, enumerate_X, fiber_space,
-                    grading, strong_real_forms, tits_group,
+                    cross_by_word, dual_tau, enumerate_form, enumerate_X,
+                    fiber_space, grading, strong_real_forms, tits_group,
                     twisted_involutions)
+from liepar.fiber import fiber_frame
 from liepar.intlinalg import (frac_vec, row_reduce, vec_add, vec_dot,
                               vec_scale, vec_sub)
 from liepar.kgb import _delta_signs
@@ -74,6 +75,34 @@ def reference_base_grading(ic, lam):
         assert (2 * pair).denominator == 1
         bits.append((eps[b] + (pair.denominator != 1)) % 2)
     return tuple(bits)
+
+
+def per_tau_slice_size(ic, tau, squares):
+    """|X_tau(z)| summed over the given squares, from tau's own Smith
+    form: the per-tau route the per-class count replaced."""
+    fs = fiber_space(tau, ic)
+    return sum(2 ** fs.fiber_rank for z in squares if fs.solvable(z))
+
+
+def per_tau_count_z_blocks(ic, xs, ys):
+    """count_z_blocks over the x squares xs and the y squares ys with one
+    Smith form per tau on each side."""
+    rows = []
+    for tau in twisted_involutions(ic).elements:
+        nx = per_tau_slice_size(ic, tau, xs)
+        ny = per_tau_slice_size(ic.dual, dual_tau(tau, ic), ys) if nx else 0
+        rows.append((tau.index, nx, ny))
+    return rows, sum(nx * ny for _, nx, ny in rows)
+
+
+def per_tau_torus_coord(x):
+    """lambda of an element from its frame coordinates by the Fraction
+    route: V_frame y / D in the canonical form of tau's own Smith form,
+    with V^-1 from an independent inversion."""
+    ic = x.table.ic
+    lam = [Fraction(a, x.table.denom)
+           for a in _mat_apply(fiber_frame(ic, x.tau.index).v, x.coords)]
+    return reference_canonical_form(fiber_space(x.tau, ic), lam)
 
 
 def root_is_negative(rd, vec):

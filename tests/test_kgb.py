@@ -10,20 +10,26 @@ from fractions import Fraction
 
 import pytest
 
+import liepar.fiber
+import liepar.intlinalg
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (NotImaginary, NotNoncompactImaginary, NotReal,
-                    RatVecModZ, TorusSignature, WeylError, cartans_for,
-                    cayley_down, cayley_up, central_fixed_points, cross,
-                    cross_by_word, enumerate_form, enumerate_X, fiber_space,
-                    from_type, grading, inner_class_from_perm, real_weyl,
-                    reduced_space, strong_real_forms, trivial_inner_class,
+from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
+                    NotReal, RatVecModZ, TorusSignature, WeylError,
+                    cartan_class_of, cartan_classes, cartans_for,
+                    cayley_down, cayley_up, central_fixed_points,
+                    count_z_blocks, cross, cross_by_word, enumerate_form,
+                    enumerate_X, fiber_space, from_type, grading,
+                    inner_class_from_perm, nu_tau, real_weyl, reduced_space,
+                    strong_real_forms, theta_matrix, trivial_inner_class,
                     twisted_involutions)
+from liepar.fiber import fiber_frame
+from liepar.kgb import _move_map
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
-                   check_projection_surjective, reference_base_grading,
-                   reference_fiber, root_is_negative)
+                   check_projection_surjective, per_tau_torus_coord,
+                   reference_base_grading, reference_fiber, root_is_negative)
 
 
 def rv(*entries):
@@ -418,6 +424,101 @@ def test_moves_match_the_reference_route(t, iso, tw):
     assert moves > len(table)
 
 
+# frames: each tau's fiber basis is its Cartan class representative's
+# Smith form carried along a spanning tree of cross edges
+
+FRAME_GROUPS = [("C2", "c"), ("G2", "c"), ("B3", "c"), ("A3", (2, 1, 0)),
+                ("A4", (3, 2, 1, 0)), ("D4", (0, 1, 3, 2))]
+
+
+def fresh_ic(t, tw):
+    rd = from_type(t, "sc")
+    return trivial_inner_class(rd) if tw == "c" \
+        else inner_class_from_perm(rd, tw)
+
+
+@pytest.mark.parametrize("t,tw", FRAME_GROUPS)
+def test_frames_carry_the_representative_smith_form(t, tw):
+    ic = make_ic(t, "sc", tw)
+    table = enumerate_X(ic)
+    tbl = twisted_involutions(ic)
+    n = ic.rank
+    ident = IntMatrix.identity(n)
+    reps = {c.rep for c in cartan_classes(ic)}
+    for tau in tbl.elements:
+        fr = fiber_frame(ic, tau.index)
+        v = IntMatrix(fr.v)
+        assert v @ IntMatrix(fr.vinv) == ident
+        square = (ident + theta_matrix(tau, ic)) @ v
+        assert square.entries == fr.square
+        assert fr.kernel == tuple(j for j in range(n)
+                                  if not any(square.col(j)))
+        assert fr.twice_nu == tuple(2 * x for x in nu_tau(tau, ic))
+        if tau.index in reps:
+            assert fr.parent is None
+            assert fr.v == fiber_space(tau, ic)._v.entries
+            continue
+        p, s = fr.parent
+        assert tbl.cross[p][s] == tau.index
+        assert cartan_class_of(ic, p) == cartan_class_of(ic, tau.index)
+        # a tree edge is a translation in both directions
+        for a, b in ((p, tau.index), (tau.index, p)):
+            target, rows, _, _ = _move_map(ic, a, s, False, table.denom)
+            assert (target, rows) == (b, None)
+    for x in table.elements:
+        assert x.torus_coord == per_tau_torus_coord(x)
+
+
+def test_frames_do_not_depend_on_the_search_order():
+    for t, tw in FRAME_GROUPS:
+        ic = make_ic(t, "sc", tw)
+        enumerate_X(ic)
+        # a fresh inner class asked for its frames from the last tau back
+        fresh = fresh_ic(t, tw)
+        n = len(twisted_involutions(fresh))
+        frames = [fiber_frame(fresh, i) for i in reversed(range(n))]
+        assert frames[::-1] == [fiber_frame(ic, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("t,tw", [("C3", "c"), ("G2", "c"), ("B3", "c"),
+                                  ("A3", (2, 1, 0)), ("D4", (0, 1, 3, 2))])
+def test_one_smith_form_per_cartan_class(t, tw, monkeypatch):
+    snf = liepar.intlinalg.smith_normal_form_with_inverse
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(liepar.intlinalg, "smith_normal_form_with_inverse",
+                        counted)
+    monkeypatch.setattr(liepar.fiber, "smith_normal_form_with_inverse",
+                        counted)
+
+    def prepared():
+        # the inputs: both involution tables and their Cartan classes,
+        # the central squares and the lattice matrices of both Weyl
+        # groups (which take a Smith form of the Cartan matrix)
+        ic = fresh_ic(t, tw)
+        for side in (ic, ic.dual):
+            cartan_classes(side)
+            central_fixed_points(side)
+            side.weyl.lattice_matrix(side.weyl.identity.perm)
+        calls.clear()
+        return ic
+
+    ic = prepared()
+    enumerate_X(ic)
+    assert 0 < len(calls) <= len(cartan_classes(ic))
+    ic = prepared()
+    count_z_blocks(ic)
+    # the Z count builds fibers on both sides, at most one per class each
+    assert 0 < len(calls) <= len(cartan_classes(ic)) + \
+        len(cartan_classes(ic.dual))
+    for side in (ic, ic.dual):
+        assert len(side._cache['fibers']) <= len(cartan_classes(side))
+
+
 # the seeds against the Fraction route they replaced: translates in
 # canonical form, the lex-least base point, Fraction pairings for the
 # grading; A3 sc has center Z/4, so its fiber coordinates are mod 8
@@ -443,38 +544,6 @@ def test_seeds_match_the_reference_route(t, iso, tw):
              if move == 'seed']
     assert [(x.square, x.torus_coord, tuple(g for _, g in x.grading))
             for x in seeds] == expected
-
-
-@pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"),
-                                  ("A3", (2, 1, 0))])
-def test_search_builds_no_fraction_before_lambda(t, tw):
-    # a fresh inner class, so fibers, moves and the companion datum of
-    # the delta signs are all built inside the call; the central squares
-    # are the input and are computed first
-    rd = from_type(t, "sc")
-    ic = trivial_inner_class(rd) if tw == "c" \
-        else inner_class_from_perm(rd, tw)
-    central_fixed_points(ic)
-    calls = []
-    lam_step = []
-
-    def profile(frame, event, arg):
-        if event != "call":
-            return
-        code = frame.f_code
-        if code.co_name == "torus_coord":
-            lam_step.append(code)
-        elif code.co_filename == fractions.__file__ and not lam_step and \
-                code.co_name not in ("numerator", "denominator"):
-            calls.append(code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        enumerate_X(ic)
-    finally:
-        sys.setprofile(None)
-    assert lam_step
-    assert calls == []
 
 
 def table_digest(table):
@@ -510,6 +579,39 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
     table = enumerate_X(make_ic(t, "sc", tw))
     assert len(table) == size
     assert table_digest(table) == digest
+
+
+@pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"), ("A3", (2, 1, 0))]
+                         + [(t, tw) for t, tw, _, _ in LADDER_DIGESTS])
+def test_search_builds_no_fraction_before_lambda(t, tw):
+    # a fresh inner class, so fibers, frames, moves and the companion
+    # datum of the delta signs are all built inside the call; the central
+    # squares are the input and are computed first.  lambda is formed on
+    # first read only, so the whole search builds no Fraction
+    ic = fresh_ic(t, tw)
+    central_fixed_points(ic)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename == fractions.__file__ and \
+                code.co_name not in ("numerator", "denominator"):
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        table = enumerate_X(ic)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    frozen = {(t2, tw2): digest for t2, tw2, _, digest in LADDER_DIGESTS}
+    if (t, tw) in frozen:
+        assert table_digest(table) == frozen[(t, tw)]
+    else:
+        assert [x.torus_coord for x in table.elements] == \
+            [per_tau_torus_coord(x) for x in table.elements]
 
 
 # ---------------------------------------------------------------------------

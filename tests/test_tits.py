@@ -6,7 +6,7 @@ import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import TitsElt, tits_group
-from liepar.intlinalg import f2_vec
+from liepar.intlinalg import f2_add, f2_vec
 from props import check_tits_lifts
 
 
@@ -98,3 +98,23 @@ def test_m_alpha():
     rd = ic.rd
     for i in range(len(rd.roots)):
         assert tg.m_alpha(i) == f2_vec(rd.coroots[i])
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
+def test_conjugate_simple_is_the_fold_along_w(t, iso, tw):
+    # sigma_s sigma_w sigma_r^-1 read off root permutations, against
+    # folding the word of w and r onto sigma_s letter by letter and moving
+    # the torus part to the left through the action of the result on Xv
+    ic = make_ic(t, iso, tw)
+    tg = tits_group(ic)
+    wg = ic.weyl
+    for w in wg.all_elements():
+        for s in range(ic.n_simple):
+            for r in (None,) + tuple(range(ic.n_simple)):
+                tail = () if r is None else (r,)
+                perm, t = tg.fold(wg.simple_perms[s], tg.zero, w.word + tail)
+                if r is not None:
+                    t = f2_add(t, f2_vec(ic.rd.simple_coroots[r]))
+                v = wg.from_perm(perm)
+                assert tg.conjugate_simple(s, w, r) == \
+                    (perm, f2_vec(wg.act_Xv(v, t)))

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (RatVecModZ, central_fixed_points, count_z_blocks,
-                    dual_tau, duality_check, enumerate_form, enumerate_X,
-                    enumerate_Z, fiber_space,
+from liepar import (RatVecModZ, cartan_classes, central_fixed_points,
+                    count_z_blocks, dual_tau, duality_check, enumerate_form,
+                    enumerate_X, enumerate_Z, fiber_space, from_type,
                     langlands_count, sp2n_count, strong_real_forms,
-                    twisted_involutions)
+                    trivial_inner_class, twisted_involutions)
 from liepar.zspace import _slice_size
+from props import per_tau_count_z_blocks, per_tau_slice_size
 
 
 def rv(*entries):
@@ -96,6 +97,40 @@ def test_slice_size_counts_the_fiber_elements(t, tw):
             sizes = [len(fs.elements(z)) for z in squares]
             assert [_slice_size(ic, tau, (z,)) for z in squares] == sizes
             assert _slice_size(ic, tau, squares) == sum(sizes)
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
+def test_fiber_size_is_a_cartan_class_invariant(t, iso, tw):
+    # the cross action of w is a bijection X_tau(z) -> X_{w tau}(z)
+    for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
+        tbl = twisted_involutions(ic)
+        for z in central_fixed_points(ic):
+            for c in cartan_classes(ic):
+                sizes = {per_tau_slice_size(ic, tbl.elements[i], (z,))
+                         for i in c.members}
+                assert sizes == {_slice_size(ic, tbl.elements[c.rep], (z,))}
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID[:10], ids=GRID_IDS[:10])
+def test_count_z_blocks_matches_the_per_tau_route(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    for side in (ic, ic.dual):
+        xs = central_fixed_points(side)
+        ys = central_fixed_points(side.dual)
+        assert count_z_blocks(side) == per_tau_count_z_blocks(side, xs, ys)
+        for x in xs:
+            for y in ys:
+                assert count_z_blocks(side, x, y) == \
+                    per_tau_count_z_blocks(side, (x,), (y,))
+
+
+def test_sp2n_count_matches_the_per_tau_route():
+    for n, expected in enumerate([4, 18, 88, 460, 2544, 14776], start=1):
+        ic = trivial_inner_class(from_type(f"C{n}", "sc"))
+        minus = next(z for z in central_fixed_points(ic) if any(z.entries))
+        plus = RatVecModZ.reduce((0,) * n)
+        _, total = per_tau_count_z_blocks(ic, (minus,), (plus,))
+        assert total == sp2n_count(n) == expected
 
 
 def test_count_matches_enumeration():
