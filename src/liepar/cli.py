@@ -114,6 +114,9 @@ class Session:
     # -- command loop ----------------------------------------------------
 
     def run(self, lines):
+        """Run commands: an iterable of lines, or one str of them."""
+        if isinstance(lines, str):
+            lines = lines.splitlines()
         for raw in lines:
             if self.done:
                 break

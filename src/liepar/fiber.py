@@ -20,9 +20,10 @@ for the reflection S_s of the cocharacter lattice.  So one Smith form per
 Cartan class serves every tau in it: the frame of tau (fiber_frame) is
 its class representative's V carried along a breadth-first spanning tree
 of cross edges by V_{s tau} = S_s V_tau, and in frame coordinates a tree
-edge moves y by a translation alone.  frame_torus_coord maps frame
-coordinates to the canonical lambda of tau's own Smith form, which is
-then built on first read.
+edge moves y by a translation alone.  2 nu_tau is carried along the same
+edges mod 2, so only a representative folds the Tits product along its
+word.  frame_torus_coord maps frame coordinates to the canonical lambda
+of tau's own Smith form, which is then built on first read.
 """
 
 from __future__ import annotations
@@ -254,7 +255,7 @@ class Frame:
     """Fiber data of one twisted involution tau in the basis carried over
     from its Cartan class representative: the unimodular V with its
     inverse, the coordinates j with (1 + theta_v) V e_j = 0, the rows of
-    (1 + theta_v) V, the integer vector 2 nu_tau, and the tree edge
+    (1 + theta_v) V, the integer vector 2 nu_tau mod 2, and the tree edge
     (tau index, s) it was carried along (None at the representative)."""
     v: tuple
     vinv: tuple
@@ -281,9 +282,13 @@ def _reflect_cols(m, a, av):
 def _carry_frames(ic: InnerClass, rep: int, frames: dict):
     """Frames of the Cartan class of rep: the representative's Smith form,
     carried along cross edges breadth-first from rep in simple-root
-    order."""
+    order.  2 nu is carried too: with sigma_s sigma_w sigma_gamma(s)^-1 =
+    x_u sigma_w2, squaring sigma_s (sigma_w delta) sigma_s^-1 gives
+    2 nu_tau2 = S_s (2 nu_tau) + (1 + theta_tau2) u mod 2, and
+    1 + theta_tau2 is the carried square rows times V^-1."""
     tbl = twisted_involutions(ic)
     rd = ic.rd
+    tg = tits_group(ic)
     fs = fiber_space(tbl.elements[rep], ic)
     square = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
     frames[rep] = Frame(fs._v.entries, fs._vinv.entries, fs._kernel_coords,
@@ -296,10 +301,16 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             if t2 in frames:
                 continue
             a, av = rd.simple_roots[s], rd.simple_coroots[s]
+            sq2 = _reflect_rows(fr.square, a, av)
+            vinv2 = _reflect_cols(fr.vinv, a, av)
+            _, u = tg.conjugate_simple(s, tbl.elements[t].w,
+                                       ic.diagram_perm[s])
+            c = sum(x * y for x, y in zip(a, fr.twice_nu))
+            shift = _mat_apply(sq2, _mat_apply(vinv2, u))
             frames[t2] = Frame(
-                _reflect_rows(fr.v, a, av), _reflect_cols(fr.vinv, a, av),
-                fr.kernel, _reflect_rows(fr.square, a, av),
-                _twice_nu(tbl.elements[t2], ic), (t, s))
+                _reflect_rows(fr.v, a, av), vinv2, fr.kernel, sq2,
+                tuple((x - c * y + z) % 2
+                      for x, y, z in zip(fr.twice_nu, av, shift)), (t, s))
             queue.append(t2)
 
 

@@ -19,12 +19,18 @@ and Cayley transform is tabulated once per search as an integer affine
 map y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows
 of tau2 zeroed, plus a permutation (and, for Cayley, flips) of the
 grading bits.  Along an edge of the frames' spanning tree M is the
-identity and the move is the translation y -> y + c.  The seeds are
-formed in the same integer coordinates: the solutions over each central
-square on the distinguished fiber come from FiberSpace.coordinates, and
-their grading bits from the integer pairings (beta V) . y of the
-imaginary roots beta.  The search builds no Fraction; KGBElt.torus_coord
-forms lambda from y in tau's own Smith coordinates on first read.
+identity and the move is the translation y -> y + c.  The cross action
+of a simple reflection is an involution, so each cross edge is computed
+once: the search links x -> x2 and x2 -> x together, skips the move of
+s at x2, and stops with WeylError when x2 is already linked elsewhere;
+many (tau, s) tables are never built.  Only the status and the positive
+imaginary roots of each tau's root classification are read.  The seeds
+are formed in the same integer coordinates: the solutions over each
+central square on the distinguished fiber come from
+FiberSpace.coordinates, and their grading bits from the integer
+pairings (beta V) . y of the imaginary roots beta.  The search builds no
+Fraction; KGBElt.torus_coord forms lambda from y in tau's own Smith
+coordinates on first read.
 """
 
 from __future__ import annotations
@@ -183,6 +189,16 @@ def _square_map(ic, tau_idx, denom):
     return tuple((row, half * t) for row, t in zip(fr.square, fr.twice_nu))
 
 
+def _own_companion(ic) -> bool:
+    """Whether ic is its own simply connected companion: rank k and the
+    simple roots the rows of the Cartan matrix C.  The simple coroots
+    are then the unit vectors (C times their matrix is C), and gamma,
+    which permutes the simple roots, is the diagram permutation matrix."""
+    rd = ic.rd
+    return rd.rank == rd.n_simple and \
+        rd.simple_roots == rd.cartan_matrix.entries
+
+
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
     which the distinguished involution delta acts on a root vector for
@@ -191,23 +207,24 @@ def _delta_signs(ic) -> dict:
     it by the order-two coroot point (sign 1); the comparison is carried
     out in a simply connected companion datum, where it is faithful, and
     the answer only depends on the Cartan matrix and the diagram
-    involution."""
+    involution.  A datum that is its own companion is read directly."""
     if 'delta_signs' in ic._cache:
         return ic._cache['delta_signs']
     rd = ic.rd
     cls = twisted_involutions(ic).classification(0)
-    k = rd.n_simple
-    cartan = rd.cartan_matrix.entries
-    sc_rd = _reflection_closure(
-        cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
-        k, cartan)
-    perm = ic.diagram_perm
-    sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
-    if sc_ic.diagram_perm != perm:
-        raise WeylError("companion datum twist mismatch")
+    if _own_companion(ic):
+        sc_ic = ic
+    else:
+        k = rd.n_simple
+        cartan = rd.cartan_matrix.entries
+        unit = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        sc_ic = InnerClass(_reflection_closure(cartan, unit, k, cartan),
+                           IntMatrix.from_rows([unit[p]
+                                                for p in ic.diagram_perm]))
+        if sc_ic.diagram_perm != ic.diagram_perm:
+            raise WeylError("companion datum twist mismatch")
     tg = tits_group(sc_ic)
-    sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
+    sc_index = {c: j for j, c in enumerate(sc_ic.rd.coefficients)}
     signs = {}
     for b in cls.im_pos:
         j = sc_index[rd.coefficients[b]]
@@ -399,6 +416,10 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
             for s, p in enumerate(simple_pos[tau_idx]):
                 if cayley and (p is None or g[p] != 1):
                     continue
+                if not cayley and (i, s) in cross_links:
+                    # linked from the other end: the cross action of s
+                    # is an involution
+                    continue
                 key = (tau_idx, s, cayley)
                 if key not in moves:
                     moves[key] = _move_map(ic, tau_idx, s, cayley, denom)
@@ -411,7 +432,12 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 g2 = tuple(g[q] ^ f for q, f in gmap)
                 j, new = add(t2, y2, q, g2,
                              (i, f"{'c' if cayley else 'x'}{s}"))
-                (cayley_links if cayley else cross_links)[(i, s)] = j
+                if cayley:
+                    cayley_links[(i, s)] = j
+                elif cross_links.setdefault((j, s), i) != i:
+                    raise WeylError("cross action is not an involution")
+                else:
+                    cross_links[(i, s)] = j
                 if new:
                     queue.append(j)
 

@@ -385,15 +385,69 @@ def trivial_inner_class(rd: RootDatum) -> InnerClass:
 
 @dataclass(frozen=True)
 class RootClassification:
+    """The roots of a twisted involution tau sorted by theta: imaginary
+    (fixed), real (negated) or complex.  status and the positive
+    imaginary roots, all the X search reads, are computed at once; the
+    other fields, which only the real Weyl group reads, are formed on
+    first read."""
     status: tuple        # per root index: 'i' / 'r' / 'C'
     im_pos: tuple        # positive imaginary root indices
-    re_pos: tuple        # positive real root indices
-    cx_pos: tuple        # positive complex root indices
-    im_simples: tuple    # simple roots of the imaginary subsystem
-    re_simples: tuple    # simple roots of the real subsystem
-    deltaC: tuple        # indices of the complex roots orthogonal to
-                         # rho_imaginary and rhov_real
-    deltaC_simples: tuple
+    rd: RootDatum = field(repr=False, compare=False)
+
+    def _pos(self, kind) -> tuple:
+        return tuple(i for i in range(self.rd.n_pos, len(self.status))
+                     if self.status[i] == kind)
+
+    @cached_property
+    def re_pos(self) -> tuple:
+        """Positive real root indices."""
+        return self._pos('r')
+
+    @cached_property
+    def cx_pos(self) -> tuple:
+        """Positive complex root indices."""
+        return self._pos('C')
+
+    @cached_property
+    def im_simples(self) -> tuple:
+        """Simple roots of the imaginary subsystem."""
+        return _subsystem_simples(self.rd, self.im_pos)
+
+    @cached_property
+    def re_simples(self) -> tuple:
+        """Simple roots of the real subsystem."""
+        return _subsystem_simples(self.rd, self.re_pos)
+
+    @cached_property
+    def deltaC(self) -> tuple:
+        """Indices of the complex roots orthogonal to twice rho of the
+        imaginary roots and twice rhov of the real roots."""
+        rd = self.rd
+        rho_i = [sum(col) for col in zip(*(rd.roots[i] for i in self.im_pos))]
+        rhov_r = [sum(col)
+                  for col in zip(*(rd.coroots[i] for i in self.re_pos))]
+        return tuple(i for i, s in enumerate(self.status) if s == 'C'
+                     and vec_dot(rho_i, rd.coroots[i]) == 0
+                     and vec_dot(rd.roots[i], rhov_r) == 0)
+
+    @cached_property
+    def deltaC_simples(self) -> tuple:
+        """Simple roots of the subsystem deltaC."""
+        return _subsystem_simples(
+            self.rd, tuple(i for i in self.deltaC if self.rd.is_positive(i)))
+
+
+def _subsystem_simples(rd: RootDatum, pos_indices) -> tuple:
+    """The simple roots of the subsystem with the given positive roots:
+    those that are not a sum of two of them."""
+    vecs = {rd.roots[i] for i in pos_indices}
+    simples = []
+    for i in pos_indices:
+        b = rd.roots[i]
+        if not any(tuple(x - y for x, y in zip(b, g)) in vecs
+                   for g in vecs if g != b):
+            simples.append(i)
+    return tuple(simples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,36 +478,9 @@ def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
     neg = tau.ic.weyl.neg
     status = tuple('i' if q == r else 'r' if q == neg[r] else 'C'
                    for r, q in enumerate(tau.theta))
-    im_pos = tuple(i for i, s in enumerate(status)
-                   if s == 'i' and rd.is_positive(i))
-    re_pos = tuple(i for i, s in enumerate(status)
-                   if s == 'r' and rd.is_positive(i))
-    cx_pos = tuple(i for i, s in enumerate(status)
-                   if s == 'C' and rd.is_positive(i))
-
-    def subsystem_simples(pos_indices):
-        vecs = {rd.roots[i] for i in pos_indices}
-        simples = []
-        for i in pos_indices:
-            b = rd.roots[i]
-            if not any(tuple(x - y for x, y in zip(b, g)) in vecs
-                       for g in vecs if g != b):
-                simples.append(i)
-        return tuple(simples)
-
-    im_simples = subsystem_simples(im_pos)
-    re_simples = subsystem_simples(re_pos)
-
-    # twice rho of the imaginary roots and twice rhov of the real roots
-    rho_i = [sum(col) for col in zip(*(rd.roots[i] for i in im_pos))]
-    rhov_r = [sum(col) for col in zip(*(rd.coroots[i] for i in re_pos))]
-    deltaC = tuple(i for i, s in enumerate(status) if s == 'C'
-                   and vec_dot(rho_i, rd.coroots[i]) == 0
-                   and vec_dot(rd.roots[i], rhov_r) == 0)
-    deltaC_simples = subsystem_simples(
-        tuple(i for i in deltaC if rd.is_positive(i)))
-    return RootClassification(status, im_pos, re_pos, cx_pos,
-                              im_simples, re_simples, deltaC, deltaC_simples)
+    im_pos = tuple(i for i in range(rd.n_pos, len(status))
+                   if status[i] == 'i')
+    return RootClassification(status, im_pos, rd)
 
 
 class TwistedInvolutionTable:

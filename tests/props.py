@@ -105,6 +105,40 @@ def per_tau_torus_coord(x):
     return reference_canonical_form(fiber_space(x.tau, ic), lam)
 
 
+def reference_classification(tau, rd):
+    """The eight fields of a root classification, all computed at once
+    from the matrix of theta on X: the eager route the lazy fields
+    replaced."""
+    status = []
+    for r in rd.roots:
+        img = _mat_apply(tau.theta_X, r)
+        status.append('i' if img == r else
+                      'r' if img == tuple(-x for x in r) else 'C')
+    status = tuple(status)
+
+    def pos(kind):
+        return tuple(i for i, s in enumerate(status)
+                     if s == kind and rd.is_positive(i))
+
+    def subsystem_simples(pos_indices):
+        vecs = {rd.roots[i] for i in pos_indices}
+        return tuple(i for i in pos_indices
+                     if not any(vec_sub(rd.roots[i], g) in vecs
+                                for g in vecs if g != rd.roots[i]))
+
+    im_pos, re_pos = pos('i'), pos('r')
+    rho_i = [sum(col) for col in zip(*(rd.roots[i] for i in im_pos))]
+    rhov_r = [sum(col) for col in zip(*(rd.coroots[i] for i in re_pos))]
+    delta_c = tuple(i for i, s in enumerate(status) if s == 'C'
+                    and vec_dot(rho_i, rd.coroots[i]) == 0
+                    and vec_dot(rd.roots[i], rhov_r) == 0)
+    return {"status": status, "im_pos": im_pos, "re_pos": re_pos,
+            "cx_pos": pos('C'), "im_simples": subsystem_simples(im_pos),
+            "re_simples": subsystem_simples(re_pos), "deltaC": delta_c,
+            "deltaC_simples": subsystem_simples(
+                tuple(i for i in delta_c if rd.is_positive(i)))}
+
+
 def root_is_negative(rd, vec):
     """Is the integer vector a negative root? (It must be a root.)"""
     idx = rd.root_index.get(tuple(vec))

@@ -53,6 +53,13 @@ def test_stdin_batch(tmp_path):
     assert "X size: 5" in proc.stdout
 
 
+def test_run_splits_a_string_into_lines():
+    out = io.StringIO()
+    Session(out).run("type A1 sc\ninner c\nX")
+    assert out.getvalue() == run_session("type A1 sc\ninner c\nX\n")
+    assert "X size: 5" in out.getvalue() and "error" not in out.getvalue()
+
+
 def test_verbose_adds_timings():
     out = run_session("type A1 sc\ninner c\n", verbose=True)
     assert out.count("# ") == 2

@@ -12,6 +12,7 @@ import pytest
 
 import liepar.fiber
 import liepar.intlinalg
+import liepar.kgb
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     NotReal, RatVecModZ, TorusSignature, WeylError,
@@ -22,8 +23,8 @@ from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     inner_class_from_perm, nu_tau, real_weyl, reduced_space,
                     strong_real_forms, theta_matrix, trivial_inner_class,
                     twisted_involutions)
-from liepar.fiber import fiber_frame
-from liepar.kgb import _move_map
+from liepar.fiber import _twice_nu, fiber_frame
+from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
@@ -405,6 +406,28 @@ def test_square_check_covers_every_element():
         enumerate_X(ic)
 
 
+def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
+    # elements 0 and 1 of SL(2) x SL(2) lie over delta with the same
+    # square and grading; a cross move by s = 0 that sends the whole
+    # distinguished fiber to the image of element 0 passes the duplicate
+    # check and must be caught by the involution check
+    true = enumerate_X(make_ic("A1.A1", "sc"))
+    x0, x1 = true.elements[:2]
+    assert (x0.tau, x0.square, x0.grading) == (x1.tau, x1.square, x1.grading)
+    target = true.elements[x0.cross[0]].coords
+    tabulated = liepar.kgb._move_map
+
+    def corrupted(ic, tau_idx, s, cayley, denom):
+        t2, rows, offset, gmap = tabulated(ic, tau_idx, s, cayley, denom)
+        if (tau_idx, s, cayley) == (0, 0, False):
+            rows, offset = ((0,) * ic.rank,) * ic.rank, target
+        return t2, rows, offset, gmap
+
+    monkeypatch.setattr(liepar.kgb, "_move_map", corrupted)
+    with pytest.raises(WeylError, match="cross action is not an involution"):
+        enumerate_X(fresh_ic("A1.A1", "c"))
+
+
 @pytest.mark.parametrize("t,iso,tw", MOVE_ORACLE_GROUPS)
 def test_moves_match_the_reference_route(t, iso, tw):
     table = enumerate_X(make_ic(t, iso, tw))
@@ -478,6 +501,15 @@ def test_frames_do_not_depend_on_the_search_order():
         n = len(twisted_involutions(fresh))
         frames = [fiber_frame(fresh, i) for i in reversed(range(n))]
         assert frames[::-1] == [fiber_frame(ic, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID + [("E6", "sc", "c"),
+                                             ("D4", "sc", (0, 1, 3, 2))])
+def test_carried_twice_nu_is_the_fold_along_w(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    for tau in twisted_involutions(ic).elements:
+        assert fiber_frame(ic, tau.index).twice_nu == \
+            tuple(x % 2 for x in _twice_nu(tau, ic))
 
 
 @pytest.mark.parametrize("t,tw", [("C3", "c"), ("G2", "c"), ("B3", "c"),
@@ -584,8 +616,8 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
 @pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"), ("A3", (2, 1, 0))]
                          + [(t, tw) for t, tw, _, _ in LADDER_DIGESTS])
 def test_search_builds_no_fraction_before_lambda(t, tw):
-    # a fresh inner class, so fibers, frames, moves and the companion
-    # datum of the delta signs are all built inside the call; the central
+    # a fresh inner class, so fibers, frames, moves and the delta signs
+    # are all built inside the call; the central
     # squares are the input and are computed first.  lambda is formed on
     # first read only, so the whole search builds no Fraction
     ic = fresh_ic(t, tw)
@@ -612,6 +644,24 @@ def test_search_builds_no_fraction_before_lambda(t, tw):
     else:
         assert [x.torus_coord for x in table.elements] == \
             [per_tau_torus_coord(x) for x in table.elements]
+
+
+DELTA_SIGN_DATA = GRID + [(t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS]
+
+
+@pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)
+def test_delta_signs_read_in_place_match_the_companion(t, iso, tw,
+                                                        monkeypatch):
+    def fresh():
+        rd = from_type(t, iso)
+        return trivial_inner_class(rd) if tw == "c" \
+            else inner_class_from_perm(rd, tw)
+
+    ic = fresh()
+    assert liepar.kgb._own_companion(ic) == (iso == "sc")
+    signs = _delta_signs(ic)
+    monkeypatch.setattr(liepar.kgb, "_own_companion", lambda ic: False)
+    assert _delta_signs(fresh()) == signs
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
-                    cartan_classes, from_type, inner_class_from_perm,
-                    trivial_inner_class, twisted_involutions)
+                    cartan_classes, enumerate_X, from_type,
+                    inner_class_from_perm, real_weyl, trivial_inner_class,
+                    twisted_involutions)
 from liepar.weyl import _mat_apply, _mat_mul, perm_closure
-from props import matrix_canonical_word, root_is_negative
+from props import (matrix_canonical_word, reference_classification,
+                   root_is_negative)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -220,6 +223,58 @@ def test_classification_partition():
             for i in cls.re_pos:
                 assert _mat_apply(tau.theta_X, ic.rd.roots[i]) \
                     == tuple(-x for x in ic.rd.roots[i])
+
+
+CLASSIFICATION_FIELDS = ("status", "im_pos", "re_pos", "cx_pos", "im_simples",
+                         "re_simples", "deltaC", "deltaC_simples")
+LAZY_FIELDS = CLASSIFICATION_FIELDS[2:]
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
+def test_lazy_classification_matches_the_eager_route(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    table = twisted_involutions(ic)
+    for tau in table.elements:
+        cls = table.classification(tau.index)
+        expected = reference_classification(tau, ic.rd)
+        assert {f: getattr(cls, f) for f in CLASSIFICATION_FIELDS} == expected
+
+
+@pytest.mark.parametrize("t,tw", [("C3", "c"), ("A3", (2, 1, 0))])
+def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
+    subsystems = []
+    bases = liepar.weyl._subsystem_simples
+
+    def counted(rd, pos_indices):
+        subsystems.append(pos_indices)
+        return bases(rd, pos_indices)
+
+    monkeypatch.setattr(liepar.weyl, "_subsystem_simples", counted)
+    rd = from_type(t, "sc")
+    ic = trivial_inner_class(rd) if tw == "c" \
+        else inner_class_from_perm(rd, tw)
+    x = enumerate_X(ic).elements[-1]
+    table = twisted_involutions(ic)
+    assert table._classification
+    for cls in table._classification.values():
+        assert not set(LAZY_FIELDS) & set(vars(cls))
+    assert subsystems == []
+    # the real Weyl group reads the subsystem bases and deltaC
+    info = real_weyl(x)
+    cls = table.classification(x.tau.index)
+    assert {"im_simples", "re_simples", "deltaC", "deltaC_simples"} <= \
+        set(vars(cls))
+    assert len(subsystems) == 3
+    assert info == real_weyl(enumerate_X(make_ic(t, "sc", tw)).elements[-1])
+
+
+def test_e6_cartan_classes_are_carters_involution_classes():
+    # the involutions of W(E6), the identity included, fall into Carter's
+    # classes 1 + 36 + 270 + 540 + 45 (0, 1, 2, 3 and 4 orthogonal roots)
+    ic = make_ic("E6", "sc")
+    assert len(twisted_involutions(ic)) == 892
+    assert tuple(len(c.members) for c in cartan_classes(ic)) == \
+        (1, 36, 270, 540, 45)
 
 
 # ---------------------------------------------------------------------------
