@@ -292,7 +292,8 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
     fs = fiber_space(tbl.elements[rep], ic)
     square = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
     frames[rep] = Frame(fs._v.entries, fs._vinv.entries, fs._kernel_coords,
-                        square.entries, fs._twice_nu, None)
+                        square.entries, tuple(x % 2 for x in fs._twice_nu),
+                        None)
     queue = deque([rep])
     while queue:
         t = queue.popleft()

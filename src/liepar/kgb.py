@@ -189,16 +189,6 @@ def _square_map(ic, tau_idx, denom):
     return tuple((row, half * t) for row, t in zip(fr.square, fr.twice_nu))
 
 
-def _own_companion(ic) -> bool:
-    """Whether ic is its own simply connected companion: rank k and the
-    simple roots the rows of the Cartan matrix C.  The simple coroots
-    are then the unit vectors (C times their matrix is C), and gamma,
-    which permutes the simple roots, is the diagram permutation matrix."""
-    rd = ic.rd
-    return rd.rank == rd.n_simple and \
-        rd.simple_roots == rd.cartan_matrix.entries
-
-
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
     which the distinguished involution delta acts on a root vector for
@@ -207,24 +197,23 @@ def _delta_signs(ic) -> dict:
     it by the order-two coroot point (sign 1); the comparison is carried
     out in a simply connected companion datum, where it is faithful, and
     the answer only depends on the Cartan matrix and the diagram
-    involution.  A datum that is its own companion is read directly."""
+    involution."""
     if 'delta_signs' in ic._cache:
         return ic._cache['delta_signs']
     rd = ic.rd
     cls = twisted_involutions(ic).classification(0)
-    if _own_companion(ic):
-        sc_ic = ic
-    else:
-        k = rd.n_simple
-        cartan = rd.cartan_matrix.entries
-        unit = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-        sc_ic = InnerClass(_reflection_closure(cartan, unit, k, cartan),
-                           IntMatrix.from_rows([unit[p]
-                                                for p in ic.diagram_perm]))
-        if sc_ic.diagram_perm != ic.diagram_perm:
-            raise WeylError("companion datum twist mismatch")
+    k = rd.n_simple
+    cartan = rd.cartan_matrix.entries
+    sc_rd = _reflection_closure(
+        cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
+        k, cartan)
+    perm = ic.diagram_perm
+    sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
+        [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
+    if sc_ic.diagram_perm != perm:
+        raise WeylError("companion datum twist mismatch")
     tg = tits_group(sc_ic)
-    sc_index = {c: j for j, c in enumerate(sc_ic.rd.coefficients)}
+    sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
     signs = {}
     for b in cls.im_pos:
         j = sc_index[rd.coefficients[b]]

@@ -24,7 +24,7 @@ from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     strong_real_forms, theta_matrix, trivial_inner_class,
                     twisted_involutions)
 from liepar.fiber import _twice_nu, fiber_frame
-from liepar.kgb import _delta_signs, _move_map
+from liepar.kgb import _move_map
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
@@ -616,8 +616,8 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
 @pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"), ("A3", (2, 1, 0))]
                          + [(t, tw) for t, tw, _, _ in LADDER_DIGESTS])
 def test_search_builds_no_fraction_before_lambda(t, tw):
-    # a fresh inner class, so fibers, frames, moves and the delta signs
-    # are all built inside the call; the central
+    # a fresh inner class, so fibers, frames, moves and the companion
+    # datum of the delta signs are all built inside the call; the central
     # squares are the input and are computed first.  lambda is formed on
     # first read only, so the whole search builds no Fraction
     ic = fresh_ic(t, tw)
@@ -644,24 +644,6 @@ def test_search_builds_no_fraction_before_lambda(t, tw):
     else:
         assert [x.torus_coord for x in table.elements] == \
             [per_tau_torus_coord(x) for x in table.elements]
-
-
-DELTA_SIGN_DATA = GRID + [(t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS]
-
-
-@pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)
-def test_delta_signs_read_in_place_match_the_companion(t, iso, tw,
-                                                        monkeypatch):
-    def fresh():
-        rd = from_type(t, iso)
-        return trivial_inner_class(rd) if tw == "c" \
-            else inner_class_from_perm(rd, tw)
-
-    ic = fresh()
-    assert liepar.kgb._own_companion(ic) == (iso == "sc")
-    signs = _delta_signs(ic)
-    monkeypatch.setattr(liepar.kgb, "_own_companion", lambda ic: False)
-    assert _delta_signs(fresh()) == signs
 
 
 # ---------------------------------------------------------------------------
