@@ -46,7 +46,6 @@ from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
                         solve_congruence, vec_dot)
-from .rootdatum import _reflection_closure
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
                    _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
                    cartan_index, perm_closure, twisted_involutions)
@@ -192,38 +191,31 @@ def _square_map(ic, tau_idx, denom):
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
     which the distinguished involution delta acts on a root vector for
-    beta.  Conjugating by delta a lift of the reflection in beta taken
-    inside the root SL(2) either fixes the lift (sign 0) or multiplies
-    it by the order-two coroot point (sign 1); the comparison is carried
-    out in a simply connected companion datum, where it is faithful, and
-    the answer only depends on the Cartan matrix and the diagram
-    involution."""
+    beta.  Conjugating by delta a lift sigma_beta of the reflection in
+    beta taken inside the root SL(2) either fixes the lift (sign 0) or
+    multiplies it by the order-two coroot point x_{m_beta} (sign 1).
+
+    The comparison is read in the Tits group of ic itself.  The Tits
+    group of the simply connected datum with the same Cartan matrix and
+    twist maps onto it, so the two read the same sign wherever m_beta is
+    not 0 in Xv/2Xv.  delta fixes the lifts of W^delta, so a sign is
+    constant on W^delta-orbits, and it is 1 only on the orbit of a root
+    alpha + gamma(alpha) folded from an A2 pair of simple roots.  Such a
+    beta has a root pairing oddly with beta^v (alpha, or its image, with
+    pairing 1), so m_beta is not 0 in any datum and a sign 1 is never
+    read as 0."""
     if 'delta_signs' in ic._cache:
         return ic._cache['delta_signs']
-    rd = ic.rd
-    cls = twisted_involutions(ic).classification(0)
-    k = rd.n_simple
-    cartan = rd.cartan_matrix.entries
-    sc_rd = _reflection_closure(
-        cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
-        k, cartan)
-    perm = ic.diagram_perm
-    sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
-    if sc_ic.diagram_perm != perm:
-        raise WeylError("companion datum twist mismatch")
-    tg = tits_group(sc_ic)
-    sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
+    tg = tits_group(ic)
     signs = {}
-    for b in cls.im_pos:
-        j = sc_index[rd.coefficients[b]]
-        sig = tg.sigma_for_root(j)
+    for b in twisted_involutions(ic).classification(0).im_pos:
+        sig = tg.sigma_for_root(b)
         d = tg.multiply(tg.twist(sig), tg.inverse(sig))
         if d.w.word:
             raise WeylError("twist does not fix a delta-imaginary root")
         if all(x == 0 for x in d.t):
             signs[b] = 0
-        elif d.t == tg.m_alpha(j):
+        elif d.t == tg.m_alpha(b):
             signs[b] = 1
         else:
             raise WeylError("sign of delta on a root vector is ill defined")

@@ -13,8 +13,12 @@ from the images of the simple roots.
 
 A twisted involution is keyed by the permutation of the roots induced
 by theta = w o gamma, where the diagram involution gamma permutes the
-roots; the table of them is a breadth-first search on those
-permutations.
+roots; the table of them is one breadth-first pass on those
+permutations, level by level.  Each tau of a level makes its cross and
+Cayley moves once; links into the next level wait in a pending list
+until that level is indexed, and a cross link is recorded in both
+directions, so each cross edge is composed once.  When gamma fixes
+every root, w and theta share one permutation tuple.
 """
 
 from __future__ import annotations
@@ -485,53 +489,77 @@ def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
 
 class TwistedInvolutionTable:
     """All twisted involutions of an inner class, generated from delta
-    by twisted conjugation and Cayley moves, with links and lengths."""
+    by twisted conjugation and Cayley moves, with links and lengths.
+
+    One pass, level by level in the length from delta.  A level is
+    indexed in (length, word) order of w; then each of its taus makes
+    its cross move s theta s and, where theta fixes alpha_s, its Cayley
+    move s theta.  A target that already has an index is linked at
+    once; one in the next level is kept pending and linked when that
+    level is indexed.  The cross action of s is an involution on the
+    taus, so a cross link t -> t2 by s also records t2 -> t, and t2
+    never makes the move of s: each cross edge is composed once.  A
+    reverse slot that already holds another tau raises WeylError."""
 
     def __init__(self, ic: InnerClass):
         self.ic = ic
         wg = ic.weyl
+        gamma = ic.gamma_perm
+        # w = theta o gamma, since theta = w o gamma and gamma^2 = 1; when
+        # gamma fixes every root, w shares the theta tuple
+        fixes_roots = gamma == wg.identity.perm
+        moves = tuple(enumerate(zip(wg.simple_idx, wg.simple_perms,
+                                    wg.times_simple)))
         self.elements = []
         self.index_by_perm = {}   # theta permutation -> tau index
-        self.cross = []   # per element: tuple of target indices (per simple)
-        self.cayley = []  # per element: tuple of target index or None
+        cross = []    # per element: target index per simple, None if unset
+        cayley = []   # per element: target index per simple, or None
         self._classification = {}
 
-        level = [(wg.identity, ic.gamma_perm)]
+        def link(i, s, t, is_cross):
+            j = self.index_by_perm.get(t)
+            if j is None:
+                pending.append((i, s, t, is_cross))
+            elif not is_cross:
+                cayley[i][s] = j
+            else:
+                cross[i][s] = j
+                back = cross[j][s]
+                if back is None:
+                    cross[j][s] = i
+                elif back != i:
+                    raise WeylError("cross action is not an involution")
+
+        level = [(wg.identity, gamma)]
+        pending = []   # (tau index, simple, target theta, cross or Cayley)
         length = 0
         while level:
+            start = len(self.elements)
             for w, theta in level:
                 j = len(self.elements)
                 self.elements.append(
                     TwistedInvolution(j, w, theta, length, ic))
                 self.index_by_perm[theta] = j
-            fresh = {t for _, theta in level for move in self._moves(theta)
-                     for t in move
-                     if t is not None and t not in self.index_by_perm}
+                cross.append([None] * len(moves))
+                cayley.append([None] * len(moves))
+            resolve = pending[:]
+            pending.clear()
+            for move in resolve:
+                link(*move)
+            for i in range(start, len(self.elements)):
+                theta = self.elements[i].theta
+                for s, (a, sp, times_s) in moves:
+                    if cross[i][s] is None:
+                        link(i, s, _compose(sp, times_s(theta)), True)
+                    if theta[a] == a:
+                        link(i, s, _compose(sp, theta), False)
             length += 1
-            # w = theta o gamma, since theta = w o gamma and gamma^2 = 1
-            level = sorted(((wg.from_perm(_compose(t, ic.gamma_perm)), t)
-                            for t in fresh),
-                           key=lambda wt: (wt[0].length, wt[0].word))
-
-        for tau in self.elements:
-            moves = list(self._moves(tau.theta))
-            self.cross.append(tuple(self.index_by_perm[c] for c, _ in moves))
-            self.cayley.append(tuple(self.index_by_perm.get(y)
-                                     for _, y in moves))
-
-    def _moves(self, theta):
-        """Per simple root s: the cross move s theta s and the Cayley
-        move s theta, the latter None unless theta fixes alpha_s."""
-        wg = self.ic.weyl
-        for a, s, times_s in zip(wg.simple_idx, wg.simple_perms,
-                                 wg.times_simple):
-            yield (_compose(s, times_s(theta)),
-                   _compose(s, theta) if theta[a] == a else None)
-
-    @cached_property
-    def index_by_theta(self) -> dict:
-        """Tau index by the matrix of theta on X."""
-        return {tau.theta_X: tau.index for tau in self.elements}
+            level = sorted(
+                ((wg.from_perm(t if fixes_roots else _compose(t, gamma)), t)
+                 for t in {t for _, _, t, _ in pending}),
+                key=lambda wt: (wt[0].length, wt[0].word))
+        self.cross = [tuple(row) for row in cross]
+        self.cayley = [tuple(row) for row in cayley]
 
     def __len__(self):
         return len(self.elements)

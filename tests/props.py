@@ -7,14 +7,14 @@ individual cases it verified, so callers can assert coverage totals.
 from fractions import Fraction
 from itertools import product
 
-from liepar import (RatVecModZ, cayley_down, cayley_up, cross,
-                    cross_by_word, dual_tau, enumerate_form, enumerate_X,
-                    fiber_space, grading, strong_real_forms, tits_group,
-                    twisted_involutions)
+from liepar import (InnerClass, IntMatrix, RatVecModZ, cayley_down,
+                    cayley_up, cross, cross_by_word, dual_tau,
+                    enumerate_form, enumerate_X, fiber_space, grading,
+                    strong_real_forms, tits_group, twisted_involutions)
 from liepar.fiber import fiber_frame
 from liepar.intlinalg import (frac_vec, row_reduce, vec_add, vec_dot,
                               vec_scale, vec_sub)
-from liepar.kgb import _delta_signs
+from liepar.rootdatum import _reflection_closure
 from liepar.weyl import _mat_apply, _mat_mul
 
 
@@ -63,12 +63,41 @@ def reference_fiber(fs, z):
     return tuple(translate(base.entries, eps) for eps in signs)
 
 
+def reference_delta_signs(ic) -> dict:
+    """The sign of delta on a root vector for each delta-imaginary
+    positive root beta, compared in a simply connected companion datum
+    with the same Cartan matrix and twist, where the coroot points
+    m_beta are all nonzero: an independent route to kgb._delta_signs,
+    which reads the signs in the Tits group of ic itself."""
+    rd = ic.rd
+    k = rd.n_simple
+    cartan = rd.cartan_matrix.entries
+    sc_rd = _reflection_closure(
+        cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
+        k, cartan)
+    perm = ic.diagram_perm
+    sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
+        [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
+    assert sc_ic.diagram_perm == perm
+    tg = tits_group(sc_ic)
+    sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
+    signs = {}
+    for b in twisted_involutions(ic).classification(0).im_pos:
+        j = sc_index[rd.coefficients[b]]
+        sig = tg.sigma_for_root(j)
+        d = tg.multiply(tg.twist(sig), tg.inverse(sig))
+        assert not d.w.word
+        assert not any(d.t) or d.t == tg.m_alpha(j)
+        signs[b] = int(any(d.t))
+    return signs
+
+
 def reference_base_grading(ic, lam):
     """Grading bits at a point of the distinguished fiber from Fraction
     pairings: <beta, lambda> must be half-integral, and beta is
     noncompact iff its parity differs from delta's sign on beta."""
     rd = ic.rd
-    eps = _delta_signs(ic)
+    eps = reference_delta_signs(ic)
     bits = []
     for b in twisted_involutions(ic).classification(0).im_pos:
         pair = vec_dot(rd.roots[b], lam.entries)

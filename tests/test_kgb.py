@@ -24,13 +24,14 @@ from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     strong_real_forms, theta_matrix, trivial_inner_class,
                     twisted_involutions)
 from liepar.fiber import _twice_nu, fiber_frame
-from liepar.kgb import _move_map
+from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, per_tau_torus_coord,
-                   reference_base_grading, reference_fiber, root_is_negative)
+                   reference_base_grading, reference_delta_signs,
+                   reference_fiber, root_is_negative)
 
 
 def rv(*entries):
@@ -362,7 +363,8 @@ def reference_move(x, s, cayley):
     if not cayley:
         gs = ic.diagram_perm[s]
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
-    tau2 = tbl.elements[tbl.index_by_theta[_mat_mul(mat, ic.gamma_mat)]]
+    by_theta = {tau.theta_X: tau.index for tau in tbl.elements}
+    tau2 = tbl.elements[by_theta[_mat_mul(mat, ic.gamma_mat)]]
     lam = _mat_apply(wg.simple_mats_dual[s],
                      [Fraction(a) for a in x.torus_coord.entries])
     shift = _mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
@@ -578,6 +580,24 @@ def test_seeds_match_the_reference_route(t, iso, tw):
             for x in seeds] == expected
 
 
+# the delta signs read in the inner class itself against the simply
+# connected companion route; twisted A_2n hold signs 1
+DELTA_SIGN_DATA = GRID + [
+    (t, iso, tw) for t, tw in [("E6", "c"), ("E6", (5, 1, 4, 3, 2, 0)),
+                               ("D4", (0, 1, 3, 2)), ("D5", (0, 1, 2, 4, 3)),
+                               ("A4", (3, 2, 1, 0)), ("A5", (4, 3, 2, 1, 0))]
+    for iso in ("sc", "ad")]
+
+
+@pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)
+def test_delta_signs_match_the_companion_route(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    signs = _delta_signs(ic)
+    assert signs == reference_delta_signs(ic)
+    if t in ("A2", "A4") and tw != "c":
+        assert 1 in signs.values()
+
+
 def table_digest(table):
     """sha256 of a table's elements, generation log and form partition."""
     h = hashlib.sha256()
@@ -616,10 +636,10 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
 @pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"), ("A3", (2, 1, 0))]
                          + [(t, tw) for t, tw, _, _ in LADDER_DIGESTS])
 def test_search_builds_no_fraction_before_lambda(t, tw):
-    # a fresh inner class, so fibers, frames, moves and the companion
-    # datum of the delta signs are all built inside the call; the central
-    # squares are the input and are computed first.  lambda is formed on
-    # first read only, so the whole search builds no Fraction
+    # a fresh inner class, so fibers, frames, moves and the delta signs
+    # are all built inside the call; the central squares are the input
+    # and are computed first.  lambda is formed on first read only, so
+    # the whole search builds no Fraction
     ic = fresh_ic(t, tw)
     central_fixed_points(ic)
     calls = []

@@ -12,7 +12,7 @@ from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
                     cartan_classes, enumerate_X, from_type,
                     inner_class_from_perm, real_weyl, trivial_inner_class,
                     twisted_involutions)
-from liepar.weyl import _mat_apply, _mat_mul, perm_closure
+from liepar.weyl import _compose, _mat_apply, _mat_mul, perm_closure
 from props import (matrix_canonical_word, reference_classification,
                    root_is_negative)
 
@@ -156,6 +156,68 @@ def test_twisted_involution_lengths_and_links(t, iso, tw):
                 assert _mat_apply(tau.theta_X, a) == a
 
 
+@pytest.mark.parametrize("t,iso,tw", GRID + [("E6", "sc", "c"),
+                                              ("D4", "sc", (0, 1, 3, 2))],
+                         ids=GRID_IDS + ["E6-sc-c", "D4-sc-u"])
+def test_cross_action_on_taus_is_an_involution(t, iso, tw):
+    # the table fills the reverse slot of each cross link without the
+    # move; recompute s theta s for every slot
+    ic = make_ic(t, iso, tw)
+    wg = ic.weyl
+    tbl = twisted_involutions(ic)
+    for tau in tbl.elements:
+        for s, j in enumerate(tbl.cross[tau.index]):
+            assert tbl.cross[j][s] == tau.index
+            sp = wg.simple_perms[s]
+            assert tbl.elements[j].theta == \
+                _compose(sp, _compose(tau.theta, sp))
+
+
+@pytest.mark.parametrize("t,tw", [("C4", "c"), ("E6", "c"),
+                                  ("D4", (0, 1, 3, 2))])
+def test_each_cross_edge_is_composed_once(t, tw, monkeypatch):
+    calls = [0]
+    compose = liepar.weyl._compose
+
+    def counted(a, b):
+        calls[0] += 1
+        return compose(a, b)
+
+    rd = from_type(t, "sc")
+    ic = trivial_inner_class(rd) if tw == "c" \
+        else inner_class_from_perm(rd, tw)
+    monkeypatch.setattr(liepar.weyl, "_compose", counted)
+    tbl = twisted_involutions(ic)
+    monkeypatch.undo()
+    edges = {(min(i, j), max(i, j), s) for i, row in enumerate(tbl.cross)
+             for s, j in enumerate(row)}
+    cayley = sum(j is not None for row in tbl.cayley for j in row)
+    # one per cross edge, fixed points included; one per Cayley edge; one
+    # per new tau for w = theta o gamma
+    assert calls[0] <= len(edges) + cayley + len(tbl) - 1
+    if tw == "c":
+        # gamma fixes every root: w shares theta and costs no composition
+        assert calls[0] == len(edges) + cayley
+        assert all(tau.w.perm is tau.theta for tau in tbl.elements[1:])
+
+
+def test_table_checks_that_the_cross_action_is_an_involution(monkeypatch):
+    # in A2 the cross action of s_1 fixes s_1 and sends s_2 to w0; a move
+    # that sends s_2 to s_1 instead finds the slot of s_1 holding s_1
+    ic = trivial_inner_class(from_type("A2", "sc"))
+    s1 = ic.weyl.simple_perms[0]
+    w0 = ic.weyl.longest_element().perm
+    compose = liepar.weyl._compose
+
+    def corrupted(a, b):
+        out = compose(a, b)
+        return s1 if a is s1 and out == w0 else out
+
+    monkeypatch.setattr(liepar.weyl, "_compose", corrupted)
+    with pytest.raises(WeylError, match="cross action is not an involution"):
+        twisted_involutions(ic)
+
+
 def test_twisted_involution_counts():
     # |I_W|: involutions in W for the trivial twist
     assert len(twisted_involutions(make_ic("A1", "sc"))) == 2
@@ -173,7 +235,8 @@ def test_twisted_involution_counts():
 INVOLUTION_COUNTS = {
     "A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76, "A6": 232, "A7": 764,
     "B2": 6, "B3": 20, "B4": 76, "B5": 312, "B6": 1384,
-    "C2": 6, "C3": 20, "C4": 76, "C5": 312, "C6": 1384, "C7": 6512}
+    "C2": 6, "C3": 20, "C4": 76, "C5": 312, "C6": 1384, "C7": 6512,
+    "A8": 2620}
 
 
 @pytest.mark.parametrize("t,n", sorted(INVOLUTION_COUNTS.items()))
@@ -342,7 +405,9 @@ def involution_table_digest(ic):
     return h.hexdigest()
 
 
-# frozen from the tables built on lattice matrices
+# frozen from the tables built on lattice matrices; the B5, E6 and
+# twisted D4, D5 and E6 rows from the two-pass permutation table that
+# the single level-by-level pass replaced
 INVOLUTION_DIGESTS = [
     ("A5", "c", 76,
      "c9a5e9bb2fde93ecf737261f6cb4a9f1b1a6603a41cfd8f86dc837836e028c07"),
@@ -354,6 +419,16 @@ INVOLUTION_DIGESTS = [
      "5845fe0ff831da46e0dae91fcae6a85d7657b9a7b2decf45cc024f2256710f66"),
     ("A4", (3, 2, 1, 0), 26,
      "f6daa0cfbc389f93402f6cc44aec4052435d8e554be9cca77c60c02bd13596d0"),
+    ("B5", "c", 312,
+     "8cd3432caeb303238b6b6bac1ef8a5d9ad59fcc828c9a86a3e83f2bc76d68d74"),
+    ("E6", "c", 892,
+     "993be4d1ccd99ae96cabf019a69d8c72b2d5083985c560d3b4212aa8c35ea0f7"),
+    ("E6", (5, 1, 4, 3, 2, 0), 892,
+     "8e09f6e0f98fd9c5c5ceb9ad3253bd1c9e2c94c58acdca4cba44f0e2173ea883"),
+    ("D4", (0, 1, 3, 2), 32,
+     "f8ec620b92cb08569d7a8a59e301fc4c900bded622855c960a09a8652249ae60"),
+    ("D5", (0, 1, 2, 4, 3), 156,
+     "804b40719455feec336798986c71e723cbdd011a6d2036a2c059d9003e55a322"),
 ]
 
 
