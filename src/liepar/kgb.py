@@ -31,6 +31,11 @@ FiberSpace.coordinates, and their grading bits from the integer
 pairings (beta V) . y of the imaginary roots beta.  The search builds no
 Fraction; KGBElt.torus_coord forms lambda from y in tau's own Smith
 coordinates on first read.
+
+The real Weyl group W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) of x
+enumerates no subgroup of W: |W_i|, |W_r| and |W_C^theta| = sqrt
+|W(deltaC)| are closed forms read once per tau; only the W_i-orbit of x
+is searched.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
                         solve_congruence, vec_dot)
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
                    _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
-                   cartan_index, perm_closure, twisted_involutions)
+                   cartan_index, twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -576,6 +581,7 @@ def cayley_down(s: int, x: KGBElt):
 
 @dataclass(frozen=True)
 class RealWeylInfo:
+    """Orders of W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r)."""
     total: int
     complex_fixed: int      # |(W_C)^tau|
     stab_imaginary: int     # |Stab_{W_i}(x)|
@@ -584,38 +590,40 @@ class RealWeylInfo:
     orbit_size: int
 
 
+def _imaginary_words(ic, tau_idx) -> tuple:
+    """Words of the generators of W_i at tau_idx, formed once per tau."""
+    words = ic._cache.setdefault('imaginary_words', {})
+    if tau_idx not in words:
+        wg = ic.weyl
+        words[tau_idx] = tuple(
+            wg.canonical_word(p, p) for p in map(
+                wg.reflection_perm,
+                twisted_involutions(ic).classification(tau_idx).im_simples))
+    return words[tau_idx]
+
+
 def real_weyl(x: KGBElt) -> RealWeylInfo:
-    table = x.table
-    ic = table.ic
-    rd = ic.rd
-    tbl = twisted_involutions(ic)
-    cls = tbl.classification(x.tau.index)
-    wg = ic.weyl
-    size = len(rd.roots)
-    im = [wg.reflection_perm(i) for i in cls.im_simples]
-    wi_order = len(perm_closure(im, size))
-    wr_order = len(perm_closure(
-        [wg.reflection_perm(i) for i in cls.re_simples], size))
-    # orbit of x under the imaginary Weyl group's cross action
-    gens = [wg.from_perm(p) for p in im]
+    """W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) (Vogan 1982): |W_i|,
+    |W_r| and |W_C^theta| = sqrt |W(deltaC)| are the closed forms of
+    tau's root classification; |Stab| is |W_i| over x's W_i-orbit."""
+    ic = x.table.ic
+    cls = twisted_involutions(ic).classification(x.tau.index)
+    words = _imaginary_words(ic, x.tau.index)
     orbit = {x.id}
     frontier = [x]
     while frontier:
         y = frontier.pop()
-        for g in gens:
-            z = cross_by_word(g.word, y)
+        for word in words:
+            z = cross_by_word(word, y)
             if z.id not in orbit:
                 orbit.add(z.id)
                 frontier.append(z)
-    stab = wi_order // len(orbit)
-    # tau-fixed part of the complex factor
-    theta = x.tau.theta
-    fixed = sum(1 for m in perm_closure(
-        [wg.reflection_perm(i) for i in cls.deltaC_simples], size)
-        if _compose(theta, _compose(m, theta)) == m)
-    return RealWeylInfo(total=fixed * stab * wr_order, complex_fixed=fixed,
-                        stab_imaginary=stab, real_order=wr_order,
-                        imaginary_order=wi_order, orbit_size=len(orbit))
+    stab = cls.im_order // len(orbit)
+    return RealWeylInfo(
+        total=cls.complex_fixed * stab * cls.re_order,
+        complex_fixed=cls.complex_fixed, stab_imaginary=stab,
+        real_order=cls.re_order, imaginary_order=cls.im_order,
+        orbit_size=len(orbit))
 
 
 def cartans_for(x0: KGBElt):

@@ -122,18 +122,10 @@ class RootDatum:
             [[(1 if r == c else 0) - a[r] * av[c] for c in range(n)]
              for r in range(n)])
 
-    def rho(self) -> tuple:
-        """Half sum of positive roots, a vector in X tensor Q."""
-        n = self.rank
-        acc = [Fraction(0)] * n
-        for idx, r in enumerate(self.roots):
-            if self.is_positive(idx):
-                for k in range(n):
-                    acc[k] += Fraction(r[k], 2)
-        return tuple(acc)
-
     def rho_in_X(self) -> bool:
-        return all(x.denominator == 1 for x in self.rho())
+        """Is rho a character: is every coordinate of 2 rho even?"""
+        return all(sum(col) % 2 == 0
+                   for col in zip(*self.roots[self.n_pos:]))
 
     def dual(self) -> "RootDatum":
         """Swap roots and coroots; an involution up to field equality."""

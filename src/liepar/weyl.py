@@ -26,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from math import isqrt
+from operator import add, itemgetter
 
 from .intlinalg import (IntMatrix, rational_inverse, smith_normal_form,
                         vec_dot)
@@ -56,25 +57,40 @@ def _compose(a, b):
     return tuple(map(a.__getitem__, b))
 
 
-def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
-    """The group generated by the given permutations of range(size)."""
-    seen = {tuple(range(size))}
-    queue = list(seen)
-    for p in queue:
-        for q in (_compose(p, g) for g in gens):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-        if len(seen) > cap:
-            raise WeylError("subgroup closure exceeds cap")
-    return seen
-
-
 def _inverse(perm):
     inv = [0] * len(perm)
     for r, q in enumerate(perm):
         inv[q] = r
     return tuple(inv)
+
+
+def subsystem_order(rd: RootDatum, simples, pos) -> int:
+    """|W| of the root subsystem with these simple and positive root
+    indices: prod (m_j + 1) over its exponents, the transpose of the
+    partition "positive roots per height" (Kostant 1959), reducible
+    subsystems included.  Heights are over the subsystem's own base,
+    breadth-first: beta + delta, delta simple, has height h(beta) + 1."""
+    pos = set(pos)
+    height = dict.fromkeys(simples, 1)
+    level, h = list(height), 1
+    while level:
+        h += 1
+        nxt = []
+        for b in level:
+            for d in simples:
+                j = rd.root_index.get(tuple(map(add, rd.roots[b],
+                                                rd.roots[d])))
+                if j in pos and j not in height:
+                    height[j] = h
+                    nxt.append(j)
+        level = nxt
+    if len(height) != len(pos):
+        raise WeylError("positive roots not reached from the simple roots")
+    per_height = Counter(height.values())
+    out = 1
+    for j in range(1, per_height[1] + 1):
+        out *= 1 + sum(1 for c in per_height.values() if c >= j)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +138,7 @@ class WeylGroup:
         self.n_pos = rd.n_pos
         self.simple_idx = rd.simple_indices()
         self.neg = tuple(rd.negative_of(r) for r in range(len(rd.roots)))
+        self._reflection_perms = {}
         self.simple_perms = tuple(self.reflection_perm(a)
                                   for a in self.simple_idx)
         # times_simple[i](perm) is the permutation of w s_i
@@ -138,10 +155,14 @@ class WeylGroup:
 
     def reflection_perm(self, root_idx: int) -> tuple:
         """The permutation of the roots by the reflection in a root."""
-        rd = self.rd
-        a, av = rd.roots[root_idx], rd.coroots[root_idx]
-        return tuple(rd.index_of([x - c * y for x, y in zip(b, a)])
-                     for b, c in ((b, vec_dot(b, av)) for b in rd.roots))
+        perm = self._reflection_perms.get(root_idx)
+        if perm is None:
+            rd = self.rd
+            a, av = rd.roots[root_idx], rd.coroots[root_idx]
+            perm = self._reflection_perms[root_idx] = tuple(
+                rd.index_of([x - c * y for x, y in zip(b, a)])
+                for b, c in ((b, vec_dot(b, av)) for b in rd.roots))
+        return perm
 
     @cached_property
     def _coords(self):
@@ -178,12 +199,13 @@ class WeylGroup:
                   // den for e in range(n))
             for r in range(n))
 
-    def canonical_word(self, perm) -> tuple:
+    def canonical_word(self, perm, inv=None) -> tuple:
         """Shortlex-minimal reduced word of the element permuting the
         roots by perm: greedily peel the smallest left descent i, the
-        first with w^{-1}(alpha_i) < 0."""
+        first with w^{-1}(alpha_i) < 0.  inv is w^{-1}, if known."""
         word = []
-        inv = _inverse(perm)
+        if inv is None:
+            inv = _inverse(perm)
         npos = self.n_pos
         while inv != self.identity.perm:
             for i, a in enumerate(self.simple_idx):
@@ -195,8 +217,8 @@ class WeylGroup:
                 raise WeylError("permutation is not a Weyl group element")
         return tuple(word)
 
-    def from_perm(self, perm) -> WeylElt:
-        return WeylElt(self.canonical_word(perm), perm, self)
+    def from_perm(self, perm, inv=None) -> WeylElt:
+        return WeylElt(self.canonical_word(perm, inv), perm, self)
 
     def from_matrix(self, mat) -> WeylElt:
         """The element with the given action matrix on X, found from the
@@ -246,16 +268,9 @@ class WeylGroup:
         return self._longest
 
     def order(self) -> int:
-        """|W| = prod (m_j + 1) over the exponents m_j, which are the
-        transpose of the partition "number of positive roots of each
-        height" (Kostant 1959); the transpose of a sum of partitions is
-        the union of their transposes, so this holds for reducible data
-        and torus factors too."""
-        per_height = Counter(h for h in self.rd.heights if h > 0)
-        out = 1
-        for j in range(1, per_height[1] + 1):
-            out *= 1 + sum(1 for c in per_height.values() if c >= j)
-        return out
+        """|W| by subsystem_order."""
+        return subsystem_order(self.rd, self.simple_idx,
+                               range(self.n_pos, len(self.rd.roots)))
 
     def all_elements(self, cap: int = 2 * 10 ** 6):
         """Brute-force enumeration of W (test oracle)."""
@@ -393,7 +408,7 @@ class RootClassification:
     (fixed), real (negated) or complex.  status and the positive
     imaginary roots, all the X search reads, are computed at once; the
     other fields, which only the real Weyl group reads, are formed on
-    first read."""
+    first read, the orders by subsystem_order."""
     status: tuple        # per root index: 'i' / 'r' / 'C'
     im_pos: tuple        # positive imaginary root indices
     rd: RootDatum = field(repr=False, compare=False)
@@ -435,10 +450,31 @@ class RootClassification:
                      and vec_dot(rd.roots[i], rhov_r) == 0)
 
     @cached_property
+    def deltaC_pos(self) -> tuple:
+        return tuple(i for i in self.deltaC if self.rd.is_positive(i))
+
+    @cached_property
     def deltaC_simples(self) -> tuple:
         """Simple roots of the subsystem deltaC."""
-        return _subsystem_simples(
-            self.rd, tuple(i for i in self.deltaC if self.rd.is_positive(i)))
+        return _subsystem_simples(self.rd, self.deltaC_pos)
+
+    @cached_property
+    def im_order(self) -> int:
+        return subsystem_order(self.rd, self.im_simples, self.im_pos)
+
+    @cached_property
+    def re_order(self) -> int:
+        return subsystem_order(self.rd, self.re_simples, self.re_pos)
+
+    @cached_property
+    def complex_fixed(self) -> int:
+        """|W(deltaC)^theta| = sqrt |W(deltaC)|: theta swaps two
+        orthogonal halves of deltaC."""
+        order = subsystem_order(self.rd, self.deltaC_simples, self.deltaC_pos)
+        root = isqrt(order)
+        if root * root != order:
+            raise WeylError(f"|W(deltaC)| = {order} is not a square")
+        return root
 
 
 def _subsystem_simples(rd: RootDatum, pos_indices) -> tuple:
@@ -554,8 +590,10 @@ class TwistedInvolutionTable:
                     if theta[a] == a:
                         link(i, s, _compose(sp, theta), False)
             length += 1
+            # w = theta is an involution when gamma fixes every root
             level = sorted(
-                ((wg.from_perm(t if fixes_roots else _compose(t, gamma)), t)
+                ((wg.from_perm(t, t) if fixes_roots
+                  else wg.from_perm(_compose(t, gamma)), t)
                  for t in {t for _, _, t, _ in pending}),
                 key=lambda wt: (wt[0].length, wt[0].word))
         self.cross = [tuple(row) for row in cross]

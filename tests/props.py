@@ -6,16 +6,17 @@ individual cases it verified, so callers can assert coverage totals.
 
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
-from liepar import (InnerClass, IntMatrix, RatVecModZ, cayley_down,
-                    cayley_up, cross, cross_by_word, dual_tau,
+from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
+                    cayley_down, cayley_up, cross, cross_by_word, dual_tau,
                     enumerate_form, enumerate_X, fiber_space, grading,
                     strong_real_forms, tits_group, twisted_involutions)
 from liepar.fiber import fiber_frame
 from liepar.intlinalg import (frac_vec, row_reduce, vec_add, vec_dot,
                               vec_scale, vec_sub)
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import _mat_apply, _mat_mul
+from liepar.weyl import WeylError, _compose, _mat_apply, _mat_mul
 
 
 def simple_coordinates(root, simple_roots):
@@ -28,6 +29,17 @@ def simple_coordinates(root, simple_roots):
     for row, col in zip(rref, pivots):
         coeffs[col] = row[k]
     return tuple(coeffs)
+
+
+def reference_rho(rd) -> tuple:
+    """Half the sum of the positive roots, a vector in X tensor Q, with
+    Fraction arithmetic."""
+    acc = [Fraction(0)] * rd.rank
+    for idx, r in enumerate(rd.roots):
+        if rd.is_positive(idx):
+            for k in range(rd.rank):
+                acc[k] += Fraction(r[k], 2)
+    return tuple(acc)
 
 
 def reference_canonical_form(fs, lam):
@@ -166,6 +178,55 @@ def reference_classification(tau, rd):
             "re_simples": subsystem_simples(re_pos), "deltaC": delta_c,
             "deltaC_simples": subsystem_simples(
                 tuple(i for i in delta_c if rd.is_positive(i)))}
+
+
+def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
+    """The group generated by the given permutations of range(size);
+    itemgetter(*g)(p) is the composition p o g."""
+    steps = [itemgetter(*g) for g in gens]
+    seen = {tuple(range(size))}
+    queue = list(seen)
+    for p in queue:
+        for q in (step(p) for step in steps):
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+        if len(seen) > cap:
+            raise WeylError("subgroup closure exceeds cap")
+    return seen
+
+
+def reference_real_weyl(x):
+    """The real Weyl group of x with each order found by enumerating a
+    subgroup of W as root permutations, and the theta-fixed part of
+    W(deltaC) counted element by element: the route the closed forms of
+    kgb.real_weyl replaced."""
+    ic = x.table.ic
+    cls = twisted_involutions(ic).classification(x.tau.index)
+    wg = ic.weyl
+    size = len(ic.rd.roots)
+    im = [wg.reflection_perm(i) for i in cls.im_simples]
+    wi_order = len(perm_closure(im, size))
+    wr_order = len(perm_closure(
+        [wg.reflection_perm(i) for i in cls.re_simples], size))
+    gens = [wg.from_perm(p) for p in im]
+    orbit = {x.id}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for g in gens:
+            z = cross_by_word(g.word, y)
+            if z.id not in orbit:
+                orbit.add(z.id)
+                frontier.append(z)
+    stab = wi_order // len(orbit)
+    theta = x.tau.theta
+    fixed = sum(1 for m in perm_closure(
+        [wg.reflection_perm(i) for i in cls.deltaC_simples], size)
+        if _compose(theta, _compose(m, theta)) == m)
+    return RealWeylInfo(total=fixed * stab * wr_order, complex_fixed=fixed,
+                        stab_imaginary=stab, real_order=wr_order,
+                        imaginary_order=wi_order, orbit_size=len(orbit))
 
 
 def root_is_negative(rd, vec):

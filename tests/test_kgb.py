@@ -31,7 +31,7 @@ from props import (check_cayley_roundtrip, check_cross_action,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, per_tau_torus_coord,
                    reference_base_grading, reference_delta_signs,
-                   reference_fiber, root_is_negative)
+                   reference_fiber, reference_real_weyl, root_is_negative)
 
 
 def rv(*entries):
@@ -256,6 +256,22 @@ def test_real_weyl_brute_force(t, iso, tw):
     for x in table.elements:
         brute = sum(1 for w in elements if cross_by_word(w.word, x) == x)
         assert brute == real_weyl(x).total
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID + [("F4", "sc", "c"),
+                                              ("D4", "sc", (0, 1, 3, 2))],
+                         ids=GRID_IDS + ["F4-sc-c", "D4-sc-u"])
+def test_real_weyl_matches_the_enumerating_route(t, iso, tw):
+    table = enumerate_X(make_ic(t, iso, tw))
+    for x in table.elements:
+        assert real_weyl(x) == reference_real_weyl(x)
+
+
+def test_real_weyl_of_the_compact_e6_element():
+    # element 0 of E6 sc lies over delta, where every root is imaginary
+    # and W_i is all of W
+    info = real_weyl(enumerate_X(make_ic("E6", "sc")).elements[0])
+    assert info.total == info.imaginary_order == 51840
 
 
 def test_cartans_for_split_sp4():

@@ -6,7 +6,7 @@ from conftest import GRID
 from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
                     from_type, new_root_datum, parse_type)
 from liepar.intlinalg import vec_dot
-from props import simple_coordinates
+from props import reference_rho, simple_coordinates
 
 # number of positive roots per simple type
 POS_ROOTS = {
@@ -95,7 +95,16 @@ def test_rho():
     rd = from_type("A2", "sc")
     # rho pairs to 1 with every simple coroot
     for cv in rd.simple_coroots:
-        assert vec_dot(rd.rho(), cv) == 1
+        assert vec_dot(reference_rho(rd), cv) == 1
+
+
+@pytest.mark.parametrize(
+    "t,iso", sorted({(t, iso) for t, iso, _ in GRID}) + [("A1.T1", "sc")])
+def test_rho_in_X_matches_rho(t, iso):
+    rd = from_type(t, iso)
+    for datum in (rd, rd.dual()):
+        assert datum.rho_in_X() == \
+            all(x.denominator == 1 for x in reference_rho(datum))
 
 
 def test_rho_in_X_cases():

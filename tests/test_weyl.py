@@ -12,9 +12,9 @@ from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
                     cartan_classes, enumerate_X, from_type,
                     inner_class_from_perm, real_weyl, trivial_inner_class,
                     twisted_involutions)
-from liepar.weyl import _compose, _mat_apply, _mat_mul, perm_closure
-from props import (matrix_canonical_word, reference_classification,
-                   root_is_negative)
+from liepar.weyl import _compose, _mat_apply, _mat_mul, subsystem_order
+from props import (matrix_canonical_word, perm_closure,
+                   reference_classification, root_is_negative)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -338,6 +338,49 @@ def test_e6_cartan_classes_are_carters_involution_classes():
     assert len(twisted_involutions(ic)) == 892
     assert tuple(len(c.members) for c in cartan_classes(ic)) == \
         (1, 36, 270, 540, 45)
+
+
+ORDER_DATA = GRID + [("E6", "sc", "c"), ("E6", "sc", (5, 1, 4, 3, 2, 0)),
+                     ("D5", "sc", (0, 1, 2, 4, 3))]
+
+
+@pytest.mark.parametrize("t,iso,tw", ORDER_DATA,
+                         ids=GRID_IDS + ["E6-sc-c", "E6-sc-u", "D5-sc-u"])
+def test_subsystem_orders_match_the_closures(t, iso, tw):
+    # every tau: the closed-form orders of the imaginary, real and deltaC
+    # subsystems against the subgroups their reflections generate, and
+    # sqrt |W(deltaC)| against the theta-fixed elements counted one by one
+    ic = make_ic(t, iso, tw)
+    wg = ic.weyl
+    table = twisted_involutions(ic)
+    closures = {}
+
+    def closure(simples):
+        if simples not in closures:
+            closures[simples] = perm_closure(
+                [wg.reflection_perm(i) for i in simples], len(ic.rd.roots))
+        return closures[simples]
+
+    for tau in table.elements:
+        cls = table.classification(tau.index)
+        assert cls.im_order == len(closure(cls.im_simples))
+        assert cls.re_order == len(closure(cls.re_simples))
+        group = closure(cls.deltaC_simples)
+        assert subsystem_order(ic.rd, cls.deltaC_simples, cls.deltaC_pos) \
+            == len(group)
+        theta = tau.theta
+        assert cls.complex_fixed == sum(
+            1 for m in group if _compose(theta, _compose(m, theta)) == m)
+
+
+def test_a_non_square_complex_order_raises(monkeypatch):
+    # in the swap class of A1 x A1 every root is complex and in deltaC
+    order = liepar.weyl.subsystem_order
+    monkeypatch.setattr(liepar.weyl, "subsystem_order",
+                        lambda rd, simples, pos: 2 * order(rd, simples, pos))
+    ic = inner_class_from_perm(from_type("A1.A1", "sc"), (1, 0))
+    with pytest.raises(WeylError, match="not a square"):
+        real_weyl(enumerate_X(ic).elements[0])
 
 
 # ---------------------------------------------------------------------------

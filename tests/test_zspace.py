@@ -133,6 +133,20 @@ def test_sp2n_count_matches_the_per_tau_route():
         assert total == sp2n_count(n) == expected
 
 
+@pytest.mark.parametrize("n,expected", [(1, 4), (2, 18), (3, 88), (4, 460),
+                                        (5, 2544)])
+def test_sp2n_count_matches_the_real_weyl_formula(n, expected):
+    # the per-Cartan closed form |W| / |W(G, H)| 2^a of langlands_count,
+    # read from real Weyl groups and not from fibers, summed over the
+    # strong real forms with x^2 = -1
+    ic = make_ic(f"C{n}", "sc")
+    table = enumerate_X(ic)
+    total = sum(
+        langlands_count(ic, table.elements[f.element_ids[0]]).formula_total
+        for f in strong_real_forms(ic) if any(f.square.entries))
+    assert total == sp2n_count(n) == expected
+
+
 def test_count_matches_enumeration():
     for t, iso, tw in GRID[:10]:
         ic = make_ic(t, iso, tw)
