@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from .fiber import InfiniteCenterFixedPoints, central_fixed_points
-from .intlinalg import IntMatrix, RatVecModZ, rational_inverse
+from .intlinalg import IntMatrix, RatVecModZ, scaled_inverse
 from .kgb import (enumerate_form, enumerate_X, real_weyl, strong_real_forms,
                   _validate_square)
 from .rootdatum import (RootDatumError, from_type, new_root_datum,
@@ -214,21 +214,22 @@ class Session:
             raise CommandError("lattice basis rows must be integers")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CommandError(f"lattice basis must be {n}x{n}")
-        inv = rational_inverse(rows)
+        inv = scaled_inverse(IntMatrix.from_rows(rows))
         if inv is None:
             raise CommandError("lattice basis is singular")
+        den, binv = inv
         # simple root j in fundamental-weight coordinates is row j of the
         # Cartan matrix (zero on torus coordinates); rewrite the roots in
         # the chosen basis and read the coroots off the basis columns
         simple_roots = []
         for j in range(k):
             col = list(cartan[j]) + [0] * torus
-            coords = [sum(col[t] * inv[t][c] for t in range(n))
+            coords = [sum(col[t] * binv[t, c] for t in range(n))
                       for c in range(n)]
-            if any(x.denominator != 1 for x in coords):
+            if any(x % den for x in coords):
                 raise CommandError(
                     "the root lattice is not contained in this lattice")
-            simple_roots.append([int(x) for x in coords])
+            simple_roots.append([x // den for x in coords])
         simple_coroots = [[rows[i][j] for i in range(n)] for j in range(k)]
         self.rd = new_root_datum(simple_roots, simple_coroots, n)
         self.type_desc = f"{type_string} matrix"

@@ -11,8 +11,7 @@ set, when nonempty, is a torsor under an F2 vector space (the fiber
 group) read off from the Smith normal form U (1 + theta_v) V = diag(d).
 The solutions are computed in integer coordinates y = D V^-1 lambda mod
 D, with V^-1 kept by the Smith form itself, and lambda is formed from y
-only for output (FiberSpace.torus_coord); canonical_form is the one
-Fraction route, for a lambda given from outside.
+only for output (FiberSpace.torus_coord).
 
 The cross action of s is a bijection from the fiber over tau to the
 fiber over s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s
@@ -35,7 +34,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
-from .intlinalg import (IntMatrix, RatVecModZ, frac_vec,
+from .intlinalg import (IntMatrix, RatVecModZ, smith_normal_form,
                         smith_normal_form_with_inverse, torsion_solutions,
                         vec_add, vec_scale)
 from .tits import TitsGroup
@@ -67,14 +66,15 @@ def theta_matrix(tau: TwistedInvolution, ic: InnerClass) -> IntMatrix:
 
 
 def torus_signature(theta: IntMatrix) -> TorusSignature:
+    """a and b count the invariant factors 2 of 1 - theta and of 1 + theta
+    (those of 1 +- theta lie in {0, 1, 2})."""
     n = theta.rows
     if not theta.is_involution():
         raise NotAnInvolution("matrix is not an involution")
     ident = IntMatrix.identity(n)
-    minus = ident - theta
-    plus = ident + theta
-    a = minus.rank() - minus.rank_mod2()
-    b = plus.rank() - plus.rank_mod2()
+    a, b = (sum(1 for j in range(n) if d[j, j] == 2)
+            for d in (smith_normal_form(ident - theta)[1],
+                      smith_normal_form(ident + theta)[1]))
     if (n - a - b) % 2:
         raise NotAnInvolution("inconsistent involution signature")
     return TorusSignature(a, b, (n - a - b) // 2)
@@ -140,8 +140,7 @@ class FiberSpace:
     mod 1, and those with d_j = 2 carry the F2 fiber group.  Solutions
     are found in integers: for an even D that clears every denominator,
     D y mod D is the base solution D (U (z - nu))_j / d_j plus D/2 on any
-    subset of the d_j = 2 coordinates.  canonical_form is V y in that
-    normal form."""
+    subset of the d_j = 2 coordinates."""
 
     def __init__(self, tau: TwistedInvolution, ic: InnerClass):
         self.tau = tau
@@ -162,13 +161,6 @@ class FiberSpace:
     def nu(self) -> tuple:
         return tuple(Fraction(x, 2) for x in self._twice_nu)
 
-    @nu.setter
-    def nu(self, value):
-        twice = tuple(2 * Fraction(x) for x in value)
-        if any(x.denominator != 1 for x in twice):
-            raise ValueError("nu must lie in (1/2)Z^n")
-        self._twice_nu = tuple(int(x) for x in twice)
-
     @cached_property
     def signature(self) -> TorusSignature:
         return torus_signature(self.theta_v)
@@ -176,14 +168,6 @@ class FiberSpace:
     @property
     def fiber_rank(self) -> int:
         return len(self._two_coords)
-
-    def canonical_form(self, lam) -> RatVecModZ:
-        """Unique representative of lambda modulo the lattice and the
-        identity component of the theta_v-fixed torus."""
-        y = list(frac_vec(self._vinv.apply(frac_vec(lam))))
-        for j in range(len(y)):
-            y[j] = Fraction(0) if j in self._kernel_coords else y[j] % 1
-        return RatVecModZ.reduce(self._v.apply(y))
 
     def _shifted(self, z: RatVecModZ, scale: int):
         """U (scale (z - nu)) as integers, or None when a row with d_j = 0

@@ -1,8 +1,9 @@
 """Exact integer / rational lattice linear algebra.
 
 Everything here is arbitrary precision: matrices over the integers,
-vectors over Fraction, and linear algebra over F2.  No floating point
-is used anywhere in the package.
+vectors over Fraction and mod 2.  The module has one elimination, the
+Smith normal form; rank, inverse and congruence solving all read it.  No
+floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -81,102 +82,35 @@ class IntMatrix:
         """Matrix times column vector (int or Fraction entries)."""
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
-    def mod2(self) -> tuple:
-        return tuple(tuple(a & 1 for a in row) for row in self.entries)
-
-    def det(self) -> int:
-        """Exact determinant (fraction-free Bareiss elimination)."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def inverse(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix (det = +-1)."""
-        inv = rational_inverse(self.entries) if self.rows == self.cols \
-            else None
-        if inv is None or any(x.denominator != 1 for row in inv for x in row):
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
-
     def rank(self) -> int:
-        """Rank over the rationals."""
-        return len(row_reduce(self.entries)[1])
-
-    def rank_mod2(self) -> int:
-        m = [list(row) for row in self.mod2()]
-        rank = 0
-        cols = self.cols
-        for j in range(cols):
-            piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            for i in range(len(m)):
-                if i != rank and m[i][j]:
-                    m[i] = [(a ^ b) for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
+        """Rank over the rationals: the number of nonzero invariant
+        factors."""
+        d = smith_normal_form(self)[1]
+        return sum(1 for i in range(min(self.rows, self.cols)) if d[i, i])
 
     def is_involution(self) -> bool:
         return self.rows == self.cols and self @ self == IntMatrix.identity(self.rows)
-
-
-def row_reduce(rows):
-    """Reduced row echelon form over Q of a matrix given by its rows (int
-    or Fraction entries): (rows as lists of Fraction, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for j in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][j]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][j] != 0:
-                f = m[i][j]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(j)
-    return m, tuple(pivots)
-
-
-def rational_inverse(rows):
-    """Inverse over Q of a square matrix given by its rows, as lists of
-    Fraction; None when the matrix is singular."""
-    n = len(rows)
-    rref, pivots = row_reduce(
-        [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(rows)])
-    if pivots != tuple(range(n)):
-        return None
-    return [row[n:] for row in rref]
 
 
 def smith_normal_form(m: IntMatrix):
     """Return (u, d, v) with u @ m @ v = d, u and v unimodular and d
     diagonal with d[i] | d[i+1] (diagonal entries nonnegative)."""
     return smith_normal_form_with_inverse(m)[:3]
+
+
+def scaled_inverse(m: IntMatrix):
+    """(den, N) with m @ N = den I for the square matrix m, den its largest
+    invariant factor, or None when m is singular: with U m V = diag(d),
+    N = V diag(den / d) U."""
+    u, d, v = smith_normal_form(m)
+    n = m.rows
+    den = d[n - 1, n - 1] if n else 1
+    if den == 0:
+        return None
+    scale = [den // d[t, t] for t in range(n)]
+    return den, IntMatrix(tuple(
+        tuple(sum(v[j, t] * scale[t] * u[t, i] for t in range(n))
+              for i in range(n)) for j in range(n)))
 
 
 def smith_normal_form_with_inverse(m: IntMatrix):
@@ -297,10 +231,6 @@ def vec_add(a: Sequence, b: Sequence) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(c, v: Sequence) -> tuple:
     return tuple(c * x for x in v)
 
@@ -348,7 +278,7 @@ class RatVecModZ:
 
 
 # ---------------------------------------------------------------------------
-# F2 linear algebra
+# vectors mod 2
 
 
 def f2_vec(v: Sequence) -> tuple:
@@ -357,61 +287,6 @@ def f2_vec(v: Sequence) -> tuple:
 
 def f2_add(a: Sequence, b: Sequence) -> tuple:
     return tuple((x ^ y) for x, y in zip(a, b))
-
-
-def f2_mat_apply(m: Sequence, v: Sequence) -> tuple:
-    return tuple(sum(a & b for a, b in zip(row, v)) & 1 for row in m)
-
-
-class F2Basis:
-    """Row-echelon basis of a subspace of F2^n with a canonical
-    coset-representative map for the quotient space."""
-
-    def __init__(self, gens: Iterable[Sequence[int]], space_dim: int):
-        self.space_dim = space_dim
-        basis = []  # echelon rows, each with a known pivot
-        pivots = []
-        for g in gens:
-            v = self._reduce_against(f2_vec(g), basis, pivots)
-            if any(v):
-                p = next(i for i, x in enumerate(v) if x)
-                # insert keeping pivots sorted
-                pos = sum(1 for q in pivots if q < p)
-                basis.insert(pos, v)
-                pivots.insert(pos, p)
-                # back-substitute
-                for k in range(len(basis)):
-                    if k != pos and basis[k][p]:
-                        basis[k] = f2_add(basis[k], v)
-        self.basis = tuple(basis)
-        self.pivots = tuple(pivots)
-
-    @staticmethod
-    def _reduce_against(v, basis, pivots):
-        for row, p in zip(basis, pivots):
-            if v[p]:
-                v = f2_add(v, row)
-        return v
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def quotient_dim(self) -> int:
-        return self.space_dim - self.rank
-
-    def reduce(self, v: Sequence[int]) -> tuple:
-        """Canonical representative of v modulo the span."""
-        return self._reduce_against(f2_vec(v), self.basis, self.pivots)
-
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
-
-
-def two_group_quotient(gens: Iterable[Sequence[int]], space_dim: int) -> F2Basis:
-    """Quotient of F2^space_dim by the span of gens."""
-    return F2Basis(gens, space_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Root data: construction, validation, reflection closure, duality,
-and center torsion.
+"""Root data: construction, validation, reflection closure and duality.
 
 A root datum is (X, Delta, Xv, Deltav): character/cocharacter lattices
 in perfect pairing with simple roots and coroots.  X is identified with
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import IntMatrix, RatVecModZ, torsion_solutions, vec_dot
+from .intlinalg import IntMatrix, vec_dot
 
 
 class RootDatumError(ValueError):
@@ -37,38 +36,6 @@ class UnknownType(RootDatumError):
 
 
 ROOT_CLOSURE_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class CenterTorsion:
-    """Finite-order part of the center Z(G) = {exp(2 pi i lambda) :
-    <alpha, lambda> integral for all roots}."""
-
-    rank: int
-    invariant_factors: tuple
-    generators: tuple  # of RatVecModZ
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    def elements(self):
-        """All finite-order central elements, as reduced coordinate
-        vectors, in lexicographic order."""
-        zero = RatVecModZ.reduce([0] * self.rank).entries
-        elems = {zero}
-        for g, d in zip(self.generators, self.invariant_factors):
-            new = set()
-            for base in elems:
-                acc = base
-                for _ in range(d - 1):
-                    acc = (RatVecModZ(acc) + g).entries
-                    new.add(acc)
-            elems |= new
-        return sorted(elems)
 
 
 @dataclass(frozen=True)
@@ -106,22 +73,6 @@ class RootDatum:
     def negative_of(self, root_idx: int) -> int:
         return self.root_index[tuple(-x for x in self.roots[root_idx])]
 
-    def reflection_X(self, i: int) -> IntMatrix:
-        """Matrix on X of the reflection in the i-th simple root."""
-        return self.reflection_for_root(self.root_index[self.simple_roots[i]])
-
-    def reflection_Xv(self, i: int) -> IntMatrix:
-        """Matrix on Xv of the same reflection (transpose relation)."""
-        return self.reflection_X(i).transpose()
-
-    def reflection_for_root(self, root_idx: int) -> IntMatrix:
-        a = self.roots[root_idx]
-        av = self.coroots[root_idx]
-        n = self.rank
-        return IntMatrix.from_rows(
-            [[(1 if r == c else 0) - a[r] * av[c] for c in range(n)]
-             for r in range(n)])
-
     def rho_in_X(self) -> bool:
         """Is rho a character: is every coordinate of 2 rho even?"""
         return all(sum(col) % 2 == 0
@@ -131,13 +82,6 @@ class RootDatum:
         """Swap roots and coroots; an involution up to field equality."""
         return new_root_datum(self.simple_coroots, self.simple_roots,
                               self.rank)
-
-    def center_torsion(self) -> CenterTorsion:
-        m = IntMatrix.from_rows(self.simple_roots) if self.simple_roots \
-            else IntMatrix.zero(0, self.rank)
-        factors, gens, _ = torsion_solutions(m)
-        return CenterTorsion(self.rank, tuple(factors),
-                             tuple(RatVecModZ.reduce(g) for g in gens))
 
 
 def _validate_cartan(cartan, n_simple):

@@ -29,8 +29,7 @@ from functools import cached_property
 from math import isqrt
 from operator import add, itemgetter
 
-from .intlinalg import (IntMatrix, rational_inverse, smith_normal_form,
-                        vec_dot)
+from .intlinalg import IntMatrix, scaled_inverse, vec_dot
 from .rootdatum import RootDatum
 
 
@@ -131,10 +130,6 @@ class WeylElt:
 class WeylGroup:
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.simple_mats = tuple(rd.reflection_X(i).entries
-                                 for i in range(rd.n_simple))
-        self.simple_mats_dual = tuple(rd.reflection_Xv(i).entries
-                                      for i in range(rd.n_simple))
         self.n_pos = rd.n_pos
         self.simple_idx = rd.simple_indices()
         self.neg = tuple(rd.negative_of(r) for r in range(len(rd.roots)))
@@ -168,19 +163,14 @@ class WeylGroup:
     def _coords(self):
         """c_i(e_k) = sum_j (alpha_j^v)_k (C^-1)_{ji} for the standard basis
         vectors e_k of X, as integer rows over a common denominator den:
-        with U C V = diag(d), den C^-1 = V diag(den / d) U for den the
-        largest invariant factor."""
+        den C^-1 from scaled_inverse."""
         rd = self.rd
         k = rd.n_simple
         if not k:
             return 1, ((),) * rd.rank
-        u, d, v = smith_normal_form(rd.cartan_matrix)
-        den = d[k - 1, k - 1]
-        scale = [den // d[t, t] for t in range(k)]
-        cinv = [[sum(v[j, t] * scale[t] * u[t, i] for t in range(k))
-                 for i in range(k)] for j in range(k)]
+        den, cinv = scaled_inverse(rd.cartan_matrix)
         return den, tuple(
-            tuple(sum(rd.simple_coroots[j][e] * cinv[j][i] for j in range(k))
+            tuple(sum(rd.simple_coroots[j][e] * cinv[j, i] for j in range(k))
                   for i in range(k))
             for e in range(rd.rank))
 
@@ -381,17 +371,16 @@ def inner_class_from_perm(rd: RootDatum, perm, coord_perm=None) -> InnerClass:
     a_cols = IntMatrix.from_rows(rd.simple_roots).transpose()
     a_perm = IntMatrix.from_rows([rd.simple_roots[perm[j]]
                                   for j in range(k)]).transpose()
-    n = rd.rank
-    ainv = rational_inverse(a_cols.entries)
-    if ainv is None:
+    inv = scaled_inverse(a_cols)
+    if inv is None:
         raise InvalidInvolution("simple roots are linearly dependent")
-    g_frac = [[sum(a_perm[r, t] * ainv[t][c] for t in range(n))
-               for c in range(n)] for r in range(n)]
-    if any(x.denominator != 1 for row in g_frac for x in row):
+    den, ainv = inv
+    g = a_perm @ ainv
+    if any(x % den for row in g.entries for x in row):
         raise InvalidInvolution(
             "the permutation does not extend to a lattice involution")
-    g = IntMatrix.from_rows([[int(x) for x in row] for row in g_frac])
-    return InnerClass(rd, g)
+    return InnerClass(rd, IntMatrix(tuple(tuple(x // den for x in row)
+                                          for row in g.entries)))
 
 
 def trivial_inner_class(rd: RootDatum) -> InnerClass:

@@ -13,10 +13,122 @@ from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
                     enumerate_form, enumerate_X, fiber_space, grading,
                     strong_real_forms, tits_group, twisted_involutions)
 from liepar.fiber import fiber_frame
-from liepar.intlinalg import (frac_vec, row_reduce, vec_add, vec_dot,
-                              vec_scale, vec_sub)
+from liepar.intlinalg import frac_vec, vec_add, vec_dot, vec_scale
 from liepar.rootdatum import _reflection_closure
 from liepar.weyl import WeylError, _compose, _mat_apply, _mat_mul
+
+
+def vec_sub(a, b) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+# ---------------------------------------------------------------------------
+# reference eliminations: the library solves with the Smith normal form
+# alone; these independent routes check it
+
+
+def row_reduce(rows):
+    """Reduced row echelon form over Q of a matrix given by its rows (int
+    or Fraction entries): (rows as lists of Fraction, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for j in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][j] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][j]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][j] != 0:
+                f = m[i][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(j)
+    return m, tuple(pivots)
+
+
+def rational_inverse(rows):
+    """Inverse over Q of a square matrix given by its rows, as lists of
+    Fraction, by Gauss-Jordan elimination; None when it is singular."""
+    n = len(rows)
+    rref, pivots = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n:] for row in rref]
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q: the pivot count of the reduced echelon form."""
+    return len(row_reduce(rows)[1])
+
+
+def bareiss_det(rows) -> int:
+    """Exact determinant of a square matrix by fraction-free Bareiss
+    elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def rank_mod2(rows) -> int:
+    """Rank over F2 by elimination on the rows reduced mod 2."""
+    m = [[a & 1 for a in row] for row in rows]
+    rank = 0
+    for j in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][j]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def reference_signature(theta):
+    """(a, b) of torus_signature as rank minus F2-rank of 1 - theta and of
+    1 + theta, by the two eliminations above."""
+    n = theta.rows
+    out = []
+    for sign in (-1, 1):
+        rows = [[int(i == j) + sign * theta[i, j] for j in range(n)]
+                for i in range(n)]
+        out.append(rational_rank(rows) - rank_mod2(rows))
+    return tuple(out)
+
+
+def reflection_matrix(rd, root_idx) -> tuple:
+    """Matrix on X of the reflection x -> x - <x, alphav> alpha in a root;
+    its transpose acts on the cocharacters."""
+    a, av = rd.roots[root_idx], rd.coroots[root_idx]
+    return tuple(tuple(int(r == c) - a[r] * av[c] for c in range(rd.rank))
+                 for r in range(rd.rank))
+
+
+def simple_reflection(rd, i) -> tuple:
+    """reflection_matrix of the i-th simple root."""
+    return reflection_matrix(rd, rd.index_of(rd.simple_roots[i]))
 
 
 def simple_coordinates(root, simple_roots):
@@ -43,9 +155,10 @@ def reference_rho(rd) -> tuple:
 
 
 def reference_canonical_form(fs, lam):
-    """The fiber's canonical form of lambda with Fraction arithmetic and
-    V^-1 from an independent inversion of V."""
-    y = fs._v.inverse().apply(frac_vec(lam))
+    """Unique representative of lambda modulo the lattice and the identity
+    component of the theta_v-fixed torus, with Fraction arithmetic and V^-1
+    from an independent inversion of V."""
+    y = _mat_apply(rational_inverse(fs._v.entries), frac_vec(lam))
     y = [Fraction(0) if j in fs._kernel_coords else x % 1
          for j, x in enumerate(y)]
     return RatVecModZ.reduce(fs._v.apply(y))
@@ -247,8 +360,9 @@ def matrix_canonical_word(wg, mat, inv):
         i = next(i for i in range(rd.n_simple) if root_is_negative(
             rd, _mat_apply(mi, rd.simple_roots[i])))
         word.append(i)
-        m = _mat_mul(wg.simple_mats[i], m)
-        mi = _mat_mul(mi, wg.simple_mats[i])
+        s = simple_reflection(rd, i)
+        m = _mat_mul(s, m)
+        mi = _mat_mul(mi, s)
     return tuple(word)
 
 
@@ -309,12 +423,11 @@ def check_grading_transfer(ic):
     """gr_{s x x}(s(beta)) = gr_x(beta) for every imaginary root beta."""
     table = enumerate_X(ic)
     rd = ic.rd
-    wg = ic.weyl
+    smats = [simple_reflection(rd, s) for s in range(ic.n_simple)]
     cases = 0
     for x in table.elements:
-        for s in range(ic.n_simple):
+        for s, smat in enumerate(smats):
             y = cross(s, x)
-            smat = wg.simple_mats[s]
             for b, g in x.grading:
                 img = rd.index_of(_mat_apply(smat, rd.roots[b]))
                 assert grading(y, img) == g
@@ -388,7 +501,7 @@ def _random_reduced_word(wg, w, rng):
                                         _mat_apply(mi, rd.simple_roots[i]))]
         i = rng.choice(descents)
         word.append(i)
-        s = wg.simple_mats[i]
+        s = simple_reflection(rd, i)
         m = _mat_mul(s, m)
         mi = _mat_mul(mi, s)
     return tuple(word)

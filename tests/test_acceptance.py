@@ -232,3 +232,26 @@ def test_library_has_no_unused_imports():
                         "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno} {name}")
     assert found == []
+
+
+def test_library_has_no_unreferenced_definitions():
+    # every module-level function and class is named somewhere in the
+    # library outside its own definition, or is exported in __all__: code
+    # only the tests call belongs in the tests
+    src = Path(liepar.__file__).parent
+    defined = []
+    uses = {}   # name -> set of (file, top-level definition) using it
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = stmt.name
+                defined.append((path.name, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, set()).add((path.name, owner))
+    found = [f"{file}: {name}" for file, name in defined
+             if name not in liepar.__all__
+             and not uses.get(name, set()) - {(file, name)}]
+    assert found == []

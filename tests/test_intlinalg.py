@@ -2,17 +2,16 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepar.intlinalg import (F2Basis, IntMatrix, RatVecModZ, f2_add,
-                              f2_mat_apply, f2_vec, frac_vec, is_integral,
-                              rational_inverse, row_reduce,
+from liepar.intlinalg import (IntMatrix, RatVecModZ, f2_add, f2_vec,
+                              frac_vec, is_integral, scaled_inverse,
                               smith_normal_form,
                               smith_normal_form_with_inverse,
-                              solve_congruence,
-                              torsion_solutions, two_group_quotient, vec_add,
-                              vec_dot, vec_mod1, vec_scale, vec_sub)
+                              solve_congruence, torsion_solutions, vec_add,
+                              vec_dot, vec_mod1, vec_scale)
+from props import (bareiss_det, rank_mod2, rational_inverse, rational_rank,
+                   row_reduce, vec_sub)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -30,46 +29,6 @@ def rect_matrices(nmax=4):
             min_size=rc[0], max_size=rc[0])).map(IntMatrix.from_rows)
 
 
-def _frac_det(m):
-    """Independent determinant oracle: fraction-free is checked against
-    plain rational Gaussian elimination."""
-    n = m.rows
-    a = [[Fraction(m[i, j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    assert det.denominator == 1
-    return int(det)
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_matrices())
-def test_det_matches_rational_elimination(m):
-    assert m.det() == _frac_det(m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(square_matrices())
-def test_inverse_of_unimodular(m):
-    d = m.det()
-    if d not in (1, -1):
-        with pytest.raises(ValueError):
-            m.inverse()
-        return
-    inv = m.inverse()
-    assert m @ inv == IntMatrix.identity(m.rows)
-    assert inv @ m == IntMatrix.identity(m.rows)
-
-
 @settings(max_examples=300, deadline=None)
 @given(rect_matrices())
 def test_smith_form_tracks_v_inverse(m):
@@ -80,17 +39,20 @@ def test_smith_form_tracks_v_inverse(m):
     assert vinv @ v == ident
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(square_matrices())
-def test_rational_inverse(m):
+def test_scaled_inverse_matches_rational_inverse(m):
     inv = rational_inverse(m.entries)
-    if m.det() == 0:
-        assert inv is None
+    scaled = scaled_inverse(m)
+    assert (scaled is None) == (inv is None)
+    if scaled is None:
         return
-    n = m.rows
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)]
-            for row in m.entries] == ident
+    den, n = scaled
+    k = m.rows
+    assert den == smith_normal_form(m)[1][k - 1, k - 1] > 0
+    assert (m @ n).entries == tuple(tuple(den * (i == j) for j in range(k))
+                                    for i in range(k))
+    assert [[Fraction(x, den) for x in row] for row in n.entries] == inv
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,7 +76,8 @@ def test_row_reduce_is_reduced_echelon(m):
 def test_smith_normal_form(m):
     u, d, v = smith_normal_form(m)
     assert u @ m @ v == d
-    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    assert abs(bareiss_det(u.entries)) == 1
+    assert abs(bareiss_det(v.entries)) == 1
     diag = [d[i, i] for i in range(min(d.rows, d.cols))]
     for i in range(d.rows):
         for j in range(d.cols):
@@ -126,13 +89,13 @@ def test_smith_normal_form(m):
         else:
             assert b == 0
     assert all(x >= 0 for x in diag)
-    assert d.rank() == m.rank()
+    assert m.rank() == rational_rank(m.entries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rect_matrices())
 def test_rank_mod2_bounded_by_rank(m):
-    assert 0 <= m.rank_mod2() <= m.rank() <= min(m.rows, m.cols)
+    assert 0 <= rank_mod2(m.entries) <= m.rank() <= min(m.rows, m.cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,7 +148,6 @@ def test_ratvecmodz():
 
 def test_vector_helpers():
     assert vec_add((1, 2), (3, 4)) == (4, 6)
-    assert vec_sub((1, 2), (3, 4)) == (-2, -2)
     assert vec_scale(Fraction(1, 2), (2, 4)) == (1, 2)
     assert vec_dot((1, 2), (3, 4)) == 11
     assert vec_mod1((Fraction(5, 2), Fraction(-1, 3))) == \
@@ -198,17 +160,6 @@ def test_vector_helpers():
 def test_f2_helpers():
     assert f2_vec((3, -2, 5)) == (1, 0, 1)
     assert f2_add((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
-    assert f2_mat_apply(((1, 1), (0, 1)), (1, 1)) == (0, 1)
-
-
-def test_f2_basis_and_quotient():
-    basis = F2Basis([(1, 0, 1), (0, 1, 1), (1, 1, 0)], 3)
-    assert basis.rank == 2
-    assert basis.quotient_dim == 1
-    assert basis.contains((1, 1, 0))
-    assert not basis.contains((1, 0, 0))
-    q = two_group_quotient([(1, 0, 0)], 3)
-    assert q.quotient_dim == 2
 
 
 def test_intmatrix_basics():
@@ -220,6 +171,5 @@ def test_intmatrix_basics():
     assert (-m)[1, 0] == -3
     assert (m @ IntMatrix.identity(2)) == m
     assert m.apply((1, 1)) == (3, 7)
-    assert m.mod2() == ((1, 0), (1, 0))
     assert not m.is_involution()
     assert IntMatrix.identity(3).is_involution()

@@ -30,8 +30,9 @@ from props import (check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, per_tau_torus_coord,
-                   reference_base_grading, reference_delta_signs,
-                   reference_fiber, reference_real_weyl, root_is_negative)
+                   reference_base_grading, reference_canonical_form,
+                   reference_delta_signs, reference_fiber,
+                   reference_real_weyl, root_is_negative, simple_reflection)
 
 
 def rv(*entries):
@@ -356,14 +357,15 @@ def matrix_fold(ic, mat, inv, t, word):
     """sigma_w x_t times the simple lifts along word, on the action
     matrices of w: sigma_w x_t sigma_i = sigma_{w s_i} x_{s_i(t) (+ m_i)},
     with m_i added exactly when w(alpha_i) < 0."""
-    rd, wg = ic.rd, ic.weyl
+    rd = ic.rd
     for i in word:
+        s = simple_reflection(rd, i)
         descent = root_is_negative(rd, _mat_apply(mat, rd.simple_roots[i]))
-        t = tuple(a % 2 for a in _mat_apply(wg.simple_mats_dual[i], t))
+        t = tuple(a % 2 for a in _mat_apply(tuple(zip(*s)), t))
         if descent:
             t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[i]))
-        mat = _mat_mul(mat, wg.simple_mats[i])
-        inv = _mat_mul(wg.simple_mats[i], inv)
+        mat = _mat_mul(mat, s)
+        inv = _mat_mul(s, inv)
     return mat, inv, t
 
 
@@ -371,21 +373,21 @@ def reference_move(x, s, cayley):
     """(tau index, torus coordinate, grading dict) of the cross action
     of sigma_s on x, or of the Cayley transform in alpha_s."""
     ic = x.table.ic
-    rd, wg = ic.rd, ic.weyl
+    rd = ic.rd
     tbl = twisted_involutions(ic)
-    ws = wg.simple(s)
+    smat = simple_reflection(rd, s)
     word = x.tau.w.word if cayley else x.tau.w.word + (ic.diagram_perm[s],)
-    mat, inv, t = matrix_fold(ic, ws.mat, ws.inv, (0,) * rd.rank, word)
+    mat, inv, t = matrix_fold(ic, smat, smat, (0,) * rd.rank, word)
     if not cayley:
         gs = ic.diagram_perm[s]
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
     by_theta = {tau.theta_X: tau.index for tau in tbl.elements}
     tau2 = tbl.elements[by_theta[_mat_mul(mat, ic.gamma_mat)]]
-    lam = _mat_apply(wg.simple_mats_dual[s],
+    lam = _mat_apply(tuple(zip(*smat)),
                      [Fraction(a) for a in x.torus_coord.entries])
     shift = _mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
-    lam2 = fiber_space(tau2, ic).canonical_form(
-        [a + b for a, b in zip(lam, shift)])
+    lam2 = reference_canonical_form(fiber_space(tau2, ic),
+                                    [a + b for a, b in zip(lam, shift)])
     g2 = {}
     for b, g in x.grading:
         if cayley:
@@ -395,7 +397,7 @@ def reference_move(x, s, cayley):
                                                    rd.roots[b]))
                 g2[b] = g ^ (flip in rd.root_index)
         else:
-            img = rd.index_of(_mat_apply(wg.simple_mats[s], rd.roots[b]))
+            img = rd.index_of(_mat_apply(smat, rd.roots[b]))
             g2[img if rd.is_positive(img) else rd.negative_of(img)] = g
     return tau2.index, lam2, g2
 
@@ -418,7 +420,7 @@ def test_square_check_covers_every_element():
     # the search reaches by a Cayley transform and never by a fiber solve
     ic = trivial_inner_class(from_type("A1", "sc"))
     fs = fiber_space(twisted_involutions(ic).elements[1], ic)
-    fs.nu = (fs.nu[0] + Fraction(1, 2),)
+    fs._twice_nu = (fs._twice_nu[0] + 1,)
     with pytest.raises(WeylError,
                        match="square of element 4 does not recompute"):
         enumerate_X(ic)

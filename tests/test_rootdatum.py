@@ -1,12 +1,16 @@
 """Root data: construction, closure, duality, center."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import GRID
 from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
-                    from_type, new_root_datum, parse_type)
-from liepar.intlinalg import vec_dot
-from props import reference_rho, simple_coordinates
+                    WeylGroup, central_fixed_points, from_type,
+                    new_root_datum, parse_type, trivial_inner_class)
+from liepar.intlinalg import IntMatrix, vec_dot
+from props import (reference_rho, reflection_matrix, simple_coordinates,
+                   simple_reflection)
 
 # number of positive roots per simple type
 POS_ROOTS = {
@@ -52,20 +56,27 @@ def test_reflections_permute_roots():
     rd = from_type("B2", "sc")
     root_set = set(rd.roots)
     for i in range(rd.n_simple):
-        m = rd.reflection_X(i)
+        m = IntMatrix(simple_reflection(rd, i))
         assert m.is_involution()
         for r in rd.roots:
             assert tuple(m.apply(r)) in root_set
         # transpose acts on coroots
-        mv = rd.reflection_Xv(i)
+        mv = m.transpose()
         for c in rd.coroots:
             assert tuple(mv.apply(c)) in set(rd.coroots)
 
 
 def test_reflection_for_root_matches_simple():
+    # the reflection matrix of every root, from the root and coroot,
+    # against the Weyl group's matrix read off the root permutation
     rd = from_type("G2", "sc")
+    wg = WeylGroup(rd)
     for k, i in enumerate(rd.simple_indices()):
-        assert rd.reflection_for_root(i) == rd.reflection_X(k)
+        assert reflection_matrix(rd, i) == simple_reflection(rd, k) == \
+            wg.simple(k).mat
+    for i in range(len(rd.roots)):
+        assert reflection_matrix(rd, i) == \
+            wg.lattice_matrix(wg.reflection_perm(i))
 
 
 def test_heights_and_positivity():
@@ -125,15 +136,17 @@ def test_dual():
 
 
 def test_center_torsion():
-    assert from_type("A1", "sc").center_torsion().order == 2
-    assert from_type("A1", "ad").center_torsion().order == 1
-    assert from_type("A2", "sc").center_torsion().order == 3
-    assert from_type("A3", "sc").center_torsion().order == 4
-    assert from_type("C2", "sc").center_torsion().order == 2
-    assert from_type("G2", "sc").center_torsion().order == 1
-    ct = from_type("A3", "sc").center_torsion()
-    elems = ct.elements()
-    assert len(elems) == 4
+    # the finite center: the central elements fixed by the trivial twist
+    def center(t, iso):
+        return central_fixed_points(trivial_inner_class(from_type(t, iso)))
+
+    for (t, iso), order in [(("A1", "sc"), 2), (("A1", "ad"), 1),
+                            (("A2", "sc"), 3), (("A3", "sc"), 4),
+                            (("C2", "sc"), 2), (("G2", "sc"), 1)]:
+        assert len(center(t, iso)) == order
+    elems = center("A3", "sc")
+    assert [e.entries for e in elems] == sorted(
+        tuple(Fraction(k * c, 4) % 1 for c in (1, 2, 3)) for k in range(4))
 
 
 def test_infinite_type_rejected():
@@ -148,6 +161,15 @@ def test_bad_input_rejected():
         new_root_datum([(1, 0)], [(1, 0)])  # pairing 1, not 2
     with pytest.raises(Exception):
         new_root_datum([(2, 0), (2, 0)], [(1, 0), (1, 0)])  # dependent
+
+
+def test_dependent_simple_roots_rejected():
+    # affine A2 in a rank-3 lattice: a Cartan matrix that passes the entry
+    # checks, on three simple roots that span a plane
+    with pytest.raises(NotACartanMatrix,
+                       match="simple roots are linearly dependent"):
+        new_root_datum([(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+                       [(2, -1, 0), (-1, 2, 0), (-1, -1, 0)])
 
 
 def test_torus_factor():

@@ -7,7 +7,7 @@ import pytest
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import TitsElt, tits_group
 from liepar.intlinalg import f2_add, f2_vec
-from props import check_tits_lifts
+from props import check_tits_lifts, reflection_matrix
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
@@ -85,7 +85,7 @@ def test_sigma_for_root(t, iso, tw):
             continue
         sig = tg.sigma_for_root(i)
         # it lifts the reflection in the root
-        assert sig.w.mat == rd.reflection_for_root(i).entries
+        assert sig.w.mat == reflection_matrix(rd, i)
         # and squares to x_{m_alpha}, as an element of the root SL(2)
         sq = tg.multiply(sig, sig)
         assert not sq.w.word

@@ -10,11 +10,12 @@ import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
                     cartan_classes, enumerate_X, from_type,
-                    inner_class_from_perm, real_weyl, trivial_inner_class,
-                    twisted_involutions)
+                    inner_class_from_perm, new_root_datum, real_weyl,
+                    trivial_inner_class, twisted_involutions)
 from liepar.weyl import _compose, _mat_apply, _mat_mul, subsystem_order
 from props import (matrix_canonical_word, perm_closure,
-                   reference_classification, root_is_negative)
+                   reference_classification, root_is_negative,
+                   simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -100,6 +101,15 @@ def test_act_Xv_is_contragredient():
             rhs = vec_dot(rd.roots[i], wg.act_Xv(wg.inverse(w),
                                                  rd.coroots[i]))
             assert lhs == rhs
+
+
+def test_perm_that_does_not_preserve_the_lattice_is_rejected():
+    # A1 x A1 with alpha_1 / 2 in X but not alpha_2 / 2: swapping the
+    # simple roots is no automorphism of X
+    rd = new_root_datum([(2, 0), (0, 1)], [(1, 0), (0, 2)])
+    with pytest.raises(InvalidInvolution,
+                       match="does not extend to a lattice involution"):
+        inner_class_from_perm(rd, (1, 0))
 
 
 def test_inner_class_validation():
@@ -404,7 +414,7 @@ def word_matrix(wg, word):
     n = wg.rd.rank
     m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for i in word:
-        m = _mat_mul(m, wg.simple_mats[i])
+        m = _mat_mul(m, simple_reflection(wg.rd, i))
     return m
 
 
