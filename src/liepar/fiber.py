@@ -10,8 +10,11 @@ taken modulo the identity component of the fixed torus.  The solution
 set, when nonempty, is a torsor under an F2 vector space (the fiber
 group) read off from the Smith normal form U (1 + theta_v) V = diag(d).
 The solutions are computed in integer coordinates y = D V^-1 lambda mod
-D, with V^-1 kept by the Smith form itself, and lambda is formed from y
-only for output (FiberSpace.torus_coord).
+D, with V^-1 kept by the Smith form itself, from the central square as
+the integers D z mod D (RatVecModZ.scaled); rationals appear only at the
+output edge, where lambda is formed from y (FiberSpace.torus_coord).
+The central squares themselves are enumerated as integers over one
+denominator, read off one Smith form (central_fixed_points).
 
 The cross action of s is a bijection from the fiber over tau to the
 fiber over s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s
@@ -30,13 +33,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import lcm
 
 from .intlinalg import (IntMatrix, RatVecModZ, smith_normal_form,
-                        smith_normal_form_with_inverse, torsion_solutions,
-                        vec_add, vec_scale)
+                        smith_normal_form_with_inverse)
 from .tits import TitsGroup
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _mat_apply,
                    cartan_classes, cartan_index, twisted_involutions)
@@ -65,19 +66,21 @@ def theta_matrix(tau: TwistedInvolution, ic: InnerClass) -> IntMatrix:
     return IntMatrix(tau.theta_X).transpose()
 
 
+def _signature(diag) -> TorusSignature:
+    """The signature from the invariant factors of 1 + theta on the
+    cocharacters: a 2 is a compact circle, a 1 with a 0 a complex pair,
+    every other 0 a split factor."""
+    b, c = diag.count(2), diag.count(1)
+    return TorusSignature(len(diag) - b - 2 * c, b, c)
+
+
 def torus_signature(theta: IntMatrix) -> TorusSignature:
-    """a and b count the invariant factors 2 of 1 - theta and of 1 + theta
-    (those of 1 +- theta lie in {0, 1, 2})."""
+    """The signature read off one Smith form of 1 + theta."""
     n = theta.rows
     if not theta.is_involution():
         raise NotAnInvolution("matrix is not an involution")
-    ident = IntMatrix.identity(n)
-    a, b = (sum(1 for j in range(n) if d[j, j] == 2)
-            for d in (smith_normal_form(ident - theta)[1],
-                      smith_normal_form(ident + theta)[1]))
-    if (n - a - b) % 2:
-        raise NotAnInvolution("inconsistent involution signature")
-    return TorusSignature(a, b, (n - a - b) // 2)
+    d = smith_normal_form(IntMatrix.identity(n) + theta)[1]
+    return _signature(tuple(d[j, j] for j in range(n)))
 
 
 def tits_group(ic: InnerClass) -> TitsGroup:
@@ -106,7 +109,9 @@ def nu_tau(tau: TwistedInvolution, ic: InnerClass) -> tuple:
 def central_fixed_points(ic: InnerClass):
     """All central torus elements fixed by the twist, sorted; raises
     InfiniteCenterFixedPoints when they form a positive-dimensional
-    torus (twist-fixed central torus factor)."""
+    torus (twist-fixed central torus factor).  With U M V = diag(d) for
+    M = [simple roots; 1 - gamma_v], they are the sums of c_j V e_j / d_j,
+    0 <= c_j < d_j, formed as integers mod the largest factor den."""
     if 'central_fixed' in ic._cache:
         return ic._cache['central_fixed']
     rd = ic.rd
@@ -115,17 +120,18 @@ def central_fixed_points(ic: InnerClass):
     rows = [list(a) for a in rd.simple_roots]
     for i in range(n):
         rows.append([(1 if i == j else 0) - gamma_v[i][j] for j in range(n)])
-    factors, gens, kernel_dim = torsion_solutions(IntMatrix.from_rows(rows))
-    if kernel_dim > 0:
+    _, d, v = smith_normal_form(IntMatrix.from_rows(rows))
+    den = d[n - 1, n - 1] if n else 1
+    if den == 0:
         raise InfiniteCenterFixedPoints(
             "the twist fixes a central torus; central squares are not finite")
-    elts = set()
-    for combo in product(*(range(d) for d in factors)):
-        v = tuple(Fraction(0) for _ in range(n))
-        for c, g in zip(combo, gens):
-            v = vec_add(v, vec_scale(Fraction(c), g))
-        elts.add(RatVecModZ.reduce(v))
-    out = tuple(sorted(elts, key=lambda e: e.entries))
+    points = [(0,) * n]
+    for j in range(n):
+        step = den // d[j, j]
+        gen = tuple(step * x for x in v.col(j))
+        points = [tuple((a + c * g) % den for a, g in zip(p, gen))
+                  for p in points for c in range(d[j, j])]
+    out = tuple(RatVecModZ.from_scaled(y, den) for y in sorted(points))
     ic._cache['central_fixed'] = out
     return out
 
@@ -158,12 +164,8 @@ class FiberSpace:
         self._twice_nu = _twice_nu(tau, ic)
 
     @property
-    def nu(self) -> tuple:
-        return tuple(Fraction(x, 2) for x in self._twice_nu)
-
-    @cached_property
     def signature(self) -> TorusSignature:
-        return torus_signature(self.theta_v)
+        return _signature(self._diag)
 
     @property
     def fiber_rank(self) -> int:
@@ -174,8 +176,7 @@ class FiberSpace:
         is not divisible by scale: then nothing lies over z.  scale is
         even and a multiple of every denominator of z."""
         half = scale // 2
-        w = [x.numerator * (scale // x.denominator) - half * t
-             for x, t in zip(z.entries, self._twice_nu)]
+        w = [x - half * t for x, t in zip(z.scaled(scale), self._twice_nu)]
         uw = self._u.apply(w)
         if any(uw[j] % scale for j in self._kernel_coords):
             return None
@@ -183,15 +184,14 @@ class FiberSpace:
 
     def solvable(self, z: RatVecModZ) -> bool:
         """Whether the fiber over central square z is nonempty."""
-        scale = 2 * lcm(*(x.denominator for x in z.entries))
-        return self._shifted(z, scale) is not None
+        return self._shifted(z, 2 * z.order) is not None
 
     def coordinates(self, z: RatVecModZ, denom: int) -> tuple:
         """All solutions over z as integer tuples y = denom V^-1 lambda mod
         denom, base point first, then in binary fiber order; () when
-        nothing lies over z.  denom is a multiple of 2 lcm(2, denominators
-        of z).  The base point has the lex-least V y mod denom, that is
-        the lex-least lambda in [0, 1)^n."""
+        nothing lies over z.  denom is a multiple of 2 lcm(2, order of z).
+        The base point has the lex-least V y mod denom, that is the
+        lex-least lambda in [0, 1)^n."""
         uw = self._shifted(z, denom)
         if uw is None:
             return ()
@@ -212,19 +212,13 @@ class FiberSpace:
 
     def torus_coord(self, y, denom: int) -> RatVecModZ:
         """lambda = V y / denom mod the lattice."""
-        return RatVecModZ(tuple(Fraction(x % denom, denom)
-                                for x in self._v.apply(y)))
+        return RatVecModZ.from_scaled(self._v.apply(y), denom)
 
     def elements(self, z: RatVecModZ):
         """All solutions over z, base point first, in binary fiber order."""
-        denom = 2 * lcm(2, *(x.denominator for x in z.entries))
+        denom = 2 * lcm(2, z.order)
         return tuple(self.torus_coord(y, denom)
                      for y in self.coordinates(z, denom))
-
-    def base_point(self, z: RatVecModZ):
-        """Canonical (lex-least) solution over z, or None."""
-        elts = self.elements(z)
-        return elts[0] if elts else None
 
 
 def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:

@@ -1,19 +1,19 @@
-"""Exact integer / rational lattice linear algebra.
+"""Exact integer lattice linear algebra.
 
-Everything here is arbitrary precision: matrices over the integers,
-vectors over Fraction and mod 2.  The module has one elimination, the
-Smith normal form; rank, inverse and congruence solving all read it.  No
-floating point is used anywhere in the package.
+Everything here is arbitrary precision: matrices and vectors over the
+integers, and vectors mod 2.  The module has one elimination, the Smith
+normal form; rank and inverse read it.  A torus element of finite order
+is held inside the package as an integer vector D z mod D; RatVecModZ,
+its Fraction form, is built only for output.  No floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
-
-
-Vec = tuple  # tuple of int or Fraction
 
 
 @dataclass(frozen=True)
@@ -219,34 +219,12 @@ def smith_normal_form_with_inverse(m: IntMatrix):
             IntMatrix.from_rows(v), IntMatrix.from_rows(vinv))
 
 
-# ---------------------------------------------------------------------------
-# rational vectors mod Z^n
-
-
-def frac_vec(v: Sequence) -> tuple:
-    return tuple(Fraction(x) for x in v)
-
-
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, v: Sequence) -> tuple:
-    return tuple(c * x for x in v)
-
-
 def vec_dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_mod1(v: Sequence) -> tuple:
-    """Reduce each coordinate into [0, 1)."""
-    return tuple(Fraction(x) - (Fraction(x).numerator // Fraction(x).denominator)
-                 for x in v)
-
-
-def is_integral(v: Sequence) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+# ---------------------------------------------------------------------------
+# rational vectors mod Z^n
 
 
 @dataclass(frozen=True)
@@ -254,27 +232,37 @@ class RatVecModZ:
     """A rational vector with every entry reduced into [0, 1).
 
     Coordinates of a finite-order torus element exp(2*pi*i*lambda),
-    lambda in the cocharacter lattice tensor Q, modulo the lattice.
+    lambda in the cocharacter lattice tensor Q, modulo the lattice: the
+    output form of the integer vector scaled(D) = D lambda mod D.
     """
 
     entries: tuple
 
     @staticmethod
     def reduce(v: Sequence) -> "RatVecModZ":
-        return RatVecModZ(vec_mod1(frac_vec(v)))
+        return RatVecModZ(tuple(Fraction(x) % 1 for x in v))
+
+    @staticmethod
+    def from_scaled(y: Sequence, den: int) -> "RatVecModZ":
+        """The vector y / den mod the lattice, for integers y."""
+        return RatVecModZ(tuple(Fraction(x % den, den) for x in y))
+
+    def scaled(self, den: int) -> tuple:
+        """den z as integers; den is a multiple of the order."""
+        return tuple(x.numerator * (den // x.denominator)
+                     for x in self.entries)
 
     def __add__(self, other: "RatVecModZ") -> "RatVecModZ":
-        return RatVecModZ.reduce(vec_add(self.entries, other.entries))
+        return RatVecModZ.reduce(x + y for x, y in
+                                 zip(self.entries, other.entries))
 
     def __neg__(self) -> "RatVecModZ":
-        return RatVecModZ.reduce(tuple(-x for x in self.entries))
+        return RatVecModZ.reduce(-x for x in self.entries)
 
     @property
     def order(self) -> int:
         """Order as an element of (Q/Z)^n."""
-        from math import lcm
-        return lcm(*(Fraction(x).denominator for x in self.entries)) \
-            if self.entries else 1
+        return lcm(*(x.denominator for x in self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -287,51 +275,3 @@ def f2_vec(v: Sequence) -> tuple:
 
 def f2_add(a: Sequence, b: Sequence) -> tuple:
     return tuple((x ^ y) for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
-# lattice congruences: solve M @ x = c (mod Z^m) over the rationals
-
-
-def solve_congruence(m: IntMatrix, c: Sequence):
-    """One rational solution x of m @ x = c mod Z^rows, or None.
-
-    c may have rational entries; the solution is any x in Q^cols with
-    m @ x - c integral.
-    """
-    u, d, v = smith_normal_form(m)
-    uc = u.apply(frac_vec(c))
-    y = [Fraction(0)] * m.cols
-    r = min(m.rows, m.cols)
-    for i in range(m.rows):
-        di = d[i, i] if i < r else 0
-        if di == 0:
-            if i < len(uc) and Fraction(uc[i]).denominator != 1:
-                return None
-        else:
-            y[i] = Fraction(uc[i]) / di
-    return v.apply(y)
-
-
-def torsion_solutions(m: IntMatrix):
-    """Structure of {x in Q^n / Z^n : m @ x integral}.
-
-    Returns (invariant_factors, generators, kernel_dim): the torsion
-    part is the direct sum of Z/d for the listed d > 1 with the given
-    generating vectors (reduced mod 1); kernel_dim counts the free
-    rational directions (solutions form a torus iff kernel_dim > 0).
-    """
-    u, d, v = smith_normal_form(m)
-    n = m.cols
-    r = min(m.rows, m.cols)
-    factors = []
-    gens = []
-    kernel_dim = 0
-    for j in range(n):
-        dj = d[j, j] if j < r else 0
-        if dj == 0:
-            kernel_dim += 1
-        elif dj > 1:
-            factors.append(dj)
-            gens.append(vec_mod1(vec_scale(Fraction(1, dj), v.col(j))))
-    return factors, gens, kernel_dim

@@ -28,9 +28,11 @@ imaginary roots of each tau's root classification are read.  The seeds
 are formed in the same integer coordinates: the solutions over each
 central square on the distinguished fiber come from
 FiberSpace.coordinates, and their grading bits from the integer
-pairings (beta V) . y of the imaginary roots beta.  The search builds no
-Fraction; KGBElt.torus_coord forms lambda from y in tau's own Smith
-coordinates on first read.
+pairings (beta V) . y of the imaginary roots beta.  The central squares
+enter as the integers D z mod D (RatVecModZ.scaled), so the search builds
+no Fraction: rationals appear only at the output edge, where
+KGBElt.torus_coord forms lambda from y in tau's own Smith coordinates on
+first read.
 
 The real Weyl group W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) of x
 enumerates no subgroup of W: |W_i|, |W_r| and |W_C^theta| = sqrt
@@ -42,15 +44,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
-from .intlinalg import (IntMatrix, RatVecModZ, frac_vec, is_integral,
-                        solve_congruence, vec_dot)
+from .intlinalg import IntMatrix, RatVecModZ, smith_normal_form, vec_dot
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
                    _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
                    cartan_index, twisted_involutions)
@@ -134,9 +134,6 @@ class KGBTable:
 
     def __len__(self):
         return len(self.elements)
-
-    def element(self, i: int) -> KGBElt:
-        return self.elements[i]
 
     def cayley_down_ids(self, s: int, xid: int):
         return tuple(sorted(self._down.get((s, xid), ())))
@@ -329,16 +326,20 @@ def _simple_positions(ic, tau_idx) -> tuple:
 # enumeration
 
 
-def _validate_square(ic, z: RatVecModZ):
-    rd = ic.rd
-    v = frac_vec(z.entries)
-    for a in rd.simple_roots:
-        if vec_dot(a, v).denominator != 1:
-            raise ValueError("square is not central")
-    img = _mat_apply(ic.gamma_mat_dual, v)
-    if not is_integral(tuple(x - y for x, y in zip(v, img))):
+def _validate_square(ic, z: RatVecModZ) -> RatVecModZ:
+    """z reduced mod the lattice, after checking its length and, on the
+    integers D z, that it is central and fixed by the twist."""
+    if len(z.entries) != ic.rank:
+        raise ValueError(f"square needs {ic.rank} coordinates, "
+                         f"got {len(z.entries)}")
+    den = z.order
+    y = z.scaled(den)
+    if any(vec_dot(a, y) % den for a in ic.rd.simple_roots):
+        raise ValueError("square is not central")
+    if any((x - g) % den
+           for x, g in zip(y, _mat_apply(ic.gamma_mat_dual, y))):
         raise ValueError("square is not fixed by the twist")
-    return RatVecModZ.reduce(v)
+    return RatVecModZ.from_scaled(y, den)
 
 
 def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
@@ -359,7 +360,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
 
     # fiber coordinates y = denom * V^-1 lambda are integers mod denom:
     # denom clears the denominators of every solution over the squares
-    denom = 2 * lcm(2, *(x.denominator for z in squares for x in z.entries))
+    denom = 2 * lcm(2, *(z.order for z in squares))
     taus, ys, sqs, grads = [], [], [], []
     key_index = {}
     log = []
@@ -435,8 +436,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 for t, g in zip(taus, grads)]
     # sanity: squares recompute, lengths nondecreasing
     square_rows = {t: _square_map(ic, t, denom) for t in set(taus)}
-    square_ints = [tuple(x.numerator * (denom // x.denominator) % denom
-                         for x in z.entries) for z in squares]
+    square_ints = [z.scaled(denom) for z in squares]
     for i in range(n):
         if tuple((sum(map(mul, row, ys[i])) + c) % denom
                  for row, c in square_rows[taus[i]]) != square_ints[sqs[i]]:
@@ -648,25 +648,27 @@ class ReducedSpace:
 
 def reduced_space(ic: InnerClass) -> ReducedSpace:
     """The reduced space: one X(z) slice per class of central squares
-    modulo the subgroup {zeta delta(zeta)}."""
+    modulo the subgroup {zeta delta(zeta)}.  With U M V = diag(d) for
+    M = [1 + gamma_v; simple roots], z1 - z2 = (1 + gamma_v) zeta for a
+    central zeta exactly when every row j of U whose invariant factor is
+    0 (j < n with d_j = 0, and every j >= n) maps D (z1 - z2) to 0 mod D;
+    those rows, applied to D z, key the classes."""
     rd = ic.rd
     n = rd.rank
     zg = central_fixed_points(ic)
     rows = [[(1 if i == j else 0) + ic.gamma_mat_dual[i][j]
              for j in range(n)] for i in range(n)]
     rows += [list(a) for a in rd.simple_roots]
-    m = IntMatrix.from_rows(rows)
-
-    def equivalent(z1, z2):
-        diff = tuple(a - b for a, b in zip(z1.entries, z2.entries))
-        target = tuple(diff) + tuple(Fraction(0) for _ in rd.simple_roots)
-        return solve_congruence(m, target) is not None
-
-    z0 = []
+    u, d, _ = smith_normal_form(IntMatrix.from_rows(rows))
+    zero_rows = [u.row(j)[:n] for j in range(u.rows)
+                 if j >= n or d[j, j] == 0]
+    den = lcm(*(z.order for z in zg))
+    classes = {}
     for z in zg:
-        if not any(equivalent(z, w) for w in z0):
-            z0.append(z)
+        y = z.scaled(den)
+        classes.setdefault(tuple(vec_dot(r, y) % den for r in zero_rows), z)
+    z0 = tuple(classes.values())
     table = enumerate_X(ic)
     slices = {z: tuple(x.id for x in table.elements if x.square == z)
               for z in z0}
-    return ReducedSpace(tuple(z0), slices)
+    return ReducedSpace(z0, slices)

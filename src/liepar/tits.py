@@ -45,9 +45,6 @@ class TitsGroup:
     def m_alpha(self, root_idx: int) -> tuple:
         return f2_vec(self.rd.coroots[root_idx])
 
-    def torus_elt(self, t) -> TitsElt:
-        return TitsElt(self.weyl.identity, f2_vec(t))
-
     def canonical_lift(self, w: WeylElt) -> TitsElt:
         return TitsElt(w, self.zero)
 
@@ -85,11 +82,6 @@ class TitsGroup:
             if ascent:
                 u = f2_add(u, f2_vec(self.rd.coroots[perm[b]]))
         return perm, u
-
-    def mult_by_simple_right(self, a: TitsElt, i: int) -> TitsElt:
-        """a . sigma_i, renormalized."""
-        perm, t = self.fold(a.w.perm, a.t, (i,))
-        return TitsElt(self.weyl.from_perm(perm), t)
 
     def multiply(self, a: TitsElt, b: TitsElt) -> TitsElt:
         perm, t = self.fold(a.w.perm, a.t, b.w.word)

@@ -210,39 +210,10 @@ class WeylGroup:
     def from_perm(self, perm, inv=None) -> WeylElt:
         return WeylElt(self.canonical_word(perm, inv), perm, self)
 
-    def from_matrix(self, mat) -> WeylElt:
-        """The element with the given action matrix on X, found from the
-        images of the roots."""
-        rd = self.rd
-        perm = tuple(rd.root_index.get(_mat_apply(mat, r)) for r in rd.roots)
-        if None in perm:
-            raise WeylError("matrix does not permute the roots")
-        w = self.from_perm(perm)
-        if w.mat != tuple(map(tuple, mat)):
-            raise WeylError("matrix is not a Weyl group element")
-        return w
-
-    def from_word(self, word) -> WeylElt:
-        perm = self.identity.perm
-        for i in word:
-            perm = self.times_simple[i](perm)
-        return self.from_perm(perm)
-
     # -- group operations -------------------------------------------------
-
-    def mult(self, a: WeylElt, b: WeylElt) -> WeylElt:
-        return self.from_perm(_compose(a.perm, b.perm))
 
     def inverse(self, a: WeylElt) -> WeylElt:
         return self.from_perm(a.inv_perm)
-
-    def act_root(self, a: WeylElt, root_idx: int) -> int:
-        return a.perm[root_idx]
-
-    def act_Xv(self, a: WeylElt, v):
-        """Action of a on the cocharacter lattice Xv (the transposed
-        inverse)."""
-        return _mat_apply(tuple(zip(*a.inv)), v)
 
     def longest_element(self) -> WeylElt:
         if self._longest is None:
@@ -261,21 +232,6 @@ class WeylGroup:
         """|W| by subsystem_order."""
         return subsystem_order(self.rd, self.simple_idx,
                                range(self.n_pos, len(self.rd.roots)))
-
-    def all_elements(self, cap: int = 2 * 10 ** 6):
-        """Brute-force enumeration of W (test oracle)."""
-        seen = {self.identity.perm: self.identity}
-        queue = [self.identity]
-        while queue:
-            w = queue.pop()
-            for step in self.times_simple:
-                nxt = step(w.perm)
-                if nxt not in seen:
-                    seen[nxt] = self.from_perm(nxt)
-                    queue.append(seen[nxt])
-                    if len(seen) > cap:
-                        raise WeylError("brute-force enumeration exceeds cap")
-        return list(seen.values())
 
 
 # ---------------------------------------------------------------------------
@@ -346,24 +302,15 @@ class InnerClass:
         return self._dual
 
 
-def inner_class_from_perm(rd: RootDatum, perm, coord_perm=None) -> InnerClass:
-    """Inner class from a permutation of the simple roots.
-
-    For semisimple data the lattice involution is solved for exactly;
-    otherwise coord_perm (a permutation of the standard coordinates
-    realizing gamma) must be supplied.
-    """
+def inner_class_from_perm(rd: RootDatum, perm) -> InnerClass:
+    """Inner class of a semisimple datum from a permutation of the simple
+    roots: the lattice involution is solved for exactly."""
     perm = tuple(perm)
     k = rd.n_simple
     if sorted(perm) != list(range(k)):
         raise InvalidInvolution("not a permutation of the simple indices")
     if any(perm[perm[i]] != i for i in range(k)):
         raise InvalidInvolution("permutation is not an involution")
-    if coord_perm is not None:
-        n = rd.rank
-        g = IntMatrix.from_rows([[1 if coord_perm[j] == i else 0
-                                  for j in range(n)] for i in range(n)])
-        return InnerClass(rd, g)
     if k != rd.rank:
         raise InvalidInvolution(
             "non-semisimple datum: supply the lattice involution explicitly")
@@ -410,11 +357,6 @@ class RootClassification:
     def re_pos(self) -> tuple:
         """Positive real root indices."""
         return self._pos('r')
-
-    @cached_property
-    def cx_pos(self) -> tuple:
-        """Positive complex root indices."""
-        return self._pos('C')
 
     @cached_property
     def im_simples(self) -> tuple:

@@ -10,11 +10,11 @@ irreducible representations at regular integral infinitesimal character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
-from .kgb import KGBElt, cartans_for, enumerate_X, real_weyl
+from .kgb import (KGBElt, _validate_square, cartans_for, enumerate_X,
+                  real_weyl)
 from .rootdatum import from_type
 from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
                    cartan_classes, cartan_index, trivial_inner_class,
@@ -113,12 +113,13 @@ def count_z_blocks(ic: InnerClass, restrict_x_square=None,
     total number of pairs, without enumerating elements.  Both sizes are
     Cartan-class invariants (dual_tau maps a class onto a class), so they
     are computed once per class, at its representative, and the per-tau
-    rows are lookups."""
+    rows are lookups.  A restrict square is checked as enumerate_X
+    checks its squares."""
     dic = ic.dual
-    xs = (restrict_x_square,) if restrict_x_square is not None \
-        else central_fixed_points(ic)
-    ys = (restrict_y_square,) if restrict_y_square is not None \
-        else central_fixed_points(dic)
+    xs = (_validate_square(ic, restrict_x_square),) \
+        if restrict_x_square is not None else central_fixed_points(ic)
+    ys = (_validate_square(dic, restrict_y_square),) \
+        if restrict_y_square is not None else central_fixed_points(dic)
     tbl = twisted_involutions(ic)
     per_class = []
     for c in cartan_classes(ic):
@@ -138,11 +139,10 @@ def sp2n_count(n: int) -> int:
     x^2 = -I and y^2 = I."""
     ic = trivial_inner_class(from_type(f"C{n}", "sc"))
     zg = central_fixed_points(ic)
-    minus = [z for z in zg if any(a != 0 for a in z.entries)]
+    minus = [z for z in zg if any(z.entries)]
     if len(minus) != 1:
         raise ValueError("expected a center of order 2")
-    n_rank = ic.dual.rank
-    plus = RatVecModZ.reduce(tuple(Fraction(0) for _ in range(n_rank)))
+    plus = RatVecModZ.reduce((0,) * ic.dual.rank)
     _, total = count_z_blocks(ic, restrict_x_square=minus[0],
                               restrict_y_square=plus)
     return total

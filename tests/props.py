@@ -11,15 +11,121 @@ from operator import itemgetter
 from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
                     cayley_down, cayley_up, cross, cross_by_word, dual_tau,
                     enumerate_form, enumerate_X, fiber_space, grading,
-                    strong_real_forms, tits_group, twisted_involutions)
+                    nu_tau, strong_real_forms, tits_group,
+                    twisted_involutions)
 from liepar.fiber import fiber_frame
-from liepar.intlinalg import frac_vec, vec_add, vec_dot, vec_scale
+from liepar.intlinalg import vec_dot
 from liepar.rootdatum import _reflection_closure
 from liepar.weyl import WeylError, _compose, _mat_apply, _mat_mul
 
 
+def frac_vec(v) -> tuple:
+    return tuple(Fraction(x) for x in v)
+
+
+def vec_add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def vec_sub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_scale(c, v) -> tuple:
+    return tuple(c * x for x in v)
+
+
+# ---------------------------------------------------------------------------
+# Weyl group routes the library does not take: brute-force enumeration,
+# words, products and action matrices read back as elements
+
+
+def all_elements(wg, cap: int = 2 * 10 ** 6):
+    """Brute-force enumeration of W by root permutations."""
+    seen = {wg.identity.perm: wg.identity}
+    queue = [wg.identity]
+    while queue:
+        w = queue.pop()
+        for step in wg.times_simple:
+            nxt = step(w.perm)
+            if nxt not in seen:
+                seen[nxt] = wg.from_perm(nxt)
+                queue.append(seen[nxt])
+                if len(seen) > cap:
+                    raise WeylError("brute-force enumeration exceeds cap")
+    return list(seen.values())
+
+
+def from_word(wg, word):
+    """The element with the given word, folded on root permutations."""
+    perm = wg.identity.perm
+    for i in word:
+        perm = wg.times_simple[i](perm)
+    return wg.from_perm(perm)
+
+
+def mult(wg, a, b):
+    return wg.from_perm(_compose(a.perm, b.perm))
+
+
+def from_matrix(wg, mat):
+    """The element with the given action matrix on X, found from the
+    images of the roots and checked against its own matrix."""
+    rd = wg.rd
+    perm = tuple(rd.root_index.get(_mat_apply(mat, r)) for r in rd.roots)
+    assert None not in perm, "matrix does not permute the roots"
+    w = wg.from_perm(perm)
+    assert w.mat == tuple(map(tuple, mat)), "not a Weyl group element"
+    return w
+
+
+def act_Xv(w, v):
+    """Action of w on the cocharacters: the transposed inverse."""
+    return _mat_apply(tuple(zip(*w.inv)), v)
+
+
+# ---------------------------------------------------------------------------
+# central squares by brute force: the library reads them off one Smith
+# form each
+
+
+def _scan(ic, n_scan):
+    """The central points x of (1/N)Z^n / Z^n, N = n_scan, and those
+    among them with (1 - gamma_v) x integral, as integer tuples N x: the
+    x with every alpha . x integral, found by trying every point."""
+    rd = ic.rd
+    g = ic.gamma_mat_dual
+    center = [x for x in product(range(n_scan), repeat=rd.rank)
+              if all(vec_dot(a, x) % n_scan == 0 for a in rd.simple_roots)]
+    fixed = [x for x in center
+             if all(c % n_scan == 0 for c in vec_sub(x, _mat_apply(g, x)))]
+    return center, fixed
+
+
+def _unscale(x, n_scan):
+    return RatVecModZ.reduce([Fraction(c, n_scan) for c in x])
+
+
+def reference_central_points(ic, n_scan):
+    """central_fixed_points by the scan; N must be a multiple of the
+    exponent of the answer."""
+    return tuple(_unscale(x, n_scan) for x in _scan(ic, n_scan)[1])
+
+
+def reference_reduced_z0(ic, n_scan):
+    """reduced_space(ic).z0 by the same scan: the first twist-fixed
+    central point of each coset of {(1 + gamma_v) zeta : zeta central},
+    N a multiple of the exponents of the fixed points and of the zeta."""
+    center, fixed = _scan(ic, n_scan)
+    g = ic.gamma_mat_dual
+    image = {tuple(c % n_scan for c in vec_add(x, _mat_apply(g, x)))
+             for x in center}
+    z0 = []
+    for x in fixed:
+        if not any(tuple(c % n_scan for c in vec_sub(x, w)) in image
+                   for w in z0):
+            z0.append(x)
+    return tuple(_unscale(x, n_scan) for x in z0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +275,7 @@ def reference_fiber(fs, z):
     V (U (z - nu))_j / d_j, its 2^rank translates by the halves of the
     d_j = 2 columns of V, each in canonical form; the lex-least is the
     base point and the list starts from it in binary fiber order."""
-    uc = fs._u.apply(vec_sub(frac_vec(z.entries), fs.nu))
+    uc = fs._u.apply(vec_sub(frac_vec(z.entries), nu_tau(fs.tau, fs.ic)))
     if any(uc[j].denominator != 1 for j in fs._kernel_coords):
         return ()
     lam0 = fs._v.apply([Fraction(0) if dj == 0 else x / dj
@@ -260,7 +366,7 @@ def per_tau_torus_coord(x):
 
 
 def reference_classification(tau, rd):
-    """The eight fields of a root classification, all computed at once
+    """The seven fields of a root classification, all computed at once
     from the matrix of theta on X: the eager route the lazy fields
     replaced."""
     status = []
@@ -287,7 +393,7 @@ def reference_classification(tau, rd):
                     and vec_dot(rho_i, rd.coroots[i]) == 0
                     and vec_dot(rd.roots[i], rhov_r) == 0)
     return {"status": status, "im_pos": im_pos, "re_pos": re_pos,
-            "cx_pos": pos('C'), "im_simples": subsystem_simples(im_pos),
+            "im_simples": subsystem_simples(im_pos),
             "re_simples": subsystem_simples(re_pos), "deltaC": delta_c,
             "deltaC_simples": subsystem_simples(
                 tuple(i for i in delta_c if rd.is_positive(i)))}
@@ -371,7 +477,8 @@ def square_of(ic, tau_idx, lam):
     with Fraction arithmetic."""
     fs = fiber_space(twisted_involutions(ic).elements[tau_idx], ic)
     v = frac_vec(lam)
-    return RatVecModZ.reduce(vec_add(vec_add(v, fs.theta_v.apply(v)), fs.nu))
+    return RatVecModZ.reduce(vec_add(vec_add(v, fs.theta_v.apply(v)),
+                                     nu_tau(fs.tau, ic)))
 
 
 def check_cross_involutive(ic):
@@ -390,7 +497,7 @@ def check_cross_action(ic, pairs):
     wg = ic.weyl
     cases = 0
     for u, v in pairs:
-        uv = wg.mult(u, v)
+        uv = mult(wg, u, v)
         for x in table.elements:
             lhs = cross_by_word(uv.word, x)
             rhs = cross_by_word(u.word, cross_by_word(v.word, x))
@@ -447,7 +554,7 @@ def check_fiber_power_two(ic):
             elts = fs.elements(z)
             assert len(elts) in (0, 2 ** fs.fiber_rank)
             if elts:
-                assert elts[0] == fs.base_point(z)
+                assert elts[0] == min(elts, key=lambda e: e.entries)
                 assert len(set(elts)) == len(elts)
                 for lam in elts:
                     assert square_of(ic, tau.index, lam.entries) == z
@@ -515,9 +622,9 @@ def check_tits_lifts(ic, rng, n_words=40):
     wg = ic.weyl
     rd = ic.rd
     cases = 0
+    lifts = [tg.canonical_lift(wg.simple(i)) for i in range(ic.n_simple)]
     for i in range(ic.n_simple):
-        sq = tg.multiply(tg.canonical_lift(wg.simple(i)),
-                         tg.canonical_lift(wg.simple(i)))
+        sq = tg.multiply(lifts[i], lifts[i])
         assert not sq.w.word
         assert sq.t == tg.m_alpha(rd.root_index[rd.simple_roots[i]])
         cases += 1
@@ -527,18 +634,18 @@ def check_tits_lifts(ic, rng, n_words=40):
             a = tg.identity
             b = tg.identity
             for k in range(m):
-                a = tg.mult_by_simple_right(a, i if k % 2 == 0 else j)
-                b = tg.mult_by_simple_right(b, j if k % 2 == 0 else i)
+                a = tg.multiply(a, lifts[i if k % 2 == 0 else j])
+                b = tg.multiply(b, lifts[j if k % 2 == 0 else i])
             assert a == b
             cases += 1
-    elements = wg.all_elements()
+    elements = all_elements(wg)
     for _ in range(n_words):
         w = rng.choice(elements)
         word = _random_reduced_word(wg, w, rng)
         assert len(word) == w.length
         prod = tg.identity
         for i in word:
-            prod = tg.mult_by_simple_right(prod, i)
+            prod = tg.multiply(prod, lifts[i])
         assert prod == tg.canonical_lift(w)
         cases += 1
     return cases

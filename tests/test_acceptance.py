@@ -21,10 +21,11 @@ from liepar import (RatVecModZ, duality_check, dual_tau, enumerate_form,
                     enumerate_X, enumerate_Z, fiber_space, real_weyl,
                     sp2n_count, strong_real_forms, twisted_involutions)
 from liepar.weyl import _mat_mul
-from props import (check_cayley_roundtrip, check_cross_action,
-                   check_cross_involutive, check_fiber_power_two,
-                   check_form_partition, check_grading_transfer,
-                   check_projection_surjective, check_tits_lifts)
+from props import (all_elements, check_cayley_roundtrip,
+                   check_cross_action, check_cross_involutive,
+                   check_fiber_power_two, check_form_partition,
+                   check_grading_transfer, check_projection_surjective,
+                   check_tits_lifts)
 from test_kgb import SP4_SPLIT_ROWS, SP11_ROWS, decoration, parse_rows, \
     tables_isomorphic
 
@@ -126,7 +127,7 @@ def test_property_suites_at_scale():
     for spec in GRID + LARGE:
         ic = make_ic(*spec)
         totals["cross_inv"] += check_cross_involutive(ic)
-        elements = ic.weyl.all_elements()
+        elements = all_elements(ic.weyl)
         pairs = [(rng.choice(elements), rng.choice(elements))
                  for _ in range(5)]
         totals["cross_act"] += check_cross_action(ic, pairs)
@@ -156,7 +157,7 @@ def test_brute_force_oracles_small_weyl_groups():
         ic = make_ic(*spec)
         wg = ic.weyl
         assert wg.order() <= 384
-        elements = wg.all_elements()
+        elements = all_elements(wg)
 
         # twisted involutions = {w : w * gamma(w) = identity}
         brute = {w.word for w in elements
@@ -235,23 +236,44 @@ def test_library_has_no_unused_imports():
 
 
 def test_library_has_no_unreferenced_definitions():
-    # every module-level function and class is named somewhere in the
-    # library outside its own definition, or is exported in __all__: code
-    # only the tests call belongs in the tests
+    # every module-level function and class, and every method but a dunder
+    # or a cli cmd_* handler (Session.handle finds those by name), is named
+    # somewhere in the library outside its own definition, or is exported
+    # in __all__ (module level only): code only the tests call belongs in
+    # the tests
     src = Path(liepar.__file__).parent
-    defined = []
-    uses = {}   # name -> set of (file, top-level definition) using it
+    defined = []  # (file, owner, name, exported)
+    uses = {}     # name -> set of (file, owner) using it
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def record(path, owner, node):
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else \
+                sub.attr if isinstance(sub, ast.Attribute) else None
+            if name:
+                uses.setdefault(name, set()).add((path.name, owner))
+
     for path in sorted(src.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if not isinstance(stmt, functions + (ast.ClassDef,)):
+                record(path, None, stmt)
+                continue
+            defined.append((path.name, stmt.name, stmt.name,
+                            stmt.name in liepar.__all__))
+            if not isinstance(stmt, ast.ClassDef):
+                record(path, stmt.name, stmt)
+                continue
+            for item in stmt.body:
                 owner = stmt.name
-                defined.append((path.name, owner))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    uses.setdefault(node.id, set()).add((path.name, owner))
-    found = [f"{file}: {name}" for file, name in defined
-             if name not in liepar.__all__
-             and not uses.get(name, set()) - {(file, name)}]
+                if isinstance(item, functions):
+                    owner = f"{stmt.name}.{item.name}"
+                    if not (item.name.startswith("__")
+                            and item.name.endswith("__")
+                            or item.name.startswith("cmd_")):
+                        defined.append((path.name, owner, item.name, False))
+                record(path, owner, item)
+            for base in stmt.bases + stmt.decorator_list:
+                record(path, stmt.name, base)
+    found = [f"{file}: {owner}" for file, owner, name, exported in defined
+             if not exported and not uses.get(name, set()) - {(file, owner)}]
     assert found == []

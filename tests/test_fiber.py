@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (InfiniteCenterFixedPoints, NotAnInvolution, RatVecModZ,
-                    central_fixed_points, fiber_space, from_type, nu_tau,
-                    theta_matrix, torus_signature, trivial_inner_class,
-                    twisted_involutions)
+from liepar import (InfiniteCenterFixedPoints, InnerClass, NotAnInvolution,
+                    RatVecModZ, central_fixed_points, fiber_space, from_type,
+                    new_root_datum, nu_tau, reduced_space, theta_matrix,
+                    torus_signature, trivial_inner_class, twisted_involutions)
 from liepar.intlinalg import IntMatrix
-from props import reference_canonical_form, reference_signature
+from props import (reference_canonical_form, reference_central_points,
+                   reference_reduced_z0, reference_signature)
 
 
 def rv(*entries):
@@ -77,6 +78,35 @@ def test_central_fixed_points_infinite():
         central_fixed_points(ic)
 
 
+# the scan modulus N of each group is a multiple of the exponent of its
+# center: 12 covers the grid, whose centers have exponent 2, 3 or 4
+CENTRAL_ORACLE = [spec + (12,) for spec in GRID] + [
+    ("D4", "sc", "c", 2), ("D4", "sc", (0, 1, 3, 2), 2),
+    ("E6", "sc", "c", 3), ("E6", "sc", (5, 1, 4, 3, 2, 0), 3),
+    ("A4", "sc", (3, 2, 1, 0), 5), ("A5", "sc", (4, 3, 2, 1, 0), 6),
+    ("D5", "sc", (0, 1, 2, 4, 3), 4)]
+
+
+@pytest.mark.parametrize("t,iso,tw,n_scan", CENTRAL_ORACLE)
+def test_central_squares_match_the_scan(t, iso, tw, n_scan):
+    ic = make_ic(t, iso, tw)
+    assert central_fixed_points(ic) == reference_central_points(ic, n_scan)
+    assert reduced_space(ic).z0 == reference_reduced_z0(ic, n_scan)
+
+
+@pytest.mark.parametrize("rd,gamma", [
+    (from_type("A1.T1", "sc"), [[1, 0], [0, -1]]),
+    (new_root_datum([], [], 2), [[-1, 0], [0, -1]])], ids=["A1.T1", "T2"])
+def test_twists_that_negate_a_central_torus(rd, gamma):
+    # the squares are finite: the points of order 2 of the negated torus;
+    # 1 + gamma_v kills them all, so each is its own class
+    ic = InnerClass(rd, IntMatrix.from_rows(gamma))
+    assert len(central_fixed_points(ic)) == 4
+    assert central_fixed_points(ic) == reference_central_points(ic, 4)
+    assert reduced_space(ic).z0 == central_fixed_points(ic)
+    assert reduced_space(ic).z0 == reference_reduced_z0(ic, 4)
+
+
 def test_nu_tau_sl2():
     ic = make_ic("A1", "sc")
     tbl = twisted_involutions(ic)
@@ -95,9 +125,7 @@ def test_fiber_sl2_goldens():
     plus, minus = rv(0), rv("1/2")
     assert set(fs_e.elements(plus)) == {rv(0), rv("1/2")}
     assert set(fs_e.elements(minus)) == {rv("1/4"), rv("3/4")}
-    assert fs_e.elements(plus)[0] == fs_e.base_point(plus)
     assert fs_s.elements(plus) == ()
-    assert fs_s.base_point(plus) is None
     assert set(fs_s.elements(minus)) == {rv(0)}
 
 
@@ -127,4 +155,4 @@ def test_fiber_rank_is_compact_circle_count():
         ic = make_ic(t, iso, tw)
         for tau in twisted_involutions(ic).elements:
             fs = fiber_space(tau, ic)
-            assert fs.fiber_rank == fs.signature.b
+            assert fs.fiber_rank == torus_signature(fs.theta_v).b

@@ -5,13 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from liepar.intlinalg import (IntMatrix, RatVecModZ, f2_add, f2_vec,
-                              frac_vec, is_integral, scaled_inverse,
-                              smith_normal_form,
-                              smith_normal_form_with_inverse,
-                              solve_congruence, torsion_solutions, vec_add,
-                              vec_dot, vec_mod1, vec_scale)
+                              scaled_inverse, smith_normal_form,
+                              smith_normal_form_with_inverse, vec_dot)
 from props import (bareiss_det, rank_mod2, rational_inverse, rational_rank,
-                   row_reduce, vec_sub)
+                   row_reduce)
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -98,43 +95,6 @@ def test_rank_mod2_bounded_by_rank(m):
     assert 0 <= rank_mod2(m.entries) <= m.rank() <= min(m.rows, m.cols)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rect_matrices(3), st.data())
-def test_solve_congruence_solves(m, data):
-    # pick a random rational target with small denominators
-    c = [Fraction(data.draw(small_int), data.draw(st.integers(1, 4)))
-         for _ in range(m.rows)]
-    x = solve_congruence(m, c)
-    if x is not None:
-        res = vec_sub(m.apply(x), c)
-        assert is_integral(res)
-
-
-def test_solve_congruence_finds_known_solution():
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    x = solve_congruence(m, (Fraction(1, 2), Fraction(1, 3)))
-    assert x is not None
-    assert is_integral(vec_sub(m.apply(x), (Fraction(1, 2), Fraction(1, 3))))
-    # unsolvable: row of zeros against a non-integer target
-    m2 = IntMatrix.from_rows([[0, 0]])
-    assert solve_congruence(m2, (Fraction(1, 2),)) is None
-
-
-def test_torsion_solutions_diag():
-    # x with 2x integral and 3y integral: torsion (1/2) x (1/3)
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
-    factors, gens, kdim = torsion_solutions(m)
-    assert sorted(factors) in ([2, 3], [6])
-    assert kdim == 0
-    total = 1
-    for f in factors:
-        total *= f
-    assert total == 6
-    m2 = IntMatrix.from_rows([[1, 0]])
-    _, _, kdim2 = torsion_solutions(m2)
-    assert kdim2 == 1
-
-
 def test_ratvecmodz():
     a = RatVecModZ.reduce([Fraction(3, 2), Fraction(-1, 4)])
     assert a.entries == (Fraction(1, 2), Fraction(3, 4))
@@ -144,17 +104,28 @@ def test_ratvecmodz():
     zero = RatVecModZ.reduce([0, 0])
     assert zero.order == 1
     assert a + (-a) == zero
+    assert RatVecModZ.reduce((Fraction(5, 2), Fraction(-1, 3))).entries == \
+        (Fraction(1, 2), Fraction(2, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_int, st.integers(1, 6)), max_size=4),
+       st.integers(1, 4))
+def test_ratvecmodz_scaled_roundtrip(pairs, k):
+    # den z as integers mod den for any multiple den of the order, and
+    # back: the integer form the library computes in
+    z = RatVecModZ.reduce([Fraction(p, q) for p, q in pairs])
+    den = k * z.order
+    y = z.scaled(den)
+    assert all(0 <= x < den for x in y)
+    assert [Fraction(x, den) for x in y] == list(z.entries)
+    assert RatVecModZ.from_scaled(y, den) == z
+    assert RatVecModZ.from_scaled([x + den * p for x, (p, _) in
+                                   zip(y, pairs)], den) == z
 
 
 def test_vector_helpers():
-    assert vec_add((1, 2), (3, 4)) == (4, 6)
-    assert vec_scale(Fraction(1, 2), (2, 4)) == (1, 2)
     assert vec_dot((1, 2), (3, 4)) == 11
-    assert vec_mod1((Fraction(5, 2), Fraction(-1, 3))) == \
-        (Fraction(1, 2), Fraction(2, 3))
-    assert is_integral((Fraction(2), 3))
-    assert not is_integral((Fraction(1, 2),))
-    assert frac_vec((1, 2)) == (Fraction(1), Fraction(2))
 
 
 def test_f2_helpers():

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (RatVecModZ, cartan_classes, central_fixed_points,
-                    count_z_blocks, dual_tau, duality_check, enumerate_form,
-                    enumerate_X, enumerate_Z, fiber_space, from_type,
-                    langlands_count, sp2n_count, strong_real_forms,
-                    trivial_inner_class, twisted_involutions)
+from liepar import (RatVecModZ, WeylError, cartan_classes,
+                    central_fixed_points, count_z_blocks, dual_tau,
+                    duality_check, enumerate_form, enumerate_X, enumerate_Z,
+                    fiber_space, from_type, langlands_count, sp2n_count,
+                    strong_real_forms, trivial_inner_class,
+                    twisted_involutions)
 from liepar.zspace import _slice_size
 from props import per_tau_count_z_blocks, per_tau_slice_size
 
@@ -211,3 +212,24 @@ def test_central_square_counts_consistency():
         zgd = set(central_fixed_points(ic.dual))
         for p in enumerate_Z(ic):
             assert p.x_square in zg and p.y_square in zgd
+
+
+@pytest.mark.parametrize("side", ["restrict_x_square", "restrict_y_square"])
+def test_restrict_squares_are_validated(side):
+    # count_z_blocks checks x^2 against the group and y^2 against its
+    # dual, with the typed errors of enumerate_Z and enumerate_X
+    ic = make_ic("A1", "sc")
+    with pytest.raises(ValueError, match="not central"):
+        count_z_blocks(ic, **{side: rv("1/3")})
+    with pytest.raises(ValueError, match="not central"):
+        enumerate_Z(ic, **{side: rv("1/3")})
+    for call in (count_z_blocks, enumerate_Z):
+        with pytest.raises(ValueError, match="needs 1 coordinates") as info:
+            call(ic, **{side: rv(0, 0)})
+        assert not isinstance(info.value, WeylError)
+
+
+def test_enumerate_x_rejects_a_square_of_the_wrong_length():
+    with pytest.raises(ValueError, match="needs 1 coordinates") as info:
+        enumerate_X(make_ic("A1", "sc"), squares=[rv(0, 0)])
+    assert not isinstance(info.value, WeylError)
