@@ -18,21 +18,28 @@ the imaginary roots are the same for every element, so each cross action
 and Cayley transform is tabulated once per search as an integer affine
 map y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows
 of tau2 zeroed, plus a permutation (and, for Cayley, flips) of the
-grading bits.  Along an edge of the frames' spanning tree M is the
-identity and the move is the translation y -> y + c.  The cross action
-of a simple reflection is an involution, so each cross edge is computed
+grading bits.  Along an edge of the frames' spanning tree, read from
+either end, M is the identity by construction, so the move is the
+translation y -> y + c and no product is formed.  The cross action of
+a simple reflection is an involution, so each cross edge is computed
 once: the search links x -> x2 and x2 -> x together, skips the move of
 s at x2, and stops with WeylError when x2 is already linked elsewhere;
-many (tau, s) tables are never built.  Only the status and the positive
-imaginary roots of each tau's root classification are read.  The seeds
-are formed in the same integer coordinates: the solutions over each
-central square on the distinguished fiber come from
-FiberSpace.coordinates, and their grading bits from the integer
-pairings (beta V) . y of the imaginary roots beta.  The central squares
-enter as the integers D z mod D (RatVecModZ.scaled), so the search builds
-no Fraction: rationals appear only at the output edge, where
-KGBElt.torus_coord forms lambda from y in tau's own Smith coordinates on
-first read.
+many (tau, s) tables are never built.
+
+The search writes X as flat columns (see KGBTable) and builds no
+element object; KGBElt views are built on the first read of
+KGBTable.elements.  Each element inherits the seed of the element that
+found it, and an edge to an element already found joins two seeds, so
+the strong real forms come from a union-find over the seeds alone.
+Only the status and the positive imaginary roots of each tau's root
+classification are read.  The seeds are formed in the same integer
+coordinates: the solutions over each central square on the
+distinguished fiber come from FiberSpace.coordinates, and their grading
+bits from the integer pairings (beta V) . y of the imaginary roots
+beta.  The central squares enter as the integers D z mod D
+(RatVecModZ.scaled), so the search builds no Fraction: rationals appear
+only at the output edge, where KGBElt.torus_coord forms lambda from y
+in tau's own Smith coordinates on first read.
 
 The real Weyl group W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) of x
 enumerates no subgroup of W: |W_i|, |W_r| and |W_C^theta| = sqrt
@@ -52,7 +59,7 @@ from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import IntMatrix, RatVecModZ, smith_normal_form, vec_dot
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
-                   _mat_apply, _mat_mul, cartan_class_of, cartan_classes,
+                   _mat_apply, cartan_class_of, cartan_classes,
                    cartan_index, twisted_involutions)
 
 
@@ -112,28 +119,70 @@ class StrongRealForm:
 
 
 class KGBTable:
-    def __init__(self, ic, elements, form_partition, quasisplit_forms,
-                 squares, generation_log, denom):
+    """X as columns indexed by element id: tau index, fiber coordinates,
+    square index, grading bits (in the order of tau's positive imaginary
+    roots), and per element k slots each of cross and Cayley ids (None
+    where no Cayley transform applies).  The KGBElt views are built on
+    the first read of elements, the Cayley preimages on the first
+    cayley_down_ids; len, form_of, strong_real_forms, cartans_for and
+    reduced_space read the columns."""
+
+    def __init__(self, ic, squares, denom, taus, coords, square_idx,
+                 grading_bits, cross_ids, cayley_ids, generation_log,
+                 form_partition, quasisplit_forms):
         self.ic = ic
         self.denom = denom       # the modulus of the elements' coords
-        self.elements = elements
-        self.form_partition = form_partition
-        self.quasisplit_forms = quasisplit_forms
         self.squares = squares
         self.generation_log = generation_log
-        form_of = [None] * len(elements)
+        self.form_partition = form_partition
+        self.quasisplit_forms = quasisplit_forms
+        self._taus = taus
+        self._coords = coords
+        self._square_idx = square_idx
+        self._grading_bits = grading_bits
+        self._cross = cross_ids
+        self._cayley = cayley_ids
+        form_of = [None] * len(taus)
         for f, ids in form_partition.items():
             for i in ids:
                 form_of[i] = f
         self._form_of = tuple(form_of)
-        self._down = {}
-        for x in elements:
-            for s, target in enumerate(x.cayley):
-                if target is not None:
-                    self._down.setdefault((s, target), []).append(x.id)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._taus)
+
+    @cached_property
+    def elements(self) -> tuple:
+        ic = self.ic
+        tbl = twisted_involutions(ic)
+        k = ic.rd.n_simple
+        simple_pos = {}
+        out = []
+        for i, (t, g) in enumerate(zip(self._taus, self._grading_bits)):
+            if t not in simple_pos:
+                simple_pos[t] = _simple_positions(ic, t)
+            cls = tbl.classification(t)
+            tau = tbl.elements[t]
+            out.append(KGBElt(
+                id=i, tau=tau, coords=self._coords[i], length=tau.length,
+                square=self.squares[self._square_idx[i]],
+                status=tuple(cls.status[a] if p is None
+                             else 'n' if g[p] else 'c'
+                             for a, p in zip(ic.weyl.simple_idx,
+                                             simple_pos[t])),
+                cross=tuple(self._cross[i * k:i * k + k]),
+                cayley=tuple(self._cayley[i * k:i * k + k]),
+                grading=tuple(zip(cls.im_pos, g)), table=self))
+        return tuple(out)
+
+    @cached_property
+    def _down(self) -> dict:
+        k = self.ic.rd.n_simple
+        down = {}
+        for slot, target in enumerate(self._cayley):
+            if target is not None:
+                down.setdefault((slot % k, target), []).append(slot // k)
+        return down
 
     def cayley_down_ids(self, s: int, xid: int):
         return tuple(sorted(self._down.get((s, xid), ())))
@@ -257,16 +306,17 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     map), in the frames of the two taus.
 
     An element with fiber coordinates y and grading bits g moves to
-    y2[j] = (row_j . y + c_j) mod denom, or to y2[j] = (y[j] + c_j) mod
-    denom when the rows are None, and g2 = (g[p] ^ f for (p, f) in the
-    grading map).  The rows are None when S_s V_tau = V_tau2, so that
+    y2[j] = (row_j . y + c_j) mod denom, with y2[j] = 0 where row_j is
+    None (on tau2's kernel), or to y2[j] = (y[j] + c_j) mod denom when
+    the rows are None, and g2 = (g[p] ^ f for (p, f) in the grading
+    map).  The rows are None when S_s V_tau = V_tau2, so that
     M = V_tau2^-1 S_s V_tau is the identity, and tau2 has tau's kernel
-    coordinates: on every cross edge of the frames' spanning tree, in
-    either direction, and on many other cross edges.  S_s V_tau is a
-    rank-one update of V_tau; only a move that is not a translation forms
-    the product M.  The cross action conjugates exp(2 pi i lambda)
-    sigma_w delta by sigma_s; the Cayley transform left-multiplies it by
-    sigma_s."""
+    coordinates.  On a cross edge of the frames' spanning tree, read
+    from either end, that holds because the frames were carried along
+    it, and nothing is formed; on other cross edges S_s V_tau, a rank-one
+    update of V_tau, is compared with V_tau2.  The cross action
+    conjugates exp(2 pi i lambda) sigma_w delta by sigma_s; the Cayley
+    transform left-multiplies it by sigma_s."""
     tg = tits_group(ic)
     wg = ic.weyl
     tbl = twisted_involutions(ic)
@@ -287,12 +337,18 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     c = _mat_apply(fr2.vinv, u)
     offset = tuple(0 if j in kernel else denom // 2 * x
                    for j, x in enumerate(c))
-    sv = _reflect_rows(fr.v, rd.simple_roots[s], rd.simple_coroots[s])
-    if sv == fr2.v and fr.kernel == kernel:
-        rows = None
+    if not cayley and (fr2.parent == (tau_idx, s)
+                       or fr.parent == (tau2.index, s)):
+        rows = None     # a tree edge, read from either end
     else:
-        rows = tuple((0,) * rd.rank if j in kernel else row
-                     for j, row in enumerate(_mat_mul(fr2.vinv, sv)))
+        sv = _reflect_rows(fr.v, rd.simple_roots[s], rd.simple_coroots[s])
+        if sv == fr2.v and fr.kernel == kernel:
+            rows = None
+        else:
+            svt = tuple(zip(*sv))
+            rows = tuple(None if j in kernel else
+                         tuple([sum(map(mul, row, col)) for col in svt])
+                         for j, row in enumerate(fr2.vinv))
     # grading bits are kept in the order of the positive imaginary roots
     im = tbl.classification(tau_idx).im_pos
     im2 = tbl.classification(tau2.index).im_pos
@@ -355,20 +411,23 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         squares = tuple(sorted((_validate_square(ic, z) for z in squares),
                                key=lambda z: z.entries))
     tbl = twisted_involutions(ic)
-    rd = ic.rd
-    k = rd.n_simple
+    k = ic.rd.n_simple
+    blank = [None] * k
 
     # fiber coordinates y = denom * V^-1 lambda are integers mod denom:
     # denom clears the denominators of every solution over the squares
     denom = 2 * lcm(2, *(z.order for z in squares))
-    taus, ys, sqs, grads = [], [], [], []
+    # the columns; an element's square is kept as its index in squares,
+    # and roots[i] is the seed whose search found element i
+    taus, ys, sqs, grads, roots = [], [], [], [], []
+    cross_ids, cayley_ids = [], []
     key_index = {}
     log = []
 
-    def add(tau_idx, y, q, grading, origin):
+    def add(tau_idx, y, q, grading, root, origin):
         key = (tau_idx, y)
-        if key in key_index:
-            j = key_index[key]
+        j = key_index.get(key)
+        if j is not None:
             if sqs[j] != q or grads[j] != grading:
                 raise WeylError("inconsistent duplicate element")
             return j, False
@@ -378,118 +437,98 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         ys.append(y)
         sqs.append(q)
         grads.append(grading)
+        roots.append(j if root is None else root)
+        cross_ids.extend(blank)
+        cayley_ids.extend(blank)
         log.append((j,) + origin)
         return j, True
 
     queue = deque()
     fs0 = fiber_space(tbl.elements[0], ic)
-    # an element's square is kept as its index in squares
     seeds = [(q, y) for q, z in enumerate(squares)
              for y in fs0.coordinates(z, denom)]
     gradings = _base_grading(ic, [y for _, y in seeds], denom)
     for (q, y), g in zip(seeds, gradings):
-        queue.append(add(0, y, q, g, (-1, 'seed'))[0])
+        queue.append(add(0, y, q, g, None, (-1, 'seed'))[0])
+
+    # strong real forms = connected components of the move graph: every
+    # element lies in the component of its root seed, and an edge to an
+    # element already found joins two seeds' components
+    seed_parent = list(range(len(taus)))
+
+    def find(a):
+        while seed_parent[a] != a:
+            a = seed_parent[a]
+        return a
 
     moves = {}
     simple_pos = {}
-    cross_links = {}
-    cayley_links = {}
     while queue:
         i = queue.popleft()
-        tau_idx, y, q, g = taus[i], ys[i], sqs[i], grads[i]
+        tau_idx, y, q, g, root = taus[i], ys[i], sqs[i], grads[i], roots[i]
         if tau_idx not in simple_pos:
             simple_pos[tau_idx] = _simple_positions(ic, tau_idx)
         for cayley in (False, True):
             for s, p in enumerate(simple_pos[tau_idx]):
                 if cayley and (p is None or g[p] != 1):
                     continue
-                if not cayley and (i, s) in cross_links:
+                if not cayley and cross_ids[i * k + s] is not None:
                     # linked from the other end: the cross action of s
                     # is an involution
                     continue
                 key = (tau_idx, s, cayley)
                 if key not in moves:
-                    moves[key] = _move_map(ic, tau_idx, s, cayley, denom)
-                t2, rows, offset, gmap = moves[key]
+                    moves[key] = _move_map(ic, tau_idx, s, cayley, denom) \
+                        + (f"{'c' if cayley else 'x'}{s}",)
+                t2, rows, offset, gmap, label = moves[key]
                 if rows is None:
-                    y2 = tuple((a + c) % denom for a, c in zip(y, offset))
+                    y2 = tuple([(a + c) % denom for a, c in zip(y, offset)])
                 else:
-                    y2 = tuple((sum(map(mul, row, y)) + c) % denom
-                               for row, c in zip(rows, offset))
-                g2 = tuple(g[q] ^ f for q, f in gmap)
-                j, new = add(t2, y2, q, g2,
-                             (i, f"{'c' if cayley else 'x'}{s}"))
+                    y2 = tuple([c if row is None
+                                else (sum(map(mul, row, y)) + c) % denom
+                                for row, c in zip(rows, offset)])
+                g2 = tuple([g[p2] ^ f for p2, f in gmap])
+                j, new = add(t2, y2, q, g2, root, (i, label))
                 if cayley:
-                    cayley_links[(i, s)] = j
-                elif cross_links.setdefault((j, s), i) != i:
-                    raise WeylError("cross action is not an involution")
+                    cayley_ids[i * k + s] = j
                 else:
-                    cross_links[(i, s)] = j
+                    back = cross_ids[j * k + s]
+                    if back is None:
+                        cross_ids[j * k + s] = i
+                    elif back != i:
+                        raise WeylError("cross action is not an involution")
+                    cross_ids[i * k + s] = j
                 if new:
                     queue.append(j)
+                elif roots[j] != root:
+                    ra, rb = find(root), find(roots[j])
+                    seed_parent[max(ra, rb)] = min(ra, rb)
 
     n = len(taus)
-    # statuses
-    statuses = [tuple(tbl.classification(t).status[a] if p is None
-                      else 'n' if g[p] else 'c'
-                      for a, p in zip(ic.weyl.simple_idx, simple_pos[t]))
-                for t, g in zip(taus, grads)]
     # sanity: squares recompute, lengths nondecreasing
     square_rows = {t: _square_map(ic, t, denom) for t in set(taus)}
     square_ints = [z.scaled(denom) for z in squares]
     for i in range(n):
-        if tuple((sum(map(mul, row, ys[i])) + c) % denom
-                 for row, c in square_rows[taus[i]]) != square_ints[sqs[i]]:
+        if tuple([(sum(map(mul, row, ys[i])) + c) % denom
+                  for row, c in square_rows[taus[i]]]) != square_ints[sqs[i]]:
             raise WeylError(f"square of element {i} does not recompute")
         if i and tbl.elements[taus[i]].length < \
                 tbl.elements[taus[i - 1]].length:
             raise WeylError("element lengths decrease")
 
-    # strong real forms = connected components of the move graph
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for (i, s), j in cross_links.items():
-        union(i, j)
-    for (i, s), j in cayley_links.items():
-        union(i, j)
+    # each component holds a seed, so its least seed is its least id
+    seed_root = [find(r) for r in range(len(seed_parent))]
     comps = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    ordered = sorted(comps.values(), key=lambda ids: ids[0])
+    for i, r in enumerate(roots):
+        comps.setdefault(seed_root[r], []).append(i)
     no_im = {t.index for t in tbl.elements
              if not tbl.classification(t.index).im_pos}
-    quasisplit = [any(taus[i] in no_im for i in ids) for ids in ordered]
-    final = [ids for ids, q in zip(ordered, quasisplit) if not q] + \
-            [ids for ids, q in zip(ordered, quasisplit) if q]
-    form_partition = {f: tuple(ids) for f, ids in enumerate(final)}
-    quasisplit_forms = tuple(f for f, ids in enumerate(final)
-                             if any(taus[i] in no_im for i in ids))
-
-    elements = []
-    for i in range(n):
-        elements.append(KGBElt(
-            id=i, tau=tbl.elements[taus[i]], coords=ys[i],
-            length=tbl.elements[taus[i]].length, square=squares[sqs[i]],
-            status=statuses[i],
-            cross=tuple(cross_links[(i, s)] for s in range(k)),
-            cayley=tuple(cayley_links.get((i, s)) for s in range(k)),
-            grading=tuple(zip(tbl.classification(taus[i]).im_pos,
-                              grads[i]))))
-    table = KGBTable(ic, tuple(elements), form_partition, quasisplit_forms,
-                     squares, tuple(log), denom)
-    for x in elements:
-        object.__setattr__(x, 'table', table)
+    quasisplit = {seed_root[r] for r, t in zip(roots, taus) if t in no_im}
+    final = sorted(comps, key=lambda r: (r in quasisplit, r))
+    table = KGBTable(ic, squares, denom, taus, ys, sqs, grads, cross_ids,
+                     cayley_ids, tuple(log),
+                     {f: tuple(comps[r]) for f, r in enumerate(final)},
+                     tuple(f for f, r in enumerate(final) if r in quasisplit))
     if cache_key:
         ic._cache[cache_key] = table
     return table
@@ -498,37 +537,38 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
 def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
     """The subtable X[x0] of everything linked to x0, renumbered."""
     full = x0.table if x0.table is not None else enumerate_X(ic)
-    ids = full.form_partition[full.form_of(x0.id)]
+    form = full.form_of(x0.id)
+    ids = full.form_partition[form]
     remap = {old: new for new, old in enumerate(ids)}
-    elements = []
-    for old in ids:
-        x = full.elements[old]
-        elements.append(KGBElt(
-            id=remap[old], tau=x.tau, coords=x.coords,
-            length=x.length, square=x.square, status=x.status,
-            cross=tuple(remap[j] for j in x.cross),
-            cayley=tuple(None if j is None else remap[j] for j in x.cayley),
-            grading=x.grading))
+    remap[None] = None
+    k = ic.rd.n_simple
+    slots = [i * k + s for i in ids for s in range(k)]
     log = tuple((remap[i], remap.get(src, -1), mv)
                 for (i, src, mv) in full.generation_log if i in remap)
-    table = KGBTable(ic, tuple(elements), {0: tuple(range(len(ids)))},
-                     (0,) if full.form_of(x0.id) in full.quasisplit_forms
-                     else (), full.squares, log, full.denom)
-    for x in elements:
-        object.__setattr__(x, 'table', table)
-    return table
+    return KGBTable(
+        ic, full.squares, full.denom,
+        *([col[i] for i in ids] for col in (full._taus, full._coords,
+                                            full._square_idx,
+                                            full._grading_bits)),
+        [remap[full._cross[j]] for j in slots],
+        [remap[full._cayley[j]] for j in slots], log,
+        {0: tuple(range(len(ids)))},
+        (0,) if form in full.quasisplit_forms else ())
 
 
 def strong_real_forms(ic: InnerClass):
     """Strong real forms as orbits on the distinguished fiber, in the
     canonical order (quasisplit last)."""
     table = enumerate_X(ic)
+    tbl = twisted_involutions(ic)
     forms = []
     for f, ids in table.form_partition.items():
-        base = tuple(i for i in ids if table.elements[i].length == 0)
+        base = tuple(i for i in ids
+                     if tbl.elements[table._taus[i]].length == 0)
         forms.append(StrongRealForm(
-            index=f, square=table.elements[ids[0]].square, base_ids=base,
-            element_ids=ids, quasisplit=f in table.quasisplit_forms))
+            index=f, square=table.squares[table._square_idx[ids[0]]],
+            base_ids=base, element_ids=ids,
+            quasisplit=f in table.quasisplit_forms))
     return tuple(forms)
 
 
@@ -634,8 +674,7 @@ def cartans_for(x0: KGBElt):
     tbl = twisted_involutions(ic)
     classes = cartan_classes(ic)
     ids = table.form_partition[table.form_of(x0.id)]
-    met = sorted({cartan_class_of(ic, table.elements[i].tau.index)
-                  for i in ids})
+    met = sorted({cartan_class_of(ic, table._taus[i]) for i in ids})
     return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
                  for c in met)
 
@@ -669,6 +708,6 @@ def reduced_space(ic: InnerClass) -> ReducedSpace:
         classes.setdefault(tuple(vec_dot(r, y) % den for r in zero_rows), z)
     z0 = tuple(classes.values())
     table = enumerate_X(ic)
-    slices = {z: tuple(x.id for x in table.elements if x.square == z)
-              for z in z0}
+    slices = {z: tuple(i for i, q in enumerate(table._square_idx)
+                       if table.squares[q] == z) for z in z0}
     return ReducedSpace(z0, slices)

@@ -592,6 +592,33 @@ def check_form_partition(ic):
     return len(ids)
 
 
+def reference_forms(table):
+    """(form_partition, quasisplit_forms) from a union-find over every
+    cross and Cayley link of the element views: components ordered by
+    least id, those holding an element with no imaginary root (a
+    quasisplit form) last."""
+    parent = list(range(len(table.elements)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for x in table.elements:
+        for j in x.cross + x.cayley:
+            if j is not None:
+                a, b = find(x.id), find(j)
+                parent[max(a, b)] = min(a, b)
+    comps = {}
+    for x in table.elements:
+        comps.setdefault(find(x.id), []).append(x.id)
+    split = {r for r, ids in comps.items()
+             if any(not table.elements[i].grading for i in ids)}
+    order = sorted(comps, key=lambda r: (r in split, r))
+    return ({f: tuple(comps[r]) for f, r in enumerate(order)},
+            tuple(f for f, r in enumerate(order) if r in split))
+
+
 def _braid_order(rd, i, j):
     c = rd.cartan_matrix[i, j] * rd.cartan_matrix[j, i]
     return {0: 2, 1: 3, 2: 4, 3: 6}[c]

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     inner_class_from_perm, nu_tau, real_weyl, reduced_space,
                     strong_real_forms, theta_matrix, trivial_inner_class,
                     twisted_involutions)
-from liepar.fiber import _twice_nu, fiber_frame
+from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
 from props import (all_elements, check_cayley_roundtrip, check_cross_action,
@@ -32,7 +33,8 @@ from props import (all_elements, check_cayley_roundtrip, check_cross_action,
                    check_projection_surjective, per_tau_torus_coord,
                    reference_base_grading, reference_canonical_form,
                    reference_delta_signs, reference_fiber,
-                   reference_real_weyl, root_is_negative, simple_reflection)
+                   reference_forms, reference_real_weyl, root_is_negative,
+                   simple_reflection)
 
 
 def rv(*entries):
@@ -504,7 +506,12 @@ def test_frames_carry_the_representative_smith_form(t, tw):
         p, s = fr.parent
         assert tbl.cross[p][s] == tau.index
         assert cartan_class_of(ic, p) == cartan_class_of(ic, tau.index)
-        # a tree edge is a translation in both directions
+        # a tree edge is a translation in both directions: S_s V_p = V_tau
+        # with the same kernel, so M = V_tau^-1 S_s V_p is the identity
+        fp = fiber_frame(ic, p)
+        assert _reflect_rows(fp.v, ic.rd.simple_roots[s],
+                             ic.rd.simple_coroots[s]) == fr.v
+        assert fp.kernel == fr.kernel
         for a, b in ((p, tau.index), (tau.index, p)):
             target, rows, _, _ = _move_map(ic, a, s, False, table.denom)
             assert (target, rows) == (b, None)
@@ -648,6 +655,89 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
     table = enumerate_X(make_ic(t, "sc", tw))
     assert len(table) == size
     assert table_digest(table) == digest
+
+
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_search_and_forms_build_no_element_view(t, tw, size, digest,
+                                                monkeypatch):
+    # X is held as columns: the search, the strong real forms and the
+    # reduced space build no KGBElt, and the views built on the first
+    # read of elements are the frozen table
+    view = liepar.kgb.KGBElt
+    built = []
+
+    def counted(**fields):
+        built.append(fields["id"])
+        return view(**fields)
+
+    monkeypatch.setattr(liepar.kgb, "KGBElt", counted)
+    ic = fresh_ic(t, tw)
+    table = enumerate_X(ic)
+    forms = strong_real_forms(ic)
+    reduced = reduced_space(ic)
+    assert built == []
+    assert sum(len(f.element_ids) for f in forms) == size
+    assert all(reduced.slices.values())
+    elements = table.elements
+    assert built == list(range(size))
+    monkeypatch.undo()
+    assert table.elements is elements
+    assert table_digest(table) == digest
+
+
+FORM_ORACLE_DATA = GRID + [(t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS] \
+    + [("E6", "sc", "c")]
+
+
+@pytest.mark.parametrize("t,iso,tw", FORM_ORACLE_DATA)
+def test_forms_match_a_union_over_every_link(t, iso, tw):
+    # the search joins components over the seeds only; the reference
+    # joins them over every cross and Cayley link of the element views
+    table = enumerate_X(make_ic(t, iso, tw))
+    assert reference_forms(table) == \
+        (table.form_partition, table.quasisplit_forms)
+
+
+# form sizes past brute force: the clans of SU(p, q) (Matsuki-Oshima;
+# Yamamoto 1997) and the count for Sp(p, q)
+
+def su_clans(p, q):
+    n = p + q
+    return sum(factorial(n) // (factorial(k) * factorial(p - k)
+                                * factorial(q - k) * 2 ** k)
+               for k in range(min(p, q) + 1))
+
+
+def sp_pq_count(p, q):
+    n = p + q
+    return sum(factorial(n) // (factorial(k) * factorial(p - k)
+                                * factorial(q - k))
+               for k in range(min(p, q) + 1))
+
+
+def test_a7_form_sizes_are_the_su_clan_counts():
+    ic = fresh_ic("A7", "c")
+    sizes = {len(f.element_ids) for f in strong_real_forms(ic)}
+    assert sizes == {su_clans(p, 8 - p) for p in range(9)} \
+        == {1, 36, 406, 1736, 2835}
+
+
+def test_c6_form_sizes_hold_the_sp_clan_counts():
+    # the one size left is the split form Sp(12, R)
+    ic = fresh_ic("C6", "c")
+    sizes = {len(f.element_ids) for f in strong_real_forms(ic)}
+    sp_pq = {sp_pq_count(p, 6 - p) for p in range(7)}
+    assert sp_pq == {1, 36, 315, 680}
+    assert sizes == sp_pq | {4899}
+
+
+@pytest.mark.slow
+def test_e7_space_is_frozen():
+    # frozen from the search that kept element objects and link dicts
+    ic = fresh_ic("E7", "c")
+    assert len(enumerate_X(ic)) == 41837
+    assert sorted(len(f.element_ids) for f in strong_real_forms(ic)) == \
+        [1, 1, 3017, 8946, 8946, 20926]
 
 
 @pytest.mark.parametrize("t,tw", [("C2", "c"), ("G2", "c"), ("A3", (2, 1, 0))]
