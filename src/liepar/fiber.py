@@ -10,22 +10,17 @@ taken modulo the identity component of the fixed torus.  The solution
 set, when nonempty, is a torsor under an F2 vector space (the fiber
 group) read off from the Smith normal form U (1 + theta_v) V = diag(d).
 The solutions are computed in integer coordinates y = D V^-1 lambda mod
-D, with V^-1 kept by the Smith form itself, from the central square as
-the integers D z mod D (RatVecModZ.scaled); rationals appear only at the
-output edge, where lambda is formed from y (FiberSpace.torus_coord).
-The central squares themselves are enumerated as integers over one
-denominator, read off one Smith form (central_fixed_points).
+D from the central square as the integers D z mod D
+(RatVecModZ.scaled); lambda is formed from y only at the output edge
+(FiberSpace.torus_coord).
 
-The cross action of s is a bijection from the fiber over tau to the
-fiber over s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s
-for the reflection S_s of the cocharacter lattice.  So one Smith form per
-Cartan class serves every tau in it: the frame of tau (fiber_frame) is
-its class representative's V carried along a breadth-first spanning tree
-of cross edges by V_{s tau} = S_s V_tau, and in frame coordinates a tree
-edge moves y by a translation alone.  2 nu_tau is carried along the same
-edges mod 2, so only a representative folds the Tits product along its
-word.  frame_torus_coord maps frame coordinates to the canonical lambda
-of tau's own Smith form, which is then built on first read.
+The cross action of s maps the fiber over tau onto the fiber over
+s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s for the
+reflection S_s of the cocharacters.  So one Smith form per Cartan class
+serves every tau in it: the frame of tau (fiber_frame) is its class
+representative's V carried along a spanning tree of cross edges by
+V_{s tau} = S_s V_tau, with 2 nu_tau carried along the same edges mod
+2.  In frame coordinates a tree edge moves y by a translation alone.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .intlinalg import (IntMatrix, RatVecModZ, smith_normal_form,
                         smith_normal_form_with_inverse)
@@ -244,17 +240,18 @@ class Frame:
 
 
 def _reflect_rows(m, a, av):
-    """S m for the reflection S v = v - <a, v> av of the cocharacters."""
-    r = [sum(x * y for x, y in zip(a, col)) for col in zip(*m)]
-    return tuple(tuple(x - c * y for x, y in zip(row, r))
+    """S m for the reflection S v = v - <a, v> av of the cocharacters;
+    a row where av is 0 is returned as the same tuple."""
+    r = [sum(map(mul, a, col)) for col in zip(*m)]
+    return tuple(row if c == 0 else tuple([x - c * y for x, y in zip(row, r)])
                  for row, c in zip(m, av))
 
 
 def _reflect_cols(m, a, av):
-    """m S for the same reflection S."""
-    return tuple(tuple(x - c * y for x, y in zip(row, a))
-                 for row, c in ((row, sum(x * y for x, y in zip(row, av)))
-                                for row in m))
+    """m S for the same reflection S; a row with row . av = 0 is returned
+    as the same tuple."""
+    return tuple(row if c == 0 else tuple([x - c * y for x, y in zip(row, a)])
+                 for row, c in ((row, sum(map(mul, row, av))) for row in m))
 
 
 def _carry_frames(ic: InnerClass, rep: int, frames: dict):
@@ -284,7 +281,7 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             vinv2 = _reflect_cols(fr.vinv, a, av)
             _, u = tg.conjugate_simple(s, tbl.elements[t].w,
                                        ic.diagram_perm[s])
-            c = sum(x * y for x, y in zip(a, fr.twice_nu))
+            c = sum(map(mul, a, fr.twice_nu))
             shift = _mat_apply(sq2, _mat_apply(vinv2, u))
             frames[t2] = Frame(
                 _reflect_rows(fr.v, a, av), vinv2, fr.kernel, sq2,

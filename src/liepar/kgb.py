@@ -7,53 +7,35 @@ the cross action of W, Cayley transforms between fibers, and a Z/2
 grading (compact/noncompact) on imaginary roots; connected components
 of the move graph are the strong real forms.
 
-The breadth-first search does not carry lambda.  Over tau it keys an
-element by integer fiber coordinates y = D V^-1 lambda mod D in tau's
-frame (see fiber_frame): V is the Smith-form basis of tau's Cartan class
-representative carried along cross edges, the coordinates on the kernel
-of 1 + theta_v are 0, and D = 2 lcm(2, denominators of the central
-squares).  One Smith form per Cartan class is computed.  For one (tau, s)
-the Tits-group product, the target tau2, the shift and the regrading of
-the imaginary roots are the same for every element, so each cross action
-and Cayley transform is tabulated once per search as an integer affine
-map y -> M y + c mod D, with M = V_tau2^-1 S_s V_tau and the kernel rows
-of tau2 zeroed, plus a permutation (and, for Cayley, flips) of the
-grading bits.  Along an edge of the frames' spanning tree, read from
-either end, M is the identity by construction, so the move is the
-translation y -> y + c and no product is formed.  The cross action of
-a simple reflection is an involution, so each cross edge is computed
-once: the search links x -> x2 and x2 -> x together, skips the move of
-s at x2, and stops with WeylError when x2 is already linked elsewhere;
-many (tau, s) tables are never built.
+The breadth-first search keys an element by integer fiber coordinates
+y = D V^-1 lambda mod D in tau's frame (see fiber_frame), with the
+kernel coordinates 0 and D = 2 lcm(2, denominators of the central
+squares); it builds no Fraction.  Each cross action and Cayley
+transform (tau, s) is tabulated once, on first use, as an integer
+affine map y -> M y + c mod D plus a permutation (and, for Cayley,
+flips) of the grading bits (see _move_map); its target is read from the
+involution table.  On an edge of the frames' spanning tree M is the
+identity.  The cross action of s is an involution, so a cross edge is
+computed from one end and linked both ways.  The seeds are the integer
+solutions over each central square on the distinguished fiber, graded
+by the sign of delta on each imaginary root (see _delta_signs), which
+the Tits group gives at the folded simple roots and W^delta carries
+along its orbits.
 
-The search writes X as flat columns (see KGBTable) and builds no
-element object; KGBElt views are built on the first read of
-KGBTable.elements.  Each element inherits the seed of the element that
-found it, and an edge to an element already found joins two seeds, so
-the strong real forms come from a union-find over the seeds alone.
-Only the status and the positive imaginary roots of each tau's root
-classification are read.  The seeds are formed in the same integer
-coordinates: the solutions over each central square on the
-distinguished fiber come from FiberSpace.coordinates, and their grading
-bits from the integer pairings (beta V) . y of the imaginary roots
-beta.  The central squares enter as the integers D z mod D
-(RatVecModZ.scaled), so the search builds no Fraction: rationals appear
-only at the output edge, where KGBElt.torus_coord forms lambda from y
-in tau's own Smith coordinates on first read.
-
-The real Weyl group W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) of x
-enumerates no subgroup of W: |W_i|, |W_r| and |W_C^theta| = sqrt
-|W(deltaC)| are closed forms read once per tau; only the W_i-orbit of x
-is searched.
+X is written as flat columns (see KGBTable); KGBElt views and lambda
+are formed on first read.  Each element inherits the seed of the
+element that found it, so the strong real forms come from a union-find
+over the seeds.  The real Weyl group W(G, H) of x reads |W_i|, |W_r|
+and |W_C^theta| in closed form; only the W_i-orbit of x is searched.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from operator import mul
+from itertools import compress
+from operator import add, mul
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
@@ -241,25 +223,36 @@ def _square_map(ic, tau_idx, denom):
 
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
-    which the distinguished involution delta acts on a root vector for
-    beta.  Conjugating by delta a lift sigma_beta of the reflection in
-    beta taken inside the root SL(2) either fixes the lift (sign 0) or
-    multiplies it by the order-two coroot point x_{m_beta} (sign 1).
+    which delta acts on a root vector for beta: conjugating by delta a
+    lift sigma_beta of the reflection in beta either fixes it (sign 0)
+    or multiplies it by x_{m_beta} (sign 1).
 
-    The comparison is read in the Tits group of ic itself.  The Tits
-    group of the simply connected datum with the same Cartan matrix and
-    twist maps onto it, so the two read the same sign wherever m_beta is
-    not 0 in Xv/2Xv.  delta fixes the lifts of W^delta, so a sign is
-    constant on W^delta-orbits, and it is 1 only on the orbit of a root
-    alpha + gamma(alpha) folded from an A2 pair of simple roots.  Such a
-    beta has a root pairing oddly with beta^v (alpha, or its image, with
-    pairing 1), so m_beta is not 0 in any datum and a sign 1 is never
-    read as 0."""
+    The Tits group of ic is read only at the folded simple roots:
+    alpha_i with gamma(i) = i, and alpha_i + alpha_j = s_i(alpha_j) for
+    an A2 pair j = gamma(i).  delta fixes the lifts of the generators
+    s_i, s_i s_j (an orthogonal pair) and s_i s_j s_i (an A2 pair) of
+    W^delta, so a sign is constant on W^delta-orbits and is carried
+    along the orbits of their root permutations.  A sign 1 lies on the
+    orbit of an A2 fold, whose m_beta is not 0 in any datum, so the
+    simply connected datum reads the same signs."""
     if 'delta_signs' in ic._cache:
         return ic._cache['delta_signs']
     tg = tits_group(ic)
+    wg = ic.weyl
     signs = {}
-    for b in twisted_involutions(ic).classification(0).im_pos:
+    gens = []
+    for i, j in enumerate(ic.diagram_perm):
+        if j < i:
+            continue
+        si, b = wg.simple_perms[i], wg.simple_idx[j]
+        if i == j:
+            gens.append(si)
+        elif si[b] == b:    # an orthogonal pair folds no root
+            gens.append(_compose(si, wg.simple_perms[j]))
+            continue
+        else:
+            gens.append(_compose(si, _compose(wg.simple_perms[j], si)))
+            b = si[b]
         sig = tg.sigma_for_root(b)
         d = tg.multiply(tg.twist(sig), tg.inverse(sig))
         if d.w.word:
@@ -270,6 +263,16 @@ def _delta_signs(ic) -> dict:
             signs[b] = 1
         else:
             raise WeylError("sign of delta on a root vector is ill defined")
+    for b in (orbit := list(signs)):
+        for g in gens:
+            c = max(g[b], wg.neg[g[b]])     # the positive one of +-g(b)
+            if c not in signs:
+                signs[c] = signs[b]
+                orbit.append(c)
+            elif signs[c] != signs[b]:
+                raise WeylError("sign of delta varies on a W^delta-orbit")
+    if signs.keys() != set(twisted_involutions(ic).classification(0).im_pos):
+        raise WeylError("a delta-imaginary root is not reached")
     ic._cache['delta_signs'] = signs
     return signs
 
@@ -311,37 +314,37 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     the rows are None, and g2 = (g[p] ^ f for (p, f) in the grading
     map).  The rows are None when S_s V_tau = V_tau2, so that
     M = V_tau2^-1 S_s V_tau is the identity, and tau2 has tau's kernel
-    coordinates.  On a cross edge of the frames' spanning tree, read
-    from either end, that holds because the frames were carried along
-    it, and nothing is formed; on other cross edges S_s V_tau, a rank-one
-    update of V_tau, is compared with V_tau2.  The cross action
-    conjugates exp(2 pi i lambda) sigma_w delta by sigma_s; the Cayley
-    transform left-multiplies it by sigma_s."""
+    coordinates: on a cross edge of the frames' spanning tree, read
+    from either end, and wherever the rank-one update S_s V_tau of V_tau
+    equals V_tau2.  The cross action conjugates
+    exp(2 pi i lambda) sigma_w delta by sigma_s; the Cayley transform
+    left-multiplies it by sigma_s.  tau2 is read from the involution
+    table and checked against the Weyl part of that Tits product."""
     tg = tits_group(ic)
-    wg = ic.weyl
     tbl = twisted_involutions(ic)
     rd = ic.rd
-    tau = tbl.elements[tau_idx]
+    alpha, av = rd.simple_roots[s], rd.simple_coroots[s]
+    t2 = (tbl.cayley if cayley else tbl.cross)[tau_idx][s]
     # cross: sigma_s sigma_w delta sigma_s^-1 = sigma_s sigma_w
     # sigma_{gamma(s)}^-1 delta = x_u sigma_w2 delta; Cayley: sigma_s sigma_w
     # = x_u sigma_w2; either way lambda2 = S_s lambda + u / 2
-    perm, u = tg.conjugate_simple(s, tau.w,
+    perm, u = tg.conjugate_simple(s, tbl.elements[tau_idx].w,
                                   None if cayley else ic.diagram_perm[s])
-    tau2 = tbl.elements[tbl.index_by_perm[_compose(perm, ic.gamma_perm)]]
-    if cayley and tau2.index != tbl.cayley[tau_idx][s]:
-        raise WeylError("Cayley transform disagrees with the involution table")
-    # lambda2 rewritten on y = denom V^-1 lambda in the frames
+    if perm != tbl.elements[t2].w.perm:
+        raise WeylError(("Cayley transform" if cayley else "cross action")
+                        + " disagrees with the involution table")
+    # lambda2 rewritten on y = denom V^-1 lambda in the frames: the
+    # offset sums the columns of V_tau2^-1 at the set bits of u
     fr = fiber_frame(ic, tau_idx)
-    fr2 = fiber_frame(ic, tau2.index)
+    fr2 = fiber_frame(ic, t2)
     kernel = fr2.kernel
-    c = _mat_apply(fr2.vinv, u)
-    offset = tuple(0 if j in kernel else denom // 2 * x
-                   for j, x in enumerate(c))
+    offset = tuple(0 if j in kernel else denom // 2 * sum(compress(row, u))
+                   for j, row in enumerate(fr2.vinv))
     if not cayley and (fr2.parent == (tau_idx, s)
-                       or fr.parent == (tau2.index, s)):
+                       or fr.parent == (t2, s)):
         rows = None     # a tree edge, read from either end
     else:
-        sv = _reflect_rows(fr.v, rd.simple_roots[s], rd.simple_coroots[s])
+        sv = _reflect_rows(fr.v, alpha, av)
         if sv == fr2.v and fr.kernel == kernel:
             rows = None
         else:
@@ -349,25 +352,31 @@ def _move_map(ic, tau_idx, s, cayley, denom):
             rows = tuple(None if j in kernel else
                          tuple([sum(map(mul, row, col)) for col in svt])
                          for j, row in enumerate(fr2.vinv))
-    # grading bits are kept in the order of the positive imaginary roots
+    # grading bits are kept in the order of the positive imaginary roots:
+    # a cross move maps tau2's imaginary roots back through s onto tau's,
+    # a Cayley move keeps those of tau orthogonal to alpha_s
     im = tbl.classification(tau_idx).im_pos
-    im2 = tbl.classification(tau2.index).im_pos
-    source = {}
+    im2 = tbl.classification(t2).im_pos
+    pos = dict(zip(im, range(len(im))))
+    sp, neg = ic.weyl.simple_perms[s], ic.weyl.neg
     if cayley:
-        alpha = rd.simple_roots[s]
-        for p, b in enumerate(im):
-            if vec_dot(rd.roots[b], rd.simple_coroots[s]) == 0:
-                flip = tuple(x + y for x, y in zip(alpha, rd.roots[b])) \
-                    in rd.root_index
-                source[b] = (p, 1 if flip else 0)
+        missed = im2 != tuple(b for b in im
+                              if not sum(map(mul, rd.roots[b], av)))
     else:
-        for p, b in enumerate(im):
-            img = wg.simple_perms[s][b]
-            source[img if rd.is_positive(img) else wg.neg[img]] = (p, 0)
-    if set(source) != set(im2):
+        missed = len(im2) != len(im)
+    if missed:
         raise WeylError(("Cayley transform" if cayley else "cross action")
                         + " misses an imaginary root")
-    return tau2.index, rows, offset, tuple(source[b] for b in im2)
+    gmap = []
+    for b in im2:
+        if cayley:
+            gmap.append((pos[b], int(tuple(map(add, alpha, rd.roots[b]))
+                                     in rd.root_index)))
+        elif (p := pos.get(max(sp[b], neg[sp[b]]))) is not None:
+            gmap.append((p, 0))     # max: the positive one of +-s(b)
+        else:
+            raise WeylError("cross action misses an imaginary root")
+    return t2, rows, offset, tuple(gmap)
 
 
 def _simple_positions(ic, tau_idx) -> tuple:
@@ -400,7 +409,8 @@ def _validate_square(ic, z: RatVecModZ) -> RatVecModZ:
 
 def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     """The full one-sided space (or its slices over the given central
-    squares), built breadth-first from the distinguished fiber."""
+    squares, a repeated square counted once), built breadth-first from
+    the distinguished fiber."""
     cache_key = None
     if squares is None:
         cache_key = 'kgbtable'
@@ -408,7 +418,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
             return ic._cache[cache_key]
         squares = central_fixed_points(ic)
     else:
-        squares = tuple(sorted((_validate_square(ic, z) for z in squares),
+        squares = tuple(sorted({_validate_square(ic, z) for z in squares},
                                key=lambda z: z.entries))
     tbl = twisted_involutions(ic)
     k = ic.rd.n_simple
@@ -424,32 +434,25 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     key_index = {}
     log = []
 
-    def add(tau_idx, y, q, grading, root, origin):
-        key = (tau_idx, y)
-        j = key_index.get(key)
-        if j is not None:
-            if sqs[j] != q or grads[j] != grading:
-                raise WeylError("inconsistent duplicate element")
-            return j, False
+    def insert(key, q, grading, root, origin):
         j = len(taus)
         key_index[key] = j
-        taus.append(tau_idx)
-        ys.append(y)
+        taus.append(key[0])
+        ys.append(key[1])
         sqs.append(q)
         grads.append(grading)
         roots.append(j if root is None else root)
         cross_ids.extend(blank)
         cayley_ids.extend(blank)
         log.append((j,) + origin)
-        return j, True
+        return j
 
-    queue = deque()
     fs0 = fiber_space(tbl.elements[0], ic)
     seeds = [(q, y) for q, z in enumerate(squares)
              for y in fs0.coordinates(z, denom)]
     gradings = _base_grading(ic, [y for _, y in seeds], denom)
     for (q, y), g in zip(seeds, gradings):
-        queue.append(add(0, y, q, g, None, (-1, 'seed'))[0])
+        insert((0, y), q, g, None, (-1, 'seed'))
 
     # strong real forms = connected components of the move graph: every
     # element lies in the component of its root seed, and an edge to an
@@ -461,48 +464,61 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
             a = seed_parent[a]
         return a
 
-    moves = {}
-    simple_pos = {}
-    while queue:
-        i = queue.popleft()
+    # breadth first: every new element is queued at the end, so the
+    # queue is the id order.  Per tau, one slot [s, position of alpha_s
+    # among the imaginary roots, cayley, move] per cross move and then
+    # per Cayley move; a move is tabulated on first use
+    slots = {}
+    i = 0
+    while i < len(taus):
         tau_idx, y, q, g, root = taus[i], ys[i], sqs[i], grads[i], roots[i]
-        if tau_idx not in simple_pos:
-            simple_pos[tau_idx] = _simple_positions(ic, tau_idx)
-        for cayley in (False, True):
-            for s, p in enumerate(simple_pos[tau_idx]):
-                if cayley and (p is None or g[p] != 1):
+        if tau_idx not in slots:
+            pos = _simple_positions(ic, tau_idx)
+            slots[tau_idx] = []
+            for cayley in (False, True):
+                for s, p in enumerate(pos):
+                    if not cayley or p is not None:
+                        slots[tau_idx].append([s, p, cayley, None])
+        base = i * k
+        for slot in slots[tau_idx]:
+            s, p, cayley, move = slot
+            if cayley:
+                if not g[p]:
                     continue
-                if not cayley and cross_ids[i * k + s] is not None:
-                    # linked from the other end: the cross action of s
-                    # is an involution
-                    continue
-                key = (tau_idx, s, cayley)
-                if key not in moves:
-                    moves[key] = _move_map(ic, tau_idx, s, cayley, denom) \
-                        + (f"{'c' if cayley else 'x'}{s}",)
-                t2, rows, offset, gmap, label = moves[key]
-                if rows is None:
-                    y2 = tuple([(a + c) % denom for a, c in zip(y, offset)])
-                else:
-                    y2 = tuple([c if row is None
-                                else (sum(map(mul, row, y)) + c) % denom
-                                for row, c in zip(rows, offset)])
-                g2 = tuple([g[p2] ^ f for p2, f in gmap])
-                j, new = add(t2, y2, q, g2, root, (i, label))
-                if cayley:
-                    cayley_ids[i * k + s] = j
-                else:
-                    back = cross_ids[j * k + s]
-                    if back is None:
-                        cross_ids[j * k + s] = i
-                    elif back != i:
-                        raise WeylError("cross action is not an involution")
-                    cross_ids[i * k + s] = j
-                if new:
-                    queue.append(j)
-                elif roots[j] != root:
-                    ra, rb = find(root), find(roots[j])
-                    seed_parent[max(ra, rb)] = min(ra, rb)
+            elif cross_ids[base + s] is not None:
+                # linked from the other end: the cross action of s is an
+                # involution
+                continue
+            if move is None:
+                move = slot[3] = _move_map(ic, tau_idx, s, cayley, denom) \
+                    + (f"{'c' if cayley else 'x'}{s}",)
+            t2, rows, offset, gmap, label = move
+            if rows is None:
+                y2 = tuple([(a + c) % denom for a, c in zip(y, offset)])
+            else:
+                y2 = tuple([c if row is None
+                            else (sum(map(mul, row, y)) + c) % denom
+                            for row, c in zip(rows, offset)])
+            g2 = tuple([g[p2] ^ f for p2, f in gmap])
+            key = (t2, y2)
+            j = key_index.get(key)
+            if j is None:
+                j = insert(key, q, g2, root, (i, label))
+            elif sqs[j] != q or grads[j] != g2:
+                raise WeylError("inconsistent duplicate element")
+            elif roots[j] != root:
+                ra, rb = find(root), find(roots[j])
+                seed_parent[max(ra, rb)] = min(ra, rb)
+            if cayley:
+                cayley_ids[base + s] = j
+            else:
+                back = cross_ids[j * k + s]
+                if back is None:
+                    cross_ids[j * k + s] = i
+                elif back != i:
+                    raise WeylError("cross action is not an involution")
+                cross_ids[base + s] = j
+        i += 1
 
     n = len(taus)
     # sanity: squares recompute, lengths nondecreasing

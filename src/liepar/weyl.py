@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .intlinalg import IntMatrix, scaled_inverse, vec_dot
 from .rootdatum import RootDatum
@@ -373,12 +373,13 @@ class RootClassification:
         """Indices of the complex roots orthogonal to twice rho of the
         imaginary roots and twice rhov of the real roots."""
         rd = self.rd
-        rho_i = [sum(col) for col in zip(*(rd.roots[i] for i in self.im_pos))]
-        rhov_r = [sum(col)
-                  for col in zip(*(rd.coroots[i] for i in self.re_pos))]
+        rho_i = [sum(col) for col in zip(*map(rd.roots.__getitem__,
+                                              self.im_pos))]
+        rhov_r = [sum(col) for col in zip(*map(rd.coroots.__getitem__,
+                                               self.re_pos))]
         return tuple(i for i, s in enumerate(self.status) if s == 'C'
-                     and vec_dot(rho_i, rd.coroots[i]) == 0
-                     and vec_dot(rd.roots[i], rhov_r) == 0)
+                     and not sum(map(mul, rho_i, rd.coroots[i]))
+                     and not sum(map(mul, rd.roots[i], rhov_r)))
 
     @cached_property
     def deltaC_pos(self) -> tuple:

@@ -1,6 +1,7 @@
 """The one-sided space X: goldens, moves, real Weyl groups, reduced
 space, and whole-space properties."""
 
+import dataclasses
 import fractions
 import hashlib
 import random
@@ -16,8 +17,8 @@ import liepar.intlinalg
 import liepar.kgb
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
-                    NotReal, RatVecModZ, TorusSignature, WeylError,
-                    cartan_class_of, cartan_classes, cartans_for,
+                    NotReal, RatVecModZ, TitsGroup, TorusSignature,
+                    WeylError, cartan_class_of, cartan_classes, cartans_for,
                     cayley_down, cayley_up, central_fixed_points,
                     count_z_blocks, cross, cross_by_word, enumerate_form,
                     enumerate_X, fiber_space, from_type, grading,
@@ -341,6 +342,20 @@ def test_restricted_squares():
         enumerate_X(ic, squares=[rv("1/3")])
 
 
+def test_a_repeated_square_is_counted_once():
+    # the slice over a set of squares is the same however often a square
+    # is listed; both squares of SL(2) once broke the search
+    ic = make_ic("A1", "sc")
+    squares = central_fixed_points(ic)
+    for z in squares:
+        once = enumerate_X(ic, squares=[z])
+        twice = enumerate_X(ic, squares=[z, z])
+        assert twice.squares == (z,)
+        assert table_digest(twice) == table_digest(once)
+    both = enumerate_X(ic, squares=squares[::-1] + squares)
+    assert table_digest(both) == table_digest(enumerate_X(ic))
+
+
 def test_lengths_monotone_and_seeded_at_zero():
     for t, iso, tw in GRID:
         table = enumerate_X(make_ic(t, iso, tw))
@@ -428,6 +443,38 @@ def test_square_check_covers_every_element():
         enumerate_X(ic)
 
 
+def test_cross_moves_check_the_involution_table(monkeypatch):
+    # a Tits product whose Weyl part is not the table's cross target:
+    # the search reads tau2 from the table and compares the two
+    conjugate = TitsGroup.conjugate_simple
+
+    def corrupted(self, s, w, r=None):
+        perm, u = conjugate(self, s, w, r)
+        if (s, w.word, r) == (1, (), 1):
+            perm = self.weyl.simple_perms[1]
+        return perm, u
+
+    monkeypatch.setattr(TitsGroup, "conjugate_simple", corrupted)
+    with pytest.raises(WeylError,
+                       match="cross action disagrees with the involution"):
+        enumerate_X(fresh_ic("C2", "c"))
+
+
+def test_cross_grading_map_checks_both_lengths():
+    # a cross target that has lost its imaginary roots: every root it
+    # keeps is found, so only the length check catches it
+    ic = fresh_ic("C2", "c")
+    tbl = twisted_involutions(ic)
+    t, s = next((t, s) for t in range(len(tbl)) for s in range(2)
+                if tbl.cross[t][s] != t and tbl.classification(t).im_pos)
+    t2 = tbl.cross[t][s]
+    tbl._classification[t2] = dataclasses.replace(tbl.classification(t2),
+                                                  im_pos=())
+    with pytest.raises(WeylError,
+                       match="cross action misses an imaginary root"):
+        _move_map(ic, t, s, False, 2)
+
+
 def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
     # elements 0 and 1 of SL(2) x SL(2) lie over delta with the same
     # square and grading; a cross move by s = 0 that sends the whole
@@ -476,8 +523,8 @@ FRAME_GROUPS = [("C2", "c"), ("G2", "c"), ("B3", "c"), ("A3", (2, 1, 0)),
                 ("A4", (3, 2, 1, 0)), ("D4", (0, 1, 3, 2))]
 
 
-def fresh_ic(t, tw):
-    rd = from_type(t, "sc")
+def fresh_ic(t, tw, iso="sc"):
+    rd = from_type(t, iso)
     return trivial_inner_class(rd) if tw == "c" \
         else inner_class_from_perm(rd, tw)
 
@@ -609,16 +656,40 @@ def test_seeds_match_the_reference_route(t, iso, tw):
 DELTA_SIGN_DATA = GRID + [
     (t, iso, tw) for t, tw in [("E6", "c"), ("E6", (5, 1, 4, 3, 2, 0)),
                                ("D4", (0, 1, 3, 2)), ("D5", (0, 1, 2, 4, 3)),
-                               ("A4", (3, 2, 1, 0)), ("A5", (4, 3, 2, 1, 0))]
+                               ("A4", (3, 2, 1, 0)), ("A5", (4, 3, 2, 1, 0)),
+                               ("A6", (5, 4, 3, 2, 1, 0))]
     for iso in ("sc", "ad")]
 
 
+def counted_lifts(monkeypatch):
+    """The roots TitsGroup.sigma_for_root is called on, recursion
+    included."""
+    lift = TitsGroup.sigma_for_root
+    calls = []
+
+    def counted(self, root_idx):
+        calls.append(root_idx)
+        return lift(self, root_idx)
+
+    monkeypatch.setattr(TitsGroup, "sigma_for_root", counted)
+    return calls
+
+
+def simple_orbits(ic):
+    return len({frozenset((i, j)) for i, j in enumerate(ic.diagram_perm)})
+
+
 @pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)
-def test_delta_signs_match_the_companion_route(t, iso, tw):
-    ic = make_ic(t, iso, tw)
+def test_delta_signs_match_the_companion_route(t, iso, tw, monkeypatch):
+    # the Tits group is read only at the folded simple roots: one lift
+    # at a fixed simple root, two (with the recursion) at an A2 fold
+    ic = fresh_ic(t, tw, iso)
+    calls = counted_lifts(monkeypatch)
     signs = _delta_signs(ic)
+    assert len(calls) <= 2 * simple_orbits(ic)
+    monkeypatch.undo()
     assert signs == reference_delta_signs(ic)
-    if t in ("A2", "A4") and tw != "c":
+    if t in ("A2", "A4", "A6") and tw != "c":
         assert 1 in signs.values()
 
 
@@ -685,6 +756,17 @@ def test_search_and_forms_build_no_element_view(t, tw, size, digest,
     assert table_digest(table) == digest
 
 
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_a_ladder_search_reads_two_lifts_per_simple_orbit(t, tw, size,
+                                                          digest,
+                                                          monkeypatch):
+    calls = counted_lifts(monkeypatch)
+    ic = fresh_ic(t, tw)
+    assert sum(map(len, (f.element_ids for f in strong_real_forms(ic)))) \
+        == size
+    assert 0 < len(calls) <= 2 * simple_orbits(ic)
+
+
 FORM_ORACLE_DATA = GRID + [(t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS] \
     + [("E6", "sc", "c")]
 
@@ -729,6 +811,65 @@ def test_c6_form_sizes_hold_the_sp_clan_counts():
     sp_pq = {sp_pq_count(p, 6 - p) for p in range(7)}
     assert sp_pq == {1, 36, 315, 680}
     assert sizes == sp_pq | {4899}
+
+
+@pytest.mark.slow
+def test_a8_form_sizes_are_the_su_clan_counts():
+    ic = fresh_ic("A8", "c")
+    sizes = {len(f.element_ids) for f in strong_real_forms(ic)}
+    assert sizes == {su_clans(p, 9 - p) for p in range(10)} \
+        == {1, 45, 666, 3990, 9891}
+
+
+@pytest.mark.slow
+def test_c7_form_sizes_hold_the_sp_clan_counts():
+    # the one size left is the split form Sp(14, R)
+    ic = fresh_ic("C7", "c")
+    sizes = {len(f.element_ids) for f in strong_real_forms(ic)}
+    sp_pq = {sp_pq_count(p, 7 - p) for p in range(8)}
+    assert sp_pq == {1, 49, 651, 2555}
+    assert sizes == sp_pq | {26253}
+
+
+# form sizes by a second route: the K-orbits on G/B over the Cartan class
+# of H are W(G, H)\W (Matsuki; Richardson-Springer), so
+# |X[x0]| = sum over the classes H met by the form of |W| / |W(G, H)|
+
+def form_sizes_from_real_weyl_orders(ic):
+    table = enumerate_X(ic)
+    order = ic.weyl.order()
+    sizes = []
+    for form in strong_real_forms(ic):
+        met = {}
+        for i in form.element_ids:
+            x = table.elements[i]
+            met.setdefault(cartan_class_of(ic, x.tau.index), x)
+        size = 0
+        for x in met.values():
+            total = real_weyl(x).total
+            assert order % total == 0
+            size += order // total
+        sizes.append(size)
+    return sizes
+
+
+REAL_WEYL_ORACLE_DATA = GRID + [
+    (t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS] + [
+    ("E6", "sc", "c"), ("E6", "sc", (5, 1, 4, 3, 2, 0))]
+
+
+@pytest.mark.parametrize("t,iso,tw", REAL_WEYL_ORACLE_DATA)
+def test_form_sizes_are_sums_of_real_weyl_indices(t, iso, tw):
+    ic = make_ic(t, iso, tw)
+    assert form_sizes_from_real_weyl_orders(ic) == \
+        [len(f.element_ids) for f in strong_real_forms(ic)]
+
+
+@pytest.mark.slow
+def test_e7_form_sizes_are_sums_of_real_weyl_indices():
+    ic = fresh_ic("E7", "c")
+    assert form_sizes_from_real_weyl_orders(ic) == \
+        [len(f.element_ids) for f in strong_real_forms(ic)]
 
 
 @pytest.mark.slow
