@@ -394,6 +394,8 @@ def _simple_positions(ic, tau_idx) -> tuple:
 def _validate_square(ic, z: RatVecModZ) -> RatVecModZ:
     """z reduced mod the lattice, after checking its length and, on the
     integers D z, that it is central and fixed by the twist."""
+    if not isinstance(z, RatVecModZ):
+        raise TypeError(f"square must be a RatVecModZ, got {type(z).__name__}")
     if len(z.entries) != ic.rank:
         raise ValueError(f"square needs {ic.rank} coordinates, "
                          f"got {len(z.entries)}")

@@ -4,12 +4,12 @@ Cartan classes.
 A Weyl element is its shortlex-minimal reduced word together with the
 permutation it induces on the roots: perm[r] is the index of w(root r)
 in the root datum's (height, lex) order, where the negative roots are
-exactly the indices below n_pos.  Composition is tuple indexing, a
+exactly the indices below n_pos.  Composition is an itemgetter call, a
 descent is a comparison with n_pos, and the canonical word is peeled off
-the permutation one smallest left descent at a time.  The action matrix
-on the character lattice X (a word s_{i1},...,s_{ik} acts by
-S_{i1} @ ... @ S_{ik}) and that of the inverse are derived on first use
-from the images of the simple roots.
+psi(w^-1 alpha_j), psi(alpha_j) = j + 1, one smallest left descent at a
+time.  The action matrix on the character lattice X (a word
+s_{i1},...,s_{ik} acts by S_{i1} @ ... @ S_{ik}) and that of the inverse
+are derived on first use from the images of the simple roots.
 
 A twisted involution is keyed by the permutation of the roots induced
 by theta = w o gamma, where the diagram involution gamma permutes the
@@ -52,8 +52,8 @@ def _mat_apply(m, v):
 
 
 def _compose(a, b):
-    """The permutation a o b: b first, then a."""
-    return tuple(map(a.__getitem__, b))
+    """The permutation a o b: b first, then a (a torus has no roots)."""
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(a[i] for i in b)
 
 
 def _inverse(perm):
@@ -138,6 +138,13 @@ class WeylGroup:
                                   for a in self.simple_idx)
         # times_simple[i](perm) is the permutation of w s_i
         self.times_simple = tuple(itemgetter(*p) for p in self.simple_perms)
+        # for canonical_word: psi per root, and per simple i the pairs
+        # (j, <alpha_j, alpha_i^v>) of its Cartan neighbours
+        self._psi = tuple(sum(j * c for j, c in enumerate(co, 1))
+                          for co in rd.coefficients)
+        self._neighbours = tuple(tuple((j, c) for j, c in enumerate(
+            vec_dot(a, av) for a in rd.simple_roots) if c and j != i)
+            for i, av in enumerate(rd.simple_coroots))
         self.identity = WeylElt((), tuple(range(len(rd.roots))), self)
         self._simples = tuple(WeylElt((i,), p, self)
                               for i, p in enumerate(self.simple_perms))
@@ -192,19 +199,28 @@ class WeylGroup:
     def canonical_word(self, perm, inv=None) -> tuple:
         """Shortlex-minimal reduced word of the element permuting the
         roots by perm: greedily peel the smallest left descent i, the
-        first with w^{-1}(alpha_i) < 0.  inv is w^{-1}, if known."""
+        first with h_i = psi(w^{-1}(alpha_i)) < 0, where psi(alpha_j) =
+        j + 1 is positive exactly on the positive roots; peeling s_i
+        negates h_i and lowers each neighbour h_j by <alpha_j, alpha_i^v>
+        h_i.  Any end but h = (1, ..., k), such as a diagram
+        automorphism's, raises.  inv is w^{-1}, if known."""
+        psi = self._psi
+        h = [psi[inv[a]] for a in self.simple_idx] if inv is not None \
+            else [psi[perm.index(a)] for a in self.simple_idx]
+        neighbours = self._neighbours
         word = []
-        if inv is None:
-            inv = _inverse(perm)
-        npos = self.n_pos
-        while inv != self.identity.perm:
-            for i, a in enumerate(self.simple_idx):
-                if inv[a] < npos:
-                    word.append(i)
-                    inv = self.times_simple[i](inv)
+        while True:
+            for i, x in enumerate(h):
+                if x < 0:
                     break
             else:
-                raise WeylError("permutation is not a Weyl group element")
+                break
+            word.append(i)
+            h[i] = -x
+            for j, c in neighbours[i]:
+                h[j] -= c * x
+        if h != list(range(1, len(h) + 1)):
+            raise WeylError("permutation is not a Weyl group element")
         return tuple(word)
 
     def from_perm(self, perm, inv=None) -> WeylElt:
@@ -560,27 +576,21 @@ def cartan_classes(ic: InnerClass):
         return ic._cache['cartans']
     table = twisted_involutions(ic)
     n = len(table)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx in range(n):
-        for j in table.cross[idx]:
-            ra, rb = find(idx), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    groups = {}
-    for idx in range(n):
-        groups.setdefault(find(idx), []).append(idx)
+    # one sweep over the cross edges, a class from each least unseen index
+    seen = [False] * n
     reps = []
-    for members in groups.values():
-        rep = min(members, key=lambda t: (table.elements[t].w.length,
-                                          table.elements[t].w.word))
-        reps.append((rep, tuple(sorted(members))))
+    for start in range(n):
+        if not seen[start]:
+            seen[start] = True
+            members = [start]
+            for t in members:
+                for j in table.cross[t]:
+                    if not seen[j]:
+                        seen[j] = True
+                        members.append(j)
+            rep = min(members, key=lambda t: (table.elements[t].w.length,
+                                              table.elements[t].w.word))
+            reps.append((rep, tuple(sorted(members))))
     reps.sort(key=lambda rm: (table.elements[rm[0]].w.length,
                               table.elements[rm[0]].w.word))
     classes = tuple(CartanClass(k, rep, members)

@@ -16,7 +16,7 @@ from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
 from liepar.fiber import fiber_frame
 from liepar.intlinalg import vec_dot
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import WeylError, _compose, _mat_apply, _mat_mul
+from liepar.weyl import WeylError, _compose, _inverse, _mat_apply, _mat_mul
 
 
 def frac_vec(v) -> tuple:
@@ -62,6 +62,41 @@ def from_word(wg, word):
     for i in word:
         perm = wg.times_simple[i](perm)
     return wg.from_perm(perm)
+
+
+def reference_canonical_word(wg, perm, inv=None):
+    """Shortlex-minimal reduced word of the element permuting the roots
+    by perm, peeled off the inverse permutation: the smallest left
+    descent i, the first with w^-1(alpha_i) < 0, then w^-1 s_i, until
+    w^-1 is the identity; the route that WeylGroup.canonical_word, which
+    reads the descents off psi, replaced."""
+    word = []
+    if inv is None:
+        inv = _inverse(perm)
+    while inv != wg.identity.perm:
+        for i, a in enumerate(wg.simple_idx):
+            if inv[a] < wg.n_pos:
+                word.append(i)
+                inv = wg.times_simple[i](inv)
+                break
+        else:
+            raise WeylError("permutation is not a Weyl group element")
+    return tuple(word)
+
+
+def perm_bfs(wg, cap):
+    """The first cap root permutations of W met breadth-first from the
+    identity by right multiplication with simple reflections; no word is
+    formed."""
+    seen = [wg.identity.perm]
+    known = set(seen)
+    for p in seen:
+        for step in wg.times_simple:
+            q = step(p)
+            if q not in known and len(seen) < cap:
+                known.add(q)
+                seen.append(q)
+    return seen
 
 
 def mult(wg, a, b):

@@ -8,15 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (InvalidInvolution, WeylError, WeylGroup, cartan_class_of,
-                    cartan_classes, enumerate_X, from_type,
-                    inner_class_from_perm, new_root_datum, real_weyl,
-                    trivial_inner_class, twisted_involutions)
-from liepar.weyl import _compose, _mat_apply, _mat_mul, subsystem_order
+from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
+                    WeylGroup, cartan_class_of, cartan_classes, enumerate_X,
+                    from_type, inner_class_from_perm, new_root_datum,
+                    real_weyl, trivial_inner_class, twisted_involutions)
+from liepar.weyl import (_compose, _inverse, _mat_apply, _mat_mul,
+                         subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
-                   matrix_canonical_word, mult, perm_closure,
-                   reference_classification, root_is_negative,
-                   simple_reflection)
+                   matrix_canonical_word, mult, perm_bfs, perm_closure,
+                   reference_canonical_word, reference_classification,
+                   root_is_negative, simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -65,6 +66,55 @@ def test_canonical_words_shortlex():
         # shortlex-minimal among all reduced words (exhaustive for B2)
         words = _all_reduced_words(wg, w)
         assert w.word == min(words, key=lambda u: (len(u), u))
+
+
+# every group of the brute-force oracle, |W| <= 384, then F4 whole and
+# the first 4000 elements of E6 breadth-first
+BRUTE_FORCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                     "C4", "D4", "G2", "A1.A1", "B2.G2", "A1.T1"]
+
+
+@pytest.mark.parametrize(
+    "t,iso,cap", [(t, iso, 384) for t in BRUTE_FORCE_TYPES
+                  for iso in ("sc", "ad")]
+    + [("F4", "sc", 1152), ("E6", "sc", 4000), ("E6", "ad", 4000)])
+def test_canonical_words_match_the_permutation_peeling(t, iso, cap):
+    wg = WeylGroup(from_type(t, iso))
+    perms = perm_bfs(wg, cap)
+    assert len(perms) == min(cap, wg.order())
+    for p in perms:
+        word = reference_canonical_word(wg, p)
+        assert wg.canonical_word(p) == word
+        assert wg.canonical_word(p, _inverse(p)) == word
+
+
+@pytest.mark.parametrize("t,tw", [("A2", (1, 0)), ("D4", (0, 1, 3, 2)),
+                                  ("E6", (5, 1, 4, 3, 2, 0))])
+def test_a_diagram_automorphism_is_no_weyl_group_element(t, tw):
+    # gamma keeps every positive root positive, so it has no descent;
+    # -1 = w0 gamma is not in W either for these types
+    ic = make_ic(t, "sc", tw)
+    wg, g = ic.weyl, ic.gamma_perm
+    for perm in (g, _compose(wg.longest_element().perm, g)):
+        for inv in (None, _inverse(perm)):
+            with pytest.raises(WeylError, match="not a Weyl group element"):
+                wg.canonical_word(perm, inv)
+            with pytest.raises(WeylError, match="not a Weyl group element"):
+                reference_canonical_word(wg, perm, inv)
+
+
+@pytest.mark.parametrize("t", ["T1", "T2"])
+def test_a_torus_has_one_twisted_involution(t):
+    # a torus has no roots: every permutation has length 0
+    rd = from_type(t, "sc")
+    assert _compose((), ()) == ()
+    for gamma in (IntMatrix.identity(rd.rank), IntMatrix.from_rows(
+            [[-int(i == j) for j in range(rd.rank)]
+             for i in range(rd.rank)])):
+        ic = InnerClass(rd, gamma)
+        assert len(twisted_involutions(ic)) == 1
+        assert ic.twist_weyl(ic.weyl.identity) == ic.weyl.identity
+        assert ic.weyl.canonical_word(()) == ()
 
 
 def _all_reduced_words(wg, w):
@@ -191,7 +241,8 @@ def test_cross_action_on_taus_is_an_involution(t, iso, tw):
 
 
 @pytest.mark.parametrize("t,tw", [("C4", "c"), ("E6", "c"),
-                                  ("D4", (0, 1, 3, 2))])
+                                  ("D4", (0, 1, 3, 2)),
+                                  ("E6", (5, 1, 4, 3, 2, 0))])
 def test_each_cross_edge_is_composed_once(t, tw, monkeypatch):
     calls = [0]
     compose = liepar.weyl._compose
@@ -210,9 +261,10 @@ def test_each_cross_edge_is_composed_once(t, tw, monkeypatch):
              for s, j in enumerate(row)}
     cayley = sum(j is not None for row in tbl.cayley for j in row)
     # one per cross edge, fixed points included; one per Cayley edge; one
-    # per new tau for w = theta o gamma
-    assert calls[0] <= len(edges) + cayley + len(tbl) - 1
-    if tw == "c":
+    # per new tau for w = theta o gamma unless gamma fixes every root
+    if tw != "c":
+        assert calls[0] == len(edges) + cayley + len(tbl) - 1
+    else:
         # gamma fixes every root: w shares theta and costs no composition
         assert calls[0] == len(edges) + cayley
         assert all(tau.w.perm is tau.theta for tau in tbl.elements[1:])
@@ -253,13 +305,22 @@ INVOLUTION_COUNTS = {
     "A1": 2, "A2": 4, "A3": 10, "A4": 26, "A5": 76, "A6": 232, "A7": 764,
     "B2": 6, "B3": 20, "B4": 76, "B5": 312, "B6": 1384,
     "C2": 6, "C3": 20, "C4": 76, "C5": 312, "C6": 1384, "C7": 6512,
-    "A8": 2620}
+    "A8": 2620, "E7": 10208}
 
 
 @pytest.mark.parametrize("t,n", sorted(INVOLUTION_COUNTS.items()))
 def test_equal_rank_twisted_involutions_count_the_involutions_of_w(t, n):
     # for the trivial twist a twisted involution is an involution of W
     assert len(twisted_involutions(make_ic(t, "sc"))) == n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t,n", [("B8", 32400), ("C8", 32400),
+                                 ("E8", 199952)])
+def test_large_involution_counts(t, n):
+    # a fresh inner class: the session cache would keep the table alive
+    ic = trivial_inner_class(from_type(t, "sc"))
+    assert len(twisted_involutions(ic)) == n
 
 
 def test_cartan_classes_sp4():

@@ -229,6 +229,17 @@ def test_restrict_squares_are_validated(side):
         assert not isinstance(info.value, WeylError)
 
 
+def test_a_square_that_is_no_ratvecmodz_raises_a_type_error():
+    ic = make_ic("A1", "sc")
+    half = (Fraction(1, 2),)
+    with pytest.raises(TypeError, match="RatVecModZ, got tuple"):
+        enumerate_X(ic, squares=[half])
+    for side in ("restrict_x_square", "restrict_y_square"):
+        for call in (count_z_blocks, enumerate_Z):
+            with pytest.raises(TypeError, match="RatVecModZ, got tuple"):
+                call(ic, **{side: half})
+
+
 def test_enumerate_x_rejects_a_square_of_the_wrong_length():
     with pytest.raises(ValueError, match="needs 1 coordinates") as info:
         enumerate_X(make_ic("A1", "sc"), squares=[rv(0, 0)])
