@@ -218,14 +218,13 @@ class Session:
         if inv is None:
             raise CommandError("lattice basis is singular")
         den, binv = inv
+        binv_t = binv.transpose()
         # simple root j in fundamental-weight coordinates is row j of the
         # Cartan matrix (zero on torus coordinates); rewrite the roots in
         # the chosen basis and read the coroots off the basis columns
         simple_roots = []
         for j in range(k):
-            col = list(cartan[j]) + [0] * torus
-            coords = [sum(col[t] * binv[t, c] for t in range(n))
-                      for c in range(n)]
+            coords = binv_t.apply(list(cartan[j]) + [0] * torus)
             if any(x % den for x in coords):
                 raise CommandError(
                     "the root lattice is not contained in this lattice")

@@ -243,15 +243,15 @@ def _reflect_rows(m, a, av):
     """S m for the reflection S v = v - <a, v> av of the cocharacters;
     a row where av is 0 is returned as the same tuple."""
     r = [sum(map(mul, a, col)) for col in zip(*m)]
-    return tuple(row if c == 0 else tuple([x - c * y for x, y in zip(row, r)])
-                 for row, c in zip(m, av))
+    return tuple([row if c == 0 else tuple([x - c * y for x, y in zip(row, r)])
+                  for row, c in zip(m, av)])
 
 
 def _reflect_cols(m, a, av):
     """m S for the same reflection S; a row with row . av = 0 is returned
     as the same tuple."""
-    return tuple(row if c == 0 else tuple([x - c * y for x, y in zip(row, a)])
-                 for row, c in ((row, sum(map(mul, row, av))) for row in m))
+    return tuple([row if c == 0 else tuple([x - c * y for x, y in zip(row, a)])
+                  for row, c in zip(m, [sum(map(mul, row, av)) for row in m])])
 
 
 def _carry_frames(ic: InnerClass, rep: int, frames: dict):
@@ -285,8 +285,8 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             shift = _mat_apply(sq2, _mat_apply(vinv2, u))
             frames[t2] = Frame(
                 _reflect_rows(fr.v, a, av), vinv2, fr.kernel, sq2,
-                tuple((x - c * y + z) % 2
-                      for x, y, z in zip(fr.twice_nu, av, shift)), (t, s))
+                tuple([(x - c * y + z) % 2
+                       for x, y, z in zip(fr.twice_nu, av, shift)]), (t, s))
             queue.append(t2)
 
 

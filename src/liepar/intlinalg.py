@@ -5,7 +5,9 @@ integers, and vectors mod 2.  The module has one elimination, the Smith
 normal form; rank and inverse read it.  A torus element of finite order
 is held inside the package as an integer vector D z mod D; RatVecModZ,
 its Fraction form, is built only for output.  No floating point is used
-anywhere in the package.
+anywhere in the package.  The integer kernels (dot products, matrix
+products, sums, F2 additions) run their inner loops in C through map
+over operator functions: sum(map(mul, a, b)), tuple(map(xor, a, b)).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub, xor
 from typing import Iterable, Sequence
 
 
@@ -24,7 +27,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             ncols = len(data[0])
             if any(len(row) != ncols for row in data):
@@ -62,11 +65,11 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
+        return IntMatrix(tuple(tuple(map(add, ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
+        return IntMatrix(tuple(tuple(map(sub, ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "IntMatrix":
@@ -74,13 +77,12 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         bt = tuple(zip(*other.entries))
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries))
+        return IntMatrix(tuple(tuple([sum(map(mul, row, col)) for col in bt])
+                               for row in self.entries))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector (int or Fraction entries)."""
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero invariant
@@ -108,9 +110,8 @@ def scaled_inverse(m: IntMatrix):
     if den == 0:
         return None
     scale = [den // d[t, t] for t in range(n)]
-    return den, IntMatrix(tuple(
-        tuple(sum(v[j, t] * scale[t] * u[t, i] for t in range(n))
-              for i in range(n)) for j in range(n)))
+    return den, IntMatrix(tuple(tuple(map(mul, row, scale))
+                                for row in v.entries)) @ u
 
 
 def smith_normal_form_with_inverse(m: IntMatrix):
@@ -220,7 +221,7 @@ def smith_normal_form_with_inverse(m: IntMatrix):
 
 
 def vec_dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,8 @@ class RatVecModZ:
 
 
 def f2_vec(v: Sequence) -> tuple:
-    return tuple(int(x) & 1 for x in v)
+    return tuple([int(x) & 1 for x in v])
 
 
 def f2_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple((x ^ y) for x, y in zip(a, b))
+    return tuple(map(xor, a, b))

@@ -338,8 +338,8 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     fr = fiber_frame(ic, tau_idx)
     fr2 = fiber_frame(ic, t2)
     kernel = fr2.kernel
-    offset = tuple(0 if j in kernel else denom // 2 * sum(compress(row, u))
-                   for j, row in enumerate(fr2.vinv))
+    offset = tuple([0 if j in kernel else denom // 2 * sum(compress(row, u))
+                    for j, row in enumerate(fr2.vinv)])
     if not cayley and (fr2.parent == (tau_idx, s)
                        or fr.parent == (t2, s)):
         rows = None     # a tree edge, read from either end
@@ -349,9 +349,9 @@ def _move_map(ic, tau_idx, s, cayley, denom):
             rows = None
         else:
             svt = tuple(zip(*sv))
-            rows = tuple(None if j in kernel else
-                         tuple([sum(map(mul, row, col)) for col in svt])
-                         for j, row in enumerate(fr2.vinv))
+            rows = tuple([None if j in kernel else
+                          tuple([sum(map(mul, row, col)) for col in svt])
+                          for j, row in enumerate(fr2.vinv)])
     # grading bits are kept in the order of the positive imaginary roots:
     # a cross move maps tau2's imaginary roots back through s onto tau's,
     # a Cayley move keeps those of tau orthogonal to alpha_s

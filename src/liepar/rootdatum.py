@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .intlinalg import IntMatrix, vec_dot
 
@@ -71,7 +72,7 @@ class RootDatum:
         return tuple(self.root_index[r] for r in self.simple_roots)
 
     def negative_of(self, root_idx: int) -> int:
-        return self.root_index[tuple(-x for x in self.roots[root_idx])]
+        return self.root_index[tuple([-x for x in self.roots[root_idx]])]
 
     def rho_in_X(self) -> bool:
         """Is rho a character: is every coordinate of 2 rho even?"""
@@ -170,7 +171,8 @@ def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
     """The root datum of validated simple roots and coroots (tuples) with
     Cartan matrix cartan: the reflection closure on (root, coroot) pairs,
     carrying each root's coefficients in the simple roots (s_i subtracts
-    c from coefficient i)."""
+    c from coefficient i).  A pair that s_i fixes (both pairings 0) is
+    skipped; a pair with one pairing 0 still meets the bijection check."""
     k = len(simple_roots)
     pairs = {}
     coefficients = {}
@@ -184,11 +186,13 @@ def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
     while qi < len(queue):
         root, coroot = queue[qi]
         qi += 1
-        for i in range(k):
-            c = vec_dot(root, simple_coroots[i])
-            cv = vec_dot(simple_roots[i], coroot)
-            nr = tuple(x - c * a for x, a in zip(root, simple_roots[i]))
-            nc = tuple(y - cv * b for y, b in zip(coroot, simple_coroots[i]))
+        for i, (a, av) in enumerate(zip(simple_roots, simple_coroots)):
+            c = sum(map(mul, root, av))
+            cv = sum(map(mul, a, coroot))
+            if not c and not cv:
+                continue
+            nr = tuple([x - c * y for x, y in zip(root, a)])
+            nc = tuple([x - cv * y for x, y in zip(coroot, av)])
             if nr not in pairs:
                 pairs[nr] = nc
                 coeffs = list(coefficients[root])

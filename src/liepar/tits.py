@@ -17,6 +17,7 @@ along w: conjugate_simple reads it off the root permutation of w.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .intlinalg import f2_add, f2_vec
 from .weyl import InnerClass, WeylElt, WeylError, _compose, _mat_apply
@@ -54,8 +55,9 @@ class TitsGroup:
         sigma_w x_t sigma_i = sigma_{w s_i} x_{s_i(t) (+ m_i)}, the m_i
         correction appearing exactly on descents."""
         wg = self.weyl
+        roots = self.rd.simple_roots
         for i in word:
-            flip = sum(a * x for a, x in zip(self.rd.simple_roots[i], t)) \
+            flip = sum(map(mul, roots[i], t)) \
                 + (perm[wg.simple_idx[i]] < wg.n_pos)
             if flip & 1:
                 t = f2_add(t, self._m[i])

@@ -9,7 +9,8 @@ descent is a comparison with n_pos, and the canonical word is peeled off
 psi(w^-1 alpha_j), psi(alpha_j) = j + 1, one smallest left descent at a
 time.  The action matrix on the character lattice X (a word
 s_{i1},...,s_{ik} acts by S_{i1} @ ... @ S_{ik}) and that of the inverse
-are derived on first use from the images of the simple roots.
+are derived on first use from the images of the simple roots.  Lattice
+products and pairings run in C as sum(map(mul, row, col)).
 
 A twisted involution is keyed by the permutation of the roots induced
 by theta = w o gamma, where the diagram involution gamma permutes the
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .intlinalg import IntMatrix, scaled_inverse, vec_dot
 from .rootdatum import RootDatum
@@ -43,12 +44,11 @@ class InvalidInvolution(WeylError):
 
 def _mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def _mat_apply(m, v):
-    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def _compose(a, b):
@@ -156,14 +156,16 @@ class WeylGroup:
         return self._simples[i]
 
     def reflection_perm(self, root_idx: int) -> tuple:
-        """The permutation of the roots by the reflection in a root."""
+        """The permutation of the roots by the reflection in a root; a
+        root b with <b, alpha^v> = 0 is kept without a lookup."""
         perm = self._reflection_perms.get(root_idx)
         if perm is None:
             rd = self.rd
             a, av = rd.roots[root_idx], rd.coroots[root_idx]
-            perm = self._reflection_perms[root_idx] = tuple(
-                rd.index_of([x - c * y for x, y in zip(b, a)])
-                for b, c in ((b, vec_dot(b, av)) for b in rd.roots))
+            pairing = [sum(map(mul, b, av)) for b in rd.roots]
+            perm = self._reflection_perms[root_idx] = tuple([
+                rd.index_of([x - c * y for x, y in zip(b, a)]) if c else r
+                for r, (b, c) in enumerate(zip(rd.roots, pairing))])
         return perm
 
     @cached_property
@@ -176,10 +178,8 @@ class WeylGroup:
         if not k:
             return 1, ((),) * rd.rank
         den, cinv = scaled_inverse(rd.cartan_matrix)
-        return den, tuple(
-            tuple(sum(rd.simple_coroots[j][e] * cinv[j, i] for j in range(k))
-                  for i in range(k))
-            for e in range(rd.rank))
+        cinv_t = cinv.transpose()
+        return den, tuple(cinv_t.apply(col) for col in zip(*rd.simple_coroots))
 
     def lattice_matrix(self, perm) -> tuple:
         """Action matrix on X of the element permuting the roots by perm:
@@ -189,12 +189,13 @@ class WeylGroup:
         rd = self.rd
         n = rd.rank
         den, coords = self._coords
-        moves = [tuple(x - y for x, y in zip(rd.roots[perm[a]], rd.roots[a]))
-                 for a in self.simple_idx]
+        # per lattice coordinate r, the r-th entries of the moves
+        moves = tuple(zip(*[map(sub, rd.roots[perm[a]], rd.roots[a])
+                            for a in self.simple_idx])) or ((),) * n
         return tuple(
-            tuple((r == e) + sum(c * m[r] for c, m in zip(coords[e], moves))
-                  // den for e in range(n))
-            for r in range(n))
+            tuple([(r == e) + sum(map(mul, ce, mr)) // den
+                   for e, ce in enumerate(coords)])
+            for r, mr in enumerate(moves))
 
     def canonical_word(self, perm, inv=None) -> tuple:
         """Shortlex-minimal reduced word of the element permuting the
@@ -202,24 +203,32 @@ class WeylGroup:
         first with h_i = psi(w^{-1}(alpha_i)) < 0, where psi(alpha_j) =
         j + 1 is positive exactly on the positive roots; peeling s_i
         negates h_i and lowers each neighbour h_j by <alpha_j, alpha_i^v>
-        h_i.  Any end but h = (1, ..., k), such as a diagram
-        automorphism's, raises.  inv is w^{-1}, if known."""
+        h_i.  Only those neighbours change and every h below i was >= 0,
+        so the scan for the next descent restarts at the lowest neighbour
+        j < i that turned negative, else at i + 1.  Any end but h = (1,
+        ..., k), such as a diagram automorphism's, raises.  inv is w^{-1},
+        if known."""
         psi = self._psi
         h = [psi[inv[a]] for a in self.simple_idx] if inv is not None \
             else [psi[perm.index(a)] for a in self.simple_idx]
         neighbours = self._neighbours
         word = []
+        k, start = len(h), 0
         while True:
-            for i, x in enumerate(h):
+            for i in range(start, k):
+                x = h[i]
                 if x < 0:
                     break
             else:
                 break
             word.append(i)
             h[i] = -x
+            start = i + 1
             for j, c in neighbours[i]:
                 h[j] -= c * x
-        if h != list(range(1, len(h) + 1)):
+                if j < start and h[j] < 0:
+                    start = j
+        if h != list(range(1, k + 1)):
             raise WeylError("permutation is not a Weyl group element")
         return tuple(word)
 
@@ -432,7 +441,7 @@ def _subsystem_simples(rd: RootDatum, pos_indices) -> tuple:
     simples = []
     for i in pos_indices:
         b = rd.roots[i]
-        if not any(tuple(x - y for x, y in zip(b, g)) in vecs
+        if not any(tuple(map(sub, b, g)) in vecs
                    for g in vecs if g != b):
             simples.append(i)
     return tuple(simples)
@@ -464,8 +473,8 @@ class TwistedInvolution:
 
 def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
     neg = tau.ic.weyl.neg
-    status = tuple('i' if q == r else 'r' if q == neg[r] else 'C'
-                   for r, q in enumerate(tau.theta))
+    status = tuple(['i' if q == r else 'r' if q == neg[r] else 'C'
+                    for r, q in enumerate(tau.theta)])
     im_pos = tuple(i for i in range(rd.n_pos, len(status))
                    if status[i] == 'i')
     return RootClassification(status, im_pos, rd)

@@ -164,6 +164,70 @@ def reference_reduced_z0(ic, n_scan):
 
 
 # ---------------------------------------------------------------------------
+# reference kernels: index loops, one entry at a time, for the library's
+# map/operator forms (sum(map(mul, a, b)), tuple(map(xor, a, b)))
+
+
+def reference_dot(a, b):
+    """sum_t a[t] b[t] by an index loop (int or Fraction entries)."""
+    if len(a) != len(b):
+        raise ValueError("lengths differ")
+    acc = 0
+    for t in range(len(a)):
+        acc += a[t] * b[t]
+    return acc
+
+
+def reference_mat_mul(a, b) -> tuple:
+    """The product of two matrices given by their rows, by the triple
+    loop over row, column and inner index."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    out = []
+    for i in range(len(a)):
+        if len(a[i]) != inner:
+            raise ValueError("shapes do not match")
+        row = []
+        for j in range(cols):
+            acc = 0
+            for t in range(inner):
+                acc += a[i][t] * b[t][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_apply(m, v) -> tuple:
+    """Matrix times column vector: one reference_dot per row."""
+    return tuple(reference_dot(row, v) for row in m)
+
+
+def reference_entrywise(a, b, op) -> tuple:
+    """op(a[i][j], b[i][j]) for every entry of two same-shape matrices."""
+    if len(a) != len(b):
+        raise ValueError("shapes do not match")
+    out = []
+    for i in range(len(a)):
+        if len(a[i]) != len(b[i]):
+            raise ValueError("shapes do not match")
+        out.append(tuple(op(a[i][j], b[i][j]) for j in range(len(a[i]))))
+    return tuple(out)
+
+
+def reference_f2_add(a, b) -> tuple:
+    """a + b mod 2, entry by entry."""
+    return tuple((a[t] + b[t]) % 2 for t in range(len(a)))
+
+
+def reference_reflection_perm(rd, r) -> tuple:
+    """The permutation of the roots by the reflection in root r, by the
+    lattice formula b - <b, alpha_r^v> alpha_r for every root b."""
+    a, av = rd.roots[r], rd.coroots[r]
+    return tuple(rd.root_index[vec_sub(b, vec_scale(reference_dot(b, av), a))]
+                 for b in rd.roots)
+
+
+# ---------------------------------------------------------------------------
 # reference eliminations: the library solves with the Smith normal form
 # alone; these independent routes check it
 

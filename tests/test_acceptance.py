@@ -209,6 +209,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_kernels_do_not_sum_over_zip():
+    # one kernel form: a dot product is sum(map(mul, a, b)), whose loop
+    # runs in C, not sum(x * y for x, y in zip(a, b)), one interpreted
+    # step per entry; a list comprehension over zip is the same idiom
+    src = Path(liepar.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "sum"
+             and node.args
+             and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+             and any(isinstance(g.iter, ast.Call)
+                     and isinstance(g.iter.func, ast.Name)
+                     and g.iter.func.id == "zip"
+                     for g in node.args[0].generators)]
+    assert found == []
+
+
 def test_library_has_no_unused_imports():
     # a name a module imports must be used there; __init__.py re-exports
     # and imports on a line marked "# noqa: F401" are exempt

@@ -1,6 +1,7 @@
 """Exact integer/rational linear algebra."""
 
 from fractions import Fraction
+from operator import add, sub
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +9,16 @@ from liepar.intlinalg import (IntMatrix, RatVecModZ, f2_add, f2_vec,
                               scaled_inverse, smith_normal_form,
                               smith_normal_form_with_inverse, vec_dot)
 from props import (bareiss_det, rank_mod2, rational_inverse, rational_rank,
-                   row_reduce)
+                   reference_apply, reference_dot, reference_entrywise,
+                   reference_f2_add, reference_mat_mul, row_reduce)
 
 small_int = st.integers(min_value=-9, max_value=9)
+small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(small_int, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(IntMatrix.from_rows)
 
 
 def square_matrices(nmax=4):
@@ -21,9 +29,47 @@ def square_matrices(nmax=4):
 
 def rect_matrices(nmax=4):
     return st.tuples(st.integers(1, nmax), st.integers(1, nmax)).flatmap(
-        lambda rc: st.lists(
-            st.lists(small_int, min_size=rc[1], max_size=rc[1]),
-            min_size=rc[0], max_size=rc[0])).map(IntMatrix.from_rows)
+        lambda rc: matrices(*rc))
+
+
+# ---------------------------------------------------------------------------
+# the map/operator kernels against index loops
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+       .flatmap(lambda s: st.tuples(matrices(s[0], s[1]),
+                                    matrices(s[1], s[2]),
+                                    matrices(s[0], s[1]))))
+def test_matrix_kernels_match_index_loops(mats):
+    a, b, c = mats
+    assert (a @ b).entries == reference_mat_mul(a.entries, b.entries)
+    assert (a + c).entries == reference_entrywise(a.entries, c.entries, add)
+    assert (a - c).entries == reference_entrywise(a.entries, c.entries, sub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rect_matrices().flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(small_int, min_size=m.cols, max_size=m.cols),
+    st.lists(small_frac, min_size=m.cols, max_size=m.cols))))
+def test_apply_and_dot_match_index_loops(data):
+    m, v, f = data
+    assert m.apply(v) == reference_apply(m.entries, v)
+    assert m.apply(f) == reference_apply(m.entries, f)
+    assert all(isinstance(x, int) for x in m.apply(v))
+    for row in m.entries:
+        assert vec_dot(row, v) == reference_dot(row, v)
+        assert vec_dot(row, f) == reference_dot(row, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(-3, 3), min_size=n, max_size=n)] * 2)))
+def test_f2_kernels_match_addition_mod_2(pair):
+    a, b = pair
+    assert f2_vec(a) == tuple(x % 2 for x in a)
+    a, b = f2_vec(a), f2_vec(b)
+    assert f2_add(a, b) == reference_f2_add(a, b)
 
 
 @settings(max_examples=300, deadline=None)

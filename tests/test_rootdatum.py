@@ -9,6 +9,7 @@ from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
                     WeylGroup, central_fixed_points, from_type,
                     new_root_datum, parse_type, trivial_inner_class)
 from liepar.intlinalg import IntMatrix, vec_dot
+from liepar.rootdatum import _reflection_closure
 from props import (reference_rho, reflection_matrix, simple_coordinates,
                    simple_reflection)
 
@@ -161,6 +162,16 @@ def test_bad_input_rejected():
         new_root_datum([(1, 0)], [(1, 0)])  # pairing 1, not 2
     with pytest.raises(Exception):
         new_root_datum([(2, 0), (2, 0)], [(1, 0), (1, 0)])  # dependent
+
+
+def test_closure_guard_survives_the_fixed_pair_skip():
+    # <alpha_0, alpha_1^v> = 1 but <alpha_1, alpha_0^v> = 0: s_1 moves the
+    # root alpha_0 and fixes its coroot, so the closure may skip a pair
+    # only when both pairings are 0, and the bijection check must raise
+    with pytest.raises(NotACartanMatrix,
+                       match="root/coroot bijection broke"):
+        _reflection_closure(((1, 0), (0, 1)), ((2, 0), (1, 2)), 2,
+                            [[2, 1], [0, 2]])
 
 
 def test_dependent_simple_roots_rejected():

@@ -1,6 +1,7 @@
 """Weyl groups, inner classes, twisted involutions, Cartan classes."""
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -12,12 +13,14 @@ from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
                     WeylGroup, cartan_class_of, cartan_classes, enumerate_X,
                     from_type, inner_class_from_perm, new_root_datum,
                     real_weyl, trivial_inner_class, twisted_involutions)
+from liepar.cli import Session
 from liepar.weyl import (_compose, _inverse, _mat_apply, _mat_mul,
                          subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
                    matrix_canonical_word, mult, perm_bfs, perm_closure,
                    reference_canonical_word, reference_classification,
-                   root_is_negative, simple_reflection)
+                   reference_reflection_perm, root_is_negative,
+                   simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -511,6 +514,29 @@ def test_permutations_agree_with_matrices(data):
         assert left == (mult(wg, wg.simple(i), a).length < a.length)
     assert a.word == matrix_canonical_word(wg, ma, ma_inv)
     assert from_matrix(wg, ma) == a
+
+
+def matrix_datum():
+    """A3 on the lattice {a w1 + b w2 + c w3 : a + c even}, strictly
+    between the root and weight lattices, entered in the CLI matrix
+    mode."""
+    session = Session(io.StringIO())
+    session.run(io.StringIO("type A3 matrix\n1,0,1;0,1,0;2,0,0\n"))
+    return session.rd
+
+
+@pytest.mark.parametrize("t,iso", WEYL_DATA + [
+    ("E6", "sc"), ("A2.T1", "sc"), ("A3", "matrix")])
+def test_reflection_perm_matches_the_lattice_formula(t, iso):
+    # every pair of roots: s_r(b) = b - <b, alpha_r^v> alpha_r, including
+    # the roots b orthogonal to alpha_r^v that reflection_perm keeps
+    rd = matrix_datum() if iso == "matrix" else from_type(t, iso)
+    wg = WeylGroup(rd)
+    for r in range(len(rd.roots)):
+        assert wg.reflection_perm(r) == reference_reflection_perm(rd, r)
+    if iso == "matrix":
+        assert rd.rank == 3 and rd.n_pos == 6
+        assert rd != from_type(t, "sc") and rd != from_type(t, "ad")
 
 
 def involution_table_digest(ic):

@@ -134,8 +134,9 @@ def test_sp2n_count_matches_the_per_tau_route():
         assert total == sp2n_count(n) == expected
 
 
-@pytest.mark.parametrize("n,expected", [(1, 4), (2, 18), (3, 88), (4, 460),
-                                        (5, 2544)])
+@pytest.mark.parametrize("n,expected", [
+    (1, 4), (2, 18), (3, 88), (4, 460), (5, 2544), (6, 14776),
+    pytest.param(7, 89632, marks=pytest.mark.slow)])
 def test_sp2n_count_matches_the_real_weyl_formula(n, expected):
     # the per-Cartan closed form |W| / |W(G, H)| 2^a of langlands_count,
     # read from real Weyl groups and not from fibers, summed over the
