@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, stored as a tuple of row tuples."""
+    """Immutable integer matrix, stored as a tuple of row tuples: one
+    with no rows is 0 x 0, and a 0 x c one (c > 0) raises ValueError."""
 
     entries: tuple
 
@@ -41,6 +42,8 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
+        if not rows and cols:
+            raise ValueError("a matrix with no rows has no columns")
         return IntMatrix(tuple((0,) * cols for _ in range(rows)))
 
     @property
@@ -62,7 +65,9 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
+        if self.entries and not self.entries[0]:
+            raise ValueError("a matrix with no rows has no columns")
+        return IntMatrix(tuple(zip(*self.entries)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(tuple(tuple(map(add, ra, rb))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .intlinalg import IntMatrix, vec_dot
 
@@ -49,8 +49,9 @@ class RootDatum:
     cartan_matrix: IntMatrix
 
     # derived, filled in by new_root_datum; coefficients are per root, in
-    # the simple roots
+    # the simple roots, coroot_coefficients per coroot, in the simple coroots
     coefficients: tuple = field(default=(), compare=False)
+    coroot_coefficients: tuple = field(default=(), compare=False)
     heights: tuple = field(default=(), compare=False)
     root_index: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -80,9 +81,13 @@ class RootDatum:
                    for col in zip(*self.roots[self.n_pos:]))
 
     def dual(self) -> "RootDatum":
-        """Swap roots and coroots; an involution up to field equality."""
-        return new_root_datum(self.simple_coroots, self.simple_roots,
-                              self.rank)
+        """Swap roots, coroots and their coefficients, transpose the Cartan
+        matrix and reorder: the dual of a valid datum needs no closure or
+        validation.  rd.dual().dual() == rd."""
+        return _ordered_datum(self.rank, self.simple_coroots,
+                              self.simple_roots, self.cartan_matrix.transpose(),
+                              self.coroots, self.roots,
+                              self.coroot_coefficients, self.coefficients)
 
 
 def _validate_cartan(cartan, n_simple):
@@ -170,17 +175,19 @@ def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
 def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
     """The root datum of validated simple roots and coroots (tuples) with
     Cartan matrix cartan: the reflection closure on (root, coroot) pairs,
-    carrying each root's coefficients in the simple roots (s_i subtracts
-    c from coefficient i).  A pair that s_i fixes (both pairings 0) is
-    skipped; a pair with one pairing 0 still meets the bijection check."""
+    carrying each root's coefficients in the simple roots and its
+    coroot's in the simple coroots (s_i subtracts c, resp. cv, at i).  A
+    pair that s_i fixes (both pairings 0) is skipped; a pair with one
+    pairing 0 still meets the bijection check."""
     k = len(simple_roots)
     pairs = {}
-    coefficients = {}
+    coefficients, co_coefficients = {}, {}
     for i, p in enumerate(zip(simple_roots, simple_coroots)):
         for sign in (1, -1):
             root = tuple(sign * x for x in p[0])
             pairs[root] = tuple(sign * x for x in p[1])
-            coefficients[root] = tuple(sign * (i == j) for j in range(k))
+            coefficients[root] = co_coefficients[root] = \
+                tuple(sign * (i == j) for j in range(k))
     queue = list(pairs.items())
     qi = 0
     while qi < len(queue):
@@ -198,6 +205,9 @@ def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
                 coeffs = list(coefficients[root])
                 coeffs[i] -= c
                 coefficients[nr] = tuple(coeffs)
+                coeffs = list(co_coefficients[root])
+                coeffs[i] -= cv
+                co_coefficients[nr] = tuple(coeffs)
                 queue.append((nr, nc))
                 if len(pairs) > ROOT_CLOSURE_CAP:
                     raise InfiniteClosure("root closure exceeded cap")
@@ -205,18 +215,27 @@ def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
                 raise NotACartanMatrix("root/coroot bijection broke under "
                                        "reflection closure")
 
-    # canonical order: height (sum of the simple coefficients), then lex
-    order = sorted(pairs, key=lambda r: (sum(coefficients[r]), r))
-    rd = RootDatum(rank=rank,
-                   simple_roots=simple_roots,
-                   simple_coroots=simple_coroots,
-                   roots=tuple(order),
-                   coroots=tuple(pairs[r] for r in order),
-                   cartan_matrix=IntMatrix.from_rows(cartan) if k
-                   else IntMatrix.zero(0, 0),
-                   coefficients=tuple(coefficients[r] for r in order),
-                   heights=tuple(sum(coefficients[r]) for r in order))
-    rd.root_index.update({r: i for i, r in enumerate(order)})
+    return _ordered_datum(rank, simple_roots, simple_coroots,
+                          IntMatrix.from_rows(cartan) if k
+                          else IntMatrix.zero(0, 0), tuple(pairs),
+                          tuple(pairs.values()), tuple(coefficients.values()),
+                          tuple(co_coefficients.values()))
+
+
+def _ordered_datum(rank, simple_roots, simple_coroots, cartan_matrix, roots,
+                   coroots, coefficients, coroot_coefficients):
+    """The datum with these matched roots, coroots and coefficients, in
+    canonical order: height (sum of the simple coefficients), then lex."""
+    order = sorted(range(len(roots)),
+                   key=lambda r: (sum(coefficients[r]), roots[r]))
+    # a torus has no roots
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    roots, coroots, coefficients, coroot_coefficients = map(
+        pick, (roots, coroots, coefficients, coroot_coefficients))
+    rd = RootDatum(rank, simple_roots, simple_coroots, roots, coroots,
+                   cartan_matrix, coefficients, coroot_coefficients,
+                   tuple(map(sum, coefficients)))
+    rd.root_index.update(zip(roots, range(len(order))))
     return rd
 
 

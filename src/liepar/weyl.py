@@ -19,7 +19,8 @@ permutations, level by level.  Each tau of a level makes its cross and
 Cayley moves once; links into the next level wait in a pending list
 until that level is indexed, and a cross link is recorded in both
 directions, so each cross edge is composed once.  When gamma fixes
-every root, w and theta share one permutation tuple.
+every root, w and theta share one permutation tuple.  The class made
+by .dual relabels its partner's table by tau -> -theta^T on the coroots.
 """
 
 from __future__ import annotations
@@ -296,6 +297,7 @@ class InnerClass:
                                 for r in rd.roots)
         self.weyl = WeylGroup(rd)
         self._dual = _dual
+        self._derived = _dual is not None   # made by .dual
         self._cache = {}
 
     @property
@@ -492,10 +494,18 @@ class TwistedInvolutionTable:
     level is indexed.  The cross action of s is an involution on the
     taus, so a cross link t -> t2 by s also records t2 -> t, and t2
     never makes the move of s: each cross edge is composed once.  A
-    reverse slot that already holds another tau raises WeylError."""
+    reverse slot that already holds another tau raises WeylError.
+
+    The class made by .dual relabels its partner's table: theta ->
+    -theta^T, length -> top length - length, and a Cayley link t -> t2 by
+    s -> dual(t2) -> dual(t).  dual_index maps each tau to its dual."""
 
     def __init__(self, ic: InnerClass):
         self.ic = ic
+        self._classification = {}
+        if ic._derived:
+            self._derive(twisted_involutions(ic.dual))
+            return
         wg = ic.weyl
         gamma = ic.gamma_perm
         # w = theta o gamma, since theta = w o gamma and gamma^2 = 1; when
@@ -507,7 +517,6 @@ class TwistedInvolutionTable:
         self.index_by_perm = {}   # theta permutation -> tau index
         cross = []    # per element: target index per simple, None if unset
         cayley = []   # per element: target index per simple, or None
-        self._classification = {}
 
         def link(i, s, t, is_cross):
             j = self.index_by_perm.get(t)
@@ -555,6 +564,40 @@ class TwistedInvolutionTable:
                 key=lambda wt: (wt[0].length, wt[0].word))
         self.cross = [tuple(row) for row in cross]
         self.cayley = [tuple(row) for row in cayley]
+
+    def _derive(self, partner: "TwistedInvolutionTable"):
+        ic, wg, gamma = self.ic, self.ic.weyl, self.ic.gamma_perm
+        twist = None if gamma == wg.identity.perm else itemgetter(*gamma)
+        # partner root r -> the dual root of its coroot, and of minus it;
+        # theta = minus o (partner theta) o order^-1 (a torus has no roots)
+        order = tuple(map(ic.rd.root_index.__getitem__,
+                          partner.ic.rd.coroots))
+        minus = tuple(map(order.__getitem__, partner.ic.weyl.neg))
+        pick = itemgetter(*_inverse(order)) if len(order) > 1 else None
+        top = partner.elements[-1].length
+        rows = []
+        for tau in partner.elements:
+            theta = itemgetter(*pick(tau.theta))(minus) if pick else ()
+            perm = theta if twist is None else twist(theta)
+            word = wg.canonical_word(perm, theta if twist is None else None)
+            rows.append((top - tau.length, len(word), word, tau.index,
+                         perm, theta))
+        rows.sort()
+        self.dual_index = tuple(map(itemgetter(3), rows))
+        partner.dual_index = to_dual = _inverse(self.dual_index)
+        self.elements, self.index_by_perm, self.cross, cayley = [], {}, [], []
+        for j, (length, _, word, i, perm, theta) in enumerate(rows):
+            self.elements.append(TwistedInvolution(
+                j, WeylElt(word, perm, wg), theta, length, ic))
+            self.index_by_perm[theta] = j
+            self.cross.append(tuple(map(to_dual.__getitem__,
+                                        partner.cross[i])))
+            cayley.append([None] * ic.n_simple)
+        for i, row in enumerate(partner.cayley):
+            for s, t in enumerate(row):
+                if t is not None:
+                    cayley[to_dual[t]][s] = to_dual[i]
+        self.cayley = list(map(tuple, cayley))
 
     def __len__(self):
         return len(self.elements)

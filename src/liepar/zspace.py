@@ -43,23 +43,14 @@ class ZPair:
 
 def dual_tau(tau: TwistedInvolution, ic: InnerClass) -> TwistedInvolution:
     """The twisted involution of the dual inner class whose torus
-    involution is the negative transpose of tau's.  As theta^T sends the
-    coroot of alpha to the coroot of theta(alpha), -theta^T permutes the
-    coroots, which are the roots of the dual datum."""
-    dic = ic.dual
-    if 'coroot_order' not in ic._cache:
-        ic._cache['coroot_order'] = tuple(dic.rd.index_of(c)
-                                          for c in ic.rd.coroots)
-    order = ic._cache['coroot_order']
-    neg = ic.weyl.neg
-    perm = [0] * len(order)
-    for r, q in enumerate(tau.theta):
-        perm[order[r]] = order[neg[q]]
-    dtbl = twisted_involutions(dic)
-    idx = dtbl.index_by_perm.get(tuple(perm))
+    involution is the negative transpose of tau's: a lookup of theta and
+    of the dual_index that the relabelled dual table records on both."""
+    tbl = twisted_involutions(ic)
+    idx = tbl.index_by_perm.get(tau.theta)
     if idx is None:
-        raise NoMatch("dual torus involution is not a twisted involution")
-    return dtbl.elements[idx]
+        raise NoMatch("tau is not a twisted involution of this inner class")
+    dtbl = twisted_involutions(ic.dual)
+    return dtbl.elements[tbl.dual_index[idx]]
 
 
 def enumerate_Z(ic: InnerClass, restrict_x_square=None,

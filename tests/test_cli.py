@@ -204,6 +204,14 @@ def test_pure_torus_reports_its_rank_and_refuses_strongreal(spec, rank):
         strong_real_forms(trivial_inner_class(from_type(spec[:2], "sc")))
 
 
+def test_a_torus_session_switches_to_the_dual():
+    out = run_session("type T1 sc\ninner c\ndual\ncartan\n")
+    assert out.splitlines()[-3:] == [
+        "switched to the dual inner class (rank 1, 0 positive roots)",
+        "1 Cartan classes:",
+        "cartan 0: tau e, size 1, signature split=1 compact=0 complex=0"]
+
+
 # ---------------------------------------------------------------------------
 # random sessions over C2, A2 u and G2: valid commands, bad ids, bad arity
 # and unknown words never end a session with a traceback, and a fresh

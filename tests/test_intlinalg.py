@@ -3,6 +3,7 @@
 from fractions import Fraction
 from operator import add, sub
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liepar.intlinalg import (IntMatrix, RatVecModZ, f2_add, f2_vec,
@@ -190,3 +191,18 @@ def test_intmatrix_basics():
     assert m.apply((1, 1)) == (3, 7)
     assert not m.is_involution()
     assert IntMatrix.identity(3).is_involution()
+
+
+def test_a_matrix_with_no_rows_is_zero_by_zero():
+    # r x 0 times 0 x 0 is r x 0; a 0 x c matrix (c > 0) cannot be held
+    empty = IntMatrix.zero(0, 0)
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert empty.transpose() == empty == IntMatrix.identity(0)
+    tall = IntMatrix.zero(2, 0)
+    assert (tall.rows, tall.cols) == (2, 0)
+    assert tall @ empty == tall
+    assert empty @ empty == empty
+    with pytest.raises(ValueError, match="no rows has no columns"):
+        IntMatrix.zero(0, 3)
+    with pytest.raises(ValueError, match="no rows has no columns"):
+        tall.transpose()

@@ -831,6 +831,25 @@ def test_c7_form_sizes_hold_the_sp_clan_counts():
     assert sizes == sp_pq | {26253}
 
 
+def split_sp_count(n):
+    # sum over k of C(n, 2k) (2k - 1)!! 2^k 3^(n - 2k)
+    return sum(factorial(n) // (factorial(2 * k) * factorial(n - 2 * k))
+               * (factorial(2 * k) // (2 ** k * factorial(k))) * 2 ** k
+               * 3 ** (n - 2 * k) for k in range(n // 2 + 1))
+
+
+@pytest.mark.parametrize("n,size", [(1, 3), (2, 11), (3, 45), (4, 201),
+                                    (5, 963), (6, 4899)])
+def test_the_split_cn_form_has_the_closed_form_size(n, size):
+    # the largest form of Cn sc is the quasisplit Sp(2n, R), listed last
+    assert split_sp_count(n) == size
+    forms = strong_real_forms(make_ic(f"C{n}", "sc"))
+    assert [f.quasisplit for f in forms] == [False] * (len(forms) - 1) \
+        + [True]
+    assert max(len(f.element_ids) for f in forms) \
+        == len(forms[-1].element_ids) == size
+
+
 # form sizes by a second route: the K-orbits on G/B over the Cartan class
 # of H are W(G, H)\W (Matsuki; Richardson-Springer), so
 # |X[x0]| = sum over the classes H met by the form of |W| / |W(G, H)|

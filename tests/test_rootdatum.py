@@ -101,6 +101,9 @@ def test_coefficients_from_the_closure(t, iso):
                          for r in range(rd.rank)) == root
             assert coeffs == simple_coordinates(root, rd.simple_roots)
             assert h == sum(coeffs)
+        # and each coroot's, in the simple coroots
+        assert [simple_coordinates(c, rd.simple_coroots)
+                for c in rd.coroots] == list(rd.coroot_coefficients)
 
 
 def test_rho():
@@ -134,6 +137,30 @@ def test_dual():
     assert dd.dual().n_pos == 4
     assert set(dd.simple_roots) == set(rd.simple_coroots)
     assert set(dd.simple_coroots) == set(rd.simple_roots)
+
+
+NAMED_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B2", "B3",
+               "B4", "B5", "B6", "C2", "C3", "C4", "C5", "C6", "D4", "D5",
+               "D6", "E6", "E7", "E8", "F4", "G2", "A1.A1", "B2.G2", "T1",
+               "T2", "A1.T1", "C2.A1.T2"]
+
+
+@pytest.mark.parametrize("t", NAMED_TYPES)
+@pytest.mark.parametrize("iso", ["sc", "ad"])
+def test_the_dual_is_the_closure_of_the_swapped_simple_data(t, iso):
+    # rd.dual() relabels the closure it was built by; the reference runs
+    # a second one
+    rd = from_type(t, iso)
+    dual = rd.dual()
+    reference = new_root_datum(rd.simple_coroots, rd.simple_roots, rd.rank)
+    assert dual == reference
+    for datum, ref in ((dual, reference), (dual.dual(), rd)):
+        assert datum == ref
+        assert datum.coefficients == ref.coefficients
+        assert datum.coroot_coefficients == ref.coroot_coefficients
+        assert datum.heights == ref.heights
+        assert datum.root_index == ref.root_index
+        assert datum.cartan_matrix == ref.cartan_matrix
 
 
 def test_center_torsion():

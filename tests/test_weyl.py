@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepar.rootdatum
 import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
@@ -15,7 +16,7 @@ from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
                     real_weyl, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
 from liepar.weyl import (_compose, _inverse, _mat_apply, _mat_mul,
-                         subsystem_order)
+                         cartan_index, subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
                    matrix_canonical_word, mult, perm_bfs, perm_closure,
                    reference_canonical_word, reference_classification,
@@ -114,10 +115,16 @@ def test_a_torus_has_one_twisted_involution(t):
     for gamma in (IntMatrix.identity(rd.rank), IntMatrix.from_rows(
             [[-int(i == j) for j in range(rd.rank)]
              for i in range(rd.rank)])):
-        ic = InnerClass(rd, gamma)
-        assert len(twisted_involutions(ic)) == 1
-        assert ic.twist_weyl(ic.weyl.identity) == ic.weyl.identity
-        assert ic.weyl.canonical_word(()) == ()
+        primal = InnerClass(rd, gamma)
+        # the dual's table is relabelled from the primal's
+        for ic in (primal, primal.dual):
+            assert len(twisted_involutions(ic)) == 1
+            assert ic.twist_weyl(ic.weyl.identity) == ic.weyl.identity
+            assert ic.weyl.canonical_word(()) == ()
+        assert primal.dual.gamma == IntMatrix.from_rows(
+            [[-x for x in row] for row in gamma.entries])
+        sigma = twisted_involutions(primal.dual).elements[0]
+        assert (sigma.theta, sigma.w.word, sigma.length) == ((), (), 0)
 
 
 def _all_reduced_words(wg, w):
@@ -199,48 +206,55 @@ def test_dual_inner_class_is_involutive():
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
 def test_twisted_involutions_vs_brute_force(t, iso, tw):
-    ic = make_ic(t, iso, tw)
-    wg = ic.weyl
-    brute = {w.mat for w in all_elements(wg)
-             if _mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
-    table = twisted_involutions(ic)
-    assert {tau.w.mat for tau in table.elements} == brute
-    assert len(table) == len(brute)
+    # the dual's table is derived from the primal's, not searched
+    for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
+        wg = ic.weyl
+        brute = {w.mat for w in all_elements(wg)
+                 if _mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
+        table = twisted_involutions(ic)
+        assert {tau.w.mat for tau in table.elements} == brute
+        assert len(table) == len(brute)
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
 def test_twisted_involution_lengths_and_links(t, iso, tw):
-    ic = make_ic(t, iso, tw)
-    table = twisted_involutions(ic)
-    assert table.elements[0].w.length == 0 and table.elements[0].length == 0
-    for tau in table.elements:
-        # cross and Cayley neighbours differ in length by at most 1 /
-        # exactly 1
-        for j in table.cross[tau.index]:
-            assert abs(table.elements[j].length - tau.length) <= 1
-        for s, j in enumerate(table.cayley[tau.index]):
-            if j is not None:
-                assert table.elements[j].length == tau.length + 1
-                # Cayley moves exist exactly at tau-imaginary simple roots
+    for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
+        table = twisted_involutions(ic)
+        assert table.elements[0].w.length == 0 \
+            and table.elements[0].length == 0
+        for tau in table.elements:
+            # cross and Cayley neighbours differ in length by at most 1 /
+            # exactly 1
+            for j in table.cross[tau.index]:
+                assert abs(table.elements[j].length - tau.length) <= 1
+            for s, j in enumerate(table.cayley[tau.index]):
                 a = ic.rd.simple_roots[s]
-                assert _mat_apply(tau.theta_X, a) == a
+                # Cayley moves exist exactly at tau-imaginary simple roots
+                assert (j is not None) == (_mat_apply(tau.theta_X, a) == a)
+                if j is not None:
+                    assert table.elements[j].length == tau.length + 1
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID + [("E6", "sc", "c"),
                                               ("D4", "sc", (0, 1, 3, 2))],
                          ids=GRID_IDS + ["E6-sc-c", "D4-sc-u"])
 def test_cross_action_on_taus_is_an_involution(t, iso, tw):
-    # the table fills the reverse slot of each cross link without the
-    # move; recompute s theta s for every slot
-    ic = make_ic(t, iso, tw)
-    wg = ic.weyl
-    tbl = twisted_involutions(ic)
-    for tau in tbl.elements:
-        for s, j in enumerate(tbl.cross[tau.index]):
-            assert tbl.cross[j][s] == tau.index
-            sp = wg.simple_perms[s]
-            assert tbl.elements[j].theta == \
-                _compose(sp, _compose(tau.theta, sp))
+    # the search fills the reverse slot of each cross link without the
+    # move, and the dual's links are relabelled; recompute s theta s for
+    # every slot, and s theta for every Cayley slot
+    for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
+        wg = ic.weyl
+        tbl = twisted_involutions(ic)
+        for tau in tbl.elements:
+            for s, j in enumerate(tbl.cross[tau.index]):
+                assert tbl.cross[j][s] == tau.index
+                sp = wg.simple_perms[s]
+                assert tbl.elements[j].theta == \
+                    _compose(sp, _compose(tau.theta, sp))
+            for s, j in enumerate(tbl.cayley[tau.index]):
+                if j is not None:
+                    assert tbl.elements[j].theta == \
+                        _compose(wg.simple_perms[s], tau.theta)
 
 
 @pytest.mark.parametrize("t,tw", [("C4", "c"), ("E6", "c"),
@@ -271,6 +285,75 @@ def test_each_cross_edge_is_composed_once(t, tw, monkeypatch):
         # gamma fixes every root: w shares theta and costs no composition
         assert calls[0] == len(edges) + cayley
         assert all(tau.w.perm is tau.theta for tau in tbl.elements[1:])
+
+
+def _table_fields(ic):
+    tbl = twisted_involutions(ic)
+    return ([(tau.index, tau.theta, tau.w.word, tau.w.perm, tau.length)
+             for tau in tbl.elements], tbl.cross, tbl.cayley,
+            tbl.index_by_perm, cartan_index(ic))
+
+
+DERIVED_DATA = GRID + [("E6", "sc", "c"), ("E6", "ad", "c"),
+                       ("A4", "sc", (3, 2, 1, 0)),
+                       ("D5", "sc", (0, 1, 2, 4, 3)),
+                       ("E6", "sc", (5, 1, 4, 3, 2, 0)), ("E7", "sc", "c")]
+
+
+@pytest.mark.parametrize("t,iso,tw", DERIVED_DATA)
+def test_the_derived_dual_table_equals_the_search(t, iso, tw):
+    # the reference is the search on an equal class not made by .dual
+    ic = make_ic(t, iso, tw)
+    dic = ic.dual
+    assert dic._derived and not ic._derived
+    reference = InnerClass(dic.rd, dic.gamma)
+    assert not reference._derived
+    assert _table_fields(dic) == _table_fields(reference)
+    # the index maps are inverse bijections that match theta to -theta^T
+    tbl, dtbl = twisted_involutions(ic), twisted_involutions(dic)
+    assert sorted(tbl.dual_index) == list(range(len(tbl)))
+    for tau in tbl.elements:
+        assert dtbl.dual_index[tbl.dual_index[tau.index]] == tau.index
+    # E7: the lattice matrices of every 20th tau
+    for tau in tbl.elements[::1 if len(tbl) < 1000 else 20]:
+        sigma = dtbl.elements[tbl.dual_index[tau.index]]
+        assert sigma.theta_X == tuple(zip(*[tuple(-x for x in row)
+                                            for row in tau.theta_X]))
+
+
+def test_the_dual_table_runs_no_search_and_no_closure(monkeypatch):
+    composed, closed = [0], [0]
+    compose = liepar.weyl._compose
+    closure = liepar.rootdatum._reflection_closure
+
+    def counted_compose(a, b):
+        composed[0] += 1
+        return compose(a, b)
+
+    def counted_closure(*args):
+        closed[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(liepar.weyl, "_compose", counted_compose)
+    monkeypatch.setattr(liepar.rootdatum, "_reflection_closure",
+                        counted_closure)
+    for t, tw in (("C4", "c"), ("E6", "c"), ("A4", (3, 2, 1, 0))):
+        rd = from_type(t, "sc")
+        assert closed[0] == 1
+        ic = trivial_inner_class(rd) if tw == "c" \
+            else inner_class_from_perm(rd, tw)
+        # .dual before the primal table: the primal still searches
+        dic = ic.dual
+        assert closed[0] == 1
+        twisted_involutions(ic)
+        assert composed[0] > 0
+        composed[0] = 0
+        twisted_involutions(dic)
+        assert composed[0] == 0
+        # the partner of the dual is the primal, whose table is cached
+        assert dic.dual is ic and twisted_involutions(dic.dual) is \
+            twisted_involutions(ic)
+        closed[0] = 0
 
 
 def test_table_checks_that_the_cross_action_is_an_involution(monkeypatch):

@@ -11,7 +11,7 @@ from liepar import (RatVecModZ, WeylError, cartan_classes,
                     fiber_space, from_type, langlands_count, sp2n_count,
                     strong_real_forms, trivial_inner_class,
                     twisted_involutions)
-from liepar.zspace import _slice_size
+from liepar.zspace import NoMatch, _slice_size
 from props import per_tau_count_z_blocks, per_tau_slice_size
 
 
@@ -50,6 +50,20 @@ def test_dual_tau_brute_force():
             matches = [s for s in dtbl.elements if s.theta_X == neg_t]
             assert len(matches) == 1
             assert dual_tau(tau, ic) == matches[0]
+
+
+def test_dual_tau_reads_the_index_maps_both_ways():
+    for t, iso, tw in GRID:
+        ic = make_ic(t, iso, tw)
+        for tau in twisted_involutions(ic).elements:
+            sigma = dual_tau(tau, ic)
+            assert sigma.ic is ic.dual
+            assert dual_tau(sigma, ic.dual) is tau
+    # a tau of another inner class: the twisted A2 thetas negate w0 w
+    twisted = make_ic("A2", "sc", (1, 0))
+    for tau in twisted_involutions(twisted).elements:
+        with pytest.raises(NoMatch, match="not a twisted involution"):
+            dual_tau(tau, make_ic("A2", "sc"))
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
