@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul, sub, xor
+from operator import add, mul, xor
 from typing import Iterable, Sequence
 
 
@@ -70,17 +70,20 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
         return IntMatrix(tuple(tuple(map(add, ra, rb))
                                for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(map(sub, ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.rows:
+            raise ValueError("matrix shapes do not compose")
         bt = tuple(zip(*other.entries))
         return IntMatrix(tuple(tuple([sum(map(mul, row, col)) for col in bt])
                                for row in self.entries))

@@ -104,20 +104,20 @@ class KGBTable:
     """X as columns indexed by element id: tau index, fiber coordinates,
     square index, grading bits (in the order of tau's positive imaginary
     roots), and per element k slots each of cross and Cayley ids (None
-    where no Cayley transform applies).  The KGBElt views are built on
-    the first read of elements, the Cayley preimages on the first
-    cayley_down_ids; len, form_of, strong_real_forms, cartans_for and
-    reduced_space read the columns."""
+    where no Cayley transform applies).  forms holds one StrongRealForm
+    record per connected component, in the canonical order (quasisplit
+    last).  The KGBElt views are built on the first read of elements,
+    the Cayley preimages on the first cayley_down_ids; len, form_of,
+    cartans_for, langlands_count and reduced_space read the columns and
+    the records."""
 
     def __init__(self, ic, squares, denom, taus, coords, square_idx,
-                 grading_bits, cross_ids, cayley_ids, generation_log,
-                 form_partition, quasisplit_forms):
+                 grading_bits, cross_ids, cayley_ids, generation_log, forms):
         self.ic = ic
         self.denom = denom       # the modulus of the elements' coords
         self.squares = squares
         self.generation_log = generation_log
-        self.form_partition = form_partition
-        self.quasisplit_forms = quasisplit_forms
+        self.forms = forms
         self._taus = taus
         self._coords = coords
         self._square_idx = square_idx
@@ -125,9 +125,9 @@ class KGBTable:
         self._cross = cross_ids
         self._cayley = cayley_ids
         form_of = [None] * len(taus)
-        for f, ids in form_partition.items():
-            for i in ids:
-                form_of[i] = f
+        for f in forms:
+            for i in f.element_ids:
+                form_of[i] = f.index
         self._form_of = tuple(form_of)
 
     def __len__(self):
@@ -534,7 +534,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 tbl.elements[taus[i - 1]].length:
             raise WeylError("element lengths decrease")
 
-    # each component holds a seed, so its least seed is its least id
+    # each component holds a seed, so its least seed is its least id;
+    # the seeds are the base fiber, tau index 0
     seed_root = [find(r) for r in range(len(seed_parent))]
     comps = {}
     for i, r in enumerate(roots):
@@ -543,20 +544,24 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
              if not tbl.classification(t.index).im_pos}
     quasisplit = {seed_root[r] for r, t in zip(roots, taus) if t in no_im}
     final = sorted(comps, key=lambda r: (r in quasisplit, r))
+    forms = tuple(StrongRealForm(
+        index=f, square=squares[sqs[r]],
+        base_ids=tuple(i for i in comps[r] if i < len(seeds)),
+        element_ids=tuple(comps[r]), quasisplit=r in quasisplit)
+        for f, r in enumerate(final))
     table = KGBTable(ic, squares, denom, taus, ys, sqs, grads, cross_ids,
-                     cayley_ids, tuple(log),
-                     {f: tuple(comps[r]) for f, r in enumerate(final)},
-                     tuple(f for f, r in enumerate(final) if r in quasisplit))
+                     cayley_ids, tuple(log), forms)
     if cache_key:
         ic._cache[cache_key] = table
     return table
 
 
 def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
-    """The subtable X[x0] of everything linked to x0, renumbered."""
+    """The subtable X[x0] of everything linked to x0, renumbered, with
+    x0's form as its one record."""
     full = x0.table if x0.table is not None else enumerate_X(ic)
-    form = full.form_of(x0.id)
-    ids = full.form_partition[form]
+    form = full.forms[full.form_of(x0.id)]
+    ids = form.element_ids
     remap = {old: new for new, old in enumerate(ids)}
     remap[None] = None
     k = ic.rd.n_simple
@@ -570,24 +575,15 @@ def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
                                             full._grading_bits)),
         [remap[full._cross[j]] for j in slots],
         [remap[full._cayley[j]] for j in slots], log,
-        {0: tuple(range(len(ids)))},
-        (0,) if form in full.quasisplit_forms else ())
+        (StrongRealForm(0, form.square,
+                        tuple(remap[i] for i in form.base_ids),
+                        tuple(range(len(ids))), form.quasisplit),))
 
 
 def strong_real_forms(ic: InnerClass):
-    """Strong real forms as orbits on the distinguished fiber, in the
-    canonical order (quasisplit last)."""
-    table = enumerate_X(ic)
-    tbl = twisted_involutions(ic)
-    forms = []
-    for f, ids in table.form_partition.items():
-        base = tuple(i for i in ids
-                     if tbl.elements[table._taus[i]].length == 0)
-        forms.append(StrongRealForm(
-            index=f, square=table.squares[table._square_idx[ids[0]]],
-            base_ids=base, element_ids=ids,
-            quasisplit=f in table.quasisplit_forms))
-    return tuple(forms)
+    """The strong real forms of ic, the records of its full X: orbits on
+    the distinguished fiber, in the canonical order (quasisplit last)."""
+    return enumerate_X(ic).forms
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +687,7 @@ def cartans_for(x0: KGBElt):
     ic = table.ic
     tbl = twisted_involutions(ic)
     classes = cartan_classes(ic)
-    ids = table.form_partition[table.form_of(x0.id)]
+    ids = table.forms[table.form_of(x0.id)].element_ids
     met = sorted({cartan_class_of(ic, table._taus[i]) for i in ids})
     return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
                  for c in met)

@@ -76,7 +76,7 @@ class TitsGroup:
         wg = self.weyl
         a = wg.simple_idx[s]
         perm = _compose(wg.simple_perms[s], w.perm)
-        u = self._m[s] if w.inv_perm[a] < wg.n_pos else self.zero
+        u = self._m[s] if w.perm.index(a) < wg.n_pos else self.zero
         if r is not None:
             b = wg.simple_idx[r]
             ascent = perm[b] >= wg.n_pos

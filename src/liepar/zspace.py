@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
-from .kgb import (KGBElt, _validate_square, cartans_for, enumerate_X,
-                  real_weyl)
+from .kgb import KGBElt, _validate_square, enumerate_X, real_weyl
 from .rootdatum import from_type
-from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
-                   cartan_classes, cartan_index, trivial_inner_class,
-                   twisted_involutions)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
+                   cartan_index, trivial_inner_class, twisted_involutions)
 
 
 class NoMatch(ValueError):
@@ -148,45 +146,44 @@ class LanglandsCount:
 
 def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     """Pairs whose x lies in the strong real form of x0, counted per
-    dual-central-square class (infinitesimal character class)."""
-    full = enumerate_X(ic)
-    if x0.table is not full:
-        # x0 comes from another table, e.g. a per-form one: find it by tau
-        # and fiber coordinates (the full table's modulus is a multiple)
-        scale = full.denom // x0.table.denom
-        y0 = tuple(scale * a for a in x0.coords)
-        x0 = next(x for x in full.elements if x.tau == x0.tau
-                  and x.coords == y0)
-    ids = full.form_partition[full.form_of(x0.id)]
-    # a tau block pairs each x over tau with each y over dual_tau(tau)
-    nx = {}
-    for i in ids:
-        t = full.elements[i].tau.index
-        nx[t] = nx.get(t, 0) + 1
-    ys_by_tau = {}
-    for y in enumerate_X(ic.dual).elements:
-        ys_by_tau.setdefault(y.tau.index, []).append(y.square)
-    tbl = twisted_involutions(ic)
+    dual central square (infinitesimal character class), as
+    count_z_blocks counts: x per Cartan class from the tau column over
+    x0's form record, times the dual fiber size at the dual class per
+    dual square.  x0 may come from the full table, a per-form one or a
+    restricted one of ic or of an equal class; neither X of ic nor X of
+    its dual is built.  With rho a character, the closed form
+    sum |W| / |W(G, H)| 2^a over the form's Cartan classes is checked
+    against the count at the trivial dual square."""
+    table = x0.table
+    if (table.ic.rd, table.ic.gamma) != (ic.rd, ic.gamma):
+        raise NoMatch("x0 is not an element of this inner class")
+    ic = table.ic
+    central_fixed_points(ic)    # raises where Z is not built, as for X
+    index = cartan_index(ic)
+    nx, first = {}, {}
+    for i in table.forms[table.form_of(x0.id)].element_ids:
+        c = index[table._taus[i]]
+        nx[c] = nx.get(c, 0) + 1
+        first.setdefault(c, i)
+    dic = ic.dual
+    w_order = ic.weyl.order() if ic.rd.rho_in_X() else None
+    formula = None if w_order is None else 0
     counts = {}
-    for t in sorted(nx):
-        for z in ys_by_tau.get(dual_tau(tbl.elements[t], ic).index, ()):
-            counts[z] = counts.get(z, 0) + nx[t]
-    formula = None
-    note = None
-    if ic.rd.rho_in_X():
-        w_order = ic.weyl.order()
-        by_class = {}
-        for i in ids:
-            x = full.elements[i]
-            by_class.setdefault(cartan_class_of(ic, x.tau.index), x)
-        formula = 0
-        for c, sig in cartans_for(x0):
-            formula += (w_order // real_weyl(by_class[c]).total) * 2 ** sig.a
-        if counts and formula * len(counts) != sum(counts.values()):
-            raise WeylError("closed-form count disagrees with pair count")
-    else:
-        note = ("half-sum of positive roots is not a character: counts "
-                "refer to the rho-cover")
+    for c, n in nx.items():
+        rep = twisted_involutions(ic).elements[cartan_classes(ic)[c].rep]
+        dual_rep = dual_tau(rep, ic)
+        for z in central_fixed_points(dic):
+            ny = _slice_size(dic, dual_rep, (z,))
+            if ny:
+                counts[z] = counts.get(z, 0) + n * ny
+        if w_order:
+            info = real_weyl(table.elements[first[c]])
+            formula += w_order // info.total \
+                * 2 ** fiber_space(rep, ic).signature.a
+    if w_order and formula != counts.get(RatVecModZ.reduce((0,) * dic.rank)):
+        raise WeylError("closed-form count disagrees with pair count")
+    note = None if w_order else ("half-sum of positive roots is not a "
+                                 "character: counts refer to the rho-cover")
     return LanglandsCount(counts, formula, note)
 
 

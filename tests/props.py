@@ -692,10 +692,10 @@ def check_form_partition(ic):
 
 
 def reference_forms(table):
-    """(form_partition, quasisplit_forms) from a union-find over every
-    cross and Cayley link of the element views: components ordered by
-    least id, those holding an element with no imaginary root (a
-    quasisplit form) last."""
+    """(element ids per form index, quasisplit form indices) from a
+    union-find over every cross and Cayley link of the element views:
+    components ordered by least id, those holding an element with no
+    imaginary root (a quasisplit form) last."""
     parent = list(range(len(table.elements)))
 
     def find(a):

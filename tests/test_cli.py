@@ -168,7 +168,8 @@ def test_block_rows_are_the_form_slice_of_z(type_string, inner):
     ic = session.ic
     pairs = enumerate_Z(ic)
     expected, script = [], []
-    for f, ids in enumerate_X(ic).form_partition.items():
+    for form in enumerate_X(ic).forms:
+        f, ids = form.index, form.element_ids
         for z in (None,) + central_fixed_points(ic.dual):
             arg = "" if z is None else \
                 " " + ",".join(str(a) for a in z.entries)
@@ -187,6 +188,20 @@ def test_block_rows_are_the_form_slice_of_z(type_string, inner):
         elif line.startswith("per infinitesimal-character class:"):
             got.append(lines[start:i])
     assert got == expected
+
+
+@pytest.mark.parametrize("type_string, form, per", [
+    ("C3", 2, "0,0,0:42 0,0,1/2:32"), ("D4", 1, "0,0,0,0:28 1/2,0,1/2,0:12")])
+def test_an_adjoint_block_counts_each_dual_square(type_string, form, per):
+    # the dual squares of these forms get different counts; the closed
+    # form is the count at the trivial one
+    out = run_session(f"type {type_string} ad\ninner c\nblock {form}\n")
+    lines = out.splitlines()
+    total = sum(int(part.split(":")[1]) for part in per.split())
+    assert lines[2] == f"{total} pairs:"
+    assert len(lines) == total + 4
+    assert lines[-1] == f"per infinitesimal-character class: {per}"
+    assert "error" not in out
 
 
 @pytest.mark.parametrize("spec, rank", [

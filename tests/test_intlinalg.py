@@ -206,3 +206,15 @@ def test_a_matrix_with_no_rows_is_zero_by_zero():
         IntMatrix.zero(0, 3)
     with pytest.raises(ValueError, match="no rows has no columns"):
         tall.transpose()
+
+
+def test_mismatched_shapes_raise():
+    # no truncation to the common part
+    with pytest.raises(ValueError, match="shapes differ"):
+        IntMatrix.identity(2) + IntMatrix.identity(3)
+    with pytest.raises(ValueError, match="shapes differ"):
+        IntMatrix.identity(3) - IntMatrix.zero(3, 2)
+    with pytest.raises(ValueError, match="do not compose"):
+        IntMatrix.zero(2, 0) @ IntMatrix.identity(1)
+    with pytest.raises(ValueError, match="do not compose"):
+        IntMatrix.identity(2) @ IntMatrix.zero(3, 2)

@@ -22,9 +22,9 @@ from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
                     cayley_down, cayley_up, central_fixed_points,
                     count_z_blocks, cross, cross_by_word, enumerate_form,
                     enumerate_X, fiber_space, from_type, grading,
-                    inner_class_from_perm, nu_tau, real_weyl, reduced_space,
-                    strong_real_forms, theta_matrix, trivial_inner_class,
-                    twisted_involutions)
+                    inner_class_from_perm, langlands_count, nu_tau,
+                    real_weyl, reduced_space, strong_real_forms,
+                    theta_matrix, trivial_inner_class, twisted_involutions)
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
@@ -308,8 +308,10 @@ def test_reduced_space_pgl2():
 def test_form_of_reads_the_partition():
     ic = make_ic("C2", "sc")
     table = enumerate_X(ic)
-    for f, ids in table.form_partition.items():
-        for i in ids:
+    assert strong_real_forms(ic) is table.forms is strong_real_forms(ic)
+    for f, form in enumerate(table.forms):
+        assert form.index == f
+        for i in form.element_ids:
             assert table.form_of(i) == f
     for bad in (len(table), -1):
         with pytest.raises(KeyError):
@@ -701,7 +703,8 @@ def table_digest(table):
                        x.square.entries, x.status, x.cross, x.cayley,
                        x.grading)).encode())
     h.update(repr(table.generation_log).encode())
-    h.update(repr(sorted(table.form_partition.items())).encode())
+    h.update(repr(sorted((f.index, f.element_ids)
+                         for f in table.forms)).encode())
     return h.hexdigest()
 
 
@@ -751,9 +754,32 @@ def test_search_and_forms_build_no_element_view(t, tw, size, digest,
     assert all(reduced.slices.values())
     elements = table.elements
     assert built == list(range(size))
+    # langlands_count reads the form record and the dual fibers: it
+    # builds no view past x0's own table and no X of the dual class
+    langlands_count(ic, elements[forms[-1].element_ids[0]])
+    assert built == list(range(size))
+    assert 'kgbtable' not in ic.dual._cache
     monkeypatch.undo()
     assert table.elements is elements
     assert table_digest(table) == digest
+    # an element of a table over one square leaves the full X unbuilt
+    ic = fresh_ic(t, tw)
+    part = enumerate_X(ic, squares=[forms[-1].square])
+    langlands_count(ic, part.elements[0])
+    assert 'kgbtable' not in ic._cache
+    assert 'kgbtable' not in ic.dual._cache
+
+
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_the_search_forms_no_inverse_permutation(t, tw, size, digest):
+    # conjugate_simple reads the sign of w^-1(alpha_s) off w's own
+    # permutation: no tau holds an inverse because of the search
+    ic = fresh_ic(t, tw)
+    taus = twisted_involutions(ic).elements
+    held = [tau.index for tau in taus if 'inv_perm' in tau.w.__dict__]
+    assert len(enumerate_X(ic)) == size
+    assert [tau.index for tau in taus
+            if 'inv_perm' in tau.w.__dict__] == held
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
@@ -777,7 +803,8 @@ def test_forms_match_a_union_over_every_link(t, iso, tw):
     # joins them over every cross and Cayley link of the element views
     table = enumerate_X(make_ic(t, iso, tw))
     assert reference_forms(table) == \
-        (table.form_partition, table.quasisplit_forms)
+        ({f.index: f.element_ids for f in table.forms},
+         tuple(f.index for f in table.forms if f.quasisplit))
 
 
 # form sizes past brute force: the clans of SU(p, q) (Matsuki-Oshima;

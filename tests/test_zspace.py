@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (RatVecModZ, WeylError, cartan_classes,
-                    central_fixed_points, count_z_blocks, dual_tau,
-                    duality_check, enumerate_form, enumerate_X, enumerate_Z,
-                    fiber_space, from_type, langlands_count, sp2n_count,
+from liepar import (InfiniteCenterFixedPoints, RatVecModZ, WeylError,
+                    cartan_classes, central_fixed_points, count_z_blocks,
+                    dual_tau, duality_check, enumerate_form, enumerate_X,
+                    enumerate_Z, fiber_space, from_type,
+                    inner_class_from_perm, langlands_count, sp2n_count,
                     strong_real_forms, trivial_inner_class,
                     twisted_involutions)
 from liepar.zspace import NoMatch, _slice_size
@@ -192,24 +193,57 @@ def test_langlands_count_adjoint_note():
     assert "rho-cover" in split.note
 
 
-@pytest.mark.parametrize("spec", [("C2", "sc", "c"), ("C3", "sc", "c"),
-                                  ("B3", "sc", "c"), ("G2", "sc", "c"),
-                                  ("A3", "sc", (2, 1, 0))])
+LANGLANDS_DATA = [("C2", "sc", "c"), ("C3", "sc", "c"), ("B3", "sc", "c"),
+                  ("G2", "sc", "c"), ("A3", "sc", (2, 1, 0)),
+                  ("C3", "ad", "c"), ("D4", "ad", "c")]
+LANGLANDS_DATA += [s for s in GRID if s not in LANGLANDS_DATA]
+
+
+@pytest.mark.parametrize("spec", LANGLANDS_DATA)
 def test_langlands_count_matches_pair_tally(spec):
     ic = make_ic(*spec)
     table = enumerate_X(ic)
     pairs = enumerate_Z(ic)
+    tallies = []
     for form in strong_real_forms(ic):
         ids = set(form.element_ids)
         tally = {}
         for p in pairs:
             if p.x.id in ids:
                 tally[p.y_square] = tally.get(p.y_square, 0) + 1
+        tallies.append(tally)
         lc = langlands_count(ic, table.elements[form.element_ids[0]])
         assert lc.counts == tally
         # a per-form table's element names the same form
         sub = enumerate_form(ic, table.elements[form.element_ids[-1]])
         assert langlands_count(ic, sub.elements[0]).counts == tally
+    # so does an element of a table restricted to one square, found in
+    # the full table by tau and fiber coordinates
+    full_id = {(x.tau.index, x.coords): x.id for x in table.elements}
+    for z in central_fixed_points(ic):
+        part = enumerate_X(ic, squares=[z])
+        scale = table.denom // part.denom
+        for form in part.forms:
+            x = part.elements[form.element_ids[0]]
+            f = table.form_of(full_id[x.tau.index,
+                                      tuple(scale * a for a in x.coords)])
+            assert langlands_count(ic, x).counts == tallies[f]
+
+
+def test_langlands_count_checks_the_inner_class():
+    rd = from_type("A2", "sc")
+    x0 = enumerate_X(trivial_inner_class(rd)).elements[0]
+    with pytest.raises(NoMatch):
+        langlands_count(inner_class_from_perm(rd, (1, 0)), x0)
+    # an equal class, built apart, names the same form
+    again = trivial_inner_class(from_type("A2", "sc"))
+    assert langlands_count(again, x0) == \
+        langlands_count(x0.table.ic, x0)
+    # no pair space where the twist fixes a central torus
+    ic = trivial_inner_class(from_type("A1.T1", "sc"))
+    part = enumerate_X(ic, squares=[rv(0, 0)])
+    with pytest.raises(InfiniteCenterFixedPoints):
+        langlands_count(ic, part.elements[0])
 
 
 def test_restricted_z():
