@@ -22,16 +22,17 @@ element, when unique) or explicit coordinates `a/b,c/d`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
 
 from .fiber import InfiniteCenterFixedPoints, central_fixed_points
 from .intlinalg import IntMatrix, RatVecModZ, scaled_inverse
-from .kgb import (enumerate_form, enumerate_X, real_weyl, strong_real_forms,
+from .kgb import (enumerate_X, real_weyl, strong_real_forms,
                   _validate_square)
-from .rootdatum import (RootDatumError, from_type, new_root_datum,
-                        parse_type)
+from .rootdatum import (RootDatumError, _block_diagonal, from_type,
+                        new_root_datum, parse_type)
 from .weyl import (InnerClass, InvalidInvolution, cartan_classes,
                    inner_class_from_perm, trivial_inner_class,
                    twisted_involutions)
@@ -42,10 +43,6 @@ class CommandError(Exception):
     def __init__(self, message, column=None):
         super().__init__(message)
         self.column = column
-
-
-def _fmt_vec(v: RatVecModZ) -> str:
-    return ",".join(str(a) for a in v.entries)
 
 
 def parse_central(ic: InnerClass, text: str) -> RatVecModZ:
@@ -70,6 +67,17 @@ def parse_central(ic: InnerClass, text: str) -> RatVecModZ:
         return _validate_square(ic, RatVecModZ.reduce(coords))
     except ValueError as exc:
         raise CommandError(str(exc))
+
+
+def _index(text, n, what) -> int:
+    """text read as an index below n."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise CommandError(f"{what} expected, got '{text}'")
+    if not 0 <= k < n:
+        raise CommandError(f"{what} out of range 0..{n - 1}")
+    return k
 
 
 def _diagram_involutions(cartan):
@@ -101,9 +109,7 @@ class Session:
         self.out = out if out is not None else sys.stdout
         self.verbose = verbose
         self.rd = None
-        self.type_desc = None
         self.ic = None
-        self.history = []
         self._pending_matrix = None  # (type string, cartan, torus rank)
         self.done = False
         self.lineno = 0
@@ -141,7 +147,6 @@ class Session:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             return
-        self.history.append(stripped)
         tokens = stripped.split()
         cmd, args = tokens[0], tokens[1:]
         handler = getattr(self, "cmd_" + cmd.replace("-", "_"), None)
@@ -163,20 +168,16 @@ class Session:
             raise CommandError("no inner class; run 'inner' first")
         return self.ic
 
+    def _switch(self, rd, ic, head):
+        self.rd, self.ic = rd, ic
+        self.emit(f"{head} (rank {rd.rank}, {rd.n_pos} positive roots)")
+
     def _x_table(self):
         return enumerate_X(self.need_ic())
 
-    def _form_table(self, text):
-        ic = self.need_ic()
-        forms = strong_real_forms(ic)
-        try:
-            k = int(text)
-        except ValueError:
-            raise CommandError(f"form number expected, got '{text}'")
-        if not 0 <= k < len(forms):
-            raise CommandError(
-                f"form number out of range 0..{len(forms) - 1}")
-        return forms[k]
+    def _form(self, text):
+        forms = strong_real_forms(self.need_ic())
+        return forms[_index(text, len(forms), "form number")]
 
     # -- commands --------------------------------------------------------
 
@@ -185,12 +186,8 @@ class Session:
             raise CommandError("usage: type <Xn[.Xn...][.Tk]> <sc|ad|matrix>")
         type_string, isogeny = args
         if isogeny in ("sc", "ad"):
-            self.rd = from_type(type_string, isogeny)
-            self.type_desc = f"{type_string} {isogeny}"
-            self.ic = None
-            self.emit(f"root datum: {self.type_desc} "
-                      f"(rank {self.rd.rank}, "
-                      f"{self.rd.n_pos} positive roots)")
+            self._switch(from_type(type_string, isogeny), None,
+                         f"root datum: {type_string} {isogeny}")
         elif isogeny == "matrix":
             blocks, torus = parse_type(type_string)
             cartan = _block_diagonal(blocks)
@@ -230,11 +227,8 @@ class Session:
                     "the root lattice is not contained in this lattice")
             simple_roots.append([x // den for x in coords])
         simple_coroots = [[rows[i][j] for i in range(n)] for j in range(k)]
-        self.rd = new_root_datum(simple_roots, simple_coroots, n)
-        self.type_desc = f"{type_string} matrix"
-        self.ic = None
-        self.emit(f"root datum: {self.type_desc} "
-                  f"(rank {self.rd.rank}, {self.rd.n_pos} positive roots)")
+        self._switch(new_root_datum(simple_roots, simple_coroots, n), None,
+                     f"root datum: {type_string} matrix")
 
     def cmd_inner(self, args):
         rd = self.need_rd()
@@ -302,7 +296,7 @@ class Session:
         for f in forms:
             tag = " quasisplit" if f.quasisplit else ""
             self.emit(f"form {f.index}: size {len(f.element_ids)}, "
-                      f"square {_fmt_vec(f.square)}, "
+                      f"square {f.square}, "
                       f"base fiber {list(f.base_ids)}{tag}")
 
     def cmd_cartan(self, args):
@@ -322,16 +316,14 @@ class Session:
     def cmd_kgb(self, args):
         if len(args) != 1:
             raise CommandError("usage: kgb <form#>")
-        form = self._form_table(args[0])
-        table = enumerate_form(self.ic, self._x_table()
-                               .elements[form.element_ids[0]])
-        self.emit(f"kgb size: {len(table)}")
-        for line in table.lines():
-            self.emit(line)
+        self._emit_table("kgb", self._x_table().form_table(
+            self._form(args[0]).index))
 
     def cmd_X(self, args):
-        table = self._x_table()
-        self.emit(f"X size: {len(table)}")
+        self._emit_table("X", self._x_table())
+
+    def _emit_table(self, name, table):
+        self.emit(f"{name} size: {len(table)}")
         for line in table.lines():
             self.emit(line)
 
@@ -339,21 +331,19 @@ class Session:
         if len(args) not in (1, 2):
             raise CommandError("usage: block <form#> [y2-class]")
         ic = self.need_ic()
-        form = self._form_table(args[0])
+        form = self._form(args[0])
         y2 = parse_central(ic.dual, args[1]) if len(args) == 2 else None
-        if not ic.rd.rho_in_X():
-            self.emit("note: half-sum of positive roots is not a "
-                      "character; counts refer to the rho-cover")
         xt = self._x_table()
-        rows = match_pairs(
-            ic, [xt.elements[i] for i in form.element_ids],
-            [y for y in enumerate_X(ic.dual).elements
-             if y2 is None or y.square == y2])
+        lc = langlands_count(ic, xt[form.element_ids[0]])
+        if lc.note:
+            self.emit(f"note: {lc.note}")
+        yt = enumerate_X(ic.dual)
+        rows = match_pairs(ic, xt, form.element_ids, yt,
+                           range(len(yt)) if y2 is None else yt.ids_over(y2))
         self.emit(f"{len(rows)} pairs:")
         for p in rows:
             self.emit(p.line())
-        lc = langlands_count(ic, xt.elements[form.element_ids[0]])
-        per = " ".join(f"{_fmt_vec(z)}:{c}"
+        per = " ".join(f"{z}:{c}"
                        for z, c in sorted(lc.counts.items(),
                                           key=lambda kv: kv[0].entries))
         self.emit(f"per infinitesimal-character class: {per}")
@@ -376,35 +366,23 @@ class Session:
         if len(args) != 1:
             raise CommandError("usage: realweyl <kgb-id>")
         table = self._x_table()
-        try:
-            k = int(args[0])
-        except ValueError:
-            raise CommandError(f"element id expected, got '{args[0]}'")
-        if not 0 <= k < len(table):
-            raise CommandError(f"element id out of range 0..{len(table) - 1}")
-        info = real_weyl(table.elements[k])
+        k = _index(args[0], len(table), "element id")
+        info = real_weyl(table[k])
         self.emit(f"real weyl group of element {k}: order {info.total} = "
                   f"{info.complex_fixed} (complex) x {info.stab_imaginary} "
                   f"(imaginary stabilizer) x {info.real_order} (real)")
 
     def cmd_dual(self, args):
         ic = self.need_ic()
-        self.ic = ic.dual
-        self.rd = self.ic.rd
-        self.type_desc = (self.type_desc or "") + " (dual)"
-        self.emit(f"switched to the dual inner class "
-                  f"(rank {self.rd.rank}, {self.rd.n_pos} positive roots)")
+        self._switch(ic.dual.rd, ic.dual, "switched to the dual inner class")
 
     def cmd_dot(self, args):
         if len(args) != 2:
             raise CommandError("usage: dot <X|form#> <path>")
         what, path = args
-        if what == "X":
-            table = self._x_table()
-        else:
-            form = self._form_table(what)
-            table = enumerate_form(self.ic, self._x_table()
-                                   .elements[form.element_ids[0]])
+        table = self._x_table()
+        if what != "X":
+            table = table.form_table(self._form(what).index)
         try:
             with open(path, "w") as fh:
                 fh.write(table.dot())
@@ -417,18 +395,6 @@ class Session:
         self.done = True
 
 
-def _block_diagonal(blocks):
-    k = sum(len(b) for b in blocks)
-    out = [[0] * k for _ in range(k)]
-    offset = 0
-    for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
-                out[offset + i][offset + j] = b[i][j]
-        offset += len(b)
-    return [tuple(r) for r in out]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="liepar",
@@ -438,21 +404,26 @@ def main(argv=None):
                         help="append timing comments to command output")
     opts = parser.parse_args(argv)
     session = Session(sys.stdout, verbose=opts.verbose)
-    if opts.cmd_file:
-        with open(opts.cmd_file) as fh:
-            session.run(fh)
-    elif sys.stdin.isatty():
-        while not session.done:
-            sys.stderr.write("liepar> ")
-            sys.stderr.flush()
-            line = sys.stdin.readline()
-            if not line:
-                break
-            session.run([line])
-    else:
-        session.run(sys.stdin)
+    try:
+        if opts.cmd_file:
+            with open(opts.cmd_file) as fh:
+                session.run(fh)
+        elif sys.stdin.isatty():
+            while not session.done:
+                sys.stderr.write("liepar> ")
+                sys.stderr.flush()
+                line = sys.stdin.readline()
+                if not line:
+                    break
+                session.run([line])
+        else:
+            session.run(sys.stdin)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: stop, flushing to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -268,6 +268,9 @@ class RatVecModZ:
     def __neg__(self) -> "RatVecModZ":
         return RatVecModZ.reduce(-x for x in self.entries)
 
+    def __str__(self):
+        return ",".join(map(str, self.entries))
+
     @property
     def order(self) -> int:
         """Order as an element of (Q/Z)^n."""

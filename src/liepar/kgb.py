@@ -22,15 +22,17 @@ by the sign of delta on each imaginary root (see _delta_signs), which
 the Tits group gives at the folded simple roots and W^delta carries
 along its orbits.
 
-X is written as flat columns (see KGBTable); KGBElt views and lambda
-are formed on first read.  Each element inherits the seed of the
-element that found it, so the strong real forms come from a union-find
-over the seeds.  The real Weyl group W(G, H) of x reads |W_i|, |W_r|
-and |W_C^theta| in closed form; only the W_i-orbit of x is searched.
+An element is its id: X is written as flat columns indexed by id (see
+KGBTable), and a KGBElt view, with its lambda, is formed only when one
+is read.  Each element inherits the seed of the element that found it,
+so the strong real forms come from a union-find over the seeds.  The
+real Weyl group W(G, H) of x reads |W_i|, |W_r| and |W_C^theta| in
+closed form; only the W_i-orbit of x is searched, by id.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
@@ -57,8 +59,14 @@ class NotReal(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+class NoMatch(ValueError):
+    pass
+
+
+@dataclass(eq=False)
 class KGBElt:
+    """Element id of table, formed on each read: a snapshot of the
+    columns that nothing reads back, equal to the views of that id."""
     id: int
     tau: TwistedInvolution
     coords: tuple          # fiber coordinates y in tau's frame, mod denom
@@ -68,7 +76,7 @@ class KGBElt:
     cross: tuple           # per simple root: element id
     cayley: tuple          # per simple root: element id or None
     grading: tuple         # sorted (positive imaginary root index, 0/1)
-    table: object = field(default=None, repr=False, compare=False)
+    table: KGBTable = field(repr=False, compare=False)
 
     def __eq__(self, other):
         return isinstance(other, KGBElt) and self.table is other.table \
@@ -87,9 +95,6 @@ class KGBElt:
     def grading_map(self) -> dict:
         return dict(self.grading)
 
-    def tau_word_str(self) -> str:
-        return self.tau.tau_word_str()
-
 
 @dataclass(frozen=True)
 class StrongRealForm:
@@ -100,16 +105,14 @@ class StrongRealForm:
     quasisplit: bool
 
 
-class KGBTable:
-    """X as columns indexed by element id: tau index, fiber coordinates,
-    square index, grading bits (in the order of tau's positive imaginary
-    roots), and per element k slots each of cross and Cayley ids (None
-    where no Cayley transform applies).  forms holds one StrongRealForm
-    record per connected component, in the canonical order (quasisplit
-    last).  The KGBElt views are built on the first read of elements,
-    the Cayley preimages on the first cayley_down_ids; len, form_of,
-    cartans_for, langlands_count and reduced_space read the columns and
-    the records."""
+class KGBTable(Sequence):
+    """X as the sequence of its elements: table[i] and iter(table) form
+    one KGBElt view per read, and the table holds none.  It holds columns
+    indexed by element id: tau index, fiber coordinates, square index,
+    grading bits (in the order of tau's positive imaginary roots), and k
+    slots each of cross and Cayley ids (None where no Cayley transform
+    applies).  forms holds one StrongRealForm record per connected
+    component, in the canonical order (quasisplit last)."""
 
     def __init__(self, ic, squares, denom, taus, coords, square_idx,
                  grading_bits, cross_ids, cayley_ids, generation_log, forms):
@@ -133,29 +136,27 @@ class KGBTable:
     def __len__(self):
         return len(self._taus)
 
-    @cached_property
-    def elements(self) -> tuple:
-        ic = self.ic
-        tbl = twisted_involutions(ic)
-        k = ic.rd.n_simple
-        simple_pos = {}
-        out = []
-        for i, (t, g) in enumerate(zip(self._taus, self._grading_bits)):
-            if t not in simple_pos:
-                simple_pos[t] = _simple_positions(ic, t)
-            cls = tbl.classification(t)
-            tau = tbl.elements[t]
-            out.append(KGBElt(
-                id=i, tau=tau, coords=self._coords[i], length=tau.length,
-                square=self.squares[self._square_idx[i]],
-                status=tuple(cls.status[a] if p is None
-                             else 'n' if g[p] else 'c'
-                             for a, p in zip(ic.weyl.simple_idx,
-                                             simple_pos[t])),
-                cross=tuple(self._cross[i * k:i * k + k]),
-                cayley=tuple(self._cayley[i * k:i * k + k]),
-                grading=tuple(zip(cls.im_pos, g)), table=self))
-        return tuple(out)
+    def __getitem__(self, i) -> KGBElt:
+        i = range(len(self._taus))[i]
+        t, g = self._taus[i], self._grading_bits[i]
+        tau = twisted_involutions(self.ic).elements[t]
+        k = self.ic.rd.n_simple
+        return KGBElt(
+            id=i, tau=tau, coords=self._coords[i], length=tau.length,
+            square=self.squares[self._square_idx[i]],
+            status=self._status(t, g),
+            cross=tuple(self._cross[i * k:i * k + k]),
+            cayley=tuple(self._cayley[i * k:i * k + k]),
+            grading=tuple(zip(twisted_involutions(self.ic)
+                              .classification(t).im_pos, g)), table=self)
+
+    def _status(self, t, g) -> tuple:
+        """Per simple root, over tau index t with grading bits g: 'c' or
+        'n' where it is imaginary, else tau's 'r' or 'C'."""
+        status = twisted_involutions(self.ic).classification(t).status
+        return tuple(status[a] if p is None else 'n' if g[p] else 'c'
+                     for a, p in zip(self.ic.weyl.simple_idx,
+                                     _simple_positions(self.ic, t)))
 
     @cached_property
     def _down(self) -> dict:
@@ -174,35 +175,71 @@ class KGBTable:
             raise KeyError(xid)
         return self._form_of[xid]
 
+    def ids_over(self, z: RatVecModZ) -> tuple:
+        """The ids of the elements over the central square z."""
+        q = self.squares.index(z) if z in self.squares else -1
+        return tuple(compress(range(len(self)),
+                              map(q.__eq__, self._square_idx)))
+
+    def form_table(self, f: int) -> KGBTable:
+        """The subtable of form f, renumbered in id order, with that form
+        as its one record."""
+        form = self.forms[f]
+        ids = form.element_ids
+        remap = {old: new for new, old in enumerate(ids)}
+        remap[None] = None
+        k = self.ic.rd.n_simple
+        slots = [i * k + s for i in ids for s in range(k)]
+        log = tuple((remap[i], remap.get(src, -1), mv)
+                    for (i, src, mv) in self.generation_log if i in remap)
+        return KGBTable(
+            self.ic, self.squares, self.denom,
+            *([col[i] for i in ids] for col in (self._taus, self._coords,
+                                                self._square_idx,
+                                                self._grading_bits)),
+            [remap[self._cross[j]] for j in slots],
+            [remap[self._cayley[j]] for j in slots], log,
+            (StrongRealForm(0, form.square,
+                            tuple(remap[i] for i in form.base_ids),
+                            tuple(range(len(ids))), form.quasisplit),))
+
     def lines(self):
         """One text line per element: id: length cartan# [status] cross
         columns, cayley columns, tau word."""
+        tbl = twisted_involutions(self.ic)
         cls_of = cartan_index(self.ic)
+        k = self.ic.rd.n_simple
+        heads = {}      # (tau index, grading bits) -> the line's parts
         out = []
-        for x in self.elements:
-            cr = " ".join(str(j) for j in x.cross)
-            cy = " ".join("*" if j is None else str(j) for j in x.cayley)
-            word = x.tau_word_str() or "e"
-            out.append(f"{x.id}: {x.length} {cls_of[x.tau.index]} "
-                       f"[{','.join(x.status)}] {cr} {cy} {word}")
+        for i, key in enumerate(zip(self._taus, self._grading_bits)):
+            if key not in heads:
+                tau = tbl.elements[key[0]]
+                heads[key] = (f"{tau.length} {cls_of[key[0]]} "
+                              f"[{','.join(self._status(*key))}]",
+                              tau.tau_word_str() or "e")
+            head, word = heads[key]
+            cr = " ".join(map(str, self._cross[i * k:i * k + k]))
+            cy = " ".join("*" if j is None else str(j)
+                          for j in self._cayley[i * k:i * k + k])
+            out.append(f"{i}: {head} {cr} {cy} {word}")
         return out
 
     def dot(self):
         """DOT graph: cross edges undirected, Cayley edges directed and
         labeled by (1-based) simple index."""
+        k = self.ic.rd.n_simple
         out = ["digraph kgb {"]
-        for x in self.elements:
-            out.append(f'  n{x.id} [label="{x.id}"];')
-        seen = set()
-        for x in self.elements:
-            for s, j in enumerate(x.cross):
-                if j != x.id and (min(x.id, j), max(x.id, j), s) not in seen:
-                    seen.add((min(x.id, j), max(x.id, j), s))
-                    out.append(f'  n{min(x.id, j)} -> n{max(x.id, j)} '
+        out += [f'  n{i} [label="{i}"];' for i in range(len(self))]
+        for i in range(len(self)):
+            # the cross action is an involution: an edge is written once,
+            # from its lower end
+            for s, j in enumerate(self._cross[i * k:i * k + k]):
+                if j > i:
+                    out.append(f'  n{i} -> n{j} '
                                f'[dir=none, style=dashed, label="{s + 1}"];')
-            for s, j in enumerate(x.cayley):
+            for s, j in enumerate(self._cayley[i * k:i * k + k]):
                 if j is not None:
-                    out.append(f'  n{x.id} -> n{j} [label="{s + 1}"];')
+                    out.append(f'  n{i} -> n{j} [label="{s + 1}"];')
         out.append("}")
         return "\n".join(out) + "\n"
 
@@ -556,28 +593,19 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     return table
 
 
+def _table_of(ic: InnerClass, x0: KGBElt) -> KGBTable:
+    """The table of x0, checked to be one of ic or of an equal class."""
+    table = x0.table
+    if (table.ic.rd, table.ic.gamma) != (ic.rd, ic.gamma):
+        raise NoMatch("x0 is not an element of this inner class")
+    return table
+
+
 def enumerate_form(ic: InnerClass, x0: KGBElt) -> KGBTable:
     """The subtable X[x0] of everything linked to x0, renumbered, with
     x0's form as its one record."""
-    full = x0.table if x0.table is not None else enumerate_X(ic)
-    form = full.forms[full.form_of(x0.id)]
-    ids = form.element_ids
-    remap = {old: new for new, old in enumerate(ids)}
-    remap[None] = None
-    k = ic.rd.n_simple
-    slots = [i * k + s for i in ids for s in range(k)]
-    log = tuple((remap[i], remap.get(src, -1), mv)
-                for (i, src, mv) in full.generation_log if i in remap)
-    return KGBTable(
-        ic, full.squares, full.denom,
-        *([col[i] for i in ids] for col in (full._taus, full._coords,
-                                            full._square_idx,
-                                            full._grading_bits)),
-        [remap[full._cross[j]] for j in slots],
-        [remap[full._cayley[j]] for j in slots], log,
-        (StrongRealForm(0, form.square,
-                        tuple(remap[i] for i in form.base_ids),
-                        tuple(range(len(ids))), form.quasisplit),))
+    table = _table_of(ic, x0)
+    return table.form_table(table.form_of(x0.id))
 
 
 def strong_real_forms(ic: InnerClass):
@@ -602,22 +630,23 @@ def grading(x: KGBElt, root_idx: int) -> int:
 
 
 def cross(s: int, x: KGBElt) -> KGBElt:
-    return x.table.elements[x.cross[s]]
+    return x.table[x.cross[s]]
 
 
 def cross_by_word(word, x: KGBElt) -> KGBElt:
     """Cross action of the Weyl element with the given word: the last
     letter acts first."""
+    table, xid, k = x.table, x.id, x.table.ic.rd.n_simple
     for s in reversed(tuple(word)):
-        x = cross(s, x)
-    return x
+        xid = table._cross[xid * k + s]
+    return table[xid]
 
 
 def cayley_up(s: int, x: KGBElt) -> KGBElt:
     if x.status[s] != 'n':
         raise NotNoncompactImaginary(
             f"simple root {s} is not noncompact imaginary here")
-    return x.table.elements[x.cayley[s]]
+    return x.table[x.cayley[s]]
 
 
 def cayley_down(s: int, x: KGBElt):
@@ -626,7 +655,7 @@ def cayley_down(s: int, x: KGBElt):
     ids = x.table.cayley_down_ids(s, x.id)
     if len(ids) not in (1, 2):
         raise WeylError(f"{len(ids)} Cayley preimages, expected 1 or 2")
-    return tuple(x.table.elements[i] for i in ids)
+    return tuple(map(x.table.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -660,17 +689,26 @@ def real_weyl(x: KGBElt) -> RealWeylInfo:
     """W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) (Vogan 1982): |W_i|,
     |W_r| and |W_C^theta| = sqrt |W(deltaC)| are the closed forms of
     tau's root classification; |Stab| is |W_i| over x's W_i-orbit."""
-    ic = x.table.ic
-    cls = twisted_involutions(ic).classification(x.tau.index)
-    words = _imaginary_words(ic, x.tau.index)
-    orbit = {x.id}
-    frontier = [x]
+    return _real_weyl(x.table, x.id)
+
+
+def _real_weyl(table: KGBTable, xid: int) -> RealWeylInfo:
+    """real_weyl of element xid, its W_i-orbit walked by id."""
+    ic = table.ic
+    t = table._taus[xid]
+    cls = twisted_involutions(ic).classification(t)
+    words = _imaginary_words(ic, t)
+    k = ic.rd.n_simple
+    orbit = {xid}
+    frontier = [xid]
     while frontier:
         y = frontier.pop()
         for word in words:
-            z = cross_by_word(word, y)
-            if z.id not in orbit:
-                orbit.add(z.id)
+            z = y
+            for s in reversed(word):    # the last letter acts first
+                z = table._cross[z * k + s]
+            if z not in orbit:
+                orbit.add(z)
                 frontier.append(z)
     stab = cls.im_order // len(orbit)
     return RealWeylInfo(
@@ -722,6 +760,4 @@ def reduced_space(ic: InnerClass) -> ReducedSpace:
         classes.setdefault(tuple(vec_dot(r, y) % den for r in zero_rows), z)
     z0 = tuple(classes.values())
     table = enumerate_X(ic)
-    slices = {z: tuple(i for i, q in enumerate(table._square_idx)
-                       if table.squares[q] == z) for z in z0}
-    return ReducedSpace(z0, slices)
+    return ReducedSpace(z0, {z: table.ids_over(z) for z in z0})

@@ -337,6 +337,18 @@ def parse_type(type_string: str):
     return blocks, torus
 
 
+def _block_diagonal(blocks) -> list:
+    """The Cartan matrix of the factors' blocks, as tuple rows."""
+    k = sum(len(b) for b in blocks)
+    out = [[0] * k for _ in range(k)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[offset + i][offset:offset + len(b)] = row
+        offset += len(b)
+    return [tuple(r) for r in out]
+
+
 def from_type(type_string: str, isogeny: str) -> RootDatum:
     """Build a named datum: for sc the simple coroots are the standard
     basis (X = weight-lattice coordinates); for ad the simple roots are
@@ -344,26 +356,11 @@ def from_type(type_string: str, isogeny: str) -> RootDatum:
     if isogeny not in ("sc", "ad"):
         raise UnknownType(f"isogeny must be sc or ad, got {isogeny!r}")
     blocks, torus = parse_type(type_string)
-    ss_rank = sum(len(b) for b in blocks)
-    rank = ss_rank + torus
-    roots, coroots = [], []
-    offset = 0
-    for block in blocks:
-        m = len(block)
-        for i in range(m):
-            if isogeny == "sc":
-                root = [0] * rank
-                for j in range(m):
-                    root[offset + j] = block[i][j]
-                coroot = [0] * rank
-                coroot[offset + i] = 1
-            else:
-                root = [0] * rank
-                root[offset + i] = 1
-                coroot = [0] * rank
-                for j in range(m):
-                    coroot[offset + j] = block[j][i]
-            roots.append(tuple(root))
-            coroots.append(tuple(coroot))
-        offset += m
-    return new_root_datum(roots, coroots, rank)
+    cartan = _block_diagonal(blocks)
+    k = len(cartan)
+    rank = k + torus
+    unit = IntMatrix.identity(rank).entries[:k]
+    pad = (0,) * torus
+    if isogeny == "sc":
+        return new_root_datum([row + pad for row in cartan], unit, rank)
+    return new_root_datum(unit, [col + pad for col in zip(*cartan)], rank)

@@ -150,6 +150,7 @@ class WeylGroup:
         self._simples = tuple(WeylElt((i,), p, self)
                               for i, p in enumerate(self.simple_perms))
         self._longest = None
+        self._order = None
 
     # -- basic element construction -------------------------------------
 
@@ -255,9 +256,11 @@ class WeylGroup:
         return self._longest
 
     def order(self) -> int:
-        """|W| by subsystem_order."""
-        return subsystem_order(self.rd, self.simple_idx,
-                               range(self.n_pos, len(self.rd.roots)))
+        """|W| by subsystem_order, once per group."""
+        if self._order is None:
+            pos = range(self.n_pos, len(self.rd.roots))
+            self._order = subsystem_order(self.rd, self.simple_idx, pos)
+        return self._order
 
 
 # ---------------------------------------------------------------------------

@@ -13,30 +13,27 @@ from dataclasses import dataclass
 
 from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
-from .kgb import KGBElt, _validate_square, enumerate_X, real_weyl
+from .kgb import (KGBElt, KGBTable, NoMatch, _real_weyl, _table_of,
+                  _validate_square, enumerate_X)
 from .rootdatum import from_type
 from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
                    cartan_index, trivial_inner_class, twisted_involutions)
 
 
-class NoMatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ZPair:
-    x: KGBElt
-    y: KGBElt
+    """A pair (x, y) over tau: x an element id in the X table of the
+    inner class and y one in the X table of its dual, the two tables
+    that enumerate_Z (or the caller of match_pairs) read."""
+    x: int
+    y: int
     x_square: RatVecModZ
     y_square: RatVecModZ
     tau: TwistedInvolution
 
     def line(self) -> str:
-        def fmt(v):
-            return ",".join(str(a) for a in v.entries)
-        word = self.tau.tau_word_str() or "e"
-        return (f"{self.x.id} {self.y.id} {fmt(self.x_square)} "
-                f"{fmt(self.y_square)} {word}")
+        return (f"{self.x} {self.y} {self.x_square} {self.y_square} "
+                f"{self.tau.tau_word_str() or 'e'}")
 
 
 def dual_tau(tau: TwistedInvolution, ic: InnerClass) -> TwistedInvolution:
@@ -59,30 +56,25 @@ def enumerate_Z(ic: InnerClass, restrict_x_square=None,
         else enumerate_X(ic, squares=[restrict_x_square])
     yt = enumerate_X(dic) if restrict_y_square is None \
         else enumerate_X(dic, squares=[restrict_y_square])
-    return match_pairs(ic, xt.elements, yt.elements)
+    return match_pairs(ic, xt, range(len(xt)), yt, range(len(yt)))
 
 
-def match_pairs(ic: InnerClass, xs, ys):
-    """The pairs (x, y) with x among xs and y among ys over dual twisted
-    involutions: tau by tau in table order, then x and y in the order
-    given."""
-    by_tau_x = {}
-    for x in xs:
-        by_tau_x.setdefault(x.tau.index, []).append(x)
-    by_tau_y = {}
-    for y in ys:
-        by_tau_y.setdefault(y.tau.index, []).append(y)
+def match_pairs(ic: InnerClass, xt: KGBTable, x_ids, yt: KGBTable, y_ids):
+    """The pairs (x, y) with x among x_ids of xt and y among y_ids of yt,
+    the X tables of ic and of its dual, over dual twisted involutions:
+    tau by tau in table order, then x and y in the order given."""
+    by_tau_x, by_tau_y = {}, {}
+    for by_tau, table, ids in ((by_tau_x, xt, x_ids), (by_tau_y, yt, y_ids)):
+        for i in ids:
+            by_tau.setdefault(table._taus[i], []).append(i)
     pairs = []
-    for tau in twisted_involutions(ic).elements:
-        tau_xs = by_tau_x.get(tau.index)
-        if not tau_xs:
-            continue
-        tau_ys = by_tau_y.get(dual_tau(tau, ic).index)
-        if not tau_ys:
-            continue
-        for x in tau_xs:
-            for y in tau_ys:
-                pairs.append(ZPair(x, y, x.square, y.square, tau))
+    for t in sorted(by_tau_x):
+        tau = twisted_involutions(ic).elements[t]
+        tau_ys = by_tau_y.get(dual_tau(tau, ic).index, ())
+        for i in by_tau_x[t]:
+            x_square = xt.squares[xt._square_idx[i]]
+            pairs.extend(ZPair(i, j, x_square, yt.squares[yt._square_idx[j]],
+                               tau) for j in tau_ys)
     return pairs
 
 
@@ -154,9 +146,7 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     its dual is built.  With rho a character, the closed form
     sum |W| / |W(G, H)| 2^a over the form's Cartan classes is checked
     against the count at the trivial dual square."""
-    table = x0.table
-    if (table.ic.rd, table.ic.gamma) != (ic.rd, ic.gamma):
-        raise NoMatch("x0 is not an element of this inner class")
+    table = _table_of(ic, x0)
     ic = table.ic
     central_fixed_points(ic)    # raises where Z is not built, as for X
     index = cartan_index(ic)
@@ -177,13 +167,13 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
             if ny:
                 counts[z] = counts.get(z, 0) + n * ny
         if w_order:
-            info = real_weyl(table.elements[first[c]])
+            info = _real_weyl(table, first[c])
             formula += w_order // info.total \
                 * 2 ** fiber_space(rep, ic).signature.a
     if w_order and formula != counts.get(RatVecModZ.reduce((0,) * dic.rank)):
         raise WeylError("closed-form count disagrees with pair count")
     note = None if w_order else ("half-sum of positive roots is not a "
-                                 "character: counts refer to the rho-cover")
+                                 "character; counts refer to the rho-cover")
     return LanglandsCount(counts, formula, note)
 
 
@@ -203,14 +193,11 @@ def duality_check(ic: InnerClass) -> DualityReport:
     dic = ic.dual
     pairs = enumerate_Z(ic)
     dual_pairs = enumerate_Z(dic)
-    blocks = {}
-    for p in pairs:
-        key = (p.tau.index, dual_tau(p.tau, ic).index)
-        blocks[key] = blocks.get(key, 0) + 1
-    dual_blocks = {}
-    for p in dual_pairs:
-        key = (p.tau.index, dual_tau(p.tau, dic).index)
-        dual_blocks[key] = dual_blocks.get(key, 0) + 1
+    blocks, dual_blocks = {}, {}
+    for tally, c, ps in ((blocks, ic, pairs), (dual_blocks, dic, dual_pairs)):
+        for p in ps:
+            key = (p.tau.index, dual_tau(p.tau, c).index)
+            tally[key] = tally.get(key, 0) + 1
     mismatches = []
     for (a, b), size in blocks.items():
         if dual_blocks.get((b, a)) != size:

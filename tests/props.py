@@ -583,7 +583,7 @@ def square_of(ic, tau_idx, lam):
 def check_cross_involutive(ic):
     table = enumerate_X(ic)
     cases = 0
-    for x in table.elements:
+    for x in table:
         for s in range(ic.n_simple):
             assert cross(s, cross(s, x)) == x
             cases += 1
@@ -597,7 +597,7 @@ def check_cross_action(ic, pairs):
     cases = 0
     for u, v in pairs:
         uv = mult(wg, u, v)
-        for x in table.elements:
+        for x in table:
             lhs = cross_by_word(uv.word, x)
             rhs = cross_by_word(u.word, cross_by_word(v.word, x))
             assert lhs == rhs
@@ -608,7 +608,7 @@ def check_cross_action(ic, pairs):
 def check_cayley_roundtrip(ic):
     table = enumerate_X(ic)
     cases = 0
-    for x in table.elements:
+    for x in table:
         for s in range(ic.n_simple):
             if x.status[s] == 'n':
                 y = cayley_up(s, x)
@@ -631,7 +631,7 @@ def check_grading_transfer(ic):
     rd = ic.rd
     smats = [simple_reflection(rd, s) for s in range(ic.n_simple)]
     cases = 0
-    for x in table.elements:
+    for x in table:
         for s, smat in enumerate(smats):
             y = cross(s, x)
             for b, g in x.grading:
@@ -669,12 +669,12 @@ def check_projection_surjective(ic):
     tbl = twisted_involutions(ic)
     n = len(tbl.elements)
     hit = set()
-    for x in table.elements:
+    for x in table:
         assert 0 <= x.tau.index < n
         assert tbl.elements[x.tau.index].theta_X == x.tau.theta_X
         hit.add(x.tau.index)
     assert hit == set(range(n))
-    return len(table.elements) + n
+    return len(table) + n
 
 
 def check_form_partition(ic):
@@ -684,7 +684,7 @@ def check_form_partition(ic):
     forms = strong_real_forms(ic)
     ids = []
     for f in forms:
-        sub = enumerate_form(ic, table.elements[f.element_ids[0]])
+        sub = enumerate_form(ic, table[f.element_ids[0]])
         assert len(sub) == len(f.element_ids)
         ids.extend(f.element_ids)
     assert sorted(ids) == list(range(len(table)))
@@ -696,23 +696,23 @@ def reference_forms(table):
     union-find over every cross and Cayley link of the element views:
     components ordered by least id, those holding an element with no
     imaginary root (a quasisplit form) last."""
-    parent = list(range(len(table.elements)))
+    parent = list(range(len(table)))
 
     def find(a):
         while parent[a] != a:
             a = parent[a]
         return a
 
-    for x in table.elements:
+    for x in table:
         for j in x.cross + x.cayley:
             if j is not None:
                 a, b = find(x.id), find(j)
                 parent[max(a, b)] = min(a, b)
     comps = {}
-    for x in table.elements:
+    for x in table:
         comps.setdefault(find(x.id), []).append(x.id)
     split = {r for r, ids in comps.items()
-             if any(not table.elements[i].grading for i in ids)}
+             if any(not table[i].grading for i in ids)}
     order = sorted(comps, key=lambda r: (r in split, r))
     return ({f: tuple(comps[r]) for f, r in enumerate(order)},
             tuple(f for f, r in enumerate(order) if r in split))

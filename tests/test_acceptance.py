@@ -93,8 +93,8 @@ def test_rank_one_golden_suite():
     ])
 
     # real Weyl group orders, element by element
-    assert [real_weyl(x).total for x in table.elements] == [2, 2, 1, 1, 2]
-    assert [real_weyl(x).total for x in tbl2.elements] == [2, 2, 2]
+    assert [real_weyl(x).total for x in table] == [2, 2, 1, 1, 2]
+    assert [real_weyl(x).total for x in tbl2] == [2, 2, 2]
 
     assert time.perf_counter() - start < 1.0
 
@@ -109,11 +109,11 @@ def test_rank_two_symplectic_form_listings():
     def multiset(lines):
         return sorted(decoration(r) for r in parse_rows(lines).values())
 
-    split = enumerate_form(ic, table.elements[forms[3].element_ids[0]])
+    split = enumerate_form(ic, table[forms[3].element_ids[0]])
     assert tables_isomorphic(split.lines(), SP4_SPLIT_ROWS)
     assert multiset(split.lines()) == multiset(SP4_SPLIT_ROWS)
 
-    quat = enumerate_form(ic, table.elements[forms[1].element_ids[0]])
+    quat = enumerate_form(ic, table[forms[1].element_ids[0]])
     assert tables_isomorphic(quat.lines(), SP11_ROWS)
     assert multiset(quat.lines()) == multiset(SP11_ROWS)
 
@@ -177,7 +177,7 @@ def test_brute_force_oracles_small_weyl_groups():
 
         # real Weyl order = size of the cross-action stabilizer
         from liepar import cross_by_word
-        for x in enumerate_X(ic).elements:
+        for x in enumerate_X(ic):
             stab = sum(1 for w in elements
                        if cross_by_word(w.word, x) == x)
             assert stab == real_weyl(x).total

@@ -53,6 +53,23 @@ def test_stdin_batch(tmp_path):
     assert "X size: 5" in proc.stdout
 
 
+def test_a_closed_stdout_ends_the_session_quietly():
+    # the reader stops after three lines, long before the output ends:
+    # the CLI exits non-zero and writes no traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liepar.cli"], stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdin.write("type C3 ad\ninner c\n" + "block 2\n" * 100)
+    proc.stdin.close()
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert head[2] == "74 pairs:\n"
+    assert "Traceback" not in err
+
+
 def test_run_splits_a_string_into_lines():
     out = io.StringIO()
     Session(out).run("type A1 sc\ninner c\nX")
@@ -174,7 +191,7 @@ def test_block_rows_are_the_form_slice_of_z(type_string, inner):
             arg = "" if z is None else \
                 " " + ",".join(str(a) for a in z.entries)
             script.append(f"block {f}{arg}\n")
-            rows = [p.line() for p in pairs if p.x.id in ids
+            rows = [p.line() for p in pairs if p.x in ids
                     and (z is None or p.y_square == z)]
             expected.append([f"{len(rows)} pairs:"] + rows)
     out.seek(0)
@@ -202,6 +219,17 @@ def test_an_adjoint_block_counts_each_dual_square(type_string, form, per):
     assert len(lines) == total + 4
     assert lines[-1] == f"per infinitesimal-character class: {per}"
     assert "error" not in out
+
+
+def test_a_block_without_rho_notes_the_rho_cover():
+    assert run_session("type A1 ad\ninner c\nblock 0\n") == (
+        "root datum: A1 ad (rank 1, 1 positive roots)\n"
+        "inner class: diagram permutation 1\n"
+        "note: half-sum of positive roots is not a character; counts refer "
+        "to the rho-cover\n"
+        "1 pairs:\n"
+        "0 4 0 1/2 e\n"
+        "per infinitesimal-character class: 1/2:1\n")
 
 
 @pytest.mark.parametrize("spec, rank", [

@@ -4,6 +4,7 @@ space, and whole-space properties."""
 import dataclasses
 import fractions
 import hashlib
+import io
 import random
 import re
 import sys
@@ -15,16 +16,19 @@ import pytest
 import liepar.fiber
 import liepar.intlinalg
 import liepar.kgb
+import liepar.zspace
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (IntMatrix, NotImaginary, NotNoncompactImaginary,
-                    NotReal, RatVecModZ, TitsGroup, TorusSignature,
-                    WeylError, cartan_class_of, cartan_classes, cartans_for,
-                    cayley_down, cayley_up, central_fixed_points,
-                    count_z_blocks, cross, cross_by_word, enumerate_form,
-                    enumerate_X, fiber_space, from_type, grading,
-                    inner_class_from_perm, langlands_count, nu_tau,
-                    real_weyl, reduced_space, strong_real_forms,
-                    theta_matrix, trivial_inner_class, twisted_involutions)
+from liepar import (IntMatrix, NoMatch, NotImaginary,
+                    NotNoncompactImaginary, NotReal, RatVecModZ, TitsGroup,
+                    TorusSignature, WeylError, cartan_class_of,
+                    cartan_classes, cartans_for, cayley_down, cayley_up,
+                    central_fixed_points, count_z_blocks, cross,
+                    cross_by_word, enumerate_form, enumerate_X, fiber_space,
+                    from_type, grading, inner_class_from_perm,
+                    langlands_count, nu_tau, real_weyl, reduced_space,
+                    strong_real_forms, theta_matrix, trivial_inner_class,
+                    twisted_involutions)
+from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
@@ -168,25 +172,25 @@ def test_sl2_table():
         "3: 0 0 [n] 2 4 e",
         "4: 1 1 [r] 4 * 1",
     ]
-    assert [x.torus_coord for x in table.elements] == \
+    assert [x.torus_coord for x in table] == \
         [rv(0), rv("1/2"), rv("1/4"), rv("3/4"), rv(0)]
-    assert [x.square for x in table.elements] == \
+    assert [x.square for x in table] == \
         [rv(0), rv(0), rv("1/2"), rv("1/2"), rv("1/2")]
     forms = strong_real_forms(ic)
     assert sorted(len(f.element_ids) for f in forms) == [1, 1, 3]
     assert [f.quasisplit for f in forms] == [False, False, True]
-    assert [real_weyl(x).total for x in table.elements] == [2, 2, 1, 1, 2]
+    assert [real_weyl(x).total for x in table] == [2, 2, 1, 1, 2]
 
 
 def test_pgl2_table():
     ic = make_ic("A1", "ad")
     table = enumerate_X(ic)
     assert len(table) == 3
-    assert [x.torus_coord for x in table.elements] == \
+    assert [x.torus_coord for x in table] == \
         [rv(0), rv("1/2"), rv(0)]
     forms = strong_real_forms(ic)
     assert sorted(len(f.element_ids) for f in forms) == [1, 2]
-    assert [real_weyl(x).total for x in table.elements] == [2, 2, 2]
+    assert [real_weyl(x).total for x in table] == [2, 2, 2]
 
 
 def test_sp4_forms_and_tables():
@@ -196,15 +200,26 @@ def test_sp4_forms_and_tables():
     forms = strong_real_forms(ic)
     assert [len(f.element_ids) for f in forms] == [1, 4, 1, 11]
     assert [f.quasisplit for f in forms] == [False, False, False, True]
-    split = enumerate_form(ic, table.elements[forms[3].element_ids[0]])
+    split = enumerate_form(ic, table[forms[3].element_ids[0]])
     assert tables_isomorphic(split.lines(), SP4_SPLIT_ROWS)
-    quat = enumerate_form(ic, table.elements[forms[1].element_ids[0]])
+    quat = enumerate_form(ic, table[forms[1].element_ids[0]])
     assert tables_isomorphic(quat.lines(), SP11_ROWS)
     # row multisets match exactly
     def multiset(lines):
         return sorted(decoration(r) for r in parse_rows(lines).values())
     assert multiset(split.lines()) == multiset(SP4_SPLIT_ROWS)
     assert multiset(quat.lines()) == multiset(SP11_ROWS)
+
+
+def test_enumerate_form_checks_the_inner_class():
+    assert NoMatch is liepar.kgb.NoMatch is liepar.zspace.NoMatch
+    x0 = enumerate_X(make_ic("C2", "sc"))[0]
+    with pytest.raises(NoMatch):
+        enumerate_form(trivial_inner_class(from_type("A2", "sc")), x0)
+    # an equal class, built apart, gives the form of x0
+    again = trivial_inner_class(from_type("C2", "sc"))
+    assert enumerate_form(again, x0).lines() == \
+        enumerate_form(x0.table.ic, x0).lines() == ["0: 0 0 [c,c] 0 0 * * e"]
 
 
 def test_iso_rejects_wrong_graph():
@@ -239,14 +254,14 @@ def test_real_weyl_structure():
     # has size 2, so the stabilizer has index 2 in the imaginary Weyl
     # group of order 8
     forms = strong_real_forms(ic)
-    x = table.elements[forms[1].element_ids[0]]
+    x = table[forms[1].element_ids[0]]
     info = real_weyl(x)
     assert info.imaginary_order == 8
     assert info.orbit_size == 2
     assert info.stab_imaginary == 4
     assert info.total == 4
     # split form: the split Cartan sees the whole Weyl group
-    split_top = max((table.elements[i] for i in forms[3].element_ids),
+    split_top = max((table[i] for i in forms[3].element_ids),
                     key=lambda y: y.length)
     info2 = real_weyl(split_top)
     assert info2.total == info2.real_order == 8
@@ -257,7 +272,7 @@ def test_real_weyl_brute_force(t, iso, tw):
     ic = make_ic(t, iso, tw)
     table = enumerate_X(ic)
     elements = all_elements(ic.weyl)
-    for x in table.elements:
+    for x in table:
         brute = sum(1 for w in elements if cross_by_word(w.word, x) == x)
         assert brute == real_weyl(x).total
 
@@ -267,14 +282,14 @@ def test_real_weyl_brute_force(t, iso, tw):
                          ids=GRID_IDS + ["F4-sc-c", "D4-sc-u"])
 def test_real_weyl_matches_the_enumerating_route(t, iso, tw):
     table = enumerate_X(make_ic(t, iso, tw))
-    for x in table.elements:
+    for x in table:
         assert real_weyl(x) == reference_real_weyl(x)
 
 
 def test_real_weyl_of_the_compact_e6_element():
     # element 0 of E6 sc lies over delta, where every root is imaginary
     # and W_i is all of W
-    info = real_weyl(enumerate_X(make_ic("E6", "sc")).elements[0])
+    info = real_weyl(enumerate_X(make_ic("E6", "sc"))[0])
     assert info.total == info.imaginary_order == 51840
 
 
@@ -282,13 +297,13 @@ def test_cartans_for_split_sp4():
     ic = make_ic("C2", "sc")
     table = enumerate_X(ic)
     forms = strong_real_forms(ic)
-    got = cartans_for(table.elements[forms[3].element_ids[0]])
+    got = cartans_for(table[forms[3].element_ids[0]])
     assert got == ((0, TorusSignature(0, 2, 0)),
                    (1, TorusSignature(0, 0, 1)),
                    (2, TorusSignature(1, 1, 0)),
                    (3, TorusSignature(2, 0, 0)))
     # the quaternionic form misses the split Cartan
-    got1 = cartans_for(table.elements[forms[1].element_ids[0]])
+    got1 = cartans_for(table[forms[1].element_ids[0]])
     assert [c for c, _ in got1] == [0, 1]
 
 
@@ -320,8 +335,7 @@ def test_form_of_reads_the_partition():
 
 def test_move_errors():
     table = enumerate_X(make_ic("A1", "sc"))
-    compact, noncpt, split = table.elements[0], table.elements[2], \
-        table.elements[4]
+    compact, noncpt, split = table[0], table[2], table[4]
     with pytest.raises(NotNoncompactImaginary):
         cayley_up(0, compact)
     with pytest.raises(NotReal):
@@ -333,7 +347,7 @@ def test_move_errors():
     # grading accepts the negative root too
     rd = table.ic.rd
     assert grading(compact, rd.negative_of(0)) == 0
-    assert cayley_down(0, split) == (table.elements[2], table.elements[3])
+    assert cayley_down(0, split) == (table[2], table[3])
 
 
 def test_restricted_squares():
@@ -361,7 +375,7 @@ def test_a_repeated_square_is_counted_once():
 def test_lengths_monotone_and_seeded_at_zero():
     for t, iso, tw in GRID:
         table = enumerate_X(make_ic(t, iso, tw))
-        lengths = [x.length for x in table.elements]
+        lengths = [x.length for x in table]
         assert lengths == sorted(lengths)
         assert lengths[0] == 0
 
@@ -483,9 +497,9 @@ def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
     # distinguished fiber to the image of element 0 passes the duplicate
     # check and must be caught by the involution check
     true = enumerate_X(make_ic("A1.A1", "sc"))
-    x0, x1 = true.elements[:2]
+    x0, x1 = true[0], true[1]
     assert (x0.tau, x0.square, x0.grading) == (x1.tau, x1.square, x1.grading)
-    target = true.elements[x0.cross[0]].coords
+    target = true[x0.cross[0]].coords
     tabulated = liepar.kgb._move_map
 
     def corrupted(ic, tau_idx, s, cayley, denom):
@@ -503,7 +517,7 @@ def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
 def test_moves_match_the_reference_route(t, iso, tw):
     table = enumerate_X(make_ic(t, iso, tw))
     moves = 0
-    for x in table.elements:
+    for x in table:
         for s in range(len(x.status)):
             targets = [(False, x.cross[s])]
             if x.status[s] == 'n':
@@ -511,7 +525,7 @@ def test_moves_match_the_reference_route(t, iso, tw):
             else:
                 assert x.cayley[s] is None
             for cayley, j in targets:
-                y = table.elements[j]
+                y = table[j]
                 assert reference_move(x, s, cayley) == \
                     (y.tau.index, y.torus_coord, y.grading_map)
                 moves += 1
@@ -564,7 +578,7 @@ def test_frames_carry_the_representative_smith_form(t, tw):
         for a, b in ((p, tau.index), (tau.index, p)):
             target, rows, _, _ = _move_map(ic, a, s, False, table.denom)
             assert (target, rows) == (b, None)
-    for x in table.elements:
+    for x in table:
         assert x.torus_coord == per_tau_torus_coord(x)
 
 
@@ -647,7 +661,7 @@ def test_seeds_match_the_reference_route(t, iso, tw):
             if tau.index == 0:
                 expected += [(z, lam, reference_base_grading(ic, lam))
                              for lam in lams]
-    seeds = [table.elements[i] for i, _, move in table.generation_log
+    seeds = [table[i] for i, _, move in table.generation_log
              if move == 'seed']
     assert [(x.square, x.torus_coord, tuple(g for _, g in x.grading))
             for x in seeds] == expected
@@ -698,7 +712,7 @@ def test_delta_signs_match_the_companion_route(t, iso, tw, monkeypatch):
 def table_digest(table):
     """sha256 of a table's elements, generation log and form partition."""
     h = hashlib.sha256()
-    for x in table.elements:
+    for x in table:
         h.update(repr((x.id, x.tau.index, x.torus_coord.entries, x.length,
                        x.square.entries, x.status, x.cross, x.cayley,
                        x.grading)).encode())
@@ -733,10 +747,10 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
 def test_search_and_forms_build_no_element_view(t, tw, size, digest,
-                                                monkeypatch):
-    # X is held as columns: the search, the strong real forms and the
-    # reduced space build no KGBElt, and the views built on the first
-    # read of elements are the frozen table
+                                                monkeypatch, tmp_path):
+    # X is held as columns: the search, the strong real forms, the
+    # reduced space and the CLI commands build no KGBElt past one per
+    # element they are given or report on
     view = liepar.kgb.KGBElt
     built = []
 
@@ -745,27 +759,45 @@ def test_search_and_forms_build_no_element_view(t, tw, size, digest,
         return view(**fields)
 
     monkeypatch.setattr(liepar.kgb, "KGBElt", counted)
-    ic = fresh_ic(t, tw)
+    out = io.StringIO()
+    session = Session(out)
+    inner = "c" if tw == "c" else ",".join(str(p + 1) for p in tw)
+    session.run([f"type {t} sc", f"inner {inner}"])
+    ic = session.ic
     table = enumerate_X(ic)
     forms = strong_real_forms(ic)
     reduced = reduced_space(ic)
     assert built == []
     assert sum(len(f.element_ids) for f in forms) == size
     assert all(reduced.slices.values())
-    elements = table.elements
-    assert built == list(range(size))
     # langlands_count reads the form record and the dual fibers: it
-    # builds no view past x0's own table and no X of the dual class
-    langlands_count(ic, elements[forms[-1].element_ids[0]])
-    assert built == list(range(size))
+    # builds no view past x0 and no X of the dual class
+    langlands_count(ic, table[forms[-1].element_ids[0]])
+    assert built == [forms[-1].element_ids[0]]
     assert 'kgbtable' not in ic.dual._cache
+
+    def views(line):
+        built.clear()
+        session.run([line])
+        return len(built)
+
+    dot = tmp_path / "x.dot"
+    for line in ["X", "count-z", f"dot X {dot}"] \
+            + [f"kgb {f.index}" for f in forms] \
+            + [f"dot {f.index} {dot}" for f in forms]:
+        assert views(line) == 0, line
+    for k in {0, size // 2, size - 1}:
+        assert views(f"realweyl {k}") <= 1
+    for f in forms:
+        n_classes = len(cartans_for(table[f.element_ids[0]]))
+        assert views(f"block {f.index}") <= n_classes
+    assert "error" not in out.getvalue()
     monkeypatch.undo()
-    assert table.elements is elements
     assert table_digest(table) == digest
     # an element of a table over one square leaves the full X unbuilt
     ic = fresh_ic(t, tw)
     part = enumerate_X(ic, squares=[forms[-1].square])
-    langlands_count(ic, part.elements[0])
+    langlands_count(ic, part[0])
     assert 'kgbtable' not in ic._cache
     assert 'kgbtable' not in ic.dual._cache
 
@@ -888,7 +920,7 @@ def form_sizes_from_real_weyl_orders(ic):
     for form in strong_real_forms(ic):
         met = {}
         for i in form.element_ids:
-            x = table.elements[i]
+            x = table[i]
             met.setdefault(cartan_class_of(ic, x.tau.index), x)
         size = 0
         for x in met.values():
@@ -956,8 +988,8 @@ def test_search_builds_no_fraction_before_lambda(t, tw):
     if (t, tw) in frozen:
         assert table_digest(table) == frozen[(t, tw)]
     else:
-        assert [x.torus_coord for x in table.elements] == \
-            [per_tau_torus_coord(x) for x in table.elements]
+        assert [x.torus_coord for x in table] == \
+            [per_tau_torus_coord(x) for x in table]
 
 
 # ---------------------------------------------------------------------------

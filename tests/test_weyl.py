@@ -480,7 +480,7 @@ def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
     rd = from_type(t, "sc")
     ic = trivial_inner_class(rd) if tw == "c" \
         else inner_class_from_perm(rd, tw)
-    x = enumerate_X(ic).elements[-1]
+    x = enumerate_X(ic)[-1]
     table = twisted_involutions(ic)
     assert table._classification
     for cls in table._classification.values():
@@ -492,7 +492,7 @@ def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
     assert {"im_simples", "re_simples", "deltaC", "deltaC_simples"} <= \
         set(vars(cls))
     assert len(subsystems) == 3
-    assert info == real_weyl(enumerate_X(make_ic(t, "sc", tw)).elements[-1])
+    assert info == real_weyl(enumerate_X(make_ic(t, "sc", tw))[-1])
 
 
 def test_e6_cartan_classes_are_carters_involution_classes():
@@ -544,7 +544,7 @@ def test_a_non_square_complex_order_raises(monkeypatch):
                         lambda rd, simples, pos: 2 * order(rd, simples, pos))
     ic = inner_class_from_perm(from_type("A1.A1", "sc"), (1, 0))
     with pytest.raises(WeylError, match="not a square"):
-        real_weyl(enumerate_X(ic).elements[0])
+        real_weyl(enumerate_X(ic)[0])
 
 
 # ---------------------------------------------------------------------------

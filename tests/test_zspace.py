@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InfiniteCenterFixedPoints, RatVecModZ, WeylError,
                     cartan_classes, central_fixed_points, count_z_blocks,
@@ -36,8 +37,9 @@ def test_z_table_rank1():
         "4 1 1/2 0 1",
     ])
     # x-components with tau = e pair with the unique noncompact y
+    xt, yt = enumerate_X(ic), enumerate_X(ic.dual)
     for p in pairs:
-        assert p.x_square == p.x.square and p.y_square == p.y.square
+        assert p.x_square == xt[p.x].square and p.y_square == yt[p.y].square
 
 
 def test_dual_tau_brute_force():
@@ -159,7 +161,7 @@ def test_sp2n_count_matches_the_real_weyl_formula(n, expected):
     ic = make_ic(f"C{n}", "sc")
     table = enumerate_X(ic)
     total = sum(
-        langlands_count(ic, table.elements[f.element_ids[0]]).formula_total
+        langlands_count(ic, table[f.element_ids[0]]).formula_total
         for f in strong_real_forms(ic) if any(f.square.entries))
     assert total == sp2n_count(n) == expected
 
@@ -175,10 +177,10 @@ def test_langlands_count_rank1():
     ic = make_ic("A1", "sc")
     table = enumerate_X(ic)
     forms = strong_real_forms(ic)
-    split = langlands_count(ic, table.elements[forms[2].element_ids[0]])
+    split = langlands_count(ic, table[forms[2].element_ids[0]])
     assert split.counts == {rv(0): 4}
     assert split.formula_total == 4 and split.note is None
-    compact = langlands_count(ic, table.elements[0])
+    compact = langlands_count(ic, table[0])
     assert compact.counts == {rv(0): 1}
     assert compact.formula_total == 1
 
@@ -187,10 +189,29 @@ def test_langlands_count_adjoint_note():
     ic = make_ic("A1", "ad")
     table = enumerate_X(ic)
     forms = strong_real_forms(ic)
-    split = langlands_count(ic, table.elements[forms[1].element_ids[0]])
+    split = langlands_count(ic, table[forms[1].element_ids[0]])
     assert split.counts == {rv(0): 2, rv("1/2"): 3}
     assert split.formula_total is None
     assert "rho-cover" in split.note
+
+
+def test_a_second_count_computes_no_weyl_group_order(monkeypatch):
+    # |W| is computed once per group, as the longest element is kept
+    calls = []
+    order = liepar.weyl.subsystem_order
+
+    def counted(*args):
+        calls.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(liepar.weyl, "subsystem_order", counted)
+    ic = trivial_inner_class(from_type("B3", "sc"))
+    x0 = enumerate_X(ic)[0]
+    first = langlands_count(ic, x0)
+    assert calls and ic.weyl.order() == 48
+    calls.clear()
+    assert langlands_count(ic, x0) == first
+    assert calls == []
 
 
 LANGLANDS_DATA = [("C2", "sc", "c"), ("C3", "sc", "c"), ("B3", "sc", "c"),
@@ -209,22 +230,22 @@ def test_langlands_count_matches_pair_tally(spec):
         ids = set(form.element_ids)
         tally = {}
         for p in pairs:
-            if p.x.id in ids:
+            if p.x in ids:
                 tally[p.y_square] = tally.get(p.y_square, 0) + 1
         tallies.append(tally)
-        lc = langlands_count(ic, table.elements[form.element_ids[0]])
+        lc = langlands_count(ic, table[form.element_ids[0]])
         assert lc.counts == tally
         # a per-form table's element names the same form
-        sub = enumerate_form(ic, table.elements[form.element_ids[-1]])
-        assert langlands_count(ic, sub.elements[0]).counts == tally
+        sub = enumerate_form(ic, table[form.element_ids[-1]])
+        assert langlands_count(ic, sub[0]).counts == tally
     # so does an element of a table restricted to one square, found in
     # the full table by tau and fiber coordinates
-    full_id = {(x.tau.index, x.coords): x.id for x in table.elements}
+    full_id = {(x.tau.index, x.coords): x.id for x in table}
     for z in central_fixed_points(ic):
         part = enumerate_X(ic, squares=[z])
         scale = table.denom // part.denom
         for form in part.forms:
-            x = part.elements[form.element_ids[0]]
+            x = part[form.element_ids[0]]
             f = table.form_of(full_id[x.tau.index,
                                       tuple(scale * a for a in x.coords)])
             assert langlands_count(ic, x).counts == tallies[f]
@@ -232,7 +253,7 @@ def test_langlands_count_matches_pair_tally(spec):
 
 def test_langlands_count_checks_the_inner_class():
     rd = from_type("A2", "sc")
-    x0 = enumerate_X(trivial_inner_class(rd)).elements[0]
+    x0 = enumerate_X(trivial_inner_class(rd))[0]
     with pytest.raises(NoMatch):
         langlands_count(inner_class_from_perm(rd, (1, 0)), x0)
     # an equal class, built apart, names the same form
@@ -243,7 +264,7 @@ def test_langlands_count_checks_the_inner_class():
     ic = trivial_inner_class(from_type("A1.T1", "sc"))
     part = enumerate_X(ic, squares=[rv(0, 0)])
     with pytest.raises(InfiniteCenterFixedPoints):
-        langlands_count(ic, part.elements[0])
+        langlands_count(ic, part[0])
 
 
 def test_restricted_z():
