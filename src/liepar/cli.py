@@ -261,33 +261,22 @@ class Session:
     def _class_from_perm(self, perm):
         rd = self.rd
         n = rd.rank
-        if all(p == i for i, p in enumerate(perm)):
-            return trivial_inner_class(rd)
-        errors = []
-        # candidate 1: solved on the span of the simple roots
-        if rd.n_simple == n:
-            try:
+        error = ""
+        try:
+            if rd.n_simple == n:
+                # the simple roots span: the one candidate is solved for
                 return inner_class_from_perm(rd, perm)
-            except InvalidInvolution as exc:
-                errors.append(str(exc))
-        # candidates 2/3: a coordinate permutation (sc/ad-style data)
-        for orient in (0, 1):
+            # a coordinate permutation (sc/ad-style data)
             g = [[0] * n for _ in range(n)]
             for i in range(n):
-                j = perm[i] if i < len(perm) else i
-                if orient:
-                    g[j if i < len(perm) else i][i] = 1
-                else:
-                    g[i][j if i < len(perm) else i] = 1
-            try:
-                ic = InnerClass(rd, IntMatrix.from_rows(g))
-                if ic.diagram_perm[:len(perm)] == tuple(perm):
-                    return ic
-            except InvalidInvolution as exc:
-                errors.append(str(exc))
+                g[i][perm[i] if i < len(perm) else i] = 1
+            ic = InnerClass(rd, IntMatrix.from_rows(g))
+            if ic.diagram_perm[:len(perm)] == tuple(perm):
+                return ic
+        except InvalidInvolution as exc:
+            error = str(exc)
         raise CommandError(
-            "no lattice involution realizes this permutation ("
-            + "; ".join(errors[:1]) + ")")
+            f"no lattice involution realizes this permutation ({error})")
 
     def cmd_strongreal(self, args):
         ic = self.need_ic()

@@ -20,7 +20,7 @@ computed from one end and linked both ways.  The seeds are the integer
 solutions over each central square on the distinguished fiber, graded
 by the sign of delta on each imaginary root (see _delta_signs), which
 the Tits group gives at the folded simple roots and W^delta carries
-along its orbits.
+along its orbits.  Root types are read from theta (RootClassification).
 
 An element is its id: X is written as flat columns indexed by id (see
 KGBTable), and a KGBElt view, with its lambda, is formed only when one
@@ -151,10 +151,11 @@ class KGBTable(Sequence):
                               .classification(t).im_pos, g)), table=self)
 
     def _status(self, t, g) -> tuple:
-        """Per simple root, over tau index t with grading bits g: 'c' or
-        'n' where it is imaginary, else tau's 'r' or 'C'."""
-        status = twisted_involutions(self.ic).classification(t).status
-        return tuple(status[a] if p is None else 'n' if g[p] else 'c'
+        """Per simple root over tau index t with grading bits g: 'c' or
+        'n' where theta fixes it, 'r' where it negates it, else 'C'."""
+        theta = twisted_involutions(self.ic).elements[t].theta
+        return tuple('cn'[g[p]] if p is not None
+                     else 'r' if theta[a] == self.ic.weyl.neg[a] else 'C'
                      for a, p in zip(self.ic.weyl.simple_idx,
                                      _simple_positions(self.ic, t)))
 
@@ -420,7 +421,7 @@ def _simple_positions(ic, tau_idx) -> tuple:
     """Per simple root, its position among the positive imaginary roots
     of tau_idx, or None when it is not imaginary there."""
     cls = twisted_involutions(ic).classification(tau_idx)
-    return tuple(cls.im_pos.index(a) if cls.status[a] == 'i' else None
+    return tuple(cls.im_pos.index(a) if cls.theta[a] == a else None
                  for a in ic.weyl.simple_idx)
 
 
@@ -577,8 +578,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     comps = {}
     for i, r in enumerate(roots):
         comps.setdefault(seed_root[r], []).append(i)
-    no_im = {t.index for t in tbl.elements
-             if not tbl.classification(t.index).im_pos}
+    no_im = {t for t in set(taus) if not tbl.classification(t).im_pos}
     quasisplit = {seed_root[r] for r, t in zip(roots, taus) if t in no_im}
     final = sorted(comps, key=lambda r: (r in quasisplit, r))
     forms = tuple(StrongRealForm(
@@ -629,8 +629,14 @@ def grading(x: KGBElt, root_idx: int) -> int:
     raise NotImaginary(f"root {root_idx} is not imaginary at this element")
 
 
+def _simple(s, k):
+    if not 0 <= s < k:
+        raise WeylError(f"simple root {s} is not in 0..{k - 1}")
+    return s
+
+
 def cross(s: int, x: KGBElt) -> KGBElt:
-    return x.table[x.cross[s]]
+    return cross_by_word((s,), x)
 
 
 def cross_by_word(word, x: KGBElt) -> KGBElt:
@@ -638,19 +644,19 @@ def cross_by_word(word, x: KGBElt) -> KGBElt:
     letter acts first."""
     table, xid, k = x.table, x.id, x.table.ic.rd.n_simple
     for s in reversed(tuple(word)):
-        xid = table._cross[xid * k + s]
+        xid = table._cross[xid * k + _simple(s, k)]
     return table[xid]
 
 
 def cayley_up(s: int, x: KGBElt) -> KGBElt:
-    if x.status[s] != 'n':
+    if x.status[_simple(s, len(x.status))] != 'n':
         raise NotNoncompactImaginary(
             f"simple root {s} is not noncompact imaginary here")
     return x.table[x.cayley[s]]
 
 
 def cayley_down(s: int, x: KGBElt):
-    if x.status[s] != 'r':
+    if x.status[_simple(s, len(x.status))] != 'r':
         raise NotReal(f"simple root {s} is not real here")
     ids = x.table.cayley_down_ids(s, x.id)
     if len(ids) not in (1, 2):
@@ -673,18 +679,6 @@ class RealWeylInfo:
     orbit_size: int
 
 
-def _imaginary_words(ic, tau_idx) -> tuple:
-    """Words of the generators of W_i at tau_idx, formed once per tau."""
-    words = ic._cache.setdefault('imaginary_words', {})
-    if tau_idx not in words:
-        wg = ic.weyl
-        words[tau_idx] = tuple(
-            wg.canonical_word(p, p) for p in map(
-                wg.reflection_perm,
-                twisted_involutions(ic).classification(tau_idx).im_simples))
-    return words[tau_idx]
-
-
 def real_weyl(x: KGBElt) -> RealWeylInfo:
     """W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) (Vogan 1982): |W_i|,
     |W_r| and |W_C^theta| = sqrt |W(deltaC)| are the closed forms of
@@ -697,13 +691,12 @@ def _real_weyl(table: KGBTable, xid: int) -> RealWeylInfo:
     ic = table.ic
     t = table._taus[xid]
     cls = twisted_involutions(ic).classification(t)
-    words = _imaginary_words(ic, t)
     k = ic.rd.n_simple
     orbit = {xid}
     frontier = [xid]
     while frontier:
         y = frontier.pop()
-        for word in words:
+        for word in cls.imaginary_words:
             z = y
             for s in reversed(word):    # the last letter acts first
                 z = table._cross[z * k + s]

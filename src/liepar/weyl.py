@@ -371,22 +371,31 @@ def trivial_inner_class(rd: RootDatum) -> InnerClass:
 @dataclass(frozen=True)
 class RootClassification:
     """The roots of a twisted involution tau sorted by theta: imaginary
-    (fixed), real (negated) or complex.  status and the positive
-    imaginary roots, all the X search reads, are computed at once; the
-    other fields, which only the real Weyl group reads, are formed on
+    (fixed), real (negated) or complex, read from tau's own theta tuple
+    and the Weyl group's neg.  The positive imaginary roots, all the X
+    search reads, are computed at once; the other fields are formed on
     first read, the orders by subsystem_order."""
-    status: tuple        # per root index: 'i' / 'r' / 'C'
+    theta: tuple = field(repr=False)    # tau's permutation of the roots
     im_pos: tuple        # positive imaginary root indices
-    rd: RootDatum = field(repr=False, compare=False)
+    weyl: "WeylGroup" = field(repr=False, compare=False)
 
-    def _pos(self, kind) -> tuple:
-        return tuple(i for i in range(self.rd.n_pos, len(self.status))
-                     if self.status[i] == kind)
+    @property
+    def rd(self) -> RootDatum:
+        return self.weyl.rd
+
+    @cached_property
+    def status(self) -> tuple:
+        """Per root index: 'i' / 'r' / 'C'; no library path reads it."""
+        neg = self.weyl.neg
+        return tuple(['i' if q == r else 'r' if q == neg[r] else 'C'
+                      for r, q in enumerate(self.theta)])
 
     @cached_property
     def re_pos(self) -> tuple:
         """Positive real root indices."""
-        return self._pos('r')
+        theta, neg = self.theta, self.weyl.neg
+        return tuple(r for r in range(self.weyl.n_pos, len(theta))
+                     if theta[r] == neg[r])
 
     @cached_property
     def im_simples(self) -> tuple:
@@ -407,7 +416,8 @@ class RootClassification:
                                               self.im_pos))]
         rhov_r = [sum(col) for col in zip(*map(rd.coroots.__getitem__,
                                                self.re_pos))]
-        return tuple(i for i, s in enumerate(self.status) if s == 'C'
+        theta, neg = self.theta, self.weyl.neg
+        return tuple(i for i, q in enumerate(theta) if q != i and q != neg[i]
                      and not sum(map(mul, rho_i, rd.coroots[i]))
                      and not sum(map(mul, rd.roots[i], rhov_r)))
 
@@ -437,6 +447,13 @@ class RootClassification:
         if root * root != order:
             raise WeylError(f"|W(deltaC)| = {order} is not a square")
         return root
+
+    @cached_property
+    def imaginary_words(self) -> tuple:
+        """Words of the W_i generators, the simple imaginary reflections."""
+        wg = self.weyl
+        return tuple(wg.canonical_word(p, p)
+                     for p in map(wg.reflection_perm, self.im_simples))
 
 
 def _subsystem_simples(rd: RootDatum, pos_indices) -> tuple:
@@ -477,12 +494,11 @@ class TwistedInvolution:
 
 
 def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
-    neg = tau.ic.weyl.neg
-    status = tuple(['i' if q == r else 'r' if q == neg[r] else 'C'
-                    for r, q in enumerate(tau.theta)])
-    im_pos = tuple(i for i in range(rd.n_pos, len(status))
-                   if status[i] == 'i')
-    return RootClassification(status, im_pos, rd)
+    """tau's roots by theta, over rd = tau.ic.rd: only im_pos is formed."""
+    theta = tau.theta
+    return RootClassification(theta, tuple(
+        r for r in range(rd.n_pos, len(theta)) if theta[r] == r),
+        tau.ic.weyl)
 
 
 class TwistedInvolutionTable:

@@ -114,6 +114,39 @@ def test_inner_perm():
     assert "diagram permutation 1,2" in out2
 
 
+def test_inner_perm_on_a_coordinate_permutation():
+    # a datum with a central torus takes gamma as the permutation
+    # matrix of the coordinates; a permutation that is no involution is
+    # an error line
+    assert run_session("type A1.A1.T1 ad\ninner 2,1\ncartan\n") == (
+        "root datum: A1.A1.T1 ad (rank 3, 2 positive roots)\n"
+        "inner class: diagram permutation 2,1\n"
+        "1 Cartan classes:\n"
+        "cartan 0: tau e, size 2, signature split=0 compact=1 complex=1\n")
+    assert run_session("type A1.A1.A1.T1 sc\ninner 2,3,1\n") == (
+        "root datum: A1.A1.A1.T1 sc (rank 4, 3 positive roots)\n"
+        "error (line 2): no lattice involution realizes this permutation "
+        "(gamma is not an involution)\n")
+    out = run_session("type A1.A1.T1 matrix\n1,0,0;1,1,0;0,0,1\n"
+                      "inner 2,1\n")
+    assert out.splitlines()[-1] == (
+        "error (line 3): no lattice involution realizes this permutation "
+        "(gamma does not permute the simple roots (alpha_0))")
+
+
+def test_inner_perm_on_a_semisimple_datum_is_solved_for():
+    assert run_session("type A3 sc\ninner 2,3,1\ninner 2,1,3\n"
+                       "type B2 sc\ninner 2,1\n").splitlines() == [
+        "root datum: A3 sc (rank 3, 6 positive roots)",
+        "error (line 2): no lattice involution realizes this permutation "
+        "(permutation is not an involution)",
+        "error (line 3): no lattice involution realizes this permutation "
+        "(the permutation does not extend to a lattice involution)",
+        "root datum: B2 sc (rank 2, 4 positive roots)",
+        "error (line 5): no lattice involution realizes this permutation "
+        "(the permutation does not extend to a lattice involution)"]
+
+
 def test_parse_central():
     ic = trivial_inner_class(from_type("A1", "sc"))
     assert parse_central(ic, "1").entries == (0,)

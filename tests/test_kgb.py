@@ -350,6 +350,22 @@ def test_move_errors():
     assert cayley_down(0, split) == (table[2], table[3])
 
 
+def test_a_letter_out_of_range_is_an_error():
+    # a letter outside 0..k-1 read another element's cross slot, and -1
+    # acted as the last simple root
+    table = enumerate_X(make_ic("C2", "sc"))
+    x = table[3]
+    for call in (lambda: cross_by_word((2,), x),
+                 lambda: cross_by_word((-1,), x),
+                 lambda: cross_by_word((0, 1, 2), x),
+                 lambda: cross(-1, x), lambda: cross(2, x),
+                 lambda: cayley_up(-1, x), lambda: cayley_up(2, x),
+                 lambda: cayley_down(-1, x), lambda: cayley_down(2, x)):
+        with pytest.raises(WeylError, match=r"not in 0\.\.1"):
+            call()
+    assert cross_by_word((1,), x) == cross(1, x)
+
+
 def test_restricted_squares():
     ic = make_ic("A1", "sc")
     table = enumerate_X(ic, squares=[rv("1/2")])
@@ -823,6 +839,24 @@ def test_a_ladder_search_reads_two_lifts_per_simple_orbit(t, tw, size,
     assert sum(map(len, (f.element_ids for f in strong_real_forms(ic)))) \
         == size
     assert 0 < len(calls) <= 2 * simple_orbits(ic)
+
+
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_root_types_are_read_from_theta(t, tw, size, digest):
+    # the root types are read from each tau's theta: whatever is read of
+    # X, no classification forms its per-root status, and the words of
+    # W_i are kept on the classification, not on the inner class
+    ic = fresh_ic(t, tw)
+    table = enumerate_X(ic)
+    forms = strong_real_forms(ic)
+    assert len(table.lines()) == size
+    assert table.dot().startswith("digraph")
+    assert table_digest(table) == digest    # reads every view
+    for f in forms:
+        real_weyl(table[f.element_ids[-1]])
+    classes = twisted_involutions(ic)._classification.values()
+    assert [c for c in classes if 'status' in c.__dict__] == []
+    assert 'imaginary_words' not in ic._cache
 
 
 FORM_ORACLE_DATA = GRID + [(t, "sc", tw) for t, tw, _, _ in LADDER_DIGESTS] \
