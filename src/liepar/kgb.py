@@ -111,15 +111,16 @@ class KGBTable(Sequence):
     indexed by element id: tau index, fiber coordinates, square index,
     grading bits (in the order of tau's positive imaginary roots), and k
     slots each of cross and Cayley ids (None where no Cayley transform
-    applies).  forms holds one StrongRealForm record per connected
-    component, in the canonical order (quasisplit last)."""
+    applies).  It holds only these columns: the path by which the search
+    reached each element is read off the links.  forms holds one
+    StrongRealForm record per connected component, in the canonical
+    order (quasisplit last)."""
 
     def __init__(self, ic, squares, denom, taus, coords, square_idx,
-                 grading_bits, cross_ids, cayley_ids, generation_log, forms):
+                 grading_bits, cross_ids, cayley_ids, forms):
         self.ic = ic
         self.denom = denom       # the modulus of the elements' coords
         self.squares = squares
-        self.generation_log = generation_log
         self.forms = forms
         self._taus = taus
         self._coords = coords
@@ -191,15 +192,13 @@ class KGBTable(Sequence):
         remap[None] = None
         k = self.ic.rd.n_simple
         slots = [i * k + s for i in ids for s in range(k)]
-        log = tuple((remap[i], remap.get(src, -1), mv)
-                    for (i, src, mv) in self.generation_log if i in remap)
         return KGBTable(
             self.ic, self.squares, self.denom,
             *([col[i] for i in ids] for col in (self._taus, self._coords,
                                                 self._square_idx,
                                                 self._grading_bits)),
             [remap[self._cross[j]] for j in slots],
-            [remap[self._cayley[j]] for j in slots], log,
+            [remap[self._cayley[j]] for j in slots],
             (StrongRealForm(0, form.square,
                             tuple(remap[i] for i in form.base_ids),
                             tuple(range(len(ids))), form.quasisplit),))
@@ -472,9 +471,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
     taus, ys, sqs, grads, roots = [], [], [], [], []
     cross_ids, cayley_ids = [], []
     key_index = {}
-    log = []
 
-    def insert(key, q, grading, root, origin):
+    def insert(key, q, grading, root):
         j = len(taus)
         key_index[key] = j
         taus.append(key[0])
@@ -484,7 +482,6 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         roots.append(j if root is None else root)
         cross_ids.extend(blank)
         cayley_ids.extend(blank)
-        log.append((j,) + origin)
         return j
 
     fs0 = fiber_space(tbl.elements[0], ic)
@@ -492,7 +489,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
              for y in fs0.coordinates(z, denom)]
     gradings = _base_grading(ic, [y for _, y in seeds], denom)
     for (q, y), g in zip(seeds, gradings):
-        insert((0, y), q, g, None, (-1, 'seed'))
+        insert((0, y), q, g, None)
 
     # strong real forms = connected components of the move graph: every
     # element lies in the component of its root seed, and an edge to an
@@ -530,9 +527,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 # involution
                 continue
             if move is None:
-                move = slot[3] = _move_map(ic, tau_idx, s, cayley, denom) \
-                    + (f"{'c' if cayley else 'x'}{s}",)
-            t2, rows, offset, gmap, label = move
+                move = slot[3] = _move_map(ic, tau_idx, s, cayley, denom)
+            t2, rows, offset, gmap = move
             if rows is None:
                 y2 = tuple([(a + c) % denom for a, c in zip(y, offset)])
             else:
@@ -543,7 +539,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
             key = (t2, y2)
             j = key_index.get(key)
             if j is None:
-                j = insert(key, q, g2, root, (i, label))
+                j = insert(key, q, g2, root)
             elif sqs[j] != q or grads[j] != g2:
                 raise WeylError("inconsistent duplicate element")
             elif roots[j] != root:
@@ -587,7 +583,7 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         element_ids=tuple(comps[r]), quasisplit=r in quasisplit)
         for f, r in enumerate(final))
     table = KGBTable(ic, squares, denom, taus, ys, sqs, grads, cross_ids,
-                     cayley_ids, tuple(log), forms)
+                     cayley_ids, forms)
     if cache_key:
         ic._cache[cache_key] = table
     return table
@@ -619,10 +615,12 @@ def strong_real_forms(ic: InnerClass):
 
 
 def grading(x: KGBElt, root_idx: int) -> int:
+    rd = x.table.ic.rd
+    if not 0 <= root_idx < len(rd.roots):
+        raise WeylError(f"root {root_idx} is not in 0..{len(rd.roots) - 1}")
     g = x.grading_map
     if root_idx in g:
         return g[root_idx]
-    rd = x.table.ic.rd
     neg = rd.negative_of(root_idx)
     if neg in g:
         return g[neg]

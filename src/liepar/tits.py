@@ -41,7 +41,6 @@ class TitsGroup:
         n = self.rd.rank
         self.zero = tuple(0 for _ in range(n))
         self._m = tuple(f2_vec(c) for c in self.rd.simple_coroots)
-        self.identity = TitsElt(self.weyl.identity, self.zero)
 
     def m_alpha(self, root_idx: int) -> tuple:
         return f2_vec(self.rd.coroots[root_idx])

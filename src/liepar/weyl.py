@@ -118,11 +118,6 @@ class WeylElt:
         """Action matrix on X."""
         return self.group.lattice_matrix(self.perm)
 
-    @cached_property
-    def inv(self) -> tuple:
-        """Action matrix of the inverse on X."""
-        return self.group.lattice_matrix(self.inv_perm)
-
     def __repr__(self):
         return "WeylElt(" + ",".join(str(i + 1) for i in self.word) + ")" \
             if self.word else "WeylElt(e)"
@@ -382,13 +377,6 @@ class RootClassification:
     @property
     def rd(self) -> RootDatum:
         return self.weyl.rd
-
-    @cached_property
-    def status(self) -> tuple:
-        """Per root index: 'i' / 'r' / 'C'; no library path reads it."""
-        neg = self.weyl.neg
-        return tuple(['i' if q == r else 'r' if q == neg[r] else 'C'
-                      for r, q in enumerate(self.theta)])
 
     @cached_property
     def re_pos(self) -> tuple:

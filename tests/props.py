@@ -9,9 +9,9 @@ from itertools import product
 from operator import itemgetter
 
 from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
-                    cayley_down, cayley_up, cross, cross_by_word, dual_tau,
-                    enumerate_form, enumerate_X, fiber_space, grading,
-                    nu_tau, strong_real_forms, tits_group,
+                    TitsElt, cayley_down, cayley_up, cross, cross_by_word,
+                    dual_tau, enumerate_form, enumerate_X, fiber_space,
+                    grading, nu_tau, strong_real_forms, tits_group,
                     twisted_involutions)
 from liepar.fiber import fiber_frame
 from liepar.intlinalg import vec_dot
@@ -114,9 +114,22 @@ def from_matrix(wg, mat):
     return w
 
 
+def inverse_matrix(w):
+    """The action matrix of w^-1 on X."""
+    return w.group.lattice_matrix(w.inv_perm)
+
+
 def act_Xv(w, v):
     """Action of w on the cocharacters: the transposed inverse."""
-    return _mat_apply(tuple(zip(*w.inv)), v)
+    return _mat_apply(tuple(zip(*inverse_matrix(w))), v)
+
+
+def root_status(tau):
+    """Per root index of the twisted involution tau: 'i' where theta
+    fixes it, 'r' where it negates it, else 'C'."""
+    neg = tau.ic.weyl.neg
+    return tuple('i' if q == r else 'r' if q == neg[r] else 'C'
+                 for r, q in enumerate(tau.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +731,27 @@ def reference_forms(table):
             tuple(f for f, r in enumerate(order) if r in split))
 
 
+def derived_generation_log(table):
+    """How the search reached each element, read off the links, in id
+    order: (j, -1, 'seed') for an element over tau index 0, else (j, i,
+    move) with i the least id whose cross or Cayley slot holds j and
+    move ('x<s>' or 'c<s>') i's first such slot in search order, cross
+    s = 0..k-1 and then Cayley s = 0..k-1."""
+    found = {}
+    for x in table:
+        for kind, ids in (('x', x.cross), ('c', x.cayley)):
+            for s, j in enumerate(ids):
+                if j is not None:
+                    found.setdefault(j, (x.id, f"{kind}{s}"))
+    return tuple((x.id, -1, 'seed') if x.tau.index == 0
+                 else (x.id,) + found[x.id] for x in table)
+
+
+def tits_identity(tg):
+    """The identity of the Tits group tg."""
+    return TitsElt(tg.weyl.identity, tg.zero)
+
+
 def _braid_order(rd, i, j):
     c = rd.cartan_matrix[i, j] * rd.cartan_matrix[j, i]
     return {0: 2, 1: 3, 2: 4, 3: 6}[c]
@@ -727,7 +761,7 @@ def _random_reduced_word(wg, w, rng):
     """A random reduced word of w, by peeling random left descents."""
     rd = wg.rd
     word = []
-    m, mi = w.mat, w.inv
+    m, mi = w.mat, inverse_matrix(w)
     while m != wg.identity.mat:
         descents = [i for i in range(rd.n_simple)
                     if root_is_negative(rd,
@@ -757,8 +791,7 @@ def check_tits_lifts(ic, rng, n_words=40):
     for i in range(ic.n_simple):
         for j in range(i + 1, ic.n_simple):
             m = _braid_order(rd, i, j)
-            a = tg.identity
-            b = tg.identity
+            a = b = tits_identity(tg)
             for k in range(m):
                 a = tg.multiply(a, lifts[i if k % 2 == 0 else j])
                 b = tg.multiply(b, lifts[j if k % 2 == 0 else i])
@@ -769,7 +802,7 @@ def check_tits_lifts(ic, rng, n_words=40):
         w = rng.choice(elements)
         word = _random_reduced_word(wg, w, rng)
         assert len(word) == w.length
-        prod = tg.identity
+        prod = tits_identity(tg)
         for i in word:
             prod = tg.multiply(prod, lifts[i])
         assert prod == tg.canonical_lift(w)

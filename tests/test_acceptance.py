@@ -255,18 +255,22 @@ def test_library_has_no_unused_imports():
 
 
 def test_library_has_no_unreferenced_definitions():
-    # every module-level function and class, and every method but a dunder
-    # or a cli cmd_* handler (Session.handle finds those by name), is named
-    # somewhere in the library outside its own definition, or is exported
-    # in __all__ (module level only): code only the tests call belongs in
-    # the tests
+    # every module-level function and class is named somewhere in the
+    # library outside its own definition, or is exported in __all__; every
+    # method but a dunder or a cli cmd_* handler (Session.handle finds
+    # those by name) is read as an attribute (x.name) outside its own
+    # definition, since a local variable of the same name does not call
+    # it: code only the tests call belongs in the tests
     src = Path(liepar.__file__).parent
-    defined = []  # (file, owner, name, exported)
-    uses = {}     # name -> set of (file, owner) using it
+    defined = []  # (file, owner, name, exported, method)
+    uses = {}     # name -> set of (file, owner) naming it
+    attr_uses = {}  # name -> set of (file, owner) reading it as x.name
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def record(path, owner, node):
         for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                attr_uses.setdefault(sub.attr, set()).add((path.name, owner))
             name = sub.id if isinstance(sub, ast.Name) else \
                 sub.attr if isinstance(sub, ast.Attribute) else None
             if name:
@@ -278,7 +282,7 @@ def test_library_has_no_unreferenced_definitions():
                 record(path, None, stmt)
                 continue
             defined.append((path.name, stmt.name, stmt.name,
-                            stmt.name in liepar.__all__))
+                            stmt.name in liepar.__all__, False))
             if not isinstance(stmt, ast.ClassDef):
                 record(path, stmt.name, stmt)
                 continue
@@ -289,10 +293,13 @@ def test_library_has_no_unreferenced_definitions():
                     if not (item.name.startswith("__")
                             and item.name.endswith("__")
                             or item.name.startswith("cmd_")):
-                        defined.append((path.name, owner, item.name, False))
+                        defined.append((path.name, owner, item.name, False,
+                                        True))
                 record(path, owner, item)
             for base in stmt.bases + stmt.decorator_list:
                 record(path, stmt.name, base)
-    found = [f"{file}: {owner}" for file, owner, name, exported in defined
-             if not exported and not uses.get(name, set()) - {(file, owner)}]
+    found = [f"{file}: {owner}"
+             for file, owner, name, exported, method in defined
+             if not exported and not (attr_uses if method else uses)
+             .get(name, set()) - {(file, owner)}]
     assert found == []

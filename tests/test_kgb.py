@@ -35,11 +35,11 @@ from liepar.weyl import _mat_apply, _mat_mul
 from props import (all_elements, check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
-                   check_projection_surjective, per_tau_torus_coord,
-                   reference_base_grading, reference_canonical_form,
-                   reference_delta_signs, reference_fiber,
-                   reference_forms, reference_real_weyl, root_is_negative,
-                   simple_reflection)
+                   check_projection_surjective, derived_generation_log,
+                   per_tau_torus_coord, reference_base_grading,
+                   reference_canonical_form, reference_delta_signs,
+                   reference_fiber, reference_forms, reference_real_weyl,
+                   root_is_negative, simple_reflection)
 
 
 def rv(*entries):
@@ -348,6 +348,15 @@ def test_move_errors():
     rd = table.ic.rd
     assert grading(compact, rd.negative_of(0)) == 0
     assert cayley_down(0, split) == (table[2], table[3])
+
+
+def test_grading_of_a_root_out_of_range_is_an_error():
+    # 8 and 100 raised a bare IndexError, and -1 was read from the end of
+    # the root list
+    x = enumerate_X(make_ic("C2", "sc"))[0]
+    for r in (8, 100, -1):
+        with pytest.raises(WeylError, match=r"not in 0\.\.7"):
+            grading(x, r)
 
 
 def test_a_letter_out_of_range_is_an_error():
@@ -677,7 +686,7 @@ def test_seeds_match_the_reference_route(t, iso, tw):
             if tau.index == 0:
                 expected += [(z, lam, reference_base_grading(ic, lam))
                              for lam in lams]
-    seeds = [table[i] for i, _, move in table.generation_log
+    seeds = [table[i] for i, _, move in derived_generation_log(table)
              if move == 'seed']
     assert [(x.square, x.torus_coord, tuple(g for _, g in x.grading))
             for x in seeds] == expected
@@ -726,13 +735,14 @@ def test_delta_signs_match_the_companion_route(t, iso, tw, monkeypatch):
 
 
 def table_digest(table):
-    """sha256 of a table's elements, generation log and form partition."""
+    """sha256 of a table's elements, generation log (derived from the
+    links) and form partition."""
     h = hashlib.sha256()
     for x in table:
         h.update(repr((x.id, x.tau.index, x.torus_coord.entries, x.length,
                        x.square.entries, x.status, x.cross, x.cayley,
                        x.grading)).encode())
-    h.update(repr(table.generation_log).encode())
+    h.update(repr(derived_generation_log(table)).encode())
     h.update(repr(sorted((f.index, f.element_ids)
                          for f in table.forms)).encode())
     return h.hexdigest()
@@ -759,6 +769,21 @@ def test_ladder_tables_are_frozen(t, tw, size, digest):
     table = enumerate_X(make_ic(t, "sc", tw))
     assert len(table) == size
     assert table_digest(table) == digest
+
+
+@pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
+def test_form_tables_keep_the_generation_log(t, tw, size, digest):
+    # the table stores no generation log: the one derived from a form
+    # table's links is the full table's, restricted to the form and
+    # renumbered
+    table = enumerate_X(make_ic(t, "sc", tw))
+    assert 'generation_log' not in vars(table)
+    full = derived_generation_log(table)
+    for f in table.forms:
+        remap = {old: new for new, old in enumerate(f.element_ids)}
+        assert derived_generation_log(table.form_table(f.index)) == \
+            tuple((remap[i], remap.get(src, -1), move)
+                  for i, src, move in full if i in remap)
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
@@ -844,8 +869,8 @@ def test_a_ladder_search_reads_two_lifts_per_simple_orbit(t, tw, size,
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
 def test_root_types_are_read_from_theta(t, tw, size, digest):
     # the root types are read from each tau's theta: whatever is read of
-    # X, no classification forms its per-root status, and the words of
-    # W_i are kept on the classification, not on the inner class
+    # X, the words of W_i are kept on the classification, not on the
+    # inner class
     ic = fresh_ic(t, tw)
     table = enumerate_X(ic)
     forms = strong_real_forms(ic)
@@ -854,8 +879,6 @@ def test_root_types_are_read_from_theta(t, tw, size, digest):
     assert table_digest(table) == digest    # reads every view
     for f in forms:
         real_weyl(table[f.element_ids[-1]])
-    classes = twisted_involutions(ic)._classification.values()
-    assert [c for c in classes if 'status' in c.__dict__] == []
     assert 'imaginary_words' not in ic._cache
 
 
