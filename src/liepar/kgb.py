@@ -12,15 +12,17 @@ y = D V^-1 lambda mod D in tau's frame (see fiber_frame), with the
 kernel coordinates 0 and D = 2 lcm(2, denominators of the central
 squares); it builds no Fraction.  Each cross action and Cayley
 transform (tau, s) is tabulated once, on first use, as an integer
-affine map y -> M y + c mod D plus a permutation (and, for Cayley,
-flips) of the grading bits (see _move_map); its target is read from the
-involution table.  On an edge of the frames' spanning tree M is the
-identity.  The cross action of s is an involution, so a cross edge is
-computed from one end and linked both ways.  The seeds are the integer
-solutions over each central square on the distinguished fiber, graded
-by the sign of delta on each imaginary root (see _delta_signs), which
-the Tits group gives at the folded simple roots and W^delta carries
-along its orbits.  Root types are read from theta (RootClassification).
+affine map y -> M y + c mod D plus a map of the grading bits (see
+_move_map); its target is read from the involution table.  M is the
+identity on an edge of the frames' spanning tree, and 1 - c r for an s
+that fixes tau: there an element pays one dot product r . y, and one
+that s fixes is linked to itself with no key to look up.  The cross
+action of s is an involution, so a cross edge is computed from one end
+and linked both ways.  The seeds are the integer solutions over each
+central square on the distinguished fiber, graded by the sign of delta
+on each imaginary root (see _delta_signs), which the Tits group gives
+at the folded simple roots and W^delta carries along its orbits.  Root
+types are read from theta (RootClassification).
 
 An element is its id: X is written as flat columns indexed by id (see
 KGBTable), and a KGBElt view, with its lambda, is formed only when one
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from itertools import compress
-from operator import add, mul
+from operator import add, itemgetter, mul, xor
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
@@ -186,6 +188,8 @@ class KGBTable(Sequence):
     def form_table(self, f: int) -> KGBTable:
         """The subtable of form f, renumbered in id order, with that form
         as its one record."""
+        if not 0 <= f < len(self.forms):
+            raise KeyError(f)
         form = self.forms[f]
         ids = form.element_ids
         remap = {old: new for new, old in enumerate(ids)}
@@ -314,12 +318,15 @@ def _delta_signs(ic) -> dict:
     return signs
 
 
-def _base_grading(ic, seeds, denom) -> list:
+def _base_grading(ic, fibers, denom) -> list:
     """Grading bits, in the order of the positive imaginary roots, at
-    each seed y = denom V^-1 lambda of the distinguished fiber: a
-    delta-imaginary positive root beta is noncompact iff the parity of
+    each seed y = denom V^-1 lambda of the distinguished fiber, given
+    per central square with its base point first: a delta-imaginary
+    positive root beta is noncompact iff the parity of
     <beta, lambda> = (beta V) . y / denom, a multiple of 1/2, differs
-    from the sign by which delta acts on its root vector."""
+    from the sign by which delta acts on its root vector.  The seeds
+    over a square differ by denom/2 on fiber coordinates, so the
+    pairings are checked half-integral at its base point alone."""
     tbl = twisted_involutions(ic)
     vt = tuple(zip(*fiber_frame(ic, 0).v))
     eps = _delta_signs(ic)
@@ -327,36 +334,39 @@ def _base_grading(ic, seeds, denom) -> list:
             for b in tbl.classification(0).im_pos]
     half = denom // 2
     out = []
-    for y in seeds:
-        g = []
-        for row, e in rows:
-            pair = sum(map(mul, row, y))
-            if pair % half:
-                raise WeylError(
-                    "base fiber coordinate pairing not half-integral")
-            g.append((e + pair // half) % 2)
-        out.append(tuple(g))
+    for ys in fibers:
+        if ys and any(sum(map(mul, row, ys[0])) % half for row, _ in rows):
+            raise WeylError("base fiber coordinate pairing not half-integral")
+        out += [tuple([(e + sum(map(mul, row, y)) // half) & 1
+                       for row, e in rows]) for y in ys]
     return out
 
 
 def _move_map(ic, tau_idx, s, cayley, denom):
     """The cross action by simple root s (or, with cayley, the Cayley
     transform in alpha_s) on the fiber over tau_idx, as data shared by
-    every element there: (target tau index, matrix rows, offset, grading
-    map), in the frames of the two taus.
+    every element there: (target tau index, rows, offset, grading map,
+    rank-one part), in the frames of the two taus.  An element with
+    fiber coordinates y moves to y2 mod denom in one of three forms:
 
-    An element with fiber coordinates y and grading bits g moves to
-    y2[j] = (row_j . y + c_j) mod denom, with y2[j] = 0 where row_j is
-    None (on tau2's kernel), or to y2[j] = (y[j] + c_j) mod denom when
-    the rows are None, and g2 = (g[p] ^ f for (p, f) in the grading
-    map).  The rows are None when S_s V_tau = V_tau2, so that
-    M = V_tau2^-1 S_s V_tau is the identity, and tau2 has tau's kernel
-    coordinates: on a cross edge of the frames' spanning tree, read
-    from either end, and wherever the rank-one update S_s V_tau of V_tau
-    equals V_tau2.  The cross action conjugates
-    exp(2 pi i lambda) sigma_w delta by sigma_s; the Cayley transform
-    left-multiplies it by sigma_s.  tau2 is read from the involution
-    table and checked against the Weyl part of that Tits product."""
+    - translation, y2 = y + offset, where M = V_tau2^-1 S_s V_tau is
+      the identity with tau's kernel coordinates: on a cross edge of
+      the frames' spanning tree, read from either end, or any other
+      cross edge where S_s V_tau = V_tau2.
+    - rank-one loop, where s fixes tau and so its frame V: M = 1 - c r
+      with r = alpha_s V and c = V^-1 alpha_s^v, zeroed on the kernel
+      coordinates.  The part is (r, c, fixes); with t = r . y mod
+      denom, y2 = y - t c + offset, and the memo fixes records per t
+      whether t c = offset, that is whether s fixes y.
+    - general rows: y2[j] = row_j . y + offset[j], or 0 where row_j is
+      None (on tau2's kernel).
+
+    The grading bits g map to g2 = regrade(g) on a cross action, and to
+    g2[j] = g[at[j]] ^ flips[j] with (at, flips) = regrade on a Cayley
+    transform.  The cross action conjugates exp(2 pi i lambda) sigma_w
+    delta by sigma_s; the Cayley transform left-multiplies it by
+    sigma_s.  tau2 is read from the involution table and checked
+    against the Weyl part of that Tits product."""
     tg = tits_group(ic)
     tbl = twisted_involutions(ic)
     rd = ic.rd
@@ -377,14 +387,14 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     kernel = fr2.kernel
     offset = tuple([0 if j in kernel else denom // 2 * sum(compress(row, u))
                     for j, row in enumerate(fr2.vinv)])
-    if not cayley and (fr2.parent == (tau_idx, s)
-                       or fr.parent == (t2, s)):
-        rows = None     # a tree edge, read from either end
-    else:
+    rows = rank_one = None
+    if t2 == tau_idx:
+        rank_one = (tuple([sum(map(mul, alpha, col)) for col in zip(*fr.v)]),
+                    tuple([0 if j in kernel else sum(map(mul, row, av))
+                           for j, row in enumerate(fr.vinv)]), {})
+    elif cayley or (fr2.parent != (tau_idx, s) and fr.parent != (t2, s)):
         sv = _reflect_rows(fr.v, alpha, av)
-        if sv == fr2.v and fr.kernel == kernel:
-            rows = None
-        else:
+        if sv != fr2.v or fr.kernel != kernel:
             svt = tuple(zip(*sv))
             rows = tuple([None if j in kernel else
                           tuple([sum(map(mul, row, col)) for col in svt])
@@ -395,25 +405,21 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     im = tbl.classification(tau_idx).im_pos
     im2 = tbl.classification(t2).im_pos
     pos = dict(zip(im, range(len(im))))
-    sp, neg = ic.weyl.simple_perms[s], ic.weyl.neg
     if cayley:
-        missed = im2 != tuple(b for b in im
-                              if not sum(map(mul, rd.roots[b], av)))
+        if im2 != tuple(b for b in im if not sum(map(mul, rd.roots[b], av))):
+            raise WeylError("Cayley transform misses an imaginary root")
+        regrade = (tuple(map(pos.__getitem__, im2)),
+                   tuple([int(tuple(map(add, alpha, rd.roots[b]))
+                              in rd.root_index) for b in im2]))
     else:
-        missed = len(im2) != len(im)
-    if missed:
-        raise WeylError(("Cayley transform" if cayley else "cross action")
-                        + " misses an imaginary root")
-    gmap = []
-    for b in im2:
-        if cayley:
-            gmap.append((pos[b], int(tuple(map(add, alpha, rd.roots[b]))
-                                     in rd.root_index)))
-        elif (p := pos.get(max(sp[b], neg[sp[b]]))) is not None:
-            gmap.append((p, 0))     # max: the positive one of +-s(b)
-        else:
+        sp, neg = ic.weyl.simple_perms[s], ic.weyl.neg
+        # max: the positive one of +-s(b)
+        p2 = tuple([pos.get(max(sp[b], neg[sp[b]])) for b in im2])
+        if len(im2) != len(im) or None in p2:
             raise WeylError("cross action misses an imaginary root")
-    return t2, rows, offset, tuple(gmap)
+        # tuple(g) is g itself; a map that moves a bit moves two
+        regrade = tuple if p2 == tuple(range(len(p2))) else itemgetter(*p2)
+    return t2, rows, offset, regrade, rank_one
 
 
 def _simple_positions(ic, tau_idx) -> tuple:
@@ -485,9 +491,9 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         return j
 
     fs0 = fiber_space(tbl.elements[0], ic)
-    seeds = [(q, y) for q, z in enumerate(squares)
-             for y in fs0.coordinates(z, denom)]
-    gradings = _base_grading(ic, [y for _, y in seeds], denom)
+    fibers = [fs0.coordinates(z, denom) for z in squares]
+    seeds = [(q, y) for q, ys in enumerate(fibers) for y in ys]
+    gradings = _base_grading(ic, fibers, denom)
     for (q, y), g in zip(seeds, gradings):
         insert((0, y), q, g, None)
 
@@ -528,14 +534,33 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
                 continue
             if move is None:
                 move = slot[3] = _move_map(ic, tau_idx, s, cayley, denom)
-            t2, rows, offset, gmap = move
-            if rows is None:
-                y2 = tuple([(a + c) % denom for a, c in zip(y, offset)])
+            t2, rows, offset, regrade, rank_one = move
+            if cayley:
+                at, flips = regrade
+                g2 = tuple(map(xor, map(g.__getitem__, at), flips))
             else:
-                y2 = tuple([c if row is None
-                            else (sum(map(mul, row, y)) + c) % denom
-                            for row, c in zip(rows, offset)])
-            g2 = tuple([g[p2] ^ f for p2, f in gmap])
+                g2 = regrade(g)
+            if rank_one is not None:
+                r, c, fixes = rank_one
+                t = sum(map(mul, r, y)) % denom
+                fixed = fixes.get(t)
+                if fixed is None:
+                    fixed = fixes[t] = not any(
+                        [(t * b - o) % denom for b, o in zip(c, offset)])
+                if fixed:
+                    # s fixes x: a link to itself, with no key to look up
+                    if g2 != g:
+                        raise WeylError("inconsistent duplicate element")
+                    cross_ids[base + s] = i
+                    continue
+                y2 = tuple([(a - t * b + o) % denom
+                            for a, b, o in zip(y, c, offset)])
+            elif rows is None:
+                y2 = tuple([(a + o) % denom for a, o in zip(y, offset)])
+            else:
+                y2 = tuple([o if row is None
+                            else (sum(map(mul, row, y)) + o) % denom
+                            for row, o in zip(rows, offset)])
             key = (t2, y2)
             j = key_index.get(key)
             if j is None:

@@ -28,8 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from math import isqrt
-from operator import add, itemgetter, mul, sub
+from operator import add, eq, itemgetter, mul, sub
 
 from .intlinalg import IntMatrix, scaled_inverse, vec_dot
 from .rootdatum import RootDatum
@@ -484,8 +485,9 @@ class TwistedInvolution:
 def classify_roots(tau: TwistedInvolution, rd: RootDatum) -> RootClassification:
     """tau's roots by theta, over rd = tau.ic.rd: only im_pos is formed."""
     theta = tau.theta
-    return RootClassification(theta, tuple(
-        r for r in range(rd.n_pos, len(theta)) if theta[r] == r),
+    pos = range(rd.n_pos, len(theta))
+    return RootClassification(
+        theta, tuple(compress(pos, map(eq, theta[rd.n_pos:], pos))),
         tau.ic.weyl)
 
 

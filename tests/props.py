@@ -4,6 +4,7 @@ Each checker walks the full one-sided space and returns the number of
 individual cases it verified, so callers can assert coverage totals.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -745,6 +746,14 @@ def derived_generation_log(table):
                     found.setdefault(j, (x.id, f"{kind}{s}"))
     return tuple((x.id, -1, 'seed') if x.tau.index == 0
                  else (x.id,) + found[x.id] for x in table)
+
+
+# the fields of a kgb._move_map record by name, and of its rank-one part:
+# the one place outside the library that knows their shapes.
+# MoveRecord(*record) reads one, and a record _replace'd from it is a
+# record the search takes
+MoveRecord = namedtuple("MoveRecord", "target rows offset regrade rank_one")
+RankOne = namedtuple("RankOne", "r c fixes")
 
 
 def tits_identity(tg):

@@ -32,7 +32,8 @@ from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import _mat_apply, _mat_mul
-from props import (all_elements, check_cayley_roundtrip, check_cross_action,
+from props import (MoveRecord, RankOne, all_elements,
+                   check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, derived_generation_log,
@@ -359,6 +360,15 @@ def test_grading_of_a_root_out_of_range_is_an_error():
             grading(x, r)
 
 
+def test_a_form_out_of_range_is_an_error():
+    # -1 returned the table of the last form
+    table = enumerate_X(make_ic("C2", "sc"))
+    assert len(table.forms) == 4
+    for f in (-1, 4):
+        with pytest.raises(KeyError):
+            table.form_table(f)
+
+
 def test_a_letter_out_of_range_is_an_error():
     # a letter outside 0..k-1 read another element's cross slot, and -1
     # acted as the last simple root
@@ -528,14 +538,41 @@ def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
     tabulated = liepar.kgb._move_map
 
     def corrupted(ic, tau_idx, s, cayley, denom):
-        t2, rows, offset, gmap = tabulated(ic, tau_idx, s, cayley, denom)
+        move = MoveRecord(*tabulated(ic, tau_idx, s, cayley, denom))
         if (tau_idx, s, cayley) == (0, 0, False):
-            rows, offset = ((0,) * ic.rank,) * ic.rank, target
-        return t2, rows, offset, gmap
+            move = move._replace(rows=((0,) * ic.rank,) * ic.rank,
+                                 offset=target, rank_one=None)
+        return move
 
     monkeypatch.setattr(liepar.kgb, "_move_map", corrupted)
     with pytest.raises(WeylError, match="cross action is not an involution"):
         enumerate_X(fresh_ic("A1.A1", "c"))
+
+
+@pytest.mark.parametrize("t,s,corrupt", [
+    # the offset shifted onto another square: element 0 lands on element
+    # 4, which lies over a different square
+    ("A1.A1", 0, dict(offset=(0, 1))),
+    # c and the offset zero: the move fixes every element, and element 4,
+    # whose grading s does not fix, fails the self-link's grading check
+    ("C2", 1, dict(offset=(0, 0), c=(0, 0)))])
+def test_search_checks_a_corrupted_rank_one_move(t, s, corrupt, monkeypatch):
+    # the loop table (tau 0, s) is corrupted before any element reads it,
+    # so the memo of self-links is formed from the corrupted c and offset
+    tabulated = liepar.kgb._move_map
+
+    def corrupted(ic, tau_idx, s2, cayley, denom):
+        move = MoveRecord(*tabulated(ic, tau_idx, s2, cayley, denom))
+        if (tau_idx, s2, cayley) == (0, s, False):
+            rank_one = RankOne(*move.rank_one)
+            move = move._replace(
+                offset=corrupt["offset"],
+                rank_one=rank_one._replace(c=corrupt.get("c", rank_one.c)))
+        return move
+
+    monkeypatch.setattr(liepar.kgb, "_move_map", corrupted)
+    with pytest.raises(WeylError, match="inconsistent duplicate element"):
+        enumerate_X(fresh_ic(t, "c"))
 
 
 @pytest.mark.parametrize("t,iso,tw", MOVE_ORACLE_GROUPS)
@@ -555,6 +592,30 @@ def test_moves_match_the_reference_route(t, iso, tw):
                     (y.tau.index, y.torus_coord, y.grading_map)
                 moves += 1
     assert moves > len(table)
+
+
+@pytest.mark.parametrize("t,iso,tw", MOVE_ORACLE_GROUPS + [
+    ("B3", "ad", "c"), ("D5", "ad", (0, 1, 2, 4, 3))])
+def test_which_cross_actions_fix_an_element(t, iso, tw):
+    # read off the links, however the moves are computed: a compact
+    # imaginary or real simple root fixes every element, a complex one
+    # none, and a noncompact one fixes x exactly when x's Cayley image
+    # has one Cayley-down preimage (type II), two when it moves x (type I)
+    table = enumerate_X(make_ic(t, iso, tw))
+    seen = set()
+    for x in table:
+        for s, kind in enumerate(x.status):
+            fixed = x.cross[s] == x.id
+            if kind == 'n':
+                downs = table.cayley_down_ids(s, x.cayley[s])
+                assert len(downs) == (1 if fixed else 2)
+                kind += "II" if fixed else "I"
+            else:
+                assert fixed == (kind != 'C')
+            seen.add(kind)
+    # twisted A4 meets no compact and no type I simple root
+    assert seen == ({'C', 'r', 'nII'} if t == "A4"
+                    else {'C', 'c', 'r', 'nI', 'nII'})
 
 
 # frames: each tau's fiber basis is its Cartan class representative's
@@ -601,10 +662,23 @@ def test_frames_carry_the_representative_smith_form(t, tw):
                              ic.rd.simple_coroots[s]) == fr.v
         assert fp.kernel == fr.kernel
         for a, b in ((p, tau.index), (tau.index, p)):
-            target, rows, _, _ = _move_map(ic, a, s, False, table.denom)
-            assert (target, rows) == (b, None)
+            move = MoveRecord(*_move_map(ic, a, s, False, table.denom))
+            assert (move.target, move.rows) == (b, None)
     for x in table:
         assert x.torus_coord == per_tau_torus_coord(x)
+
+
+@pytest.mark.parametrize("t,tw", FRAME_GROUPS + [("E6", "c")])
+def test_cartan_class_sizes_are_the_closed_form(t, tw):
+    # a class holds |W| / |W^theta| taus, and at its representative
+    # |W^theta| = |W_i| |W_r| |W_C^theta|
+    ic = make_ic(t, "sc", tw)
+    tbl = twisted_involutions(ic)
+    order = ic.weyl.order()
+    for c in cartan_classes(ic):
+        cls = tbl.classification(c.rep)
+        assert len(c.members) * cls.im_order * cls.re_order \
+            * cls.complex_fixed == order
 
 
 def test_frames_do_not_depend_on_the_search_order():
