@@ -28,8 +28,9 @@ An element is its id: X is written as flat columns indexed by id (see
 KGBTable), and a KGBElt view, with its lambda, is formed only when one
 is read.  Each element inherits the seed of the element that found it,
 so the strong real forms come from a union-find over the seeds.  The
-real Weyl group W(G, H) of x reads |W_i|, |W_r| and |W_C^theta| in
-closed form; only the W_i-orbit of x is searched, by id.
+real Weyl group W(G, H) of x reads |W_i| and |W_r| from root heights
+and |W_C^theta| from the size of tau's Cartan class; only the
+W_i-orbit of x is searched, by id.
 """
 
 from __future__ import annotations
@@ -695,7 +696,7 @@ def cayley_down(s: int, x: KGBElt):
 class RealWeylInfo:
     """Orders of W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r)."""
     total: int
-    complex_fixed: int      # |(W_C)^tau|
+    complex_fixed: int      # |W_C^theta| = |W| / (|class| |W_i| |W_r|)
     stab_imaginary: int     # |Stab_{W_i}(x)|
     real_order: int         # |W_r|
     imaginary_order: int
@@ -703,9 +704,11 @@ class RealWeylInfo:
 
 
 def real_weyl(x: KGBElt) -> RealWeylInfo:
-    """W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) (Vogan 1982): |W_i|,
-    |W_r| and |W_C^theta| = sqrt |W(deltaC)| are the closed forms of
-    tau's root classification; |Stab| is |W_i| over x's W_i-orbit."""
+    """W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r) (Vogan 1982): |W_i|
+    and |W_r| by subsystem_order, from root heights; tau's Cartan class
+    is W / (W_C^theta x| (W_i x W_r)), so |W_C^theta| = |W| / (|class|
+    |W_i| |W_r|), a remainder raising WeylError; |Stab| is |W_i| over
+    x's W_i-orbit."""
     return _real_weyl(x.table, x.id)
 
 
@@ -726,10 +729,15 @@ def _real_weyl(table: KGBTable, xid: int) -> RealWeylInfo:
             if z not in orbit:
                 orbit.add(z)
                 frontier.append(z)
+    rest = len(cartan_classes(ic)[cartan_index(ic)[t]].members) \
+        * cls.im_order * cls.re_order
+    fixed, rem = divmod(ic.weyl.order(), rest)
+    if rem:
+        raise WeylError(f"|W| not divisible by |class| |W_i| |W_r| = {rest}")
     stab = cls.im_order // len(orbit)
     return RealWeylInfo(
-        total=cls.complex_fixed * stab * cls.re_order,
-        complex_fixed=cls.complex_fixed, stab_imaginary=stab,
+        total=fixed * stab * cls.re_order,
+        complex_fixed=fixed, stab_imaginary=stab,
         real_order=cls.re_order, imaginary_order=cls.im_order,
         orbit_size=len(orbit))
 

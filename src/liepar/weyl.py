@@ -29,8 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from math import isqrt
-from operator import add, eq, itemgetter, mul, sub
+from operator import eq, itemgetter, mul, sub
 
 from .intlinalg import IntMatrix, scaled_inverse, vec_dot
 from .rootdatum import RootDatum
@@ -65,29 +64,23 @@ def _inverse(perm):
     return tuple(inv)
 
 
-def subsystem_order(rd: RootDatum, simples, pos) -> int:
-    """|W| of the root subsystem with these simple and positive root
-    indices: prod (m_j + 1) over its exponents, the transpose of the
-    partition "positive roots per height" (Kostant 1959), reducible
-    subsystems included.  Heights are over the subsystem's own base,
-    breadth-first: beta + delta, delta simple, has height h(beta) + 1."""
-    pos = set(pos)
-    height = dict.fromkeys(simples, 1)
-    level, h = list(height), 1
-    while level:
-        h += 1
-        nxt = []
-        for b in level:
-            for d in simples:
-                j = rd.root_index.get(tuple(map(add, rd.roots[b],
-                                                rd.roots[d])))
-                if j in pos and j not in height:
-                    height[j] = h
-                    nxt.append(j)
-        level = nxt
-    if len(height) != len(pos):
-        raise WeylError("positive roots not reached from the simple roots")
-    per_height = Counter(height.values())
+def subsystem_heights(rd: RootDatum, pos) -> tuple:
+    """Heights of the positive roots pos of a root subsystem over its own
+    base: h(beta) = <beta, 2 rhov_P> / 2, where 2 rhov_P is the sum of
+    the coroots of pos (Kostant 1959), so h = 1 exactly on the simple
+    roots.  Raises WeylError unless every pairing is positive and even."""
+    two_rhov = [sum(col) for col in zip(*map(rd.coroots.__getitem__, pos))]
+    twice = [sum(map(mul, rd.roots[b], two_rhov)) for b in pos]
+    if any(t <= 0 or t % 2 for t in twice):
+        raise WeylError("not the positive roots of a root subsystem")
+    return tuple(t // 2 for t in twice)
+
+
+def subsystem_order(rd: RootDatum, pos) -> int:
+    """|W| of the root subsystem with these positive root indices: prod
+    (m_j + 1) over its exponents, the transpose of the partition "roots
+    per subsystem_heights height" (Kostant 1959), reducible included."""
+    per_height = Counter(subsystem_heights(rd, pos))
     out = 1
     for j in range(1, per_height[1] + 1):
         out *= 1 + sum(1 for c in per_height.values() if c >= j)
@@ -255,7 +248,7 @@ class WeylGroup:
         """|W| by subsystem_order, once per group."""
         if self._order is None:
             pos = range(self.n_pos, len(self.rd.roots))
-            self._order = subsystem_order(self.rd, self.simple_idx, pos)
+            self._order = subsystem_order(self.rd, pos)
         return self._order
 
 
@@ -370,7 +363,10 @@ class RootClassification:
     (fixed), real (negated) or complex, read from tau's own theta tuple
     and the Weyl group's neg.  The positive imaginary roots, all the X
     search reads, are computed at once; the other fields are formed on
-    first read, the orders by subsystem_order."""
+    first read from the root heights <beta, 2 rhov_P> / 2 of
+    subsystem_heights: the imaginary simple roots have height 1 and the
+    orders are subsystem_order; |W_C^theta| is |W| / (|tau's Cartan
+    class| |W_i| |W_r|), read by kgb.real_weyl."""
     theta: tuple = field(repr=False)    # tau's permutation of the roots
     im_pos: tuple        # positive imaginary root indices
     weyl: "WeylGroup" = field(repr=False, compare=False)
@@ -388,54 +384,17 @@ class RootClassification:
 
     @cached_property
     def im_simples(self) -> tuple:
-        """Simple roots of the imaginary subsystem."""
-        return _subsystem_simples(self.rd, self.im_pos)
-
-    @cached_property
-    def re_simples(self) -> tuple:
-        """Simple roots of the real subsystem."""
-        return _subsystem_simples(self.rd, self.re_pos)
-
-    @cached_property
-    def deltaC(self) -> tuple:
-        """Indices of the complex roots orthogonal to twice rho of the
-        imaginary roots and twice rhov of the real roots."""
-        rd = self.rd
-        rho_i = [sum(col) for col in zip(*map(rd.roots.__getitem__,
-                                              self.im_pos))]
-        rhov_r = [sum(col) for col in zip(*map(rd.coroots.__getitem__,
-                                               self.re_pos))]
-        theta, neg = self.theta, self.weyl.neg
-        return tuple(i for i, q in enumerate(theta) if q != i and q != neg[i]
-                     and not sum(map(mul, rho_i, rd.coroots[i]))
-                     and not sum(map(mul, rd.roots[i], rhov_r)))
-
-    @cached_property
-    def deltaC_pos(self) -> tuple:
-        return tuple(i for i in self.deltaC if self.rd.is_positive(i))
-
-    @cached_property
-    def deltaC_simples(self) -> tuple:
-        """Simple roots of the subsystem deltaC."""
-        return _subsystem_simples(self.rd, self.deltaC_pos)
+        """Simple roots of the imaginary subsystem: those of height 1."""
+        heights = subsystem_heights(self.rd, self.im_pos)
+        return tuple(b for b, h in zip(self.im_pos, heights) if h == 1)
 
     @cached_property
     def im_order(self) -> int:
-        return subsystem_order(self.rd, self.im_simples, self.im_pos)
+        return subsystem_order(self.rd, self.im_pos)
 
     @cached_property
     def re_order(self) -> int:
-        return subsystem_order(self.rd, self.re_simples, self.re_pos)
-
-    @cached_property
-    def complex_fixed(self) -> int:
-        """|W(deltaC)^theta| = sqrt |W(deltaC)|: theta swaps two
-        orthogonal halves of deltaC."""
-        order = subsystem_order(self.rd, self.deltaC_simples, self.deltaC_pos)
-        root = isqrt(order)
-        if root * root != order:
-            raise WeylError(f"|W(deltaC)| = {order} is not a square")
-        return root
+        return subsystem_order(self.rd, self.re_pos)
 
     @cached_property
     def imaginary_words(self) -> tuple:
@@ -443,19 +402,6 @@ class RootClassification:
         wg = self.weyl
         return tuple(wg.canonical_word(p, p)
                      for p in map(wg.reflection_perm, self.im_simples))
-
-
-def _subsystem_simples(rd: RootDatum, pos_indices) -> tuple:
-    """The simple roots of the subsystem with the given positive roots:
-    those that are not a sum of two of them."""
-    vecs = {rd.roots[i] for i in pos_indices}
-    simples = []
-    for i in pos_indices:
-        b = rd.roots[i]
-        if not any(tuple(map(sub, b, g)) in vecs
-                   for g in vecs if g != b):
-            simples.append(i)
-    return tuple(simples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,10 +558,13 @@ class TwistedInvolutionTable:
         return len(self.elements)
 
     def classification(self, idx: int) -> RootClassification:
-        if idx not in self._classification:
-            self._classification[idx] = classify_roots(
+        cls = self._classification.get(idx)
+        if cls is None:
+            if not 0 <= idx < len(self.elements):
+                raise WeylError(f"tau index {idx} not in 0..{len(self) - 1}")
+            cls = self._classification[idx] = classify_roots(
                 self.elements[idx], self.ic.rd)
-        return self._classification[idx]
+        return cls
 
 
 def twisted_involutions(ic: InnerClass) -> TwistedInvolutionTable:

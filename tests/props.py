@@ -479,8 +479,10 @@ def per_tau_torus_coord(x):
 
 
 def reference_classification(tau, rd):
-    """The seven fields of a root classification, all computed at once
-    from the matrix of theta on X: the eager route the lazy fields
+    """tau's root types, its positive imaginary and real roots, deltaC
+    and the simple roots of the three subsystems (those not a sum of two
+    of its positive roots), all computed at once from the matrix of
+    theta on X: the eager route the lazy fields and the root heights
     replaced."""
     status = []
     for r in rd.roots:
@@ -528,19 +530,33 @@ def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
     return seen
 
 
+def reference_complex_fixed(ic, tau):
+    """|W_C^theta| as the theta-fixed elements of W(deltaC), counted one
+    by one, where deltaC holds the complex roots orthogonal to 2 rho of
+    the imaginary roots and to 2 rhov of the real roots: the route the
+    class-size closed form of kgb.real_weyl replaced."""
+    wg = ic.weyl
+    theta = tau.theta
+    simples = reference_classification(tau, ic.rd)["deltaC_simples"]
+    return sum(1 for m in perm_closure(
+        [wg.reflection_perm(i) for i in simples], len(ic.rd.roots))
+        if _compose(theta, _compose(m, theta)) == m)
+
+
 def reference_real_weyl(x):
     """The real Weyl group of x with each order found by enumerating a
-    subgroup of W as root permutations, and the theta-fixed part of
-    W(deltaC) counted element by element: the route the closed forms of
+    subgroup of W as root permutations, the simple roots taken from
+    reference_classification and |W_C^theta| from
+    reference_complex_fixed: the route the closed forms of
     kgb.real_weyl replaced."""
     ic = x.table.ic
-    cls = twisted_involutions(ic).classification(x.tau.index)
+    ref = reference_classification(x.tau, ic.rd)
     wg = ic.weyl
     size = len(ic.rd.roots)
-    im = [wg.reflection_perm(i) for i in cls.im_simples]
+    im = [wg.reflection_perm(i) for i in ref["im_simples"]]
     wi_order = len(perm_closure(im, size))
     wr_order = len(perm_closure(
-        [wg.reflection_perm(i) for i in cls.re_simples], size))
+        [wg.reflection_perm(i) for i in ref["re_simples"]], size))
     gens = [wg.from_perm(p) for p in im]
     orbit = {x.id}
     frontier = [x]
@@ -552,10 +568,7 @@ def reference_real_weyl(x):
                 orbit.add(z.id)
                 frontier.append(z)
     stab = wi_order // len(orbit)
-    theta = x.tau.theta
-    fixed = sum(1 for m in perm_closure(
-        [wg.reflection_perm(i) for i in cls.deltaC_simples], size)
-        if _compose(theta, _compose(m, theta)) == m)
+    fixed = reference_complex_fixed(ic, x.tau)
     return RealWeylInfo(total=fixed * stab * wr_order, complex_fixed=fixed,
                         stab_imaginary=stab, real_order=wr_order,
                         imaginary_order=wi_order, orbit_size=len(orbit))

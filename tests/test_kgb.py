@@ -38,9 +38,9 @@ from props import (MoveRecord, RankOne, all_elements,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, derived_generation_log,
                    per_tau_torus_coord, reference_base_grading,
-                   reference_canonical_form, reference_delta_signs,
-                   reference_fiber, reference_forms, reference_real_weyl,
-                   root_is_negative, simple_reflection)
+                   reference_canonical_form, reference_complex_fixed,
+                   reference_delta_signs, reference_fiber, reference_forms,
+                   reference_real_weyl, root_is_negative, simple_reflection)
 
 
 def rv(*entries):
@@ -671,14 +671,14 @@ def test_frames_carry_the_representative_smith_form(t, tw):
 @pytest.mark.parametrize("t,tw", FRAME_GROUPS + [("E6", "c")])
 def test_cartan_class_sizes_are_the_closed_form(t, tw):
     # a class holds |W| / |W^theta| taus, and at its representative
-    # |W^theta| = |W_i| |W_r| |W_C^theta|
+    # |W^theta| = |W_i| |W_r| |W_C^theta|, the last counted in W(deltaC)
     ic = make_ic(t, "sc", tw)
     tbl = twisted_involutions(ic)
     order = ic.weyl.order()
     for c in cartan_classes(ic):
         cls = tbl.classification(c.rep)
         assert len(c.members) * cls.im_order * cls.re_order \
-            * cls.complex_fixed == order
+            * reference_complex_fixed(ic, tbl.elements[c.rep]) == order
 
 
 def test_frames_do_not_depend_on_the_search_order():
@@ -1018,7 +1018,8 @@ def test_c7_form_sizes_hold_the_sp_clan_counts():
     sizes = {len(f.element_ids) for f in strong_real_forms(ic)}
     sp_pq = {sp_pq_count(p, 7 - p) for p in range(8)}
     assert sp_pq == {1, 49, 651, 2555}
-    assert sizes == sp_pq | {26253}
+    assert split_sp_count(7) == 26253
+    assert sizes == sp_pq | {split_sp_count(7)}
 
 
 def split_sp_count(n):

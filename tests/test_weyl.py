@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,9 @@ from liepar.weyl import (_compose, _inverse, _mat_apply, _mat_mul,
 from props import (act_Xv, all_elements, from_matrix, from_word,
                    inverse_matrix, matrix_canonical_word, mult, perm_bfs,
                    perm_closure, reference_canonical_word,
-                   reference_classification, reference_reflection_perm,
-                   root_is_negative, root_status, simple_reflection)
+                   reference_classification, reference_complex_fixed,
+                   reference_reflection_perm, root_is_negative, root_status,
+                   simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -453,8 +455,17 @@ def test_classification_partition():
                     == tuple(-x for x in ic.rd.roots[i])
 
 
-CLASSIFICATION_FIELDS = ("im_pos", "re_pos", "im_simples", "re_simples",
-                         "deltaC", "deltaC_simples")
+@pytest.mark.parametrize("idx", [-1, 6, 100])
+def test_a_tau_index_out_of_range_is_an_error(idx):
+    # C2 sc has 6 taus; -1 read tau 5 and 6 raised a bare IndexError
+    table = twisted_involutions(make_ic("C2", "sc"))
+    assert len(table) == 6
+    with pytest.raises(WeylError, match=r"0\.\.5"):
+        table.classification(idx)
+    assert idx not in table._classification
+
+
+CLASSIFICATION_FIELDS = ("im_pos", "re_pos", "im_simples")
 LAZY_FIELDS = CLASSIFICATION_FIELDS[1:]
 
 
@@ -465,20 +476,21 @@ def test_lazy_classification_matches_the_eager_route(t, iso, tw):
     for tau in table.elements:
         cls = table.classification(tau.index)
         expected = reference_classification(tau, ic.rd)
-        assert {"status": root_status(tau)} | \
-            {f: getattr(cls, f) for f in CLASSIFICATION_FIELDS} == expected
+        assert expected["status"] == root_status(tau)
+        for f in CLASSIFICATION_FIELDS:
+            assert getattr(cls, f) == expected[f]
 
 
 @pytest.mark.parametrize("t,tw", [("C3", "c"), ("A3", (2, 1, 0))])
 def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
     subsystems = []
-    bases = liepar.weyl._subsystem_simples
+    heights = liepar.weyl.subsystem_heights
 
-    def counted(rd, pos_indices):
-        subsystems.append(pos_indices)
-        return bases(rd, pos_indices)
+    def counted(rd, pos):
+        subsystems.append(tuple(pos))
+        return heights(rd, pos)
 
-    monkeypatch.setattr(liepar.weyl, "_subsystem_simples", counted)
+    monkeypatch.setattr(liepar.weyl, "subsystem_heights", counted)
     rd = from_type(t, "sc")
     ic = trivial_inner_class(rd) if tw == "c" \
         else inner_class_from_perm(rd, tw)
@@ -488,12 +500,14 @@ def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
     for cls in table._classification.values():
         assert not set(LAZY_FIELDS) & set(vars(cls))
     assert subsystems == []
-    # the real Weyl group reads the subsystem bases and deltaC
+    # the real Weyl group reads the heights of the imaginary subsystem
+    # (its base and its order), of the real one and of all roots (|W|)
     info = real_weyl(x)
     cls = table.classification(x.tau.index)
-    assert {"im_simples", "re_simples", "deltaC", "deltaC_simples"} <= \
-        set(vars(cls))
-    assert len(subsystems) == 3
+    assert set(LAZY_FIELDS) <= set(vars(cls))
+    assert sorted(subsystems) == sorted(
+        [cls.im_pos, cls.im_pos, cls.re_pos,
+         tuple(range(rd.n_pos, len(rd.roots)))])
     assert info == real_weyl(enumerate_X(make_ic(t, "sc", tw))[-1])
 
 
@@ -513,9 +527,10 @@ ORDER_DATA = GRID + [("E6", "sc", "c"), ("E6", "sc", (5, 1, 4, 3, 2, 0)),
 @pytest.mark.parametrize("t,iso,tw", ORDER_DATA,
                          ids=GRID_IDS + ["E6-sc-c", "E6-sc-u", "D5-sc-u"])
 def test_subsystem_orders_match_the_closures(t, iso, tw):
-    # every tau: the closed-form orders of the imaginary, real and deltaC
+    # every tau: the height-read orders of the imaginary and real
     # subsystems against the subgroups their reflections generate, and
-    # sqrt |W(deltaC)| against the theta-fixed elements counted one by one
+    # |W| = |class| |W_i| |W_r| |W_C^theta| with the theta-fixed part of
+    # W(deltaC) counted one by one
     ic = make_ic(t, iso, tw)
     wg = ic.weyl
     table = twisted_involutions(ic)
@@ -523,30 +538,38 @@ def test_subsystem_orders_match_the_closures(t, iso, tw):
 
     def closure(simples):
         if simples not in closures:
-            closures[simples] = perm_closure(
-                [wg.reflection_perm(i) for i in simples], len(ic.rd.roots))
+            closures[simples] = len(perm_closure(
+                [wg.reflection_perm(i) for i in simples], len(ic.rd.roots)))
         return closures[simples]
 
     for tau in table.elements:
         cls = table.classification(tau.index)
-        assert cls.im_order == len(closure(cls.im_simples))
-        assert cls.re_order == len(closure(cls.re_simples))
-        group = closure(cls.deltaC_simples)
-        assert subsystem_order(ic.rd, cls.deltaC_simples, cls.deltaC_pos) \
-            == len(group)
-        theta = tau.theta
-        assert cls.complex_fixed == sum(
-            1 for m in group if _compose(theta, _compose(m, theta)) == m)
+        ref = reference_classification(tau, ic.rd)
+        assert cls.im_order == closure(ref["im_simples"])
+        assert cls.re_order == closure(ref["re_simples"])
+        members = cartan_classes(ic)[cartan_class_of(ic, tau.index)].members
+        assert len(members) * cls.im_order * cls.re_order \
+            * reference_complex_fixed(ic, tau) == wg.order()
 
 
-def test_a_non_square_complex_order_raises(monkeypatch):
-    # in the swap class of A1 x A1 every root is complex and in deltaC
-    order = liepar.weyl.subsystem_order
-    monkeypatch.setattr(liepar.weyl, "subsystem_order",
-                        lambda rd, simples, pos: 2 * order(rd, simples, pos))
+def test_a_wrong_weyl_group_order_raises(monkeypatch):
+    # in the swap class of A1 x A1 every root is complex and the class of
+    # delta holds 2 taus, so |W| = 5 leaves a remainder
+    monkeypatch.setattr(WeylGroup, "order", lambda self: 5)
     ic = inner_class_from_perm(from_type("A1.A1", "sc"), (1, 0))
-    with pytest.raises(WeylError, match="not a square"):
+    with pytest.raises(WeylError, match="not divisible"):
         real_weyl(enumerate_X(ic)[0])
+
+
+def test_a_set_that_is_not_a_positive_subsystem_raises():
+    # in A2, alpha_1 pairs to 3 with the coroots of alpha_1 and alpha_1 +
+    # alpha_2; with alpha_2 added the heights are 1, 2 and 1
+    rd = from_type("A2", "sc")
+    a1, a2 = rd.simple_indices()
+    a12 = rd.index_of(tuple(map(add, rd.roots[a1], rd.roots[a2])))
+    assert subsystem_order(rd, (a1, a12, a2)) == 6
+    with pytest.raises(WeylError, match="not the positive roots"):
+        subsystem_order(rd, (a1, a12))
 
 
 # ---------------------------------------------------------------------------
