@@ -27,12 +27,11 @@ import sys
 import time
 from fractions import Fraction
 
-from .fiber import InfiniteCenterFixedPoints, central_fixed_points
+from .fiber import central_fixed_points
 from .intlinalg import IntMatrix, RatVecModZ, scaled_inverse
 from .kgb import (enumerate_X, real_weyl, strong_real_forms,
                   _validate_square)
-from .rootdatum import (RootDatumError, _block_diagonal, from_type,
-                        new_root_datum, parse_type)
+from .rootdatum import _block_diagonal, from_type, new_root_datum, parse_type
 from .weyl import (InnerClass, InvalidInvolution, cartan_classes,
                    inner_class_from_perm, trivial_inner_class,
                    twisted_involutions)
@@ -51,7 +50,9 @@ def parse_central(ic: InnerClass, text: str) -> RatVecModZ:
             ic, RatVecModZ.reduce([0] * ic.rank))
     if text == "-1":
         cands = [z for z in central_fixed_points(ic) if z.order == 2]
-        if len(cands) != 1:
+        if not cands:
+            raise CommandError("'-1': no central element has order 2")
+        if len(cands) > 1:
             raise CommandError(
                 f"'-1' is ambiguous: {len(cands)} central elements of "
                 "order 2; give explicit coordinates")
@@ -134,8 +135,7 @@ class Session:
             except CommandError as exc:
                 col = f", column {exc.column}" if exc.column else ""
                 self.emit(f"error (line {self.lineno}{col}): {exc}")
-            except (RootDatumError, InvalidInvolution,
-                    InfiniteCenterFixedPoints, ValueError) as exc:
+            except ValueError as exc:
                 self.emit(f"error (line {self.lineno}): {exc}")
             if self.verbose and line.strip():
                 self.emit(f"# {time.monotonic() - started:.3f}s")

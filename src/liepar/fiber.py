@@ -32,11 +32,11 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .intlinalg import (IntMatrix, RatVecModZ, smith_normal_form,
+from .intlinalg import (IntMatrix, RatVecModZ, mat_apply, smith_normal_form,
                         smith_normal_form_with_inverse)
 from .tits import TitsGroup
-from .weyl import (InnerClass, TwistedInvolution, WeylError, _mat_apply,
-                   cartan_classes, cartan_index, twisted_involutions)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
+                   cartan_index, twisted_involutions)
 
 
 class NotAnInvolution(ValueError):
@@ -282,7 +282,7 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             _, u = tg.conjugate_simple(s, tbl.elements[t].w,
                                        ic.diagram_perm[s])
             c = sum(map(mul, a, fr.twice_nu))
-            shift = _mat_apply(sq2, _mat_apply(vinv2, u))
+            shift = mat_apply(sq2, mat_apply(vinv2, u))
             frames[t2] = Frame(
                 _reflect_rows(fr.v, a, av), vinv2, fr.kernel, sq2,
                 tuple([(x - c * y + z) % 2
@@ -306,6 +306,6 @@ def frame_torus_coord(ic: InnerClass, tau: TwistedInvolution, y,
     tau's frame: y_own = V_own^-1 V_frame y mod denom in tau's own Smith
     coordinates, with the kernel coordinates zeroed."""
     fs = fiber_space(tau, ic)
-    own = fs._vinv.apply(_mat_apply(fiber_frame(ic, tau.index).v, y))
+    own = fs._vinv.apply(mat_apply(fiber_frame(ic, tau.index).v, y))
     return fs.torus_coord(tuple(0 if j in fs._kernel_coords else x % denom
                                 for j, x in enumerate(own)), denom)

@@ -84,13 +84,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not compose")
-        bt = tuple(zip(*other.entries))
-        return IntMatrix(tuple(tuple([sum(map(mul, row, col)) for col in bt])
-                               for row in self.entries))
+        return IntMatrix(mat_mul(self.entries, other.entries))
 
     def apply(self, v: Sequence) -> tuple:
         """Matrix times column vector (int or Fraction entries)."""
-        return tuple([sum(map(mul, row, v)) for row in self.entries])
+        return mat_apply(self.entries, v)
 
     def rank(self) -> int:
         """Rank over the rationals: the number of nonzero invariant
@@ -230,6 +228,17 @@ def smith_normal_form_with_inverse(m: IntMatrix):
 
 def vec_dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
+
+
+def mat_apply(m, v) -> tuple:
+    """The rows of m dotted with v."""
+    return tuple([sum(map(mul, row, v)) for row in m])
+
+
+def mat_mul(a, b) -> tuple:
+    """The product of two matrices given as tuples of rows."""
+    bt = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 # ---------------------------------------------------------------------------

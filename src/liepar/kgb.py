@@ -20,9 +20,9 @@ that s fixes is linked to itself with no key to look up.  The cross
 action of s is an involution, so a cross edge is computed from one end
 and linked both ways.  The seeds are the integer solutions over each
 central square on the distinguished fiber, graded by the sign of delta
-on each imaginary root (see _delta_signs), which the Tits group gives
-at the folded simple roots and W^delta carries along its orbits.  Root
-types are read from theta (RootClassification).
+on each imaginary root (see _delta_signs): 1 exactly on the roots
+alpha + gamma(alpha) with gamma(alpha) != alpha, each A2 fold confirmed
+in the Tits group.  Root types are read from theta (RootClassification).
 
 An element is its id: X is written as flat columns indexed by id (see
 KGBTable), and a KGBElt view, with its lambda, is formed only when one
@@ -44,10 +44,10 @@ from operator import add, itemgetter, mul, xor
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
-from .intlinalg import IntMatrix, RatVecModZ, smith_normal_form, vec_dot
-from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
-                   _mat_apply, cartan_class_of, cartan_classes,
-                   cartan_index, twisted_involutions)
+from .intlinalg import (IntMatrix, RatVecModZ, mat_apply, smith_normal_form,
+                        vec_dot)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
+                   cartan_classes, cartan_index, twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -266,57 +266,30 @@ def _square_map(ic, tau_idx, denom):
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
     which delta acts on a root vector for beta: conjugating by delta a
-    lift sigma_beta of the reflection in beta either fixes it (sign 0)
-    or multiplies it by x_{m_beta} (sign 1).
-
-    The Tits group of ic is read only at the folded simple roots:
-    alpha_i with gamma(i) = i, and alpha_i + alpha_j = s_i(alpha_j) for
-    an A2 pair j = gamma(i).  delta fixes the lifts of the generators
-    s_i, s_i s_j (an orthogonal pair) and s_i s_j s_i (an A2 pair) of
-    W^delta, so a sign is constant on W^delta-orbits and is carried
-    along the orbits of their root permutations.  A sign 1 lies on the
-    orbit of an A2 fold, whose m_beta is not 0 in any datum, so the
-    simply connected datum reads the same signs."""
-    if 'delta_signs' in ic._cache:
-        return ic._cache['delta_signs']
+    lift sigma_beta of the reflection in beta fixes it (sign 0) or
+    multiplies it by x_{m_beta} (sign 1).  delta preserves a pinning, so
+    the sign is 1 exactly on the roots alpha + gamma(alpha), gamma(alpha)
+    != alpha (the non-reduced restricted roots of a twisted A_2n,
+    Steinberg 1968): a W^delta-stable set that holds each A2 fold and no
+    simple root, and each delta-imaginary root is W^delta-conjugate to a
+    folded simple root.  The Tits group confirms each A2 fold beta =
+    alpha_i + alpha_j, j = gamma(i): with sigma = sigma_i sigma_j
+    sigma_i^-1, delta sigma delta^-1 sigma^-1 must be x_{m_beta}."""
+    rd, wg, gamma = ic.rd, ic.weyl, ic.gamma_perm
+    folds = {rd.root_index.get(tuple(map(add, rd.roots[a], rd.roots[g])))
+             for a, g in enumerate(gamma[rd.n_pos:], rd.n_pos) if g != a}
     tg = tits_group(ic)
-    wg = ic.weyl
-    signs = {}
-    gens = []
     for i, j in enumerate(ic.diagram_perm):
-        if j < i:
-            continue
-        si, b = wg.simple_perms[i], wg.simple_idx[j]
-        if i == j:
-            gens.append(si)
-        elif si[b] == b:    # an orthogonal pair folds no root
-            gens.append(_compose(si, wg.simple_perms[j]))
-            continue
-        else:
-            gens.append(_compose(si, _compose(wg.simple_perms[j], si)))
-            b = si[b]
-        sig = tg.sigma_for_root(b)
-        d = tg.multiply(tg.twist(sig), tg.inverse(sig))
-        if d.w.word:
-            raise WeylError("twist does not fix a delta-imaginary root")
-        if all(x == 0 for x in d.t):
-            signs[b] = 0
-        elif d.t == tg.m_alpha(b):
-            signs[b] = 1
-        else:
-            raise WeylError("sign of delta on a root vector is ill defined")
-    for b in (orbit := list(signs)):
-        for g in gens:
-            c = max(g[b], wg.neg[g[b]])     # the positive one of +-g(b)
-            if c not in signs:
-                signs[c] = signs[b]
-                orbit.append(c)
-            elif signs[c] != signs[b]:
-                raise WeylError("sign of delta varies on a W^delta-orbit")
-    if signs.keys() != set(twisted_involutions(ic).classification(0).im_pos):
-        raise WeylError("a delta-imaginary root is not reached")
-    ic._cache['delta_signs'] = signs
-    return signs
+        b = wg.simple_perms[i][wg.simple_idx[j]]    # s_i(alpha_j)
+        if i < j and b != wg.simple_idx[j]:         # an A2 pair
+            si = tg.canonical_lift(wg.simple(i))
+            sig = tg.multiply(tg.multiply(si, tg.canonical_lift(wg.simple(j))),
+                              tg.inverse(si))
+            d = tg.multiply(tg.twist(sig), tg.inverse(sig))
+            if d.w.word or d.t != tg.m_alpha(b):
+                raise WeylError("delta does not act by -1 on an A2 fold")
+    return {b: int(b in folds)
+            for b in twisted_involutions(ic).classification(0).im_pos}
 
 
 def _base_grading(ic, fibers, denom) -> list:
@@ -331,7 +304,7 @@ def _base_grading(ic, fibers, denom) -> list:
     tbl = twisted_involutions(ic)
     vt = tuple(zip(*fiber_frame(ic, 0).v))
     eps = _delta_signs(ic)
-    rows = [(_mat_apply(vt, ic.rd.roots[b]), eps[b])
+    rows = [(mat_apply(vt, ic.rd.roots[b]), eps[b])
             for b in tbl.classification(0).im_pos]
     half = denom // 2
     out = []
@@ -448,7 +421,7 @@ def _validate_square(ic, z: RatVecModZ) -> RatVecModZ:
     if any(vec_dot(a, y) % den for a in ic.rd.simple_roots):
         raise ValueError("square is not central")
     if any((x - g) % den
-           for x, g in zip(y, _mat_apply(ic.gamma_mat_dual, y))):
+           for x, g in zip(y, mat_apply(ic.gamma_mat_dual, y))):
         raise ValueError("square is not fixed by the twist")
     return RatVecModZ.from_scaled(y, den)
 

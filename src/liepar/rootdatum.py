@@ -63,9 +63,6 @@ class RootDatum:
     def n_pos(self) -> int:
         return len(self.roots) // 2
 
-    def is_positive(self, idx: int) -> bool:
-        return self.heights[idx] > 0
-
     def index_of(self, root_vec) -> int:
         return self.root_index[tuple(root_vec)]
 

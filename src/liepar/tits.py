@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .intlinalg import f2_add, f2_vec
-from .weyl import InnerClass, WeylElt, WeylError, _compose, _mat_apply
+from .intlinalg import f2_add, f2_vec, mat_apply
+from .weyl import InnerClass, WeylElt, WeylError, _compose
 
 
 @dataclass(frozen=True)
@@ -98,23 +98,5 @@ class TitsGroup:
     def twist(self, a: TitsElt) -> TitsElt:
         """Conjugation by the distinguished involution delta."""
         tw = self.ic.twist_weyl(a.w)
-        t = f2_vec(_mat_apply(self.ic.gamma_mat_dual, a.t))
+        t = f2_vec(mat_apply(self.ic.gamma_mat_dual, a.t))
         return TitsElt(tw, t)
-
-    def sigma_for_root(self, root_idx: int) -> TitsElt:
-        """A lift sigma_alpha of the reflection in a positive root alpha
-        (canonical for simple alpha; well defined up to x_{m_alpha})."""
-        rd = self.rd
-        if not rd.is_positive(root_idx):
-            raise WeylError("sigma_for_root wants a positive root")
-        simple = rd.simple_indices()
-        if root_idx in simple:
-            return self.canonical_lift(self.weyl.simple(simple.index(root_idx)))
-        for i in range(rd.n_simple):
-            j = self.weyl.simple_perms[i][root_idx]
-            if rd.is_positive(j) and rd.heights[j] < rd.heights[root_idx]:
-                si = self.canonical_lift(self.weyl.simple(i))
-                si_inv = TitsElt(si.w, f2_vec(rd.simple_coroots[i]))
-                inner = self.sigma_for_root(j)
-                return self.multiply(self.multiply(si, inner), si_inv)
-        raise WeylError("no height-reducing simple reflection found")

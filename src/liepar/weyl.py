@@ -31,7 +31,8 @@ from functools import cached_property
 from itertools import compress
 from operator import eq, itemgetter, mul, sub
 
-from .intlinalg import IntMatrix, scaled_inverse, vec_dot
+from .intlinalg import (IntMatrix, mat_apply, mat_mul, scaled_inverse,
+                        vec_dot)
 from .rootdatum import RootDatum
 
 
@@ -41,15 +42,6 @@ class WeylError(ValueError):
 
 class InvalidInvolution(WeylError):
     pass
-
-
-def _mat_mul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
-
-
-def _mat_apply(m, v):
-    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def _compose(a, b):
@@ -76,11 +68,11 @@ def subsystem_heights(rd: RootDatum, pos) -> tuple:
     return tuple(t // 2 for t in twice)
 
 
-def subsystem_order(rd: RootDatum, pos) -> int:
-    """|W| of the root subsystem with these positive root indices: prod
-    (m_j + 1) over its exponents, the transpose of the partition "roots
-    per subsystem_heights height" (Kostant 1959), reducible included."""
-    per_height = Counter(subsystem_heights(rd, pos))
+def subsystem_order(heights) -> int:
+    """|W| of a root subsystem from the subsystem_heights of its positive
+    roots: prod (m_j + 1) over its exponents, the transpose of the
+    partition "roots per height" (Kostant 1959), reducible included."""
+    per_height = Counter(heights)
     out = 1
     for j in range(1, per_height[1] + 1):
         out *= 1 + sum(1 for c in per_height.values() if c >= j)
@@ -248,7 +240,7 @@ class WeylGroup:
         """|W| by subsystem_order, once per group."""
         if self._order is None:
             pos = range(self.n_pos, len(self.rd.roots))
-            self._order = subsystem_order(self.rd, pos)
+            self._order = subsystem_order(subsystem_heights(self.rd, pos))
         return self._order
 
 
@@ -281,7 +273,7 @@ class InnerClass:
             perm.append(j)
         self.diagram_perm = tuple(perm)
         for i in range(rd.n_simple):
-            img = _mat_apply(self.gamma_mat_dual, rd.simple_coroots[i])
+            img = mat_apply(self.gamma_mat_dual, rd.simple_coroots[i])
             if img != rd.simple_coroots[perm[i]]:
                 raise InvalidInvolution(
                     "gamma^t does not permute the simple coroots compatibly")
@@ -314,8 +306,8 @@ class InnerClass:
         if self._dual is None:
             w0 = self.weyl.longest_element()
             w0_on_Xv = tuple(zip(*w0.mat))  # w0 involution: inv = mat
-            gv = _mat_mul(tuple(tuple(-x for x in row) for row in w0_on_Xv),
-                          self.gamma_mat_dual)
+            gv = mat_mul(tuple(tuple(-x for x in row) for row in w0_on_Xv),
+                         self.gamma_mat_dual)
             dual_rd = self.rd.dual()
             self._dual = InnerClass(dual_rd, IntMatrix(gv), _dual=self)
         return self._dual
@@ -383,18 +375,22 @@ class RootClassification:
                      if theta[r] == neg[r])
 
     @cached_property
+    def im_heights(self) -> tuple:
+        """subsystem_heights of im_pos, read by im_simples and im_order."""
+        return subsystem_heights(self.rd, self.im_pos)
+
+    @cached_property
     def im_simples(self) -> tuple:
         """Simple roots of the imaginary subsystem: those of height 1."""
-        heights = subsystem_heights(self.rd, self.im_pos)
-        return tuple(b for b, h in zip(self.im_pos, heights) if h == 1)
+        return tuple(b for b, h in zip(self.im_pos, self.im_heights) if h == 1)
 
     @cached_property
     def im_order(self) -> int:
-        return subsystem_order(self.rd, self.im_pos)
+        return subsystem_order(self.im_heights)
 
     @cached_property
     def re_order(self) -> int:
-        return subsystem_order(self.rd, self.re_pos)
+        return subsystem_order(subsystem_heights(self.rd, self.re_pos))
 
     @cached_property
     def imaginary_words(self) -> tuple:
@@ -422,7 +418,7 @@ class TwistedInvolution:
     @cached_property
     def theta_X(self) -> tuple:
         """Matrix of (action of w) o gamma on X."""
-        return _mat_mul(self.w.mat, self.ic.gamma_mat)
+        return mat_mul(self.w.mat, self.ic.gamma_mat)
 
     def tau_word_str(self) -> str:
         return ",".join(str(i + 1) for i in self.w.word)

@@ -15,9 +15,9 @@ from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
                     grading, nu_tau, strong_real_forms, tits_group,
                     twisted_involutions)
 from liepar.fiber import fiber_frame
-from liepar.intlinalg import vec_dot
+from liepar.intlinalg import f2_vec, mat_apply, mat_mul, vec_dot
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import WeylError, _compose, _inverse, _mat_apply, _mat_mul
+from liepar.weyl import WeylError, _compose, _inverse
 
 
 def frac_vec(v) -> tuple:
@@ -108,7 +108,7 @@ def from_matrix(wg, mat):
     """The element with the given action matrix on X, found from the
     images of the roots and checked against its own matrix."""
     rd = wg.rd
-    perm = tuple(rd.root_index.get(_mat_apply(mat, r)) for r in rd.roots)
+    perm = tuple(rd.root_index.get(mat_apply(mat, r)) for r in rd.roots)
     assert None not in perm, "matrix does not permute the roots"
     w = wg.from_perm(perm)
     assert w.mat == tuple(map(tuple, mat)), "not a Weyl group element"
@@ -122,7 +122,7 @@ def inverse_matrix(w):
 
 def act_Xv(w, v):
     """Action of w on the cocharacters: the transposed inverse."""
-    return _mat_apply(tuple(zip(*inverse_matrix(w))), v)
+    return mat_apply(tuple(zip(*inverse_matrix(w))), v)
 
 
 def root_status(tau):
@@ -147,7 +147,7 @@ def _scan(ic, n_scan):
     center = [x for x in product(range(n_scan), repeat=rd.rank)
               if all(vec_dot(a, x) % n_scan == 0 for a in rd.simple_roots)]
     fixed = [x for x in center
-             if all(c % n_scan == 0 for c in vec_sub(x, _mat_apply(g, x)))]
+             if all(c % n_scan == 0 for c in vec_sub(x, mat_apply(g, x)))]
     return center, fixed
 
 
@@ -167,7 +167,7 @@ def reference_reduced_z0(ic, n_scan):
     N a multiple of the exponents of the fixed points and of the zeta."""
     center, fixed = _scan(ic, n_scan)
     g = ic.gamma_mat_dual
-    image = {tuple(c % n_scan for c in vec_add(x, _mat_apply(g, x)))
+    image = {tuple(c % n_scan for c in vec_add(x, mat_apply(g, x)))
              for x in center}
     z0 = []
     for x in fixed:
@@ -350,6 +350,31 @@ def simple_reflection(rd, i) -> tuple:
     return reflection_matrix(rd, rd.index_of(rd.simple_roots[i]))
 
 
+def is_positive(rd, idx) -> bool:
+    """Is the root positive: is its height over the simple roots > 0?"""
+    return rd.heights[idx] > 0
+
+
+def sigma_for_root(tg, root_idx):
+    """A lift sigma_alpha in the Tits group tg of the reflection in a
+    positive root alpha (canonical for simple alpha; well defined up to
+    x_{m_alpha}), by recursion on the height: sigma_i sigma_beta
+    sigma_i^-1 for the first simple i with beta = s_i(alpha) positive
+    and lower."""
+    rd, wg = tg.rd, tg.weyl
+    assert is_positive(rd, root_idx), "sigma_for_root wants a positive root"
+    simple = rd.simple_indices()
+    if root_idx in simple:
+        return tg.canonical_lift(wg.simple(simple.index(root_idx)))
+    for i in range(rd.n_simple):
+        j = wg.simple_perms[i][root_idx]
+        if is_positive(rd, j) and rd.heights[j] < rd.heights[root_idx]:
+            si = tg.canonical_lift(wg.simple(i))
+            si_inv = TitsElt(si.w, f2_vec(rd.simple_coroots[i]))
+            return tg.multiply(tg.multiply(si, sigma_for_root(tg, j)), si_inv)
+    raise WeylError("no height-reducing simple reflection found")
+
+
 def simple_coordinates(root, simple_roots):
     """Coefficients of root in the simple-root basis, by Fraction
     elimination."""
@@ -367,7 +392,7 @@ def reference_rho(rd) -> tuple:
     Fraction arithmetic."""
     acc = [Fraction(0)] * rd.rank
     for idx, r in enumerate(rd.roots):
-        if rd.is_positive(idx):
+        if is_positive(rd, idx):
             for k in range(rd.rank):
                 acc[k] += Fraction(r[k], 2)
     return tuple(acc)
@@ -377,7 +402,7 @@ def reference_canonical_form(fs, lam):
     """Unique representative of lambda modulo the lattice and the identity
     component of the theta_v-fixed torus, with Fraction arithmetic and V^-1
     from an independent inversion of V."""
-    y = _mat_apply(rational_inverse(fs._v.entries), frac_vec(lam))
+    y = mat_apply(rational_inverse(fs._v.entries), frac_vec(lam))
     y = [Fraction(0) if j in fs._kernel_coords else x % 1
          for j, x in enumerate(y)]
     return RatVecModZ.reduce(fs._v.apply(y))
@@ -428,7 +453,7 @@ def reference_delta_signs(ic) -> dict:
     signs = {}
     for b in twisted_involutions(ic).classification(0).im_pos:
         j = sc_index[rd.coefficients[b]]
-        sig = tg.sigma_for_root(j)
+        sig = sigma_for_root(tg, j)
         d = tg.multiply(tg.twist(sig), tg.inverse(sig))
         assert not d.w.word
         assert not any(d.t) or d.t == tg.m_alpha(j)
@@ -474,7 +499,7 @@ def per_tau_torus_coord(x):
     with V^-1 from an independent inversion."""
     ic = x.table.ic
     lam = [Fraction(a, x.table.denom)
-           for a in _mat_apply(fiber_frame(ic, x.tau.index).v, x.coords)]
+           for a in mat_apply(fiber_frame(ic, x.tau.index).v, x.coords)]
     return reference_canonical_form(fiber_space(x.tau, ic), lam)
 
 
@@ -486,14 +511,14 @@ def reference_classification(tau, rd):
     replaced."""
     status = []
     for r in rd.roots:
-        img = _mat_apply(tau.theta_X, r)
+        img = mat_apply(tau.theta_X, r)
         status.append('i' if img == r else
                       'r' if img == tuple(-x for x in r) else 'C')
     status = tuple(status)
 
     def pos(kind):
         return tuple(i for i, s in enumerate(status)
-                     if s == kind and rd.is_positive(i))
+                     if s == kind and is_positive(rd, i))
 
     def subsystem_simples(pos_indices):
         vecs = {rd.roots[i] for i in pos_indices}
@@ -511,7 +536,7 @@ def reference_classification(tau, rd):
             "im_simples": subsystem_simples(im_pos),
             "re_simples": subsystem_simples(re_pos), "deltaC": delta_c,
             "deltaC_simples": subsystem_simples(
-                tuple(i for i in delta_c if rd.is_positive(i)))}
+                tuple(i for i in delta_c if is_positive(rd, i)))}
 
 
 def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
@@ -578,7 +603,7 @@ def root_is_negative(rd, vec):
     """Is the integer vector a negative root? (It must be a root.)"""
     idx = rd.root_index.get(tuple(vec))
     assert idx is not None, "matrix does not permute the roots"
-    return not rd.is_positive(idx)
+    return not is_positive(rd, idx)
 
 
 def matrix_canonical_word(wg, mat, inv):
@@ -590,11 +615,11 @@ def matrix_canonical_word(wg, mat, inv):
     m, mi = mat, inv
     while m != wg.identity.mat:
         i = next(i for i in range(rd.n_simple) if root_is_negative(
-            rd, _mat_apply(mi, rd.simple_roots[i])))
+            rd, mat_apply(mi, rd.simple_roots[i])))
         word.append(i)
         s = simple_reflection(rd, i)
-        m = _mat_mul(s, m)
-        mi = _mat_mul(mi, s)
+        m = mat_mul(s, m)
+        mi = mat_mul(mi, s)
     return tuple(word)
 
 
@@ -662,7 +687,7 @@ def check_grading_transfer(ic):
         for s, smat in enumerate(smats):
             y = cross(s, x)
             for b, g in x.grading:
-                img = rd.index_of(_mat_apply(smat, rd.roots[b]))
+                img = rd.index_of(mat_apply(smat, rd.roots[b]))
                 assert grading(y, img) == g
                 cases += 1
     return cases
@@ -787,12 +812,12 @@ def _random_reduced_word(wg, w, rng):
     while m != wg.identity.mat:
         descents = [i for i in range(rd.n_simple)
                     if root_is_negative(rd,
-                                        _mat_apply(mi, rd.simple_roots[i]))]
+                                        mat_apply(mi, rd.simple_roots[i]))]
         i = rng.choice(descents)
         word.append(i)
         s = simple_reflection(rd, i)
-        m = _mat_mul(s, m)
-        mi = _mat_mul(mi, s)
+        m = mat_mul(s, m)
+        mi = mat_mul(mi, s)
     return tuple(word)
 
 

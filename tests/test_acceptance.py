@@ -20,7 +20,7 @@ from conftest import GRID, make_ic
 from liepar import (RatVecModZ, duality_check, dual_tau, enumerate_form,
                     enumerate_X, enumerate_Z, fiber_space, real_weyl,
                     sp2n_count, strong_real_forms, twisted_involutions)
-from liepar.weyl import _mat_mul
+from liepar.intlinalg import mat_mul
 from props import (all_elements, check_cayley_roundtrip,
                    check_cross_action, check_cross_involutive,
                    check_fiber_power_two, check_form_partition,
@@ -161,7 +161,7 @@ def test_brute_force_oracles_small_weyl_groups():
 
         # twisted involutions = {w : w * gamma(w) = identity}
         brute = {w.word for w in elements
-                 if _mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
+                 if mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
         tbl = twisted_involutions(ic)
         assert {tau.w.word for tau in tbl.elements} == brute
 

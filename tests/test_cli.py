@@ -160,8 +160,11 @@ def test_parse_central():
     with pytest.raises(CommandError):
         parse_central(ic, "pi")
     ad = trivial_inner_class(from_type("A1", "ad"))
-    with pytest.raises(CommandError):
-        parse_central(ad, "-1")         # no central element of order 2
+    with pytest.raises(CommandError, match="no central element has order 2"):
+        parse_central(ad, "-1")
+    d4 = trivial_inner_class(from_type("D4", "sc"))
+    with pytest.raises(CommandError, match="ambiguous: 3 central elements"):
+        parse_central(d4, "-1")
 
 
 def test_matrix_mode_identity_is_sc():

@@ -30,14 +30,14 @@ from liepar import (IntMatrix, NoMatch, NotImaginary,
                     twisted_involutions)
 from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
+from liepar.intlinalg import mat_apply, mat_mul
 from liepar.kgb import _delta_signs, _move_map
-from liepar.weyl import _mat_apply, _mat_mul
 from props import (MoveRecord, RankOne, all_elements,
                    check_cayley_roundtrip, check_cross_action,
                    check_cross_involutive, check_fiber_power_two,
                    check_form_partition, check_grading_transfer,
                    check_projection_surjective, derived_generation_log,
-                   per_tau_torus_coord, reference_base_grading,
+                   is_positive, per_tau_torus_coord, reference_base_grading,
                    reference_canonical_form, reference_complex_fixed,
                    reference_delta_signs, reference_fiber, reference_forms,
                    reference_real_weyl, root_is_negative, simple_reflection)
@@ -428,12 +428,12 @@ def matrix_fold(ic, mat, inv, t, word):
     rd = ic.rd
     for i in word:
         s = simple_reflection(rd, i)
-        descent = root_is_negative(rd, _mat_apply(mat, rd.simple_roots[i]))
-        t = tuple(a % 2 for a in _mat_apply(tuple(zip(*s)), t))
+        descent = root_is_negative(rd, mat_apply(mat, rd.simple_roots[i]))
+        t = tuple(a % 2 for a in mat_apply(tuple(zip(*s)), t))
         if descent:
             t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[i]))
-        mat = _mat_mul(mat, s)
-        inv = _mat_mul(s, inv)
+        mat = mat_mul(mat, s)
+        inv = mat_mul(s, inv)
     return mat, inv, t
 
 
@@ -450,10 +450,10 @@ def reference_move(x, s, cayley):
         gs = ic.diagram_perm[s]
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
     by_theta = {tau.theta_X: tau.index for tau in tbl.elements}
-    tau2 = tbl.elements[by_theta[_mat_mul(mat, ic.gamma_mat)]]
-    lam = _mat_apply(tuple(zip(*smat)),
-                     [Fraction(a) for a in x.torus_coord.entries])
-    shift = _mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
+    tau2 = tbl.elements[by_theta[mat_mul(mat, ic.gamma_mat)]]
+    lam = mat_apply(tuple(zip(*smat)),
+                    [Fraction(a) for a in x.torus_coord.entries])
+    shift = mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
     lam2 = reference_canonical_form(fiber_space(tau2, ic),
                                     [a + b for a, b in zip(lam, shift)])
     g2 = {}
@@ -465,8 +465,8 @@ def reference_move(x, s, cayley):
                                                    rd.roots[b]))
                 g2[b] = g ^ (flip in rd.root_index)
         else:
-            img = rd.index_of(_mat_apply(smat, rd.roots[b]))
-            g2[img if rd.is_positive(img) else rd.negative_of(img)] = g
+            img = rd.index_of(mat_apply(smat, rd.roots[b]))
+            g2[img if is_positive(rd, img) else rd.negative_of(img)] = g
     return tau2.index, lam2, g2
 
 
@@ -767,45 +767,58 @@ def test_seeds_match_the_reference_route(t, iso, tw):
 
 
 # the delta signs read in the inner class itself against the simply
-# connected companion route; twisted A_2n hold signs 1
+# connected companion route; twisted A_2n hold signs 1, and so do the
+# partial twists that swap the two simple roots of an A2 factor
 DELTA_SIGN_DATA = GRID + [
     (t, iso, tw) for t, tw in [("E6", "c"), ("E6", (5, 1, 4, 3, 2, 0)),
                                ("D4", (0, 1, 3, 2)), ("D5", (0, 1, 2, 4, 3)),
                                ("A4", (3, 2, 1, 0)), ("A5", (4, 3, 2, 1, 0)),
-                               ("A6", (5, 4, 3, 2, 1, 0))]
+                               ("A6", (5, 4, 3, 2, 1, 0)),
+                               ("A2.A2", (1, 0, 2, 3)),
+                               ("A4.A1", (3, 2, 1, 0, 4)),
+                               ("A2.A1.A2", (4, 3, 2, 1, 0))]
     for iso in ("sc", "ad")]
 
 
-def counted_lifts(monkeypatch):
-    """The roots TitsGroup.sigma_for_root is called on, recursion
-    included."""
-    lift = TitsGroup.sigma_for_root
+def counted_twists(monkeypatch):
+    """The Tits elements TitsGroup.twist is called on."""
+    twist = TitsGroup.twist
     calls = []
 
-    def counted(self, root_idx):
-        calls.append(root_idx)
-        return lift(self, root_idx)
+    def counted(self, a):
+        calls.append(a)
+        return twist(self, a)
 
-    monkeypatch.setattr(TitsGroup, "sigma_for_root", counted)
+    monkeypatch.setattr(TitsGroup, "twist", counted)
     return calls
 
 
-def simple_orbits(ic):
-    return len({frozenset((i, j)) for i, j in enumerate(ic.diagram_perm)})
+def a2_pairs(ic):
+    """The pairs i < j = gamma(i) of adjacent simple roots."""
+    cartan = ic.rd.cartan_matrix
+    return sum(1 for i, j in enumerate(ic.diagram_perm)
+               if i < j and cartan[i, j])
 
 
 @pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)
 def test_delta_signs_match_the_companion_route(t, iso, tw, monkeypatch):
-    # the Tits group is read only at the folded simple roots: one lift
-    # at a fixed simple root, two (with the recursion) at an A2 fold
+    # the signs are read from the roots; the Tits group is read once per
+    # A2 pair, to confirm the sign of its fold, and not on a trivial class
     ic = fresh_ic(t, tw, iso)
-    calls = counted_lifts(monkeypatch)
+    calls = counted_twists(monkeypatch)
     signs = _delta_signs(ic)
-    assert len(calls) <= 2 * simple_orbits(ic)
+    assert len(calls) == a2_pairs(ic)
     monkeypatch.undo()
     assert signs == reference_delta_signs(ic)
-    if t in ("A2", "A4", "A6") and tw != "c":
-        assert 1 in signs.values()
+    assert (1 in signs.values()) == (a2_pairs(ic) > 0)
+
+
+def test_a_wrong_sign_at_an_a2_fold_raises(monkeypatch):
+    # delta sigma delta^-1 sigma^-1 is x_{m_beta} at the fold beta of
+    # twisted A2; with m_beta read as 0 the Tits confirmation fails
+    monkeypatch.setattr(TitsGroup, "m_alpha", lambda self, root_idx: self.zero)
+    with pytest.raises(WeylError, match="A2 fold"):
+        _delta_signs(fresh_ic("A2", (1, 0)))
 
 
 def table_digest(table):
@@ -930,14 +943,15 @@ def test_the_search_forms_no_inverse_permutation(t, tw, size, digest):
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
-def test_a_ladder_search_reads_two_lifts_per_simple_orbit(t, tw, size,
-                                                          digest,
-                                                          monkeypatch):
-    calls = counted_lifts(monkeypatch)
+def test_a_ladder_search_twists_once_per_a2_pair(t, tw, size, digest,
+                                                 monkeypatch):
+    # the delta signs confirm each A2 fold in the Tits group; nothing
+    # else of the search conjugates by delta
+    calls = counted_twists(monkeypatch)
     ic = fresh_ic(t, tw)
     assert sum(map(len, (f.element_ids for f in strong_real_forms(ic)))) \
         == size
-    assert 0 < len(calls) <= 2 * simple_orbits(ic)
+    assert len(calls) == a2_pairs(ic) == (tw != "c")
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)

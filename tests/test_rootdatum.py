@@ -10,8 +10,8 @@ from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
                     new_root_datum, parse_type, trivial_inner_class)
 from liepar.intlinalg import IntMatrix, vec_dot
 from liepar.rootdatum import _reflection_closure
-from props import (reference_rho, reflection_matrix, simple_coordinates,
-                   simple_reflection)
+from props import (is_positive, reference_rho, reflection_matrix,
+                   simple_coordinates, simple_reflection)
 
 # number of positive roots per simple type
 POS_ROOTS = {
@@ -82,7 +82,7 @@ def test_reflection_for_root_matches_simple():
 
 def test_heights_and_positivity():
     rd = from_type("G2", "sc")
-    pos = [i for i in range(len(rd.roots)) if rd.is_positive(i)]
+    pos = [i for i in range(len(rd.roots)) if is_positive(rd, i)]
     assert len(pos) == 6
     # the highest root of G2 has height 5
     assert max(rd.heights) == 5

@@ -7,8 +7,8 @@ import pytest
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import TitsElt, tits_group
 from liepar.intlinalg import f2_add, f2_vec
-from props import (act_Xv, all_elements, check_tits_lifts,
-                   reflection_matrix, tits_identity)
+from props import (act_Xv, all_elements, check_tits_lifts, is_positive,
+                   reflection_matrix, sigma_for_root, tits_identity)
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
@@ -83,9 +83,9 @@ def test_sigma_for_root(t, iso, tw):
     rd = ic.rd
     wg = ic.weyl
     for i, root in enumerate(rd.roots):
-        if not rd.is_positive(i):
+        if not is_positive(rd, i):
             continue
-        sig = tg.sigma_for_root(i)
+        sig = sigma_for_root(tg, i)
         # it lifts the reflection in the root
         assert sig.w.mat == reflection_matrix(rd, i)
         # and squares to x_{m_alpha}, as an element of the root SL(2)

@@ -16,11 +16,12 @@ from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
                     from_type, inner_class_from_perm, new_root_datum,
                     real_weyl, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
-from liepar.weyl import (_compose, _inverse, _mat_apply, _mat_mul,
-                         cartan_index, subsystem_order)
+from liepar.intlinalg import mat_apply, mat_mul
+from liepar.weyl import (_compose, _inverse, cartan_index, subsystem_heights,
+                         subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
-                   inverse_matrix, matrix_canonical_word, mult, perm_bfs,
-                   perm_closure, reference_canonical_word,
+                   inverse_matrix, is_positive, matrix_canonical_word, mult,
+                   perm_bfs, perm_closure, reference_canonical_word,
                    reference_classification, reference_complex_fixed,
                    reference_reflection_perm, root_is_negative, root_status,
                    simple_reflection)
@@ -59,8 +60,8 @@ def test_longest_element():
         assert mult(wg, w0, w0) == wg.identity
         # w0 sends every positive root to a negative root
         for i in range(len(rd.roots)):
-            if rd.is_positive(i):
-                assert not rd.is_positive(w0.perm[i])
+            if is_positive(rd, i):
+                assert not is_positive(rd, w0.perm[i])
 
 
 def test_canonical_words_shortlex():
@@ -136,8 +137,8 @@ def _all_reduced_words(wg, w):
     out = []
     for i in range(rd.n_simple):
         # i is a left descent iff w^{-1}(alpha_i) < 0
-        if root_is_negative(rd, _mat_apply(inverse_matrix(w),
-                                           rd.simple_roots[i])):
+        if root_is_negative(rd, mat_apply(inverse_matrix(w),
+                                          rd.simple_roots[i])):
             rest = mult(wg, wg.simple(i), w)
             out.extend((i,) + u for u in _all_reduced_words(wg, rest))
     return out
@@ -152,7 +153,7 @@ def test_from_matrix_roundtrip():
         w = rng.choice(elements)
         assert from_matrix(wg, w.mat) == w
         assert wg.inverse(wg.inverse(w)) == w
-        assert _mat_mul(w.mat, inverse_matrix(w)) == wg.identity.mat
+        assert mat_mul(w.mat, inverse_matrix(w)) == wg.identity.mat
 
 
 def test_act_Xv_is_contragredient():
@@ -161,7 +162,7 @@ def test_act_Xv_is_contragredient():
     from liepar.intlinalg import vec_dot
     for w in all_elements(wg):
         for i in range(len(rd.roots)):
-            lhs = vec_dot(_mat_apply(w.mat, rd.roots[i]), rd.coroots[i])
+            lhs = vec_dot(mat_apply(w.mat, rd.roots[i]), rd.coroots[i])
             rhs = vec_dot(rd.roots[i], act_Xv(wg.inverse(w), rd.coroots[i]))
             assert lhs == rhs
 
@@ -213,7 +214,7 @@ def test_twisted_involutions_vs_brute_force(t, iso, tw):
     for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
         wg = ic.weyl
         brute = {w.mat for w in all_elements(wg)
-                 if _mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
+                 if mat_mul(w.mat, ic.twist_weyl(w).mat) == wg.identity.mat}
         table = twisted_involutions(ic)
         assert {tau.w.mat for tau in table.elements} == brute
         assert len(table) == len(brute)
@@ -233,7 +234,7 @@ def test_twisted_involution_lengths_and_links(t, iso, tw):
             for s, j in enumerate(table.cayley[tau.index]):
                 a = ic.rd.simple_roots[s]
                 # Cayley moves exist exactly at tau-imaginary simple roots
-                assert (j is not None) == (_mat_apply(tau.theta_X, a) == a)
+                assert (j is not None) == (mat_apply(tau.theta_X, a) == a)
                 if j is not None:
                     assert table.elements[j].length == tau.length + 1
 
@@ -448,10 +449,10 @@ def test_classification_partition():
                 + root_status(tau)[n_pos:].count('C') == n_pos
             # theta fixes imaginary roots, negates real roots
             for i in cls.im_pos:
-                assert _mat_apply(tau.theta_X, ic.rd.roots[i]) \
+                assert mat_apply(tau.theta_X, ic.rd.roots[i]) \
                     == ic.rd.roots[i]
             for i in cls.re_pos:
-                assert _mat_apply(tau.theta_X, ic.rd.roots[i]) \
+                assert mat_apply(tau.theta_X, ic.rd.roots[i]) \
                     == tuple(-x for x in ic.rd.roots[i])
 
 
@@ -501,12 +502,12 @@ def test_search_leaves_the_real_weyl_fields_unread(t, tw, monkeypatch):
         assert not set(LAZY_FIELDS) & set(vars(cls))
     assert subsystems == []
     # the real Weyl group reads the heights of the imaginary subsystem
-    # (its base and its order), of the real one and of all roots (|W|)
+    # once (its base and its order), of the real one and of all roots
     info = real_weyl(x)
     cls = table.classification(x.tau.index)
     assert set(LAZY_FIELDS) <= set(vars(cls))
     assert sorted(subsystems) == sorted(
-        [cls.im_pos, cls.im_pos, cls.re_pos,
+        [cls.im_pos, cls.re_pos,
          tuple(range(rd.n_pos, len(rd.roots)))])
     assert info == real_weyl(enumerate_X(make_ic(t, "sc", tw))[-1])
 
@@ -567,9 +568,10 @@ def test_a_set_that_is_not_a_positive_subsystem_raises():
     rd = from_type("A2", "sc")
     a1, a2 = rd.simple_indices()
     a12 = rd.index_of(tuple(map(add, rd.roots[a1], rd.roots[a2])))
-    assert subsystem_order(rd, (a1, a12, a2)) == 6
+    assert subsystem_heights(rd, (a1, a12, a2)) == (1, 2, 1)
+    assert subsystem_order(subsystem_heights(rd, (a1, a12, a2))) == 6
     with pytest.raises(WeylError, match="not the positive roots"):
-        subsystem_order(rd, (a1, a12))
+        subsystem_heights(rd, (a1, a12))
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +595,7 @@ def word_matrix(wg, word):
     n = wg.rd.rank
     m = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     for i in word:
-        m = _mat_mul(m, simple_reflection(wg.rd, i))
+        m = mat_mul(m, simple_reflection(wg.rd, i))
     return m
 
 
@@ -607,15 +609,15 @@ def test_permutations_agree_with_matrices(data):
     ma_inv = word_matrix(wg, reversed(u))
     assert a.mat == ma and b.mat == mb and inverse_matrix(a) == ma_inv
     for r, root in enumerate(rd.roots):
-        assert rd.roots[a.perm[r]] == _mat_apply(ma, root)
+        assert rd.roots[a.perm[r]] == mat_apply(ma, root)
     ab = mult(wg, a, b)
-    assert ab.mat == _mat_mul(ma, mb)
+    assert ab.mat == mat_mul(ma, mb)
     assert ab == from_word(wg, u + v)
     assert wg.inverse(a).mat == ma_inv
     assert mult(wg, a, wg.inverse(a)) == wg.identity
     for i, a_i in enumerate(rd.simple_roots):
-        right = root_is_negative(rd, _mat_apply(ma, a_i))
-        left = root_is_negative(rd, _mat_apply(ma_inv, a_i))
+        right = root_is_negative(rd, mat_apply(ma, a_i))
+        left = root_is_negative(rd, mat_apply(ma_inv, a_i))
         assert right == (a.perm[wg.simple_idx[i]] < wg.n_pos)
         assert left == (a.inv_perm[wg.simple_idx[i]] < wg.n_pos)
         assert right == (mult(wg, a, wg.simple(i)).length < a.length)
