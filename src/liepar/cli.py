@@ -393,26 +393,46 @@ def main(argv=None):
                         help="append timing comments to command output")
     opts = parser.parse_args(argv)
     session = Session(sys.stdout, verbose=opts.verbose)
+    source = opts.cmd_file or "standard input"
     try:
         if opts.cmd_file:
-            with open(opts.cmd_file) as fh:
+            try:
+                fh = open(opts.cmd_file, encoding="utf-8")
+            except OSError as exc:
+                return _fail(f"cannot read {source}: {exc.strerror}")
+            with fh:
                 session.run(fh)
-        elif sys.stdin.isatty():
-            while not session.done:
-                sys.stderr.write("liepar> ")
-                sys.stderr.flush()
-                line = sys.stdin.readline()
-                if not line:
-                    break
-                session.run([line])
         else:
-            session.run(sys.stdin)
+            if sys.stdin is None:
+                return _fail(f"cannot read {source}: it is closed")
+            # strict, as a --cmd-file is: a byte that is not UTF-8 is an error
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            if sys.stdin.isatty():
+                while not session.done:
+                    sys.stderr.write("liepar> ")
+                    sys.stderr.flush()
+                    line = sys.stdin.readline()
+                    if not line:
+                        break
+                    session.run([line])
+            else:
+                session.run(sys.stdin)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: stop, flushing to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except UnicodeDecodeError:
+        return _fail(f"{source} is not UTF-8 text")
     return 0
+
+
+def _fail(message) -> int:
+    """One error line on stderr after the output so far; exit status 1."""
+    sys.stdout.flush()
+    sys.stderr.write(f"error: {message}\n")
+    return 1
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -141,18 +141,34 @@ def _check_finite_type(cartan, n_simple):
             m[i] = [x - f * y for x, y in zip(m[i], m[k])]
 
 
+def _integer(x) -> int:
+    """x as an int when it is an integer in value (2 or 2.0, not 2.5 or
+    "2"); else RootDatumError."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise RootDatumError(f"{x!r} is not an integer")
+    return n
+
+
 def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
     """Validate and build a root datum from simple roots/coroots,
     generating the full root system by reflection closure.  The lattice
     rank is read off the vectors; it must be given when there are no
-    simple roots (a torus)."""
-    simple_roots = tuple(tuple(int(x) for x in r) for r in simple_roots)
-    simple_coroots = tuple(tuple(int(x) for x in r) for r in simple_coroots)
+    simple roots (a torus).  An entry or rank that is not an integer in
+    value, or a negative rank, raises RootDatumError."""
+    simple_roots = tuple(tuple(map(_integer, r)) for r in simple_roots)
+    simple_coroots = tuple(tuple(map(_integer, r)) for r in simple_coroots)
     if len(simple_roots) != len(simple_coroots):
         raise RootDatumError("need equally many roots and coroots")
     k = len(simple_roots)
     if rank is None:
         rank = len(simple_roots[0]) if k else 0
+    rank = _integer(rank)
+    if rank < 0:
+        raise RootDatumError(f"rank {rank} is negative")
     for r in simple_roots + simple_coroots:
         if len(r) != rank:
             raise RootDatumError("inconsistent vector lengths")

@@ -7,9 +7,11 @@ relations are the braid relations among the sigma_i together with
 sigma_i^2 = x_{m_i} (m_i the simple coroot mod 2).
 
 Products are folded one simple letter at a time on the state (perm, t),
-perm the permutation of the roots by w: sigma_w x_t sigma_i is
-sigma_{w s_i} x_{s_i(t)}, times x_{m_i} exactly when w(alpha_i) < 0, and
-s_i(t) = t + <alpha_i, t> m_i mod 2.  No lattice matrix is multiplied.
+perm the permutation of the roots by w (bytes up to 256 roots, see
+weyl): sigma_w x_t sigma_i is sigma_{w s_i} x_{s_i(t)}, times x_{m_i}
+exactly when w(alpha_i) < 0, and s_i(t) = t + <alpha_i, t> m_i mod 2;
+w s_i is one _compose, a bytes.translate.  No lattice matrix is
+multiplied.
 The conjugation sigma_s sigma_w sigma_r^-1 of the X search needs no fold
 along w: conjugate_simple reads it off the root permutation of w.
 """
@@ -60,7 +62,7 @@ class TitsGroup:
                 + (perm[wg.simple_idx[i]] < wg.n_pos)
             if flip & 1:
                 t = f2_add(t, self._m[i])
-            perm = wg.times_simple[i](perm)
+            perm = _compose(perm, wg.simple_perms[i])
         return perm, t
 
     def conjugate_simple(self, s: int, w: WeylElt, r=None):
@@ -74,12 +76,12 @@ class TitsGroup:
         v(m_r) is the coroot of the root v(alpha_r) mod 2."""
         wg = self.weyl
         a = wg.simple_idx[s]
-        perm = _compose(wg.simple_perms[s], w.perm)
+        perm = _compose(wg.simple_tables[s], w.perm)
         u = self._m[s] if w.perm.index(a) < wg.n_pos else self.zero
         if r is not None:
             b = wg.simple_idx[r]
             ascent = perm[b] >= wg.n_pos
-            perm = wg.times_simple[r](perm)
+            perm = _compose(perm, wg.simple_perms[r])
             if ascent:
                 u = f2_add(u, f2_vec(self.rd.coroots[perm[b]]))
         return perm, u

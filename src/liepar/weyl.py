@@ -4,13 +4,19 @@ Cartan classes.
 A Weyl element is its shortlex-minimal reduced word together with the
 permutation it induces on the roots: perm[r] is the index of w(root r)
 in the root datum's (height, lex) order, where the negative roots are
-exactly the indices below n_pos.  Composition is an itemgetter call, a
-descent is a comparison with n_pos, and the canonical word is peeled off
-psi(w^-1 alpha_j), psi(alpha_j) = j + 1, one smallest left descent at a
-time.  The action matrix on the character lattice X (a word
-s_{i1},...,s_{ik} acts by S_{i1} @ ... @ S_{ik}) and that of the inverse
-are derived on first use from the images of the simple roots.  Lattice
-products and pairings run in C as sum(map(mul, row, col)).
+exactly the indices below n_pos.  A root permutation is bytes, one byte
+per root, when the datum has at most 256 roots (E8 has 240), and a tuple
+above that (A16 has 272, D12 264, E8.B3 258), as a byte holds no index
+above 255; _perm makes one, and _compose and _inverse take both.
+Composition a o b is b.translate(a padded to 256 bytes), one C call
+(an itemgetter call on tuples); a bytes object caches its hash and
+compares by memcmp.  A descent is a comparison with n_pos, and the
+canonical word is peeled off psi(w^-1 alpha_j), psi(alpha_j) = j + 1,
+one smallest left descent at a time.  The action matrix on the
+character lattice X (a word s_{i1},...,s_{ik} acts by S_{i1} @ ... @
+S_{ik}) and that of the inverse are derived on first use from the
+images of the simple roots.  Lattice products and pairings run in C as
+sum(map(mul, row, col)).
 
 A twisted involution is keyed by the permutation of the roots induced
 by theta = w o gamma, where the diagram involution gamma permutes the
@@ -18,8 +24,9 @@ roots; the table of them is one breadth-first pass on those
 permutations, level by level.  Each tau of a level makes its cross and
 Cayley moves once; links into the next level wait in a pending list
 until that level is indexed, and a cross link is recorded in both
-directions, so each cross edge is composed once.  When gamma fixes
-every root, w and theta share one permutation tuple.  The class made
+directions, so each cross edge is formed once; theta is padded once for
+its k moves and the simple permutations once per group.  When gamma
+fixes every root, w and theta share one permutation.  The class made
 by .dual relabels its partner's table by tau -> -theta^T on the coroots.
 """
 
@@ -44,13 +51,35 @@ class InvalidInvolution(WeylError):
     pass
 
 
+def _perm(images):
+    """The root permutation with the given sequence of images: bytes, one
+    byte per root, when there are at most 256 roots, else a tuple (a byte
+    cannot hold an index above 255)."""
+    return bytes(images) if len(images) <= 256 else tuple(images)
+
+
+def _table(perm):
+    """perm as the left factor of _compose, padded once for reuse: a
+    256-byte translate table, or the tuple itself."""
+    return perm.ljust(256, b"\0") if type(perm) is bytes else perm
+
+
 def _compose(a, b):
-    """The permutation a o b: b first, then a (a torus has no roots)."""
+    """The permutation a o b: b first, then a.  On bytes b.translate of a
+    padded to 256 bytes (no copy when a comes from _table), on tuples an
+    itemgetter call, which wants two entries or more."""
+    if type(b) is bytes:
+        return b.translate(a.ljust(256, b"\0"))
     return itemgetter(*b)(a) if len(b) > 1 else tuple(a[i] for i in b)
 
 
 def _inverse(perm):
-    inv = [0] * len(perm)
+    """The inverse permutation, of perm's own type: on bytes the first
+    len(perm) entries of the table sending perm[r] to r."""
+    n = len(perm)
+    if type(perm) is bytes:
+        return bytes.maketrans(perm, bytes(range(n)))[:n]
+    inv = [0] * n
     for r, q in enumerate(perm):
         inv[q] = r
     return tuple(inv)
@@ -82,7 +111,7 @@ def subsystem_order(heights) -> int:
 @dataclass(frozen=True, eq=False)
 class WeylElt:
     word: tuple
-    perm: tuple   # perm[r] is the index of w(root r)
+    perm: bytes   # perm[r] is the index of w(root r); see _perm
     group: "WeylGroup" = field(repr=False)
 
     def __eq__(self, other):
@@ -96,7 +125,7 @@ class WeylElt:
         return len(self.word)
 
     @cached_property
-    def inv_perm(self) -> tuple:
+    def inv_perm(self) -> bytes:
         return _inverse(self.perm)
 
     @cached_property
@@ -114,12 +143,12 @@ class WeylGroup:
         self.rd = rd
         self.n_pos = rd.n_pos
         self.simple_idx = rd.simple_indices()
-        self.neg = tuple(rd.negative_of(r) for r in range(len(rd.roots)))
+        self.neg = _perm([rd.negative_of(r) for r in range(len(rd.roots))])
         self._reflection_perms = {}
         self.simple_perms = tuple(self.reflection_perm(a)
                                   for a in self.simple_idx)
-        # times_simple[i](perm) is the permutation of w s_i
-        self.times_simple = tuple(itemgetter(*p) for p in self.simple_perms)
+        # the simple permutations as left factors of _compose
+        self.simple_tables = tuple(map(_table, self.simple_perms))
         # for canonical_word: psi per root, and per simple i the pairs
         # (j, <alpha_j, alpha_i^v>) of its Cartan neighbours
         self._psi = tuple(sum(j * c for j, c in enumerate(co, 1))
@@ -127,7 +156,7 @@ class WeylGroup:
         self._neighbours = tuple(tuple((j, c) for j, c in enumerate(
             vec_dot(a, av) for a in rd.simple_roots) if c and j != i)
             for i, av in enumerate(rd.simple_coroots))
-        self.identity = WeylElt((), tuple(range(len(rd.roots))), self)
+        self.identity = WeylElt((), _perm(range(len(rd.roots))), self)
         self._simples = tuple(WeylElt((i,), p, self)
                               for i, p in enumerate(self.simple_perms))
         self._longest = None
@@ -138,7 +167,7 @@ class WeylGroup:
     def simple(self, i: int) -> WeylElt:
         return self._simples[i]
 
-    def reflection_perm(self, root_idx: int) -> tuple:
+    def reflection_perm(self, root_idx: int) -> bytes:
         """The permutation of the roots by the reflection in a root; a
         root b with <b, alpha^v> = 0 is kept without a lookup."""
         perm = self._reflection_perms.get(root_idx)
@@ -146,7 +175,7 @@ class WeylGroup:
             rd = self.rd
             a, av = rd.roots[root_idx], rd.coroots[root_idx]
             pairing = [sum(map(mul, b, av)) for b in rd.roots]
-            perm = self._reflection_perms[root_idx] = tuple([
+            perm = self._reflection_perms[root_idx] = _perm([
                 rd.index_of([x - c * y for x, y in zip(b, a)]) if c else r
                 for r, (b, c) in enumerate(zip(rd.roots, pairing))])
         return perm
@@ -232,7 +261,7 @@ class WeylGroup:
                            if perm[a] >= self.n_pos), None)
                 if up is None:
                     break
-                perm = self.times_simple[up](perm)
+                perm = _compose(perm, self.simple_perms[up])
             self._longest = self.from_perm(perm)
         return self._longest
 
@@ -277,8 +306,8 @@ class InnerClass:
             if img != rd.simple_coroots[perm[i]]:
                 raise InvalidInvolution(
                     "gamma^t does not permute the simple coroots compatibly")
-        self.gamma_perm = tuple(rd.index_of(gamma.apply(r))
-                                for r in rd.roots)
+        self.gamma_perm = _perm([rd.index_of(gamma.apply(r))
+                                 for r in rd.roots])
         self.weyl = WeylGroup(rd)
         self._dual = _dual
         self._derived = _dual is not None   # made by .dual
@@ -352,14 +381,14 @@ def trivial_inner_class(rd: RootDatum) -> InnerClass:
 @dataclass(frozen=True)
 class RootClassification:
     """The roots of a twisted involution tau sorted by theta: imaginary
-    (fixed), real (negated) or complex, read from tau's own theta tuple
+    (fixed), real (negated) or complex, read from tau's own theta permutation
     and the Weyl group's neg.  The positive imaginary roots, all the X
     search reads, are computed at once; the other fields are formed on
     first read from the root heights <beta, 2 rhov_P> / 2 of
     subsystem_heights: the imaginary simple roots have height 1 and the
     orders are subsystem_order; |W_C^theta| is |W| / (|tau's Cartan
     class| |W_i| |W_r|), read by kgb.real_weyl."""
-    theta: tuple = field(repr=False)    # tau's permutation of the roots
+    theta: bytes = field(repr=False)    # tau's permutation of the roots
     im_pos: tuple        # positive imaginary root indices
     weyl: "WeylGroup" = field(repr=False, compare=False)
 
@@ -404,7 +433,7 @@ class RootClassification:
 class TwistedInvolution:
     index: int
     w: WeylElt
-    theta: tuple         # permutation of the roots by (action of w) o gamma
+    theta: bytes         # permutation of the roots by (action of w) o gamma
     length: int          # graph distance from delta
     ic: InnerClass = field(repr=False)
 
@@ -460,10 +489,10 @@ class TwistedInvolutionTable:
         wg = ic.weyl
         gamma = ic.gamma_perm
         # w = theta o gamma, since theta = w o gamma and gamma^2 = 1; when
-        # gamma fixes every root, w shares the theta tuple
+        # gamma fixes every root, w shares theta's permutation
         fixes_roots = gamma == wg.identity.perm
         moves = tuple(enumerate(zip(wg.simple_idx, wg.simple_perms,
-                                    wg.times_simple)))
+                                    wg.simple_tables)))
         self.elements = []
         self.index_by_perm = {}   # theta permutation -> tau index
         cross = []    # per element: target index per simple, None if unset
@@ -501,11 +530,13 @@ class TwistedInvolutionTable:
                 link(*move)
             for i in range(start, len(self.elements)):
                 theta = self.elements[i].theta
-                for s, (a, sp, times_s) in moves:
+                padded = _table(theta)   # one pad for the k moves
+                for s, (a, sp, sp_table) in moves:
                     if cross[i][s] is None:
-                        link(i, s, _compose(sp, times_s(theta)), True)
+                        link(i, s, _compose(sp_table, _compose(padded, sp)),
+                             True)
                     if theta[a] == a:
-                        link(i, s, _compose(sp, theta), False)
+                        link(i, s, _compose(sp_table, theta), False)
             length += 1
             # w = theta is an involution when gamma fixes every root
             level = sorted(
@@ -518,19 +549,19 @@ class TwistedInvolutionTable:
 
     def _derive(self, partner: "TwistedInvolutionTable"):
         ic, wg, gamma = self.ic, self.ic.weyl, self.ic.gamma_perm
-        twist = None if gamma == wg.identity.perm else itemgetter(*gamma)
+        fixes_roots = gamma == wg.identity.perm
         # partner root r -> the dual root of its coroot, and of minus it;
-        # theta = minus o (partner theta) o order^-1 (a torus has no roots)
-        order = tuple(map(ic.rd.root_index.__getitem__,
-                          partner.ic.rd.coroots))
-        minus = tuple(map(order.__getitem__, partner.ic.weyl.neg))
-        pick = itemgetter(*_inverse(order)) if len(order) > 1 else None
+        # theta = minus o (partner theta) o order^-1
+        order = _perm(list(map(ic.rd.root_index.__getitem__,
+                               partner.ic.rd.coroots)))
+        minus = _table(_compose(order, partner.ic.weyl.neg))
+        unorder = _inverse(order)
         top = partner.elements[-1].length
         rows = []
         for tau in partner.elements:
-            theta = itemgetter(*pick(tau.theta))(minus) if pick else ()
-            perm = theta if twist is None else twist(theta)
-            word = wg.canonical_word(perm, theta if twist is None else None)
+            theta = _compose(minus, _compose(tau.theta, unorder))
+            perm = theta if fixes_roots else _compose(theta, gamma)
+            word = wg.canonical_word(perm, theta if fixes_roots else None)
             rows.append((top - tau.length, len(word), word, tau.index,
                          perm, theta))
         rows.sort()

@@ -7,7 +7,6 @@ individual cases it verified, so callers can assert coverage totals.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter
 
 from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
                     TitsElt, cayley_down, cayley_up, cross, cross_by_word,
@@ -17,7 +16,7 @@ from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
 from liepar.fiber import fiber_frame
 from liepar.intlinalg import f2_vec, mat_apply, mat_mul, vec_dot
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import WeylError, _compose, _inverse
+from liepar.weyl import WeylError, _compose, _inverse, _perm
 
 
 def frac_vec(v) -> tuple:
@@ -41,14 +40,19 @@ def vec_scale(c, v) -> tuple:
 # words, products and action matrices read back as elements
 
 
+def reference_compose(a, b) -> tuple:
+    """The permutation a o b, b first, one entry at a time."""
+    return tuple(a[i] for i in b)
+
+
 def all_elements(wg, cap: int = 2 * 10 ** 6):
     """Brute-force enumeration of W by root permutations."""
     seen = {wg.identity.perm: wg.identity}
     queue = [wg.identity]
     while queue:
         w = queue.pop()
-        for step in wg.times_simple:
-            nxt = step(w.perm)
+        for sp in wg.simple_perms:
+            nxt = _compose(w.perm, sp)
             if nxt not in seen:
                 seen[nxt] = wg.from_perm(nxt)
                 queue.append(seen[nxt])
@@ -61,7 +65,7 @@ def from_word(wg, word):
     """The element with the given word, folded on root permutations."""
     perm = wg.identity.perm
     for i in word:
-        perm = wg.times_simple[i](perm)
+        perm = _compose(perm, wg.simple_perms[i])
     return wg.from_perm(perm)
 
 
@@ -78,7 +82,7 @@ def reference_canonical_word(wg, perm, inv=None):
         for i, a in enumerate(wg.simple_idx):
             if inv[a] < wg.n_pos:
                 word.append(i)
-                inv = wg.times_simple[i](inv)
+                inv = _compose(inv, wg.simple_perms[i])
                 break
         else:
             raise WeylError("permutation is not a Weyl group element")
@@ -92,8 +96,8 @@ def perm_bfs(wg, cap):
     seen = [wg.identity.perm]
     known = set(seen)
     for p in seen:
-        for step in wg.times_simple:
-            q = step(p)
+        for sp in wg.simple_perms:
+            q = _compose(p, sp)
             if q not in known and len(seen) < cap:
                 known.add(q)
                 seen.append(q)
@@ -108,9 +112,9 @@ def from_matrix(wg, mat):
     """The element with the given action matrix on X, found from the
     images of the roots and checked against its own matrix."""
     rd = wg.rd
-    perm = tuple(rd.root_index.get(mat_apply(mat, r)) for r in rd.roots)
-    assert None not in perm, "matrix does not permute the roots"
-    w = wg.from_perm(perm)
+    images = [rd.root_index.get(mat_apply(mat, r)) for r in rd.roots]
+    assert None not in images, "matrix does not permute the roots"
+    w = wg.from_perm(_perm(images))
     assert w.mat == tuple(map(tuple, mat)), "not a Weyl group element"
     return w
 
@@ -233,12 +237,12 @@ def reference_f2_add(a, b) -> tuple:
     return tuple((a[t] + b[t]) % 2 for t in range(len(a)))
 
 
-def reference_reflection_perm(rd, r) -> tuple:
+def reference_reflection_perm(rd, r):
     """The permutation of the roots by the reflection in root r, by the
     lattice formula b - <b, alpha_r^v> alpha_r for every root b."""
     a, av = rd.roots[r], rd.coroots[r]
-    return tuple(rd.root_index[vec_sub(b, vec_scale(reference_dot(b, av), a))]
-                 for b in rd.roots)
+    return _perm([rd.root_index[vec_sub(b, vec_scale(reference_dot(b, av), a))]
+                  for b in rd.roots])
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +544,12 @@ def reference_classification(tau, rd):
 
 
 def perm_closure(gens, size, cap: int = 10 ** 7) -> set:
-    """The group generated by the given permutations of range(size);
-    itemgetter(*g)(p) is the composition p o g."""
-    steps = [itemgetter(*g) for g in gens]
-    seen = {tuple(range(size))}
+    """The group generated by the given root permutations of
+    range(size), closed under p -> p o g."""
+    seen = {_perm(range(size))}
     queue = list(seen)
     for p in queue:
-        for q in (step(p) for step in steps):
+        for q in (_compose(p, g) for g in gens):
             if q not in seen:
                 seen.add(q)
                 queue.append(q)

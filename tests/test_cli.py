@@ -25,6 +25,40 @@ def test_demo_script_golden():
     assert run_session(DEMO_SCRIPT) == DEMO_EXPECTED
 
 
+# root data with more than 256 roots (A16 272, D12 264, B12 288), whose
+# root permutations are tuples; frozen from the session before permutations
+# were held as bytes
+LARGE_SCRIPT = """\
+type A16 sc
+inner c
+dual
+inner u
+type D12 sc
+inner c
+dual
+type B12 ad
+inner c
+dual
+"""
+
+LARGE_EXPECTED = """\
+root datum: A16 sc (rank 16, 136 positive roots)
+inner class: diagram permutation 1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16
+switched to the dual inner class (rank 16, 136 positive roots)
+inner class: diagram permutation 16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1
+root datum: D12 sc (rank 12, 132 positive roots)
+inner class: diagram permutation 1,2,3,4,5,6,7,8,9,10,11,12
+switched to the dual inner class (rank 12, 132 positive roots)
+root datum: B12 ad (rank 12, 144 positive roots)
+inner class: diagram permutation 1,2,3,4,5,6,7,8,9,10,11,12
+switched to the dual inner class (rank 12, 144 positive roots)
+"""
+
+
+def test_large_root_data_replay_their_frozen_transcript():
+    assert run_session(LARGE_SCRIPT) == LARGE_EXPECTED
+
+
 def test_demo_script_deterministic():
     runs = [run_session(DEMO_SCRIPT) for _ in range(4)]
     assert all(r == runs[0] for r in runs)
@@ -203,6 +237,36 @@ def test_threads_option_is_rejected(capsys):
         main(["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_an_unreadable_cmd_file_is_one_error_line(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"type A1 sc\n\xe9\n")
+    missing = tmp_path / "none.txt"
+    for path, message in (
+            (missing, f"cannot read {missing}: No such file or directory"),
+            (tmp_path, f"cannot read {tmp_path}: Is a directory"),
+            (latin1, f"{latin1} is not UTF-8 text")):
+        assert main(["--cmd-file", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_stdin_that_is_not_utf8_is_one_error_line(monkeypatch, capsys):
+    # decoded strictly even where stdin was opened with surrogateescape
+    stdin = io.TextIOWrapper(io.BytesIO(b"type A1 sc\n\xe9\n"),
+                             encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([]) == 1
+    assert capsys.readouterr() == ("", "error: standard input is not UTF-8 "
+                                       "text\n")
+
+
+def test_a_closed_stdin_is_one_error_line(monkeypatch, capsys):
+    # Python sets sys.stdin to None when file descriptor 0 is closed
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main([]) == 1
+    assert capsys.readouterr() == (
+        "", "error: cannot read standard input: it is closed\n")
 
 
 def test_quit_stops():

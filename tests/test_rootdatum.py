@@ -1,12 +1,13 @@
 """Root data: construction, closure, duality, center."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import GRID
-from liepar import (InfiniteClosure, NotACartanMatrix, UnknownType,
-                    WeylGroup, central_fixed_points, from_type,
+from liepar import (InfiniteClosure, NotACartanMatrix, RootDatumError,
+                    UnknownType, WeylGroup, central_fixed_points, from_type,
                     new_root_datum, parse_type, trivial_inner_class)
 from liepar.intlinalg import IntMatrix, vec_dot
 from liepar.rootdatum import _reflection_closure
@@ -189,6 +190,27 @@ def test_bad_input_rejected():
         new_root_datum([(1, 0)], [(1, 0)])  # pairing 1, not 2
     with pytest.raises(Exception):
         new_root_datum([(2, 0), (2, 0)], [(1, 0), (1, 0)])  # dependent
+
+
+@pytest.mark.parametrize("roots,coroots,rank,message", [
+    ([[2.5]], [[1]], 1, "2.5 is not an integer"),
+    ([[2]], [[Fraction(1, 2)]], 1, "Fraction(1, 2) is not an integer"),
+    ([["2"]], [[1]], 1, "'2' is not an integer"),
+    ([[2]], [[None]], 1, "None is not an integer"),
+    ([[2]], [[float("inf")]], 1, "inf is not an integer"),
+    ([[2]], [[1]], -1, "rank -1 is negative"),
+    ([], [], -1, "rank -1 is negative"),
+    ([], [], 1.5, "1.5 is not an integer")])
+def test_entries_and_rank_must_be_integers(roots, coroots, rank, message):
+    # no entry is rounded: [[2.5]] is not SL(2)'s [[2]]
+    with pytest.raises(RootDatumError, match=re.escape(message)):
+        new_root_datum(roots, coroots, rank)
+
+
+def test_integral_entries_of_another_type_are_read_as_ints():
+    rd = new_root_datum([[2.0]], [[Fraction(1)]], 1.0)
+    assert rd == new_root_datum([[2]], [[1]], 1)
+    assert type(rd.rank) is int and type(rd.roots[0][0]) is int
 
 
 def test_closure_guard_survives_the_fixed_pair_skip():

@@ -17,14 +17,14 @@ from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
                     real_weyl, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
 from liepar.intlinalg import mat_apply, mat_mul
-from liepar.weyl import (_compose, _inverse, cartan_index, subsystem_heights,
-                         subsystem_order)
+from liepar.weyl import (_compose, _inverse, _perm, _table, cartan_index,
+                         subsystem_heights, subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
                    inverse_matrix, is_positive, matrix_canonical_word, mult,
                    perm_bfs, perm_closure, reference_canonical_word,
                    reference_classification, reference_complex_fixed,
-                   reference_reflection_perm, root_is_negative, root_status,
-                   simple_reflection)
+                   reference_compose, reference_reflection_perm,
+                   root_is_negative, root_status, simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -62,6 +62,60 @@ def test_longest_element():
         for i in range(len(rd.roots)):
             if is_positive(rd, i):
                 assert not is_positive(rd, w0.perm[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compose_and_inverse_agree_with_the_reference(data):
+    # sizes from the empty permutation (a torus) to either side of 256,
+    # where _perm switches from bytes to tuples
+    n = data.draw(st.one_of(st.integers(0, 12), st.integers(250, 262)))
+    a, b = (tuple(data.draw(st.permutations(range(n)))) for _ in "ab")
+    want = reference_compose(a, b)
+    identity = tuple(range(n))
+    kinds = (bytes, tuple) if n <= 256 else (tuple,)
+    assert type(_perm(a)) is kinds[0]
+    for kind in kinds:
+        pa, pb = kind(a), kind(b)
+        for left in (pa, _table(pa)):
+            out = _compose(left, pb)
+            assert type(out) is kind and tuple(out) == want
+        inv = _inverse(pa)
+        assert type(inv) is kind
+        assert reference_compose(a, tuple(inv)) == identity
+        assert reference_compose(tuple(inv), a) == identity
+
+
+# more than 256 roots: permutations are tuples; 256 roots still fit bytes
+LARGE_DATA = [("A16", "sc", 272), ("D12", "sc", 264), ("B12", "ad", 288),
+              ("A15.A3.A1.A1", "sc", 256)]
+
+
+@pytest.mark.parametrize("t,iso,size", LARGE_DATA)
+def test_large_root_data_keep_their_weyl_group(t, iso, size):
+    rd = from_type(t, iso)
+    assert len(rd.roots) == size
+    kind = bytes if size <= 256 else tuple
+    ic = trivial_inner_class(rd)
+    wg = ic.weyl
+    w0 = wg.longest_element()
+    assert {type(p) for p in (wg.identity.perm, wg.neg, ic.gamma_perm,
+                              w0.perm, w0.inv_perm, *wg.simple_perms)} \
+        == {kind}
+    assert w0.length == rd.n_pos
+    assert all(w0.perm[r] < rd.n_pos for r in range(rd.n_pos, size))
+    assert wg.inverse(w0) == w0 and mult(wg, w0, w0) == wg.identity
+    assert ic.twist_weyl(w0) == w0
+    # .dual: the dual datum, gammav = -w0 gamma^t, and back again
+    dual = ic.dual
+    assert len(dual.rd.roots) == size and dual.dual is ic
+    assert dual.weyl.longest_element().length == rd.n_pos
+    if t == "A16":
+        flip = inner_class_from_perm(rd, tuple(range(15, -1, -1)))
+        assert dual.diagram_perm == flip.diagram_perm
+        for i in range(rd.n_simple):
+            assert flip.twist_weyl(wg.simple(i)).word == (15 - i,)
+        assert flip.twist_weyl(w0).perm == w0.perm
 
 
 def test_canonical_words_shortlex():
@@ -114,7 +168,7 @@ def test_a_diagram_automorphism_is_no_weyl_group_element(t, tw):
 def test_a_torus_has_one_twisted_involution(t):
     # a torus has no roots: every permutation has length 0
     rd = from_type(t, "sc")
-    assert _compose((), ()) == ()
+    assert _compose((), ()) == () and _compose(b"", b"") == b""
     for gamma in (IntMatrix.identity(rd.rank), IntMatrix.from_rows(
             [[-int(i == j) for j in range(rd.rank)]
              for i in range(rd.rank)])):
@@ -127,7 +181,7 @@ def test_a_torus_has_one_twisted_involution(t):
         assert primal.dual.gamma == IntMatrix.from_rows(
             [[-x for x in row] for row in gamma.entries])
         sigma = twisted_involutions(primal.dual).elements[0]
-        assert (sigma.theta, sigma.w.word, sigma.length) == ((), (), 0)
+        assert (sigma.theta, sigma.w.word, sigma.length) == (b"", (), 0)
 
 
 def _all_reduced_words(wg, w):
@@ -281,13 +335,14 @@ def test_each_cross_edge_is_composed_once(t, tw, monkeypatch):
     edges = {(min(i, j), max(i, j), s) for i, row in enumerate(tbl.cross)
              for s, j in enumerate(row)}
     cayley = sum(j is not None for row in tbl.cayley for j in row)
-    # one per cross edge, fixed points included; one per Cayley edge; one
-    # per new tau for w = theta o gamma unless gamma fixes every root
+    # two per cross edge (theta s, then s theta s), fixed points included;
+    # one per Cayley edge; one per new tau for w = theta o gamma unless
+    # gamma fixes every root
     if tw != "c":
-        assert calls[0] == len(edges) + cayley + len(tbl) - 1
+        assert calls[0] == 2 * len(edges) + cayley + len(tbl) - 1
     else:
         # gamma fixes every root: w shares theta and costs no composition
-        assert calls[0] == len(edges) + cayley
+        assert calls[0] == 2 * len(edges) + cayley
         assert all(tau.w.perm is tau.theta for tau in tbl.elements[1:])
 
 
@@ -326,19 +381,21 @@ def test_the_derived_dual_table_equals_the_search(t, iso, tw):
 
 
 def test_the_dual_table_runs_no_search_and_no_closure(monkeypatch):
-    composed, closed = [0], [0]
-    compose = liepar.weyl._compose
+    # the search forms the Weyl element of each new tau with from_perm;
+    # the relabelling composes with fixed permutations and reads words
+    searched, closed = [0], [0]
+    from_perm = liepar.weyl.WeylGroup.from_perm
     closure = liepar.rootdatum._reflection_closure
 
-    def counted_compose(a, b):
-        composed[0] += 1
-        return compose(a, b)
+    def counted_from_perm(self, perm, inv=None):
+        searched[0] += 1
+        return from_perm(self, perm, inv)
 
     def counted_closure(*args):
         closed[0] += 1
         return closure(*args)
 
-    monkeypatch.setattr(liepar.weyl, "_compose", counted_compose)
+    monkeypatch.setattr(liepar.weyl.WeylGroup, "from_perm", counted_from_perm)
     monkeypatch.setattr(liepar.rootdatum, "_reflection_closure",
                         counted_closure)
     for t, tw in (("C4", "c"), ("E6", "c"), ("A4", (3, 2, 1, 0))):
@@ -350,10 +407,10 @@ def test_the_dual_table_runs_no_search_and_no_closure(monkeypatch):
         dic = ic.dual
         assert closed[0] == 1
         twisted_involutions(ic)
-        assert composed[0] > 0
-        composed[0] = 0
+        assert searched[0] > 0
+        searched[0] = 0
         twisted_involutions(dic)
-        assert composed[0] == 0
+        assert searched[0] == 0
         # the partner of the dual is the primal, whose table is cached
         assert dic.dual is ic and twisted_involutions(dic.dual) is \
             twisted_involutions(ic)
@@ -365,12 +422,13 @@ def test_table_checks_that_the_cross_action_is_an_involution(monkeypatch):
     # that sends s_2 to s_1 instead finds the slot of s_1 holding s_1
     ic = trivial_inner_class(from_type("A2", "sc"))
     s1 = ic.weyl.simple_perms[0]
+    s1_table = ic.weyl.simple_tables[0]
     w0 = ic.weyl.longest_element().perm
     compose = liepar.weyl._compose
 
     def corrupted(a, b):
         out = compose(a, b)
-        return s1 if a is s1 and out == w0 else out
+        return s1 if a is s1_table and out == w0 else out
 
     monkeypatch.setattr(liepar.weyl, "_compose", corrupted)
     with pytest.raises(WeylError, match="cross action is not an involution"):
