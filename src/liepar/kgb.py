@@ -46,8 +46,9 @@ from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import (IntMatrix, RatVecModZ, mat_apply, smith_normal_form,
                         vec_dot)
-from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_class_of,
-                   cartan_classes, cartan_index, twisted_involutions)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, _in_range,
+                   cartan_class_of, cartan_classes, cartan_index,
+                   twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -615,8 +616,7 @@ def strong_real_forms(ic: InnerClass):
 
 def grading(x: KGBElt, root_idx: int) -> int:
     rd = x.table.ic.rd
-    if not 0 <= root_idx < len(rd.roots):
-        raise WeylError(f"root {root_idx} is not in 0..{len(rd.roots) - 1}")
+    _in_range(root_idx, len(rd.roots), "root")
     g = x.grading_map
     if root_idx in g:
         return g[root_idx]
@@ -624,12 +624,6 @@ def grading(x: KGBElt, root_idx: int) -> int:
     if neg in g:
         return g[neg]
     raise NotImaginary(f"root {root_idx} is not imaginary at this element")
-
-
-def _simple(s, k):
-    if not 0 <= s < k:
-        raise WeylError(f"simple root {s} is not in 0..{k - 1}")
-    return s
 
 
 def cross(s: int, x: KGBElt) -> KGBElt:
@@ -641,19 +635,19 @@ def cross_by_word(word, x: KGBElt) -> KGBElt:
     letter acts first."""
     table, xid, k = x.table, x.id, x.table.ic.rd.n_simple
     for s in reversed(tuple(word)):
-        xid = table._cross[xid * k + _simple(s, k)]
+        xid = table._cross[xid * k + _in_range(s, k, "simple root")]
     return table[xid]
 
 
 def cayley_up(s: int, x: KGBElt) -> KGBElt:
-    if x.status[_simple(s, len(x.status))] != 'n':
+    if x.status[_in_range(s, len(x.status), "simple root")] != 'n':
         raise NotNoncompactImaginary(
             f"simple root {s} is not noncompact imaginary here")
     return x.table[x.cayley[s]]
 
 
 def cayley_down(s: int, x: KGBElt):
-    if x.status[_simple(s, len(x.status))] != 'r':
+    if x.status[_in_range(s, len(x.status), "simple root")] != 'r':
         raise NotReal(f"simple root {s} is not real here")
     ids = x.table.cayley_down_ids(s, x.id)
     if len(ids) not in (1, 2):

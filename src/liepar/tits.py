@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .intlinalg import f2_add, f2_vec, mat_apply
-from .weyl import InnerClass, WeylElt, WeylError, _compose
+from .weyl import InnerClass, WeylElt, WeylError, _compose, _in_range
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class TitsGroup:
         self._m = tuple(f2_vec(c) for c in self.rd.simple_coroots)
 
     def m_alpha(self, root_idx: int) -> tuple:
-        return f2_vec(self.rd.coroots[root_idx])
+        coroots = self.rd.coroots
+        return f2_vec(coroots[_in_range(root_idx, len(coroots), "root")])
 
     def canonical_lift(self, w: WeylElt) -> TitsElt:
         return TitsElt(w, self.zero)

@@ -20,14 +20,15 @@ sum(map(mul, row, col)).
 
 A twisted involution is keyed by the permutation of the roots induced
 by theta = w o gamma, where the diagram involution gamma permutes the
-roots; the table of them is one breadth-first pass on those
-permutations, level by level.  Each tau of a level makes its cross and
-Cayley moves once; links into the next level wait in a pending list
-until that level is indexed, and a cross link is recorded in both
-directions, so each cross edge is formed once; theta is padded once for
-its k moves and the simple permutations once per group.  When gamma
-fixes every root, w and theta share one permutation.  The class made
-by .dual relabels its partner's table by tau -> -theta^T on the coroots.
+roots; the table of them is one breadth-first search on those
+permutations from delta.  Each tau makes its cross and Cayley moves
+once, and a cross link is recorded in both directions, so each cross
+edge is formed once; theta is padded once for its k moves and the
+simple permutations once per group.  When gamma fixes every root, w and
+theta share one permutation.  The class made by .dual relabels its
+partner's table by tau -> -theta^T on the coroots.  Both tables are then
+numbered in one tau order, (length, l(w), word of w), which also picks
+the representative of each Cartan class (see cartan_classes).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import eq, itemgetter, mul, sub
 
 from .intlinalg import (IntMatrix, mat_apply, mat_mul, scaled_inverse,
@@ -49,6 +50,13 @@ class WeylError(ValueError):
 
 class InvalidInvolution(WeylError):
     pass
+
+
+def _in_range(i, n, what):
+    """i, when 0 <= i < n; else WeylError naming it as what."""
+    if not 0 <= i < n:
+        raise WeylError(f"{what} {i} is not in 0..{n - 1}")
+    return i
 
 
 def _perm(images):
@@ -165,7 +173,7 @@ class WeylGroup:
     # -- basic element construction -------------------------------------
 
     def simple(self, i: int) -> WeylElt:
-        return self._simples[i]
+        return self._simples[_in_range(i, len(self._simples), "simple root")]
 
     def reflection_perm(self, root_idx: int) -> bytes:
         """The permutation of the roots by the reflection in a root; a
@@ -173,6 +181,7 @@ class WeylGroup:
         perm = self._reflection_perms.get(root_idx)
         if perm is None:
             rd = self.rd
+            _in_range(root_idx, len(rd.roots), "root")
             a, av = rd.roots[root_idx], rd.coroots[root_idx]
             pairing = [sum(map(mul, b, av)) for b in rd.roots]
             perm = self._reflection_perms[root_idx] = _perm([
@@ -466,19 +475,19 @@ class TwistedInvolutionTable:
     """All twisted involutions of an inner class, generated from delta
     by twisted conjugation and Cayley moves, with links and lengths.
 
-    One pass, level by level in the length from delta.  A level is
-    indexed in (length, word) order of w; then each of its taus makes
-    its cross move s theta s and, where theta fixes alpha_s, its Cayley
-    move s theta.  A target that already has an index is linked at
-    once; one in the next level is kept pending and linked when that
-    level is indexed.  The cross action of s is an involution on the
-    taus, so a cross link t -> t2 by s also records t2 -> t, and t2
+    One breadth-first search over the theta permutations from delta: each
+    tau makes its cross move s theta s and, where theta fixes alpha_s,
+    its Cayley move s theta, and a target not met before is a new tau one
+    step further from delta.  The cross action of s is an involution on
+    the taus, so a cross link t -> t2 by s also records t2 -> t, and t2
     never makes the move of s: each cross edge is composed once.  A
     reverse slot that already holds another tau raises WeylError.
 
     The class made by .dual relabels its partner's table: theta ->
     -theta^T, length -> top length - length, and a Cayley link t -> t2 by
-    s -> dual(t2) -> dual(t).  dual_index maps each tau to its dual."""
+    s -> dual(t2) -> dual(t).  dual_index maps each tau to its dual.
+    Both tables are numbered by _index in the one tau order: length,
+    then the length and the word of w."""
 
     def __init__(self, ic: InnerClass):
         self.ic = ic
@@ -491,61 +500,39 @@ class TwistedInvolutionTable:
         # w = theta o gamma, since theta = w o gamma and gamma^2 = 1; when
         # gamma fixes every root, w shares theta's permutation
         fixes_roots = gamma == wg.identity.perm
+        k = ic.n_simple
         moves = tuple(enumerate(zip(wg.simple_idx, wg.simple_perms,
                                     wg.simple_tables)))
-        self.elements = []
-        self.index_by_perm = {}   # theta permutation -> tau index
-        cross = []    # per element: target index per simple, None if unset
-        cayley = []   # per element: target index per simple, or None
+        found = [(0, wg.identity, gamma)]   # (length, w, theta), search order
+        index = {gamma: 0}    # theta permutation -> search index
+        cross = [[None] * k]    # per tau: target per simple, None if unset
+        cayley = [[-1] * k]     # per tau: target per simple, -1 if none
 
-        def link(i, s, t, is_cross):
-            j = self.index_by_perm.get(t)
+        def reach(t, length):
+            """The search index of t, a new tau at length + 1 if unseen."""
+            j = index.get(t)
             if j is None:
-                pending.append((i, s, t, is_cross))
-            elif not is_cross:
-                cayley[i][s] = j
-            else:
-                cross[i][s] = j
-                back = cross[j][s]
-                if back is None:
-                    cross[j][s] = i
-                elif back != i:
-                    raise WeylError("cross action is not an involution")
+                j = index[t] = len(found)
+                found.append((length + 1, wg.from_perm(t, t) if fixes_roots
+                              else wg.from_perm(_compose(t, gamma)), t))
+                cross.append([None] * k)
+                cayley.append([-1] * k)
+            return j
 
-        level = [(wg.identity, gamma)]
-        pending = []   # (tau index, simple, target theta, cross or Cayley)
-        length = 0
-        while level:
-            start = len(self.elements)
-            for w, theta in level:
-                j = len(self.elements)
-                self.elements.append(
-                    TwistedInvolution(j, w, theta, length, ic))
-                self.index_by_perm[theta] = j
-                cross.append([None] * len(moves))
-                cayley.append([None] * len(moves))
-            resolve = pending[:]
-            pending.clear()
-            for move in resolve:
-                link(*move)
-            for i in range(start, len(self.elements)):
-                theta = self.elements[i].theta
-                padded = _table(theta)   # one pad for the k moves
-                for s, (a, sp, sp_table) in moves:
-                    if cross[i][s] is None:
-                        link(i, s, _compose(sp_table, _compose(padded, sp)),
-                             True)
-                    if theta[a] == a:
-                        link(i, s, _compose(sp_table, theta), False)
-            length += 1
-            # w = theta is an involution when gamma fixes every root
-            level = sorted(
-                ((wg.from_perm(t, t) if fixes_roots
-                  else wg.from_perm(_compose(t, gamma)), t)
-                 for t in {t for _, _, t, _ in pending}),
-                key=lambda wt: (wt[0].length, wt[0].word))
-        self.cross = [tuple(row) for row in cross]
-        self.cayley = [tuple(row) for row in cayley]
+        for i, (length, _, theta) in enumerate(found):
+            padded = _table(theta)   # one pad for the k moves
+            for s, (a, sp, sp_table) in moves:
+                if cross[i][s] is None:
+                    j = cross[i][s] = reach(
+                        _compose(sp_table, _compose(padded, sp)), length)
+                    back = cross[j][s]
+                    if back is None:
+                        cross[j][s] = i
+                    elif back != i:
+                        raise WeylError("cross action is not an involution")
+                if theta[a] == a:
+                    cayley[i][s] = reach(_compose(sp_table, theta), length)
+        self._index(found, index, cross, cayley)
 
     def _derive(self, partner: "TwistedInvolutionTable"):
         ic, wg, gamma = self.ic, self.ic.weyl, self.ic.gamma_perm
@@ -557,29 +544,47 @@ class TwistedInvolutionTable:
         minus = _table(_compose(order, partner.ic.weyl.neg))
         unorder = _inverse(order)
         top = partner.elements[-1].length
-        rows = []
-        for tau in partner.elements:
+        found, index, k = [], {}, ic.n_simple
+        cayley = [[-1] * k for _ in partner.elements]
+        for i, tau in enumerate(partner.elements):
             theta = _compose(minus, _compose(tau.theta, unorder))
             perm = theta if fixes_roots else _compose(theta, gamma)
             word = wg.canonical_word(perm, theta if fixes_roots else None)
-            rows.append((top - tau.length, len(word), word, tau.index,
-                         perm, theta))
-        rows.sort()
-        self.dual_index = tuple(map(itemgetter(3), rows))
-        partner.dual_index = to_dual = _inverse(self.dual_index)
-        self.elements, self.index_by_perm, self.cross, cayley = [], {}, [], []
-        for j, (length, _, word, i, perm, theta) in enumerate(rows):
-            self.elements.append(TwistedInvolution(
-                j, WeylElt(word, perm, wg), theta, length, ic))
-            self.index_by_perm[theta] = j
-            self.cross.append(tuple(map(to_dual.__getitem__,
-                                        partner.cross[i])))
-            cayley.append([None] * ic.n_simple)
-        for i, row in enumerate(partner.cayley):
-            for s, t in enumerate(row):
+            found.append((top - tau.length, WeylElt(word, perm, wg), theta))
+            index[theta] = i
+            for s, t in enumerate(partner.cayley[i]):
                 if t is not None:
-                    cayley[to_dual[t]][s] = to_dual[i]
-        self.cayley = list(map(tuple, cayley))
+                    cayley[t][s] = i
+        self.dual_index = self._index(found, index, list(partner.cross),
+                                      cayley)
+        partner.dual_index = _inverse(self.dual_index)
+
+    def _index(self, found, index, cross, cayley) -> tuple:
+        """Number the taus in the tau order (length, l(w), word of w) and
+        relabel in place: found holds (length, w, theta) per tau, index
+        maps theta to a tau, cross holds the cross targets and cayley the
+        Cayley targets (-1 for none), all in one source order.  Returns
+        the source index of each tau."""
+        order = sorted(range(len(found)), key=lambda i: (
+            found[i][0], found[i][1].length, found[i][1].word))
+        new = [*_inverse(order), None]   # and -1, no Cayley move, -> None
+        for i, (length, w, theta) in enumerate(found):
+            found[i] = TwistedInvolution(new[i], w, theta, length, self.ic)
+        for theta, i in index.items():
+            index[theta] = new[i]
+        self.elements = list(map(found.__getitem__, order))
+        self.index_by_perm = index
+        k = self.ic.n_simple
+        for rows in (cross, cayley):
+            # each row relabelled in place, k targets at a time off one
+            # stream that has read all of row i when row i is replaced
+            targets = map(new.__getitem__, chain.from_iterable(rows))
+            for i, row in enumerate(zip(*[targets] * k) if k
+                                    else [()] * len(rows)):
+                rows[i] = row
+        self.cross = list(map(cross.__getitem__, order))
+        self.cayley = list(map(cayley.__getitem__, order))
+        return tuple(order)
 
     def __len__(self):
         return len(self.elements)
@@ -587,10 +592,9 @@ class TwistedInvolutionTable:
     def classification(self, idx: int) -> RootClassification:
         cls = self._classification.get(idx)
         if cls is None:
-            if not 0 <= idx < len(self.elements):
-                raise WeylError(f"tau index {idx} not in 0..{len(self) - 1}")
             cls = self._classification[idx] = classify_roots(
-                self.elements[idx], self.ic.rd)
+                self.elements[_in_range(idx, len(self), "tau index")],
+                self.ic.rd)
         return cls
 
 
@@ -608,7 +612,13 @@ class CartanClass:
 
 
 def cartan_classes(ic: InnerClass):
-    """Twisted-conjugacy classes of I_W, canonically ordered."""
+    """Twisted-conjugacy classes of I_W, ordered by the (l(w), word) of
+    their representatives.  A class's representative is its least tau
+    index, the start of the sweep that finds it, and that is also its
+    (l(w), word) minimum: length is the rank function (l(w) + l'(w)) / 2
+    of Richardson-Springer and Hultman, with l' constant on a class, so
+    on a class the tau order (length, l(w), word) is the (l(w), word)
+    order."""
     if 'cartans' in ic._cache:
         return ic._cache['cartans']
     table = twisted_involutions(ic)
@@ -625,9 +635,7 @@ def cartan_classes(ic: InnerClass):
                     if not seen[j]:
                         seen[j] = True
                         members.append(j)
-            rep = min(members, key=lambda t: (table.elements[t].w.length,
-                                              table.elements[t].w.word))
-            reps.append((rep, tuple(sorted(members))))
+            reps.append((start, tuple(sorted(members))))
     reps.sort(key=lambda rm: (table.elements[rm[0]].w.length,
                               table.elements[rm[0]].w.word))
     classes = tuple(CartanClass(k, rep, members)

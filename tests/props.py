@@ -104,6 +104,26 @@ def perm_bfs(wg, cap):
     return seen
 
 
+def reference_tau_distances(ic) -> dict:
+    """The theta permutation (a tuple) of each twisted involution of ic,
+    met breadth-first from delta, with its distance from delta: the cross
+    move s theta s and, where theta fixes alpha_s, the Cayley move s
+    theta, composed one entry at a time."""
+    wg = ic.weyl
+    dist = {tuple(ic.gamma_perm): 0}
+    queue = list(dist)
+    for theta in queue:
+        for a, sp in zip(wg.simple_idx, wg.simple_perms):
+            targets = [reference_compose(sp, reference_compose(theta, sp))]
+            if theta[a] == a:
+                targets.append(reference_compose(sp, theta))
+            for t in targets:
+                if t not in dist:
+                    dist[t] = dist[theta] + 1
+                    queue.append(t)
+    return dist
+
+
 def mult(wg, a, b):
     return wg.from_perm(_compose(a.perm, b.perm))
 

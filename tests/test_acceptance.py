@@ -228,6 +228,19 @@ def test_library_kernels_do_not_sum_over_zip():
     assert found == []
 
 
+def test_only_rational_modules_import_fractions():
+    # Fraction is for rational vectors mod Z (intlinalg), nu_tau (fiber)
+    # and parsing rational input (cli); root data, Weyl groups and the
+    # searches run on integers
+    src = Path(liepar.__file__).parent
+    found = {path.stem for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import)
+             and any(a.name == "fractions" for a in node.names)}
+    assert sorted(found - {"intlinalg", "fiber", "cli"}) == []
+
+
 def test_library_has_no_unused_imports():
     # a name a module imports must be used there; __init__.py re-exports
     # and imports on a line marked "# noqa: F401" are exempt

@@ -185,6 +185,21 @@ def test_infinite_type_rejected():
                        [(1, 0), (0, 1)])
 
 
+@pytest.mark.parametrize("roots,coroots", [
+    # affine A2 in rank 4: a singular Cartan matrix, with independent
+    # roots and coroots
+    ([(2, -1, -1, 1), (-1, 2, -1, 0), (-1, -1, 2, 0)],
+     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
+    # not symmetrizable: c01 c12 c20 = -1 but c10 c21 c02 = -2
+    ([(2, -1, -1), (-2, 2, -1), (-1, -1, 2)],
+     [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+])
+def test_a_cartan_matrix_not_of_finite_type_has_no_finite_closure(roots,
+                                                                  coroots):
+    with pytest.raises(InfiniteClosure, match="not of finite type"):
+        new_root_datum(roots, coroots)
+
+
 def test_bad_input_rejected():
     with pytest.raises(Exception):
         new_root_datum([(1, 0)], [(1, 0)])  # pairing 1, not 2

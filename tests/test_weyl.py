@@ -14,7 +14,8 @@ from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
                     WeylGroup, cartan_class_of, cartan_classes, enumerate_X,
                     from_type, inner_class_from_perm, new_root_datum,
-                    real_weyl, trivial_inner_class, twisted_involutions)
+                    real_weyl, tits_group, trivial_inner_class,
+                    twisted_involutions)
 from liepar.cli import Session
 from liepar.intlinalg import mat_apply, mat_mul
 from liepar.weyl import (_compose, _inverse, _perm, _table, cartan_index,
@@ -24,7 +25,8 @@ from props import (act_Xv, all_elements, from_matrix, from_word,
                    perm_bfs, perm_closure, reference_canonical_word,
                    reference_classification, reference_complex_fixed,
                    reference_compose, reference_reflection_perm,
-                   root_is_negative, root_status, simple_reflection)
+                   reference_tau_distances, root_is_negative, root_status,
+                   simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
@@ -480,6 +482,26 @@ def test_cartan_classes_sp4():
     assert classes[0].rep == 0
 
 
+@pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
+def test_tau_order_and_cartan_reps_against_an_independent_search(t, iso,
+                                                                 tw):
+    for ic in (make_ic(t, iso, tw), make_ic(t, iso, tw).dual):
+        tbl = twisted_involutions(ic)
+        assert {tuple(tau.theta): tau.length for tau in tbl.elements} == \
+            reference_tau_distances(ic)
+        assert [tau.index for tau in tbl.elements] == list(range(len(tbl)))
+        keys = [(tau.length, tau.w.length, tau.w.word)
+                for tau in tbl.elements]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for c in cartan_classes(ic):
+            taus = [tbl.elements[m] for m in c.members]
+            assert c.rep == min(c.members) == min(
+                taus, key=lambda tau: (tau.w.length, tau.w.word)).index
+            # the length is a rank function: (l(w) + l'(w)) / 2 with l'
+            # constant on the class
+            assert len({2 * tau.length - tau.w.length for tau in taus}) == 1
+
+
 def test_cartan_class_of_reads_the_classes():
     ic = make_ic("C2", "sc")
     for c in cartan_classes(ic):
@@ -512,6 +534,21 @@ def test_classification_partition():
             for i in cls.re_pos:
                 assert mat_apply(tau.theta_X, ic.rd.roots[i]) \
                     == tuple(-x for x in ic.rd.roots[i])
+
+
+def test_a_simple_root_or_root_out_of_range_is_an_error():
+    # on A2 sc, simple(-1) returned s_2, and reflection_perm(-1) and
+    # m_alpha(-1) read the highest root; 2 and 6 raised a bare IndexError
+    ic = make_ic("A2", "sc")
+    wg, tg = ic.weyl, tits_group(ic)
+    for call, n in ((wg.simple, 2), (wg.reflection_perm, 6),
+                    (tg.m_alpha, 6)):
+        for i in (-1, n):
+            with pytest.raises(WeylError,
+                               match=rf"{i} is not in 0\.\.{n - 1}"):
+                call(i)
+        call(n - 1)
+    assert -1 not in wg._reflection_perms
 
 
 @pytest.mark.parametrize("idx", [-1, 6, 100])
