@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 
 from .fiber import central_fixed_points
-from .intlinalg import IntMatrix, RatVecModZ, scaled_inverse
+from .intlinalg import RatVecModZ, mat_mul, scaled_inverse
 from .kgb import (enumerate_X, real_weyl, strong_real_forms,
                   _validate_square)
 from .rootdatum import _block_diagonal, from_type, new_root_datum, parse_type
@@ -211,21 +211,18 @@ class Session:
             raise CommandError("lattice basis rows must be integers")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CommandError(f"lattice basis must be {n}x{n}")
-        inv = scaled_inverse(IntMatrix.from_rows(rows))
+        inv = scaled_inverse(rows)
         if inv is None:
             raise CommandError("lattice basis is singular")
         den, binv = inv
-        binv_t = binv.transpose()
         # simple root j in fundamental-weight coordinates is row j of the
         # Cartan matrix (zero on torus coordinates); rewrite the roots in
         # the chosen basis and read the coroots off the basis columns
-        simple_roots = []
-        for j in range(k):
-            coords = binv_t.apply(list(cartan[j]) + [0] * torus)
-            if any(x % den for x in coords):
-                raise CommandError(
-                    "the root lattice is not contained in this lattice")
-            simple_roots.append([x // den for x in coords])
+        coords = mat_mul([list(row) + [0] * torus for row in cartan], binv)
+        if any(x % den for row in coords for x in row):
+            raise CommandError(
+                "the root lattice is not contained in this lattice")
+        simple_roots = [[x // den for x in row] for row in coords]
         simple_coroots = [[rows[i][j] for i in range(n)] for j in range(k)]
         self._switch(new_root_datum(simple_roots, simple_coroots, n), None,
                      f"root datum: {type_string} matrix")
@@ -238,9 +235,7 @@ class Session:
         if spec == "c":
             self.ic = trivial_inner_class(rd)
         elif spec == "u":
-            cartan = [[rd.cartan_matrix[i, j] for j in range(rd.n_simple)]
-                      for i in range(rd.n_simple)]
-            invs = _diagram_involutions(cartan)
+            invs = _diagram_involutions(rd.cartan_matrix)
             if len(invs) != 1:
                 raise CommandError(
                     f"'u' needs a unique nontrivial diagram involution; "
@@ -270,7 +265,7 @@ class Session:
             g = [[0] * n for _ in range(n)]
             for i in range(n):
                 g[i][perm[i] if i < len(perm) else i] = 1
-            ic = InnerClass(rd, IntMatrix.from_rows(g))
+            ic = InnerClass(rd, g)
             if ic.diagram_perm[:len(perm)] == tuple(perm):
                 return ic
         except InvalidInvolution as exc:

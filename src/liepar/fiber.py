@@ -9,6 +9,8 @@ central square z correspond to solutions lambda of
 taken modulo the identity component of the fixed torus.  The solution
 set, when nonempty, is a torsor under an F2 vector space (the fiber
 group) read off from the Smith normal form U (1 + theta_v) V = diag(d).
+Every matrix here is a tuple of integer row tuples, and one call of
+intlinalg.smith_normal_form gives U, d, V and V^-1 together.
 The solutions are computed in integer coordinates y = D V^-1 lambda mod
 D from the central square as the integers D z mod D
 (RatVecModZ.scaled); lambda is formed from y only at the output edge
@@ -32,8 +34,8 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from .intlinalg import (IntMatrix, RatVecModZ, mat_apply, smith_normal_form,
-                        smith_normal_form_with_inverse)
+from .intlinalg import (IntMatrix, RatVecModZ, identity, mat_add, mat_apply,
+                        mat_mul, smith_normal_form)
 from .tits import TitsGroup
 from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
                    cartan_index, twisted_involutions)
@@ -58,8 +60,9 @@ class TorusSignature:
 
 
 def theta_matrix(tau: TwistedInvolution, ic: InnerClass) -> IntMatrix:
-    """The torus involution of tau on the cocharacter lattice."""
-    return IntMatrix(tau.theta_X).transpose()
+    """The torus involution of tau on the cocharacter lattice, as rows
+    with the IntMatrix shim's entrywise +."""
+    return IntMatrix(zip(*tau.theta_X))
 
 
 def _signature(diag) -> TorusSignature:
@@ -70,13 +73,13 @@ def _signature(diag) -> TorusSignature:
     return TorusSignature(len(diag) - b - 2 * c, b, c)
 
 
-def torus_signature(theta: IntMatrix) -> TorusSignature:
+def torus_signature(theta) -> TorusSignature:
     """The signature read off one Smith form of 1 + theta."""
-    n = theta.rows
-    if not theta.is_involution():
-        raise NotAnInvolution("matrix is not an involution")
-    d = smith_normal_form(IntMatrix.identity(n) + theta)[1]
-    return _signature(tuple(d[j, j] for j in range(n)))
+    n = len(theta)
+    if any(len(row) != n for row in theta) or \
+            mat_mul(theta, theta) != identity(n):
+        raise NotAnInvolution("matrix is not a square involution")
+    return _signature(smith_normal_form(mat_add(identity(n), theta))[1])
 
 
 def tits_group(ic: InnerClass) -> TitsGroup:
@@ -116,17 +119,16 @@ def central_fixed_points(ic: InnerClass):
     rows = [list(a) for a in rd.simple_roots]
     for i in range(n):
         rows.append([(1 if i == j else 0) - gamma_v[i][j] for j in range(n)])
-    _, d, v = smith_normal_form(IntMatrix.from_rows(rows))
-    den = d[n - 1, n - 1] if n else 1
+    _, d, v, _ = smith_normal_form(rows)
+    den = d[-1] if d else 1
     if den == 0:
         raise InfiniteCenterFixedPoints(
             "the twist fixes a central torus; central squares are not finite")
     points = [(0,) * n]
-    for j in range(n):
-        step = den // d[j, j]
-        gen = tuple(step * x for x in v.col(j))
+    for dj, col in zip(d, zip(*v)):
+        gen = tuple((den // dj) * x for x in col)
         points = [tuple((a + c * g) % den for a, g in zip(p, gen))
-                  for p in points for c in range(d[j, j])]
+                  for p in points for c in range(dj)]
     out = tuple(RatVecModZ.from_scaled(y, den) for y in sorted(points))
     ic._cache['central_fixed'] = out
     return out
@@ -142,16 +144,15 @@ class FiberSpace:
     mod 1, and those with d_j = 2 carry the F2 fiber group.  Solutions
     are found in integers: for an even D that clears every denominator,
     D y mod D is the base solution D (U (z - nu))_j / d_j plus D/2 on any
-    subset of the d_j = 2 coordinates."""
+    subset of the d_j = 2 coordinates.  theta_v, U, V and V^-1 (_u, _v,
+    _vinv) are tuples of integer rows from one smith_normal_form call."""
 
     def __init__(self, tau: TwistedInvolution, ic: InnerClass):
         self.tau = tau
         self.ic = ic
-        self.theta_v = theta_matrix(tau, ic)
-        n = ic.rank
-        s = IntMatrix.identity(n) + self.theta_v
-        self._u, d, self._v, self._vinv = smith_normal_form_with_inverse(s)
-        diag = tuple(d[j, j] for j in range(n))
+        self.theta_v = tuple(theta_matrix(tau, ic))
+        s = mat_add(identity(ic.rank), self.theta_v)
+        self._u, diag, self._v, self._vinv = smith_normal_form(s)
         if any(x not in (0, 1, 2) for x in diag):
             raise NotAnInvolution("1 + theta has an invariant factor > 2")
         self._diag = diag
@@ -173,7 +174,7 @@ class FiberSpace:
         even and a multiple of every denominator of z."""
         half = scale // 2
         w = [x - half * t for x, t in zip(z.scaled(scale), self._twice_nu)]
-        uw = self._u.apply(w)
+        uw = mat_apply(self._u, w)
         if any(uw[j] % scale for j in self._kernel_coords):
             return None
         return uw
@@ -203,12 +204,12 @@ class FiberSpace:
         y0 = tuple(0 if dj == 0 else x // dj % denom
                    for x, dj in zip(uw, self._diag))
         base = min((translate(y0, eps) for eps in signs),
-                   key=lambda y: [x % denom for x in self._v.apply(y)])
+                   key=lambda y: [x % denom for x in mat_apply(self._v, y)])
         return tuple(translate(base, eps) for eps in signs)
 
     def torus_coord(self, y, denom: int) -> RatVecModZ:
         """lambda = V y / denom mod the lattice."""
-        return RatVecModZ.from_scaled(self._v.apply(y), denom)
+        return RatVecModZ.from_scaled(mat_apply(self._v, y), denom)
 
     def elements(self, z: RatVecModZ):
         """All solutions over z, base point first, in binary fiber order."""
@@ -265,10 +266,9 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
     rd = ic.rd
     tg = tits_group(ic)
     fs = fiber_space(tbl.elements[rep], ic)
-    square = (IntMatrix.identity(ic.rank) + fs.theta_v) @ fs._v
-    frames[rep] = Frame(fs._v.entries, fs._vinv.entries, fs._kernel_coords,
-                        square.entries, tuple(x % 2 for x in fs._twice_nu),
-                        None)
+    square = mat_mul(mat_add(identity(ic.rank), fs.theta_v), fs._v)
+    frames[rep] = Frame(fs._v, fs._vinv, fs._kernel_coords, square,
+                        tuple(x % 2 for x in fs._twice_nu), None)
     queue = deque([rep])
     while queue:
         t = queue.popleft()
@@ -306,6 +306,6 @@ def frame_torus_coord(ic: InnerClass, tau: TwistedInvolution, y,
     tau's frame: y_own = V_own^-1 V_frame y mod denom in tau's own Smith
     coordinates, with the kernel coordinates zeroed."""
     fs = fiber_space(tau, ic)
-    own = fs._vinv.apply(mat_apply(fiber_frame(ic, tau.index).v, y))
+    own = mat_apply(fs._vinv, mat_apply(fiber_frame(ic, tau.index).v, y))
     return fs.torus_coord(tuple(0 if j in fs._kernel_coords else x % denom
                                 for j, x in enumerate(own)), denom)

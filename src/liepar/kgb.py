@@ -44,8 +44,8 @@ from operator import add, itemgetter, mul, xor
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
-from .intlinalg import (IntMatrix, RatVecModZ, mat_apply, smith_normal_form,
-                        vec_dot)
+from .intlinalg import (RatVecModZ, identity, mat_add, mat_apply,
+                        smith_normal_form, vec_dot)
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _in_range,
                    cartan_class_of, cartan_classes, cartan_index,
                    twisted_involutions)
@@ -738,12 +738,9 @@ def reduced_space(ic: InnerClass) -> ReducedSpace:
     rd = ic.rd
     n = rd.rank
     zg = central_fixed_points(ic)
-    rows = [[(1 if i == j else 0) + ic.gamma_mat_dual[i][j]
-             for j in range(n)] for i in range(n)]
-    rows += [list(a) for a in rd.simple_roots]
-    u, d, _ = smith_normal_form(IntMatrix.from_rows(rows))
-    zero_rows = [u.row(j)[:n] for j in range(u.rows)
-                 if j >= n or d[j, j] == 0]
+    rows = mat_add(identity(n), ic.gamma_mat_dual) + rd.simple_roots
+    u, d = smith_normal_form(rows)[:2]
+    zero_rows = [row[:n] for j, row in enumerate(u) if j >= n or d[j] == 0]
     den = lcm(*(z.order for z in zg))
     classes = {}
     for z in zg:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
-from .intlinalg import IntMatrix, vec_dot
+from .intlinalg import identity, rank as matrix_rank, vec_dot
 
 
 class RootDatumError(ValueError):
@@ -42,7 +42,7 @@ class RootDatum:
     simple_coroots: tuple
     roots: tuple          # all roots, canonical (height, lex) order
     coroots: tuple        # matched to roots by the alpha <-> alphav bijection
-    cartan_matrix: IntMatrix
+    cartan_matrix: tuple  # rows: <alpha_i, alphav_j>
 
     # derived, filled in by new_root_datum; coefficients are per root, in
     # the simple roots, coroot_coefficients per coroot, in the simple coroots
@@ -78,9 +78,10 @@ class RootDatum:
         matrix and reorder: the dual of a valid datum needs no closure or
         validation.  rd.dual().dual() == rd."""
         return _ordered_datum(self.rank, self.simple_coroots,
-                              self.simple_roots, self.cartan_matrix.transpose(),
-                              self.coroots, self.roots,
-                              self.coroot_coefficients, self.coefficients)
+                              self.simple_roots,
+                              tuple(zip(*self.cartan_matrix)), self.coroots,
+                              self.roots, self.coroot_coefficients,
+                              self.coefficients)
 
 
 def _validate_cartan(cartan, n_simple):
@@ -105,15 +106,15 @@ def _validate_cartan(cartan, n_simple):
                     "not of finite type")
 
 
-def _integer(x) -> int:
+def _integer(x, error=RootDatumError) -> int:
     """x as an int when it is an integer in value (2 or 2.0, not 2.5 or
-    "2"); else RootDatumError."""
+    "2"); else error, by default RootDatumError."""
     try:
         n = int(x)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != x:
-        raise RootDatumError(f"{x!r} is not an integer")
+        raise error(f"{x!r} is not an integer")
     return n
 
 
@@ -137,14 +138,13 @@ def new_root_datum(simple_roots, simple_coroots, rank=None) -> RootDatum:
         if len(r) != rank:
             raise RootDatumError("inconsistent vector lengths")
 
-    cartan = [[vec_dot(simple_roots[i], simple_coroots[j]) for j in range(k)]
-              for i in range(k)]
+    cartan = tuple(tuple([vec_dot(a, av) for av in simple_coroots])
+                   for a in simple_roots)
     _validate_cartan(cartan, k)
-    if k:
-        if IntMatrix.from_rows(simple_roots).rank() != k:
-            raise NotACartanMatrix("simple roots are linearly dependent")
-        if IntMatrix.from_rows(simple_coroots).rank() != k:
-            raise NotACartanMatrix("simple coroots are linearly dependent")
+    if matrix_rank(simple_roots) != k:
+        raise NotACartanMatrix("simple roots are linearly dependent")
+    if matrix_rank(simple_coroots) != k:
+        raise NotACartanMatrix("simple coroots are linearly dependent")
     return _reflection_closure(simple_roots, simple_coroots, rank, cartan)
 
 
@@ -195,10 +195,9 @@ def _reflection_closure(simple_roots, simple_coroots, rank, cartan):
                 raise NotACartanMatrix("root/coroot bijection broke under "
                                        "reflection closure")
 
-    return _ordered_datum(rank, simple_roots, simple_coroots,
-                          IntMatrix.from_rows(cartan) if k
-                          else IntMatrix.zero(0, 0), tuple(pairs),
-                          tuple(pairs.values()), tuple(coefficients.values()),
+    return _ordered_datum(rank, simple_roots, simple_coroots, cartan,
+                          tuple(pairs), tuple(pairs.values()),
+                          tuple(coefficients.values()),
                           tuple(co_coefficients.values()))
 
 
@@ -339,7 +338,7 @@ def from_type(type_string: str, isogeny: str) -> RootDatum:
     cartan = _block_diagonal(blocks)
     k = len(cartan)
     rank = k + torus
-    unit = IntMatrix.identity(rank).entries[:k]
+    unit = identity(rank)[:k]
     pad = (0,) * torus
     if isogeny == "sc":
         return new_root_datum([row + pad for row in cartan], unit, rank)

@@ -39,9 +39,8 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import eq, itemgetter, mul, sub
 
-from .intlinalg import (IntMatrix, mat_apply, mat_mul, scaled_inverse,
-                        vec_dot)
-from .rootdatum import RootDatum
+from .intlinalg import identity, mat_apply, mat_mul, scaled_inverse, vec_dot
+from .rootdatum import RootDatum, _integer
 
 
 class WeylError(ValueError):
@@ -199,8 +198,7 @@ class WeylGroup:
         if not k:
             return 1, ((),) * rd.rank
         den, cinv = scaled_inverse(rd.cartan_matrix)
-        cinv_t = cinv.transpose()
-        return den, tuple(cinv_t.apply(col) for col in zip(*rd.simple_coroots))
+        return den, mat_mul(tuple(zip(*rd.simple_coroots)), cinv)
 
     def lattice_matrix(self, perm) -> tuple:
         """Action matrix on X of the element permuting the roots by perm:
@@ -288,21 +286,23 @@ class WeylGroup:
 
 class InnerClass:
     """A root datum together with a based-datum involution gamma of X
-    (the distinguished element delta acts on X by gamma)."""
+    (the distinguished element delta acts on X by gamma), given as rows
+    of integers in value, as new_root_datum reads its vectors."""
 
-    def __init__(self, rd: RootDatum, gamma: IntMatrix, _dual=None):
+    def __init__(self, rd: RootDatum, gamma, _dual=None):
         self.rd = rd
-        if gamma.rows != rd.rank or gamma.cols != rd.rank:
-            raise InvalidInvolution("gamma has the wrong size")
-        if not gamma.is_involution():
+        gamma = tuple(tuple(_integer(x, InvalidInvolution) for x in row)
+                      for row in gamma)
+        if len(gamma) != rd.rank or any(len(row) != rd.rank for row in gamma):
+            raise InvalidInvolution("gamma is not a rank x rank matrix")
+        if mat_mul(gamma, gamma) != identity(rd.rank):
             raise InvalidInvolution("gamma is not an involution")
         self.gamma = gamma
-        self.gamma_mat = gamma.entries
-        self.gamma_mat_dual = gamma.transpose().entries  # action on Xv
+        self.gamma_mat_dual = tuple(zip(*gamma))  # action on Xv
         # derive and validate the diagram permutation
         perm = []
         for i, a in enumerate(rd.simple_roots):
-            img = tuple(gamma.apply(a))
+            img = mat_apply(gamma, a)
             try:
                 j = rd.simple_roots.index(img)
             except ValueError:
@@ -315,7 +315,7 @@ class InnerClass:
             if img != rd.simple_coroots[perm[i]]:
                 raise InvalidInvolution(
                     "gamma^t does not permute the simple coroots compatibly")
-        self.gamma_perm = _perm([rd.index_of(gamma.apply(r))
+        self.gamma_perm = _perm([rd.index_of(mat_apply(gamma, r))
                                  for r in rd.roots])
         self.weyl = WeylGroup(rd)
         self._dual = _dual
@@ -347,7 +347,7 @@ class InnerClass:
             gv = mat_mul(tuple(tuple(-x for x in row) for row in w0_on_Xv),
                          self.gamma_mat_dual)
             dual_rd = self.rd.dual()
-            self._dual = InnerClass(dual_rd, IntMatrix(gv), _dual=self)
+            self._dual = InnerClass(dual_rd, gv, _dual=self)
         return self._dual
 
 
@@ -363,24 +363,20 @@ def inner_class_from_perm(rd: RootDatum, perm) -> InnerClass:
     if k != rd.rank:
         raise InvalidInvolution(
             "non-semisimple datum: supply the lattice involution explicitly")
-    # solve gamma @ A = A_perm with A = matrix of simple-root columns
-    a_cols = IntMatrix.from_rows(rd.simple_roots).transpose()
-    a_perm = IntMatrix.from_rows([rd.simple_roots[perm[j]]
-                                  for j in range(k)]).transpose()
-    inv = scaled_inverse(a_cols)
+    # solve gamma A = A_perm with A = matrix of simple-root columns
+    inv = scaled_inverse(tuple(zip(*rd.simple_roots)))
     if inv is None:
         raise InvalidInvolution("simple roots are linearly dependent")
     den, ainv = inv
-    g = a_perm @ ainv
-    if any(x % den for row in g.entries for x in row):
+    g = mat_mul(tuple(zip(*[rd.simple_roots[j] for j in perm])), ainv)
+    if any(x % den for row in g for x in row):
         raise InvalidInvolution(
             "the permutation does not extend to a lattice involution")
-    return InnerClass(rd, IntMatrix(tuple(tuple(x // den for x in row)
-                                          for row in g.entries)))
+    return InnerClass(rd, [[x // den for x in row] for row in g])
 
 
 def trivial_inner_class(rd: RootDatum) -> InnerClass:
-    return InnerClass(rd, IntMatrix.identity(rd.rank))
+    return InnerClass(rd, identity(rd.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +452,7 @@ class TwistedInvolution:
     @cached_property
     def theta_X(self) -> tuple:
         """Matrix of (action of w) o gamma on X."""
-        return mat_mul(self.w.mat, self.ic.gamma_mat)
+        return mat_mul(self.w.mat, self.ic.gamma)
 
     def tau_word_str(self) -> str:
         return ",".join(str(i + 1) for i in self.w.word)

@@ -8,7 +8,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
-from liepar import (InnerClass, IntMatrix, RatVecModZ, RealWeylInfo,
+from liepar import (InnerClass, RatVecModZ, RealWeylInfo,
                     TitsElt, cayley_down, cayley_up, cross, cross_by_word,
                     dual_tau, enumerate_form, enumerate_X, fiber_space,
                     grading, nu_tau, strong_real_forms, tits_group,
@@ -352,10 +352,10 @@ def rank_mod2(rows) -> int:
 def reference_signature(theta):
     """(a, b) of torus_signature as rank minus F2-rank of 1 - theta and of
     1 + theta, by the two eliminations above."""
-    n = theta.rows
+    n = len(theta)
     out = []
     for sign in (-1, 1):
-        rows = [[int(i == j) + sign * theta[i, j] for j in range(n)]
+        rows = [[int(i == j) + sign * theta[i][j] for j in range(n)]
                 for i in range(n)]
         out.append(rational_rank(rows) - rank_mod2(rows))
     return tuple(out)
@@ -426,10 +426,10 @@ def reference_canonical_form(fs, lam):
     """Unique representative of lambda modulo the lattice and the identity
     component of the theta_v-fixed torus, with Fraction arithmetic and V^-1
     from an independent inversion of V."""
-    y = mat_apply(rational_inverse(fs._v.entries), frac_vec(lam))
+    y = mat_apply(rational_inverse(fs._v), frac_vec(lam))
     y = [Fraction(0) if j in fs._kernel_coords else x % 1
          for j, x in enumerate(y)]
-    return RatVecModZ.reduce(fs._v.apply(y))
+    return RatVecModZ.reduce(mat_apply(fs._v, y))
 
 
 def reference_fiber(fs, z):
@@ -437,12 +437,13 @@ def reference_fiber(fs, z):
     V (U (z - nu))_j / d_j, its 2^rank translates by the halves of the
     d_j = 2 columns of V, each in canonical form; the lex-least is the
     base point and the list starts from it in binary fiber order."""
-    uc = fs._u.apply(vec_sub(frac_vec(z.entries), nu_tau(fs.tau, fs.ic)))
+    uc = mat_apply(fs._u, vec_sub(frac_vec(z.entries), nu_tau(fs.tau, fs.ic)))
     if any(uc[j].denominator != 1 for j in fs._kernel_coords):
         return ()
-    lam0 = fs._v.apply([Fraction(0) if dj == 0 else x / dj
-                        for x, dj in zip(uc, fs._diag)])
-    halves = [vec_scale(Fraction(1, 2), fs._v.col(j)) for j in fs._two_coords]
+    lam0 = mat_apply(fs._v, [Fraction(0) if dj == 0 else x / dj
+                             for x, dj in zip(uc, fs._diag)])
+    cols = tuple(zip(*fs._v))
+    halves = [vec_scale(Fraction(1, 2), cols[j]) for j in fs._two_coords]
 
     def translate(lam, eps):
         for e, h in zip(eps, halves):
@@ -464,13 +465,13 @@ def reference_delta_signs(ic) -> dict:
     which reads the signs in the Tits group of ic itself."""
     rd = ic.rd
     k = rd.n_simple
-    cartan = rd.cartan_matrix.entries
+    cartan = rd.cartan_matrix
     sc_rd = _reflection_closure(
         cartan, tuple(tuple(int(i == j) for j in range(k)) for i in range(k)),
         k, cartan)
     perm = ic.diagram_perm
-    sc_ic = InnerClass(sc_rd, IntMatrix.from_rows(
-        [[1 if j == perm[i] else 0 for j in range(k)] for i in range(k)]))
+    sc_ic = InnerClass(sc_rd, [[1 if j == perm[i] else 0 for j in range(k)]
+                               for i in range(k)])
     assert sc_ic.diagram_perm == perm
     tg = tits_group(sc_ic)
     sc_index = {c: j for j, c in enumerate(sc_rd.coefficients)}
@@ -651,7 +652,7 @@ def square_of(ic, tau_idx, lam):
     with Fraction arithmetic."""
     fs = fiber_space(twisted_involutions(ic).elements[tau_idx], ic)
     v = frac_vec(lam)
-    return RatVecModZ.reduce(vec_add(vec_add(v, fs.theta_v.apply(v)),
+    return RatVecModZ.reduce(vec_add(vec_add(v, mat_apply(fs.theta_v, v)),
                                      nu_tau(fs.tau, ic)))
 
 
@@ -823,7 +824,7 @@ def tits_identity(tg):
 
 
 def _braid_order(rd, i, j):
-    c = rd.cartan_matrix[i, j] * rd.cartan_matrix[j, i]
+    c = rd.cartan_matrix[i][j] * rd.cartan_matrix[j][i]
     return {0: 2, 1: 3, 2: 4, 3: 6}[c]
 
 

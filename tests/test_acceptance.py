@@ -241,6 +241,19 @@ def test_only_rational_modules_import_fractions():
     assert sorted(found - {"intlinalg", "fiber", "cli"}) == []
 
 
+def test_only_the_probe_shim_modules_name_intmatrix():
+    # a matrix is a tuple of integer rows; the IntMatrix shim is defined
+    # in intlinalg, returned by fiber.theta_matrix and exported
+    src = Path(liepar.__file__).parent
+    found = {path.stem for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "IntMatrix" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None))}
+    assert "fiber" in found
+    assert sorted(found - {"intlinalg", "fiber", "__init__"}) == []
+
+
 def test_library_has_no_unused_imports():
     # a name a module imports must be used there; __init__.py re-exports
     # and imports on a line marked "# noqa: F401" are exempt

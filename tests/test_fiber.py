@@ -10,7 +10,7 @@ from liepar import (InfiniteCenterFixedPoints, InnerClass, NotAnInvolution,
                     RatVecModZ, central_fixed_points, fiber_space, from_type,
                     new_root_datum, nu_tau, reduced_space, theta_matrix,
                     torus_signature, trivial_inner_class, twisted_involutions)
-from liepar.intlinalg import IntMatrix
+from liepar.intlinalg import IntMatrix, identity, mat_mul
 from props import (reference_canonical_form, reference_central_points,
                    reference_reduced_z0, reference_signature)
 
@@ -22,17 +22,26 @@ def rv(*entries):
 def test_torus_signature_basic():
     from liepar import TorusSignature
     # theta = +1 on the cocharacters: compact torus
-    assert torus_signature(IntMatrix.identity(1)) == TorusSignature(0, 1, 0)
-    sig = torus_signature(IntMatrix.identity(2))
+    assert torus_signature(((1,),)) == TorusSignature(0, 1, 0)
+    sig = torus_signature(identity(2))
     assert (sig.a, sig.b, sig.c) == (0, 2, 0)
     # theta = -1: split torus
-    sig = torus_signature(IntMatrix.from_rows([[-1, 0], [0, -1]]))
+    sig = torus_signature([[-1, 0], [0, -1]])
     assert (sig.a, sig.b, sig.c) == (2, 0, 0)
     # swap: one complex factor
-    sig = torus_signature(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    sig = torus_signature(((0, 1), (1, 0)))
     assert (sig.a, sig.b, sig.c) == (0, 0, 1)
-    with pytest.raises(NotAnInvolution):
-        torus_signature(IntMatrix.from_rows([[1, 1], [0, 1]]))
+    assert torus_signature(()) == TorusSignature(0, 0, 0)
+    with pytest.raises(NotAnInvolution, match="not a square involution"):
+        torus_signature([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("theta", [
+    [[1, 0]], [[1], [0]], [[1, 0], [0]], [[1], [0, 1]], [[1, 0, 0], [0, 1]]])
+def test_torus_signature_rejects_a_matrix_that_is_not_square(theta):
+    # zip would truncate these to a square that passes the involution test
+    with pytest.raises(NotAnInvolution, match="not a square involution"):
+        torus_signature(theta)
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
@@ -42,7 +51,14 @@ def test_signature_consistency(t, iso, tw):
         th = theta_matrix(tau, ic)
         sig = torus_signature(th)
         assert sig.a + sig.b + 2 * sig.c == ic.rank
-        assert (th @ th) == IntMatrix.identity(ic.rank)
+        assert mat_mul(th, th) == identity(ic.rank)
+        fs = fiber_space(tau, ic)
+        assert th == fs.theta_v == tuple(zip(*tau.theta_X))
+        # the benchmark probe's form of 1 + theta, in either order
+        one_plus = IntMatrix.identity(ic.rank) + th
+        assert one_plus == th + IntMatrix.identity(ic.rank)
+        assert one_plus == tuple(tuple(x + (i == j) for j, x in enumerate(row))
+                                 for i, row in enumerate(th))
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID + [
@@ -100,7 +116,7 @@ def test_central_squares_match_the_scan(t, iso, tw, n_scan):
 def test_twists_that_negate_a_central_torus(rd, gamma):
     # the squares are finite: the points of order 2 of the negated torus;
     # 1 + gamma_v kills them all, so each is its own class
-    ic = InnerClass(rd, IntMatrix.from_rows(gamma))
+    ic = InnerClass(rd, gamma)
     assert len(central_fixed_points(ic)) == 4
     assert central_fixed_points(ic) == reference_central_points(ic, 4)
     assert reduced_space(ic).z0 == central_fixed_points(ic)

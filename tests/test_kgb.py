@@ -18,7 +18,7 @@ import liepar.intlinalg
 import liepar.kgb
 import liepar.zspace
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (IntMatrix, NoMatch, NotImaginary,
+from liepar import (NoMatch, NotImaginary,
                     NotNoncompactImaginary, NotReal, RatVecModZ, TitsGroup,
                     TorusSignature, WeylError, cartan_class_of,
                     cartan_classes, cartans_for, cayley_down, cayley_up,
@@ -30,7 +30,7 @@ from liepar import (IntMatrix, NoMatch, NotImaginary,
                     twisted_involutions)
 from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
-from liepar.intlinalg import mat_apply, mat_mul
+from liepar.intlinalg import identity, mat_add, mat_apply, mat_mul
 from liepar.kgb import _delta_signs, _move_map
 from props import (MoveRecord, RankOne, all_elements,
                    check_cayley_roundtrip, check_cross_action,
@@ -450,7 +450,7 @@ def reference_move(x, s, cayley):
         gs = ic.diagram_perm[s]
         t = tuple((a + b) % 2 for a, b in zip(t, rd.simple_coroots[gs]))
     by_theta = {tau.theta_X: tau.index for tau in tbl.elements}
-    tau2 = tbl.elements[by_theta[mat_mul(mat, ic.gamma_mat)]]
+    tau2 = tbl.elements[by_theta[mat_mul(mat, ic.gamma)]]
     lam = mat_apply(tuple(zip(*smat)),
                     [Fraction(a) for a in x.torus_coord.entries])
     shift = mat_apply(tuple(zip(*inv)), [Fraction(a, 2) for a in t])
@@ -637,20 +637,19 @@ def test_frames_carry_the_representative_smith_form(t, tw):
     table = enumerate_X(ic)
     tbl = twisted_involutions(ic)
     n = ic.rank
-    ident = IntMatrix.identity(n)
+    ident = identity(n)
     reps = {c.rep for c in cartan_classes(ic)}
     for tau in tbl.elements:
         fr = fiber_frame(ic, tau.index)
-        v = IntMatrix(fr.v)
-        assert v @ IntMatrix(fr.vinv) == ident
-        square = (ident + theta_matrix(tau, ic)) @ v
-        assert square.entries == fr.square
-        assert fr.kernel == tuple(j for j in range(n)
-                                  if not any(square.col(j)))
+        assert mat_mul(fr.v, fr.vinv) == ident
+        square = mat_mul(mat_add(ident, theta_matrix(tau, ic)), fr.v)
+        assert square == fr.square
+        assert fr.kernel == tuple(j for j, col in enumerate(zip(*square))
+                                  if not any(col))
         assert fr.twice_nu == tuple(2 * x for x in nu_tau(tau, ic))
         if tau.index in reps:
             assert fr.parent is None
-            assert fr.v == fiber_space(tau, ic)._v.entries
+            assert fr.v == fiber_space(tau, ic)._v
             continue
         p, s = fr.parent
         assert tbl.cross[p][s] == tau.index
@@ -704,17 +703,15 @@ def test_carried_twice_nu_is_the_fold_along_w(t, iso, tw):
 @pytest.mark.parametrize("t,tw", [("C3", "c"), ("G2", "c"), ("B3", "c"),
                                   ("A3", (2, 1, 0)), ("D4", (0, 1, 3, 2))])
 def test_one_smith_form_per_cartan_class(t, tw, monkeypatch):
-    snf = liepar.intlinalg.smith_normal_form_with_inverse
+    snf = liepar.intlinalg.smith_normal_form
     calls = []
 
     def counted(m):
         calls.append(m)
         return snf(m)
 
-    monkeypatch.setattr(liepar.intlinalg, "smith_normal_form_with_inverse",
-                        counted)
-    monkeypatch.setattr(liepar.fiber, "smith_normal_form_with_inverse",
-                        counted)
+    for module in (liepar.intlinalg, liepar.fiber, liepar.kgb):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
 
     def prepared():
         # the inputs: both involution tables and their Cartan classes,
@@ -797,7 +794,7 @@ def a2_pairs(ic):
     """The pairs i < j = gamma(i) of adjacent simple roots."""
     cartan = ic.rd.cartan_matrix
     return sum(1 for i, j in enumerate(ic.diagram_perm)
-               if i < j and cartan[i, j])
+               if i < j and cartan[i][j])
 
 
 @pytest.mark.parametrize("t,iso,tw", DELTA_SIGN_DATA)

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 import liepar.rootdatum
 import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (InnerClass, IntMatrix, InvalidInvolution, WeylError,
+from liepar import (InnerClass, InvalidInvolution, WeylError,
                     WeylGroup, cartan_class_of, cartan_classes, enumerate_X,
                     from_type, inner_class_from_perm, new_root_datum,
                     real_weyl, tits_group, trivial_inner_class,
                     twisted_involutions)
 from liepar.cli import Session
-from liepar.intlinalg import mat_apply, mat_mul
+from liepar.intlinalg import identity, mat_apply, mat_mul
 from liepar.weyl import (_compose, _inverse, _perm, _table, cartan_index,
                          subsystem_heights, subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
@@ -171,17 +171,17 @@ def test_a_torus_has_one_twisted_involution(t):
     # a torus has no roots: every permutation has length 0
     rd = from_type(t, "sc")
     assert _compose((), ()) == () and _compose(b"", b"") == b""
-    for gamma in (IntMatrix.identity(rd.rank), IntMatrix.from_rows(
-            [[-int(i == j) for j in range(rd.rank)]
-             for i in range(rd.rank)])):
+    for gamma in (identity(rd.rank), tuple(
+            tuple(-int(i == j) for j in range(rd.rank))
+            for i in range(rd.rank))):
         primal = InnerClass(rd, gamma)
         # the dual's table is relabelled from the primal's
         for ic in (primal, primal.dual):
             assert len(twisted_involutions(ic)) == 1
             assert ic.twist_weyl(ic.weyl.identity) == ic.weyl.identity
             assert ic.weyl.canonical_word(()) == ()
-        assert primal.dual.gamma == IntMatrix.from_rows(
-            [[-x for x in row] for row in gamma.entries])
+        assert primal.dual.gamma == tuple(tuple(-x for x in row)
+                                          for row in gamma)
         sigma = twisted_involutions(primal.dual).elements[0]
         assert (sigma.theta, sigma.w.word, sigma.length) == (b"", (), 0)
 
@@ -241,19 +241,38 @@ def test_non_semisimple_perm_needs_the_lattice_involution():
 
 def test_inner_class_validation():
     rd = from_type("A2", "sc")
-    from liepar.intlinalg import IntMatrix
     with pytest.raises(InvalidInvolution):
         # not an involution
-        from liepar import InnerClass
-        InnerClass(rd, IntMatrix.from_rows([[1, 1], [0, 1]]))
+        InnerClass(rd, [[1, 1], [0, 1]])
     with pytest.raises(InvalidInvolution):
-        from liepar import InnerClass
         # involution (-1) that does not permute the simple roots
-        InnerClass(rd, IntMatrix.from_rows([[-1, 0], [0, -1]]))
+        InnerClass(rd, [[-1, 0], [0, -1]])
     with pytest.raises(InvalidInvolution):
         inner_class_from_perm(rd, (0, 1, 2))   # wrong length
     ic = inner_class_from_perm(rd, (1, 0))
     assert ic.diagram_perm == (1, 0)
+
+
+@pytest.mark.parametrize("t,gamma,match", [
+    ("A1", [[1.5]], "not an integer"), ("A1", [["1"]], "not an integer"),
+    ("A2", [[0, 1], [1]], "rank x rank"), ("A2", [[0, 1]], "rank x rank"),
+    ("A2", [[0, 1], [1, 0], [0, 0]], "rank x rank")])
+def test_gamma_must_be_integer_rows_of_the_rank(t, gamma, match):
+    # an entry is read as new_root_datum reads one: 1.5 and "1" are not
+    # integers, and no row is cut or padded to fit
+    with pytest.raises(InvalidInvolution, match=match):
+        InnerClass(from_type(t, "sc"), gamma)
+
+
+def test_gamma_from_lists_is_the_twist_of_its_permutation():
+    rd = from_type("A2", "sc")
+    ic = InnerClass(rd, [[0, 1], [1, 0]])
+    assert ic.gamma == ((0, 1), (1, 0)) == inner_class_from_perm(rd,
+                                                                 (1, 0)).gamma
+    assert ic.diagram_perm == (1, 0)
+    trivial = InnerClass(from_type("A1", "sc"), [[1.0]])
+    assert trivial.gamma == ((1,),) and type(trivial.gamma[0][0]) is int
+    assert trivial.diagram_perm == (0,)
 
 
 def test_dual_inner_class_is_involutive():
@@ -261,7 +280,7 @@ def test_dual_inner_class_is_involutive():
         ic = make_ic(t, iso, tw)
         assert ic.dual.dual is ic
         # gamma-dual is an involution permuting the dual simple roots
-        assert ic.dual.gamma.is_involution()
+        assert mat_mul(ic.dual.gamma, ic.dual.gamma) == identity(ic.rank)
 
 
 @pytest.mark.parametrize("t,iso,tw", GRID, ids=GRID_IDS)
