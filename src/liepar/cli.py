@@ -325,8 +325,11 @@ class Session:
         rows = match_pairs(ic, xt, form.element_ids, yt,
                            range(len(yt)) if y2 is None else yt.ids_over(y2))
         self.emit(f"{len(rows)} pairs:")
+        words = {}      # tau index -> word, formed once per tau
         for p in rows:
-            self.emit(p.line())
+            if p.tau.index not in words:
+                words[p.tau.index] = p.tau.tau_word_str() or "e"
+            self.emit(p.line(words[p.tau.index]))
         per = " ".join(f"{z}:{c}"
                        for z, c in sorted(lc.counts.items(),
                                           key=lambda kv: kv[0].entries))

@@ -28,11 +28,11 @@ V_{s tau} = S_s V_tau, with 2 nu_tau carried along the same edges mod
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .intlinalg import (IntMatrix, RatVecModZ, identity, mat_add, mat_apply,
                         mat_mul, smith_normal_form)
@@ -49,8 +49,7 @@ class InfiniteCenterFixedPoints(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TorusSignature:
+class TorusSignature(NamedTuple):
     """Shape of the real points of a torus with Cartan involution theta:
     a split factors, b compact circle factors, c complex factors
     (theta = +1 on a compact circle); a + b + 2c = rank."""
@@ -225,8 +224,7 @@ def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:
     return fibers[tau.theta]
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Fiber data of one twisted involution tau in the basis carried over
     from its Cartan class representative: the unimodular V with its
     inverse, the coordinates j with (1 + theta_v) V e_j = 0, the rows of

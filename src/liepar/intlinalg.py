@@ -14,11 +14,11 @@ sum(map(mul, a, b)), tuple(map(xor, a, b))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import add, mul, ne, xor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def vec_dot(a: Sequence, b: Sequence):
@@ -36,7 +36,9 @@ def mat_mul(a, b) -> tuple:
     return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
+@cache
 def identity(n: int) -> tuple:
+    """The n x n identity, built once per n: its rows are tuples."""
     return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
 
 
@@ -196,13 +198,13 @@ class IntMatrix(tuple):
 # rational vectors mod Z^n
 
 
-@dataclass(frozen=True)
-class RatVecModZ:
+class RatVecModZ(NamedTuple):
     """A rational vector with every entry reduced into [0, 1).
 
     Coordinates of a finite-order torus element exp(2*pi*i*lambda),
     lambda in the cocharacter lattice tensor Q, modulo the lattice: the
-    output form of the integer vector scaled(D) = D lambda mod D.
+    output form of the integer vector scaled(D) = D lambda mod D.  A
+    named tuple, but + and unary - are the group law mod Z^n.
     """
 
     entries: tuple

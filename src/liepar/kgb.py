@@ -36,19 +36,18 @@ W_i-orbit of x is searched, by id.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from itertools import compress
 from operator import add, itemgetter, mul, xor
+from typing import NamedTuple
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import (RatVecModZ, identity, mat_add, mat_apply,
                         smith_normal_form, vec_dot)
-from .weyl import (InnerClass, TwistedInvolution, WeylError, _in_range,
-                   cartan_class_of, cartan_classes, cartan_index,
-                   twisted_involutions)
+from .weyl import (InnerClass, WeylError, _in_range, cartan_class_of,
+                   cartan_classes, cartan_index, twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -67,20 +66,19 @@ class NoMatch(ValueError):
     pass
 
 
-@dataclass(eq=False)
 class KGBElt:
     """Element id of table, formed on each read: a snapshot of the
     columns that nothing reads back, equal to the views of that id."""
-    id: int
-    tau: TwistedInvolution
-    coords: tuple          # fiber coordinates y in tau's frame, mod denom
-    length: int
-    square: RatVecModZ
-    status: tuple          # per simple root: 'c' / 'n' / 'r' / 'C'
-    cross: tuple           # per simple root: element id
-    cayley: tuple          # per simple root: element id or None
-    grading: tuple         # sorted (positive imaginary root index, 0/1)
-    table: KGBTable = field(repr=False, compare=False)
+
+    def __init__(self, id, tau, coords, length, square, status, cross,
+                 cayley, grading, table):
+        self.id, self.tau, self.length, self.square = id, tau, length, square
+        self.coords = coords    # fiber coordinates y in tau's frame, mod denom
+        self.status = status    # per simple root: 'c' / 'n' / 'r' / 'C'
+        self.cross = cross      # per simple root: element id
+        self.cayley = cayley    # per simple root: element id or None
+        self.grading = grading  # sorted (positive imaginary root index, 0/1)
+        self.table = table
 
     def __eq__(self, other):
         return isinstance(other, KGBElt) and self.table is other.table \
@@ -100,8 +98,7 @@ class KGBElt:
         return dict(self.grading)
 
 
-@dataclass(frozen=True)
-class StrongRealForm:
+class StrongRealForm(NamedTuple):
     index: int
     square: RatVecModZ
     base_ids: tuple        # the W_i-orbit in the base fiber
@@ -659,8 +656,7 @@ def cayley_down(s: int, x: KGBElt):
 # real Weyl groups and Cartans
 
 
-@dataclass(frozen=True)
-class RealWeylInfo:
+class RealWeylInfo(NamedTuple):
     """Orders of W(G, H) = W_C^theta x| (Stab_{W_i}(x) x W_r)."""
     total: int
     complex_fixed: int      # |W_C^theta| = |W| / (|class| |W_i| |W_r|)
@@ -722,8 +718,7 @@ def cartans_for(x0: KGBElt):
                  for c in met)
 
 
-@dataclass(frozen=True)
-class ReducedSpace:
+class ReducedSpace(NamedTuple):
     z0: tuple          # transversal of Z^Gamma mod {z delta(z)}
     slices: dict       # z -> element ids of X(z)
 

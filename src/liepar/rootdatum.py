@@ -9,7 +9,6 @@ pairing is the standard dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter, mul
 
 from .intlinalg import identity, rank as matrix_rank, vec_dot
@@ -35,21 +34,34 @@ class UnknownType(RootDatumError):
     pass
 
 
-@dataclass(frozen=True)
 class RootDatum:
-    rank: int
-    simple_roots: tuple
-    simple_coroots: tuple
-    roots: tuple          # all roots, canonical (height, lex) order
-    coroots: tuple        # matched to roots by the alpha <-> alphav bijection
-    cartan_matrix: tuple  # rows: <alpha_i, alphav_j>
+    """Equal and hashed by its six defining fields, rank to cartan_matrix."""
 
-    # derived, filled in by new_root_datum; coefficients are per root, in
-    # the simple roots, coroot_coefficients per coroot, in the simple coroots
-    coefficients: tuple = field(default=(), compare=False)
-    coroot_coefficients: tuple = field(default=(), compare=False)
-    heights: tuple = field(default=(), compare=False)
-    root_index: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, rank, simple_roots, simple_coroots, roots, coroots,
+                 cartan_matrix, coefficients=(), coroot_coefficients=(),
+                 heights=(), root_index=None):
+        self.rank = rank
+        self.simple_roots = simple_roots
+        self.simple_coroots = simple_coroots
+        self.roots = roots        # all roots, canonical (height, lex) order
+        self.coroots = coroots    # matched to roots by alpha <-> alphav
+        self.cartan_matrix = cartan_matrix  # rows: <alpha_i, alphav_j>
+        # derived by new_root_datum: coefficients per root in the simple
+        # roots, coroot_coefficients per coroot in the simple coroots
+        self.coefficients = coefficients
+        self.coroot_coefficients = coroot_coefficients
+        self.heights = heights
+        self.root_index = {} if root_index is None else root_index
+
+    def _key(self) -> tuple:
+        return (self.rank, self.simple_roots, self.simple_coroots,
+                self.roots, self.coroots, self.cartan_matrix)
+
+    def __eq__(self, other):
+        return isinstance(other, RootDatum) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n_simple(self) -> int:
@@ -211,11 +223,10 @@ def _ordered_datum(rank, simple_roots, simple_coroots, cartan_matrix, roots,
     pick = itemgetter(*order) if len(order) > 1 else tuple
     roots, coroots, coefficients, coroot_coefficients = map(
         pick, (roots, coroots, coefficients, coroot_coefficients))
-    rd = RootDatum(rank, simple_roots, simple_coroots, roots, coroots,
-                   cartan_matrix, coefficients, coroot_coefficients,
-                   tuple(map(sum, coefficients)))
-    rd.root_index.update(zip(roots, range(len(order))))
-    return rd
+    return RootDatum(rank, simple_roots, simple_coroots, roots, coroots,
+                     cartan_matrix, coefficients, coroot_coefficients,
+                     tuple(map(sum, coefficients)),
+                     dict(zip(roots, range(len(order)))))
 
 
 # ---------------------------------------------------------------------------

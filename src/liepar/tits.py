@@ -18,15 +18,14 @@ along w: conjugate_simple reads it off the root permutation of w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .intlinalg import f2_add, f2_vec, mat_apply
 from .weyl import InnerClass, WeylElt, WeylError, _compose, _in_range
 
 
-@dataclass(frozen=True)
-class TitsElt:
+class TitsElt(NamedTuple):
     w: WeylElt
     t: tuple  # element of Xv/2Xv (0/1 coordinates)
 

@@ -34,10 +34,10 @@ the representative of each Cartan class (see cartan_classes).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import eq, itemgetter, mul, sub
+from typing import NamedTuple
 
 from .intlinalg import identity, mat_apply, mat_mul, scaled_inverse, vec_dot
 from .rootdatum import RootDatum, _integer
@@ -115,11 +115,10 @@ def subsystem_order(heights) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class WeylElt:
-    word: tuple
-    perm: bytes   # perm[r] is the index of w(root r); see _perm
-    group: "WeylGroup" = field(repr=False)
+    def __init__(self, word, perm, group):
+        self.word, self.group = word, group
+        self.perm = perm    # perm[r] is the index of w(root r); see _perm
 
     def __eq__(self, other):
         return isinstance(other, WeylElt) and self.perm == other.perm
@@ -383,7 +382,6 @@ def trivial_inner_class(rd: RootDatum) -> InnerClass:
 # twisted involutions
 
 
-@dataclass(frozen=True)
 class RootClassification:
     """The roots of a twisted involution tau sorted by theta: imaginary
     (fixed), real (negated) or complex, read from tau's own theta permutation
@@ -392,10 +390,20 @@ class RootClassification:
     first read from the root heights <beta, 2 rhov_P> / 2 of
     subsystem_heights: the imaginary simple roots have height 1 and the
     orders are subsystem_order; |W_C^theta| is |W| / (|tau's Cartan
-    class| |W_i| |W_r|), read by kgb.real_weyl."""
-    theta: bytes = field(repr=False)    # tau's permutation of the roots
-    im_pos: tuple        # positive imaginary root indices
-    weyl: "WeylGroup" = field(repr=False, compare=False)
+    class| |W_i| |W_r|), read by kgb.real_weyl.  Equal by (theta,
+    im_pos)."""
+
+    def __init__(self, theta, im_pos, weyl):
+        self.theta = theta      # tau's permutation of the roots
+        self.im_pos = im_pos    # positive imaginary root indices
+        self.weyl = weyl
+
+    def __eq__(self, other):
+        return isinstance(other, RootClassification) and \
+            self.theta == other.theta and self.im_pos == other.im_pos
+
+    def __hash__(self):
+        return hash((self.theta, self.im_pos))
 
     @property
     def rd(self) -> RootDatum:
@@ -434,13 +442,11 @@ class RootClassification:
                      for p in map(wg.reflection_perm, self.im_simples))
 
 
-@dataclass(frozen=True, eq=False)
 class TwistedInvolution:
-    index: int
-    w: WeylElt
-    theta: bytes         # permutation of the roots by (action of w) o gamma
-    length: int          # graph distance from delta
-    ic: InnerClass = field(repr=False)
+    def __init__(self, index, w, theta, length, ic):
+        self.index, self.w, self.ic = index, w, ic
+        self.theta = theta      # root permutation of (action of w) o gamma
+        self.length = length    # graph distance from delta
 
     def __eq__(self, other):
         return isinstance(other, TwistedInvolution) and \
@@ -600,8 +606,7 @@ def twisted_involutions(ic: InnerClass) -> TwistedInvolutionTable:
     return ic._cache['involutions']
 
 
-@dataclass(frozen=True)
-class CartanClass:
+class CartanClass(NamedTuple):
     index: int
     rep: int          # index of the canonical representative
     members: tuple    # sorted tau indices

@@ -9,7 +9,7 @@ irreducible representations at regular integral infinitesimal character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
@@ -20,8 +20,7 @@ from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
                    cartan_index, trivial_inner_class, twisted_involutions)
 
 
-@dataclass(frozen=True)
-class ZPair:
+class ZPair(NamedTuple):
     """A pair (x, y) over tau: x an element id in the X table of the
     inner class and y one in the X table of its dual, the two tables
     that enumerate_Z (or the caller of match_pairs) read."""
@@ -31,9 +30,10 @@ class ZPair:
     y_square: RatVecModZ
     tau: TwistedInvolution
 
-    def line(self) -> str:
+    def line(self, word=None) -> str:
+        """x y x_square y_square word; word is tau's, formed if not given."""
         return (f"{self.x} {self.y} {self.x_square} {self.y_square} "
-                f"{self.tau.tau_word_str() or 'e'}")
+                f"{word or self.tau.tau_word_str() or 'e'}")
 
 
 def dual_tau(tau: TwistedInvolution, ic: InnerClass) -> TwistedInvolution:
@@ -129,8 +129,7 @@ def sp2n_count(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class LanglandsCount:
+class LanglandsCount(NamedTuple):
     counts: dict            # dual central square -> number of pairs
     formula_total: object   # per-class closed-form count, or None
     note: object            # str or None
@@ -177,8 +176,7 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     return LanglandsCount(counts, formula, note)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     ok: bool
     total: int
     dual_total: int

@@ -199,6 +199,19 @@ def test_cli_batch_replay_deterministic(tmp_path):
         assert proc.stdout == DEMO_EXPECTED, (seed, flags)
 
 
+def test_import_generates_no_record_code():
+    # records are named tuples and plain classes: importing the library
+    # and its CLI in a fresh process loads neither dataclasses nor the
+    # inspect module it pulls in
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import liepar, liepar.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_library_has_no_assert_statements():
     # invariants must be explicit checks that survive python -O
     src = Path(liepar.__file__).parent
