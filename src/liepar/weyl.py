@@ -26,9 +26,13 @@ once, and a cross link is recorded in both directions, so each cross
 edge is formed once; theta is padded once for its k moves and the
 simple permutations once per group.  When gamma fixes every root, w and
 theta share one permutation.  The class made by .dual relabels its
-partner's table by tau -> -theta^T on the coroots.  Both tables are then
-numbered in one tau order, (length, l(w), word of w), which also picks
-the representative of each Cartan class (see cartan_classes).
+partner's table by tau -> -theta^T on the coroots.  W^v is W as a
+Coxeter system, so a dual w read in the partner's roots is a primal
+element with the same shortlex word: it takes a partner w's word tuple
+where one has that permutation (every dual w when w0 = -1, as then it is
+w0 w^-1), and canonical_word peels the others (A3, D5, E6).  Both tables
+are then numbered in one tau order, (length, l(w), word of w), which
+also picks the representative of each Cartan class (see cartan_classes).
 """
 
 from __future__ import annotations
@@ -457,8 +461,14 @@ class TwistedInvolution:
 
     @cached_property
     def theta_X(self) -> tuple:
-        """Matrix of (action of w) o gamma on X."""
-        return mat_mul(self.w.mat, self.ic.gamma)
+        """Matrix of (action of w) o gamma on X: w.mat itself when gamma
+        is the identity matrix.  The matrix is compared, not gamma_perm,
+        as a gamma that fixes every root may still move X (A1.T1 with
+        gamma = diag(1, -1))."""
+        gamma = self.ic.gamma
+        if gamma == identity(len(gamma)):
+            return self.w.mat
+        return mat_mul(self.w.mat, gamma)
 
     def tau_word_str(self) -> str:
         return ",".join(str(i + 1) for i in self.w.word)
@@ -487,7 +497,12 @@ class TwistedInvolutionTable:
 
     The class made by .dual relabels its partner's table: theta ->
     -theta^T, length -> top length - length, and a Cayley link t -> t2 by
-    s -> dual(t2) -> dual(t).  dual_index maps each tau to its dual.
+    s -> dual(t2) -> dual(t).  Its w words come from the partner: a dual
+    w relabelled into the partner's roots, unorder o perm o order, is the
+    primal element with the same word, so the word tuple of the partner
+    tau with that w is reused, and only a w that no partner tau has
+    (w0 != -1, as in A3, D5 and E6) is peeled by canonical_word, which
+    checks that it is in W.  dual_index maps each tau to its dual.
     Both tables are numbered by _index in the one tau order: length,
     then the length and the word of w."""
 
@@ -545,13 +560,18 @@ class TwistedInvolutionTable:
                                partner.ic.rd.coroots)))
         minus = _table(_compose(order, partner.ic.weyl.neg))
         unorder = _inverse(order)
+        unorder_table = _table(unorder)
+        # the partner's words by w permutation (see the class docstring)
+        words = {tau.w.perm: tau.w.word for tau in partner.elements}
         top = partner.elements[-1].length
         found, index, k = [], {}, ic.n_simple
         cayley = [[-1] * k for _ in partner.elements]
         for i, tau in enumerate(partner.elements):
             theta = _compose(minus, _compose(tau.theta, unorder))
             perm = theta if fixes_roots else _compose(theta, gamma)
-            word = wg.canonical_word(perm, theta if fixes_roots else None)
+            word = words.get(_compose(unorder_table, _compose(perm, order)))
+            if word is None:
+                word = wg.canonical_word(perm, theta if fixes_roots else None)
             found.append((top - tau.length, WeylElt(word, perm, wg), theta))
             index[theta] = i
             for s, t in enumerate(partner.cayley[i]):

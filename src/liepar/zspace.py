@@ -15,7 +15,7 @@ from .fiber import central_fixed_points, fiber_space
 from .intlinalg import RatVecModZ
 from .kgb import (KGBElt, KGBTable, NoMatch, _real_weyl, _table_of,
                   _validate_square, enumerate_X)
-from .rootdatum import from_type
+from .rootdatum import UnknownType, _integer, from_type
 from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
                    cartan_index, trivial_inner_class, twisted_involutions)
 
@@ -117,7 +117,11 @@ def count_z_blocks(ic: InnerClass, restrict_x_square=None,
 
 def sp2n_count(n: int) -> int:
     """Number of pairs for Sp(2n) simply connected, equal rank, with
-    x^2 = -I and y^2 = I."""
+    x^2 = -I and y^2 = I.  n is an integer in value (2 or 2.0), at least
+    1; else UnknownType naming it."""
+    n = _integer(n, UnknownType)
+    if n < 1:
+        raise UnknownType(f"Sp(2n) needs n >= 1, got {n!r}")
     ic = trivial_inner_class(from_type(f"C{n}", "sc"))
     zg = central_fixed_points(ic)
     minus = [z for z in zg if any(z.entries)]

@@ -361,6 +361,24 @@ def reference_signature(theta):
     return tuple(out)
 
 
+def signature_count(ic) -> int:
+    """sum over tau of 2^a(tau), a(tau) = dim ker(theta - 1) - rank_F2(1 +
+    theta) with theta = tau.theta_X: the number of +1 summands of theta on
+    X, one torus-signature count per tau.  Over the square of a
+    quasisplit strong real form no fiber is empty and the fiber over tau
+    has 2^a(tau) elements, so this is the size of X over that square.  It
+    reads only the involution table's lattice matrices: no Smith form,
+    frame, Tits group or search."""
+    n = ic.rank
+    total = 0
+    for tau in twisted_involutions(ic).elements:
+        theta = tau.theta_X
+        minus, plus = ([[x + sign * (i == j) for j, x in enumerate(row)]
+                        for i, row in enumerate(theta)] for sign in (-1, 1))
+        total += 2 ** (n - rational_rank(minus) - rank_mod2(plus))
+    return total
+
+
 def reflection_matrix(rd, root_idx) -> tuple:
     """Matrix on X of the reflection x -> x - <x, alphav> alpha in a root;
     its transpose acts on the cocharacters."""

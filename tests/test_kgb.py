@@ -40,7 +40,8 @@ from props import (MoveRecord, RankOne, all_elements,
                    is_positive, per_tau_torus_coord, reference_base_grading,
                    reference_canonical_form, reference_complex_fixed,
                    reference_delta_signs, reference_fiber, reference_forms,
-                   reference_real_weyl, root_is_negative, simple_reflection)
+                   reference_real_weyl, root_is_negative, signature_count,
+                   simple_reflection)
 
 
 def rv(*entries):
@@ -1050,6 +1051,22 @@ def test_the_split_cn_form_has_the_closed_form_size(n, size):
         + [True]
     assert max(len(f.element_ids) for f in forms) \
         == len(forms[-1].element_ids) == size
+
+
+@pytest.mark.parametrize("t,iso,tw", GRID + [("E6", "sc", "c")],
+                         ids=GRID_IDS + ["E6-sc-c"])
+def test_x_over_a_quasisplit_square_is_the_signature_count(t, iso, tw):
+    # over the square of a quasisplit form every fiber is full, so that
+    # slice of X has sum 2^a(tau) elements; it holds on the twisted
+    # classes of the grid as well
+    ic = make_ic(t, iso, tw)
+    for side in (ic, ic.dual):
+        table = enumerate_X(side)
+        squares = {f.square for f in table.forms if f.quasisplit}
+        assert squares
+        count = signature_count(side)
+        for z in squares:
+            assert len(table.ids_over(z)) == count
 
 
 # form sizes by a second route: the K-orbits on G/B over the Cartan class

@@ -18,8 +18,9 @@ from liepar import (InnerClass, InvalidInvolution, WeylError,
                     twisted_involutions)
 from liepar.cli import Session
 from liepar.intlinalg import identity, mat_apply, mat_mul
-from liepar.weyl import (_compose, _inverse, _perm, _table, cartan_index,
-                         subsystem_heights, subsystem_order)
+from liepar.weyl import (TwistedInvolutionTable, _compose, _inverse, _perm,
+                         _table, cartan_index, subsystem_heights,
+                         subsystem_order)
 from props import (act_Xv, all_elements, from_matrix, from_word,
                    inverse_matrix, is_positive, matrix_canonical_word, mult,
                    perm_bfs, perm_closure, reference_canonical_word,
@@ -436,6 +437,60 @@ def test_the_dual_table_runs_no_search_and_no_closure(monkeypatch):
         assert dic.dual is ic and twisted_involutions(dic.dual) is \
             twisted_involutions(ic)
         closed[0] = 0
+
+
+@pytest.mark.parametrize("t,iso,tw", DERIVED_DATA)
+def test_dual_words_are_the_shortlex_words_of_their_permutations(t, iso, tw):
+    dic = make_ic(t, iso, tw).dual
+    wg = dic.weyl
+    for sigma in twisted_involutions(dic).elements:
+        assert sigma.w.word == reference_canonical_word(wg, sigma.w.perm)
+
+
+@pytest.mark.parametrize("t,iso,tw,peels", [
+    ("C2", "sc", "c", 0), ("C3", "sc", "c", 0), ("C4", "sc", "c", 0),
+    ("C5", "sc", "c", 0), ("C6", "sc", "c", 0), ("B5", "ad", "c", 0),
+    ("D4", "sc", "c", 0), ("D4", "sc", (0, 1, 3, 2), 0), ("D6", "sc", "c", 0),
+    ("F4", "sc", "c", 0), ("G2", "sc", "c", 0), ("E7", "sc", "c", 0),
+    # w0 != -1: a dual w need not be a partner's w, and those are peeled
+    ("A3", "sc", "c", 4), ("D5", "sc", "c", 80), ("E6", "sc", "c", 752)])
+def test_the_dual_table_peels_only_words_the_partner_lacks(t, iso, tw, peels,
+                                                          monkeypatch):
+    ic = make_ic(t, iso, tw)
+    dic = ic.dual
+    twisted_involutions(ic)
+    calls = [0]
+    canonical_word = WeylGroup.canonical_word
+
+    def counted(self, perm, inv=None):
+        calls[0] += 1
+        return canonical_word(self, perm, inv)
+
+    monkeypatch.setattr(WeylGroup, "canonical_word", counted)
+    fresh = TwistedInvolutionTable(dic)
+    assert calls[0] == peels
+    assert [tau.w.word for tau in fresh.elements] == \
+        [tau.w.word for tau in twisted_involutions(dic).elements]
+
+
+def test_dual_words_are_the_partner_word_tuples():
+    ic = make_ic("C5", "sc")
+    primal = {id(tau.w.word) for tau in twisted_involutions(ic).elements}
+    assert all(id(sigma.w.word) in primal
+               for sigma in twisted_involutions(ic.dual).elements)
+
+
+def test_theta_x_skips_the_product_only_for_the_identity_matrix():
+    for tau in twisted_involutions(make_ic("C3", "sc")).elements:
+        assert tau.theta_X is tau.w.mat
+    # gamma = diag(1, -1) fixes the one root of A1.T1 but not X
+    a1t1 = InnerClass(from_type("A1.T1", "sc"), ((1, 0), (0, -1)))
+    assert a1t1.gamma_perm == a1t1.weyl.identity.perm
+    for ic in (make_ic("A2", "sc", (1, 0)), a1t1):
+        taus = twisted_involutions(ic).elements
+        for tau in taus:
+            assert tau.theta_X == mat_mul(tau.w.mat, ic.gamma)
+        assert any(tau.theta_X != tau.w.mat for tau in taus)
 
 
 def test_table_checks_that_the_cross_action_is_an_involution(monkeypatch):

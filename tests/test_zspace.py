@@ -1,15 +1,16 @@
 """The two-sided space Z, duality, and counting."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (InfiniteCenterFixedPoints, RatVecModZ, WeylError,
-                    cartan_classes, central_fixed_points, count_z_blocks,
-                    dual_tau, duality_check, enumerate_form, enumerate_X,
-                    enumerate_Z, fiber_space, from_type,
+from liepar import (InfiniteCenterFixedPoints, RatVecModZ, UnknownType,
+                    WeylError, cartan_classes, central_fixed_points,
+                    count_z_blocks, dual_tau, duality_check, enumerate_form,
+                    enumerate_X, enumerate_Z, fiber_space, from_type,
                     inner_class_from_perm, langlands_count, sp2n_count,
                     strong_real_forms, trivial_inner_class,
                     twisted_involutions)
@@ -90,6 +91,14 @@ def test_duality_named_cases():
 
 def test_sp2n_counts_small():
     assert [sp2n_count(n) for n in range(1, 5)] == [4, 18, 88, 460]
+
+
+def test_sp2n_count_reads_n_as_an_integer():
+    # 2.0 is 2; 1.5 and "3" are not integers, and n < 1 names no group
+    assert sp2n_count(2.0) == 18
+    for n in (1.5, "3", 0, -1):
+        with pytest.raises(UnknownType, match=re.escape(repr(n))):
+            sp2n_count(n)
 
 
 def test_count_z_blocks_golden():
