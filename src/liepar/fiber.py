@@ -28,7 +28,6 @@ V_{s tau} = S_s V_tau, with 2 nu_tau carried along the same edges mod
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
@@ -72,15 +71,6 @@ def _signature(diag) -> TorusSignature:
     return TorusSignature(len(diag) - b - 2 * c, b, c)
 
 
-def torus_signature(theta) -> TorusSignature:
-    """The signature read off one Smith form of 1 + theta."""
-    n = len(theta)
-    if any(len(row) != n for row in theta) or \
-            mat_mul(theta, theta) != identity(n):
-        raise NotAnInvolution("matrix is not a square involution")
-    return _signature(smith_normal_form(mat_add(identity(n), theta))[1])
-
-
 def tits_group(ic: InnerClass) -> TitsGroup:
     if 'tits' not in ic._cache:
         ic._cache['tits'] = TitsGroup(ic)
@@ -95,13 +85,6 @@ def _twice_nu(tau: TwistedInvolution, ic: InnerClass) -> tuple:
     if perm != ic.weyl.identity.perm:
         raise WeylError("not a twisted involution")
     return t
-
-
-def nu_tau(tau: TwistedInvolution, ic: InnerClass) -> tuple:
-    """Half the torus part of sigma_w . delta(sigma_w), a vector in
-    (1/2)Z^n: the square of the canonical strong-involution lift over
-    tau is exp(2 pi i nu_tau) times the central square."""
-    return tuple(Fraction(x, 2) for x in _twice_nu(tau, ic))
 
 
 def central_fixed_points(ic: InnerClass):

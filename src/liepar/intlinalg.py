@@ -224,6 +224,9 @@ class RatVecModZ(NamedTuple):
                      for x in self.entries)
 
     def __add__(self, other: "RatVecModZ") -> "RatVecModZ":
+        if len(self.entries) != len(other.entries):
+            raise ValueError(f"cannot add vectors of lengths "
+                             f"{len(self.entries)} and {len(other.entries)}")
         return RatVecModZ.reduce(x + y for x, y in
                                  zip(self.entries, other.entries))
 

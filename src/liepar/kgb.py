@@ -44,21 +44,12 @@ from typing import NamedTuple
 
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
-from .intlinalg import (RatVecModZ, identity, mat_add, mat_apply,
-                        smith_normal_form, vec_dot)
-from .weyl import (InnerClass, WeylError, _in_range, cartan_class_of,
-                   cartan_classes, cartan_index, twisted_involutions)
+from .intlinalg import RatVecModZ, mat_apply, vec_dot
+from .weyl import (InnerClass, WeylError, _in_range, cartan_classes,
+                   cartan_index, twisted_involutions)
 
 
 class NotImaginary(ValueError):
-    pass
-
-
-class NotNoncompactImaginary(ValueError):
-    pass
-
-
-class NotReal(ValueError):
     pass
 
 
@@ -108,14 +99,14 @@ class StrongRealForm(NamedTuple):
 
 class KGBTable(Sequence):
     """X as the sequence of its elements: table[i] and iter(table) form
-    one KGBElt view per read, and the table holds none.  It holds columns
-    indexed by element id: tau index, fiber coordinates, square index,
-    grading bits (in the order of tau's positive imaginary roots), and k
-    slots each of cross and Cayley ids (None where no Cayley transform
-    applies).  It holds only these columns: the path by which the search
-    reached each element is read off the links.  forms holds one
-    StrongRealForm record per connected component, in the canonical
-    order (quasisplit last)."""
+    one KGBElt view per read, a slice the tuple of its views, and the
+    table holds none.  It holds columns indexed by element id: tau
+    index, fiber coordinates, square index, grading bits (in the order of
+    tau's positive imaginary roots), and k slots each of cross and
+    Cayley ids (None where no Cayley transform applies).  It holds only
+    these columns: the path by which the search reached each element is
+    read off the links.  forms holds one StrongRealForm record per
+    connected component, in the canonical order (quasisplit last)."""
 
     def __init__(self, ic, squares, denom, taus, coords, square_idx,
                  grading_bits, cross_ids, cayley_ids, forms):
@@ -139,6 +130,8 @@ class KGBTable(Sequence):
         return len(self._taus)
 
     def __getitem__(self, i) -> KGBElt:
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self._taus))[i]
         t, g = self._taus[i], self._grading_bits[i]
         tau = twisted_involutions(self.ic).elements[t]
@@ -160,18 +153,6 @@ class KGBTable(Sequence):
                      else 'r' if theta[a] == self.ic.weyl.neg[a] else 'C'
                      for a, p in zip(self.ic.weyl.simple_idx,
                                      _simple_positions(self.ic, t)))
-
-    @cached_property
-    def _down(self) -> dict:
-        k = self.ic.rd.n_simple
-        down = {}
-        for slot, target in enumerate(self._cayley):
-            if target is not None:
-                down.setdefault((slot % k, target), []).append(slot // k)
-        return down
-
-    def cayley_down_ids(self, s: int, xid: int):
-        return tuple(sorted(self._down.get((s, xid), ())))
 
     def form_of(self, xid: int) -> int:
         if not 0 <= xid < len(self._form_of):
@@ -636,24 +617,8 @@ def cross_by_word(word, x: KGBElt) -> KGBElt:
     return table[xid]
 
 
-def cayley_up(s: int, x: KGBElt) -> KGBElt:
-    if x.status[_in_range(s, len(x.status), "simple root")] != 'n':
-        raise NotNoncompactImaginary(
-            f"simple root {s} is not noncompact imaginary here")
-    return x.table[x.cayley[s]]
-
-
-def cayley_down(s: int, x: KGBElt):
-    if x.status[_in_range(s, len(x.status), "simple root")] != 'r':
-        raise NotReal(f"simple root {s} is not real here")
-    ids = x.table.cayley_down_ids(s, x.id)
-    if len(ids) not in (1, 2):
-        raise WeylError(f"{len(ids)} Cayley preimages, expected 1 or 2")
-    return tuple(map(x.table.__getitem__, ids))
-
-
 # ---------------------------------------------------------------------------
-# real Weyl groups and Cartans
+# real Weyl groups
 
 
 class RealWeylInfo(NamedTuple):
@@ -704,43 +669,3 @@ def _real_weyl(table: KGBTable, xid: int) -> RealWeylInfo:
         real_order=cls.re_order, imaginary_order=cls.im_order,
         orbit_size=len(orbit))
 
-
-def cartans_for(x0: KGBElt):
-    """Cartan classes met by the strong real form of x0, with the torus
-    signature, a class invariant, read at the class representative."""
-    table = x0.table
-    ic = table.ic
-    tbl = twisted_involutions(ic)
-    classes = cartan_classes(ic)
-    ids = table.forms[table.form_of(x0.id)].element_ids
-    met = sorted({cartan_class_of(ic, table._taus[i]) for i in ids})
-    return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
-                 for c in met)
-
-
-class ReducedSpace(NamedTuple):
-    z0: tuple          # transversal of Z^Gamma mod {z delta(z)}
-    slices: dict       # z -> element ids of X(z)
-
-
-def reduced_space(ic: InnerClass) -> ReducedSpace:
-    """The reduced space: one X(z) slice per class of central squares
-    modulo the subgroup {zeta delta(zeta)}.  With U M V = diag(d) for
-    M = [1 + gamma_v; simple roots], z1 - z2 = (1 + gamma_v) zeta for a
-    central zeta exactly when every row j of U whose invariant factor is
-    0 (j < n with d_j = 0, and every j >= n) maps D (z1 - z2) to 0 mod D;
-    those rows, applied to D z, key the classes."""
-    rd = ic.rd
-    n = rd.rank
-    zg = central_fixed_points(ic)
-    rows = mat_add(identity(n), ic.gamma_mat_dual) + rd.simple_roots
-    u, d = smith_normal_form(rows)[:2]
-    zero_rows = [row[:n] for j, row in enumerate(u) if j >= n or d[j] == 0]
-    den = lcm(*(z.order for z in zg))
-    classes = {}
-    for z in zg:
-        y = z.scaled(den)
-        classes.setdefault(tuple(vec_dot(r, y) % den for r in zero_rows), z)
-    z0 = tuple(classes.values())
-    table = enumerate_X(ic)
-    return ReducedSpace(z0, {z: table.ids_over(z) for z in z0})

@@ -674,10 +674,3 @@ def cartan_index(ic: InnerClass) -> tuple:
     """The Cartan class index of each twisted involution, by tau index."""
     cartan_classes(ic)
     return ic._cache['cartan_index']
-
-
-def cartan_class_of(ic: InnerClass, tau_idx: int) -> int:
-    index = cartan_index(ic)
-    if not 0 <= tau_idx < len(index):
-        raise WeylError("tau not found in any Cartan class")
-    return index[tau_idx]

@@ -6,17 +6,21 @@ individual cases it verified, so callers can assert coverage totals.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from liepar import (InnerClass, RatVecModZ, RealWeylInfo,
-                    TitsElt, cayley_down, cayley_up, cross, cross_by_word,
-                    dual_tau, enumerate_form, enumerate_X, fiber_space,
-                    grading, nu_tau, strong_real_forms, tits_group,
-                    twisted_involutions)
-from liepar.fiber import fiber_frame
-from liepar.intlinalg import f2_vec, mat_apply, mat_mul, vec_dot
+from liepar import (InnerClass, NotAnInvolution, RatVecModZ, RealWeylInfo,
+                    TitsElt, cartan_classes, central_fixed_points, cross,
+                    cross_by_word, dual_tau, enumerate_form, enumerate_X,
+                    fiber_space, grading, smith_normal_form,
+                    strong_real_forms, tits_group, twisted_involutions)
+from liepar.fiber import _signature, _twice_nu, fiber_frame
+from liepar.intlinalg import (f2_vec, identity, mat_add, mat_apply, mat_mul,
+                              vec_dot)
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import WeylError, _compose, _inverse, _perm
+from liepar.weyl import (WeylError, _compose, _in_range, _inverse, _perm,
+                         cartan_index)
 
 
 def frac_vec(v) -> tuple:
@@ -199,6 +203,116 @@ def reference_reduced_z0(ic, n_scan):
                    for w in z0):
             z0.append(x)
     return tuple(_unscale(x, n_scan) for x in z0)
+
+
+# ---------------------------------------------------------------------------
+# operations the library keeps as data, formed from it here: X stores
+# the cross and Cayley links as table columns (x.cross, x.cayley), the
+# fibers store 2 nu_tau and their Smith forms, and the Cartan classes
+# one class index per tau
+
+
+class NotNoncompactImaginary(ValueError):
+    pass
+
+
+class NotReal(ValueError):
+    pass
+
+
+# z0: a transversal of the twist-fixed central squares modulo
+# {z delta(z)}; slices: z -> the element ids of X(z)
+ReducedSpace = namedtuple("ReducedSpace", "z0 slices")
+
+
+def torus_signature(theta):
+    """The TorusSignature read off one Smith form of 1 + theta."""
+    n = len(theta)
+    if any(len(row) != n for row in theta) or \
+            mat_mul(theta, theta) != identity(n):
+        raise NotAnInvolution("matrix is not a square involution")
+    return _signature(smith_normal_form(mat_add(identity(n), theta))[1])
+
+
+def nu_tau(tau, ic) -> tuple:
+    """Half the torus part of sigma_w . delta(sigma_w), a vector in
+    (1/2)Z^n: the square of the canonical strong-involution lift over
+    tau is exp(2 pi i nu_tau) times the central square."""
+    return tuple(Fraction(x, 2) for x in _twice_nu(tau, ic))
+
+
+def cartan_class_of(ic, tau_idx: int) -> int:
+    index = cartan_index(ic)
+    if not 0 <= tau_idx < len(index):
+        raise WeylError("tau not found in any Cartan class")
+    return index[tau_idx]
+
+
+@lru_cache(maxsize=4)
+def _cayley_down_index(table) -> dict:
+    """(s, id) -> the ids whose Cayley transform in alpha_s is id."""
+    k = table.ic.rd.n_simple
+    down = {}
+    for slot, target in enumerate(table._cayley):
+        if target is not None:
+            down.setdefault((slot % k, target), []).append(slot // k)
+    return down
+
+
+def cayley_down_ids(table, s: int, xid: int) -> tuple:
+    return tuple(sorted(_cayley_down_index(table).get((s, xid), ())))
+
+
+def cayley_up(s: int, x):
+    if x.status[_in_range(s, len(x.status), "simple root")] != 'n':
+        raise NotNoncompactImaginary(
+            f"simple root {s} is not noncompact imaginary here")
+    return x.table[x.cayley[s]]
+
+
+def cayley_down(s: int, x):
+    if x.status[_in_range(s, len(x.status), "simple root")] != 'r':
+        raise NotReal(f"simple root {s} is not real here")
+    ids = cayley_down_ids(x.table, s, x.id)
+    if len(ids) not in (1, 2):
+        raise WeylError(f"{len(ids)} Cayley preimages, expected 1 or 2")
+    return tuple(map(x.table.__getitem__, ids))
+
+
+def cartans_for(x0):
+    """Cartan classes met by the strong real form of x0, with the torus
+    signature, a class invariant, read at the class representative."""
+    table = x0.table
+    ic = table.ic
+    tbl = twisted_involutions(ic)
+    classes = cartan_classes(ic)
+    ids = table.forms[table.form_of(x0.id)].element_ids
+    met = sorted({cartan_class_of(ic, table._taus[i]) for i in ids})
+    return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
+                 for c in met)
+
+
+def reduced_space(ic) -> ReducedSpace:
+    """The reduced space: one X(z) slice per class of central squares
+    modulo the subgroup {zeta delta(zeta)}.  With U M V = diag(d) for
+    M = [1 + gamma_v; simple roots], z1 - z2 = (1 + gamma_v) zeta for a
+    central zeta exactly when every row j of U whose invariant factor is
+    0 (j < n with d_j = 0, and every j >= n) maps D (z1 - z2) to 0 mod D;
+    those rows, applied to D z, key the classes."""
+    rd = ic.rd
+    n = rd.rank
+    zg = central_fixed_points(ic)
+    rows = mat_add(identity(n), ic.gamma_mat_dual) + rd.simple_roots
+    u, d = smith_normal_form(rows)[:2]
+    zero_rows = [row[:n] for j, row in enumerate(u) if j >= n or d[j] == 0]
+    den = lcm(*(z.order for z in zg))
+    classes = {}
+    for z in zg:
+        y = z.scaled(den)
+        classes.setdefault(tuple(vec_dot(r, y) % den for r in zero_rows), z)
+    z0 = tuple(classes.values())
+    table = enumerate_X(ic)
+    return ReducedSpace(z0, {z: table.ids_over(z) for z in z0})
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import pytest
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InfiniteCenterFixedPoints, InnerClass, NotAnInvolution,
                     RatVecModZ, central_fixed_points, fiber_space, from_type,
-                    new_root_datum, nu_tau, reduced_space, theta_matrix,
-                    torus_signature, trivial_inner_class, twisted_involutions)
+                    new_root_datum, theta_matrix, trivial_inner_class,
+                    twisted_involutions)
 from liepar.intlinalg import IntMatrix, identity, mat_mul
-from props import (reference_canonical_form, reference_central_points,
-                   reference_reduced_z0, reference_signature)
+from props import (nu_tau, reduced_space, reference_canonical_form,
+                   reference_central_points, reference_reduced_z0,
+                   reference_signature, torus_signature)
 
 
 def rv(*entries):

@@ -17,27 +17,26 @@ import liepar.intlinalg
 import liepar.kgb
 import liepar.zspace
 from conftest import GRID, GRID_IDS, make_ic
-from liepar import (NoMatch, NotImaginary,
-                    NotNoncompactImaginary, NotReal, RatVecModZ, TitsGroup,
-                    TorusSignature, WeylError, cartan_class_of,
-                    cartan_classes, cartans_for, cayley_down, cayley_up,
+from liepar import (NoMatch, NotImaginary, RatVecModZ, TitsGroup,
+                    TorusSignature, WeylError, cartan_classes,
                     central_fixed_points, count_z_blocks, cross,
                     cross_by_word, enumerate_form, enumerate_X, fiber_space,
                     from_type, grading, inner_class_from_perm,
-                    langlands_count, nu_tau, real_weyl, reduced_space,
-                    strong_real_forms, theta_matrix, trivial_inner_class,
-                    twisted_involutions)
+                    langlands_count, real_weyl, strong_real_forms,
+                    theta_matrix, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.intlinalg import identity, mat_add, mat_apply, mat_mul
 from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import RootClassification
-from props import (MoveRecord, RankOne, all_elements,
-                   check_cayley_roundtrip, check_cross_action,
-                   check_cross_involutive, check_fiber_power_two,
-                   check_form_partition, check_grading_transfer,
-                   check_projection_surjective, derived_generation_log,
-                   is_positive, per_tau_torus_coord, reference_base_grading,
+from props import (MoveRecord, NotNoncompactImaginary, NotReal, RankOne,
+                   all_elements, cartan_class_of, cartans_for, cayley_down,
+                   cayley_down_ids, cayley_up, check_cayley_roundtrip,
+                   check_cross_action, check_cross_involutive,
+                   check_fiber_power_two, check_form_partition,
+                   check_grading_transfer, check_projection_surjective,
+                   derived_generation_log, is_positive, nu_tau,
+                   per_tau_torus_coord, reduced_space, reference_base_grading,
                    reference_canonical_form, reference_complex_fixed,
                    reference_delta_signs, reference_fiber, reference_forms,
                    reference_real_weyl, root_is_negative, signature_count,
@@ -320,6 +319,18 @@ def test_reduced_space_pgl2():
     rs = reduced_space(make_ic("A1", "ad"))
     assert rs.z0 == (rv(0),)
     assert rs.slices[rv(0)] == (0, 1, 2)
+
+
+def test_a_slice_of_the_table_is_the_tuple_of_its_views():
+    # a slice raised "list indices must be integers or slices, not range"
+    table = enumerate_X(make_ic("C2", "sc"))
+    assert table[1:3] == (table[1], table[2])
+    assert table[::-1][0] == table[-1]
+    assert table[::-1] == tuple(reversed(table))
+    assert table[5:2] == ()
+    assert table[:] == tuple(table)
+    with pytest.raises(TypeError):
+        table["1"]
 
 
 def test_form_of_reads_the_partition():
@@ -608,7 +619,7 @@ def test_which_cross_actions_fix_an_element(t, iso, tw):
         for s, kind in enumerate(x.status):
             fixed = x.cross[s] == x.id
             if kind == 'n':
-                downs = table.cayley_down_ids(s, x.cayley[s])
+                downs = cayley_down_ids(table, s, x.cayley[s])
                 assert len(downs) == (1 if fixed else 2)
                 kind += "II" if fixed else "I"
             else:
@@ -711,7 +722,7 @@ def test_one_smith_form_per_cartan_class(t, tw, monkeypatch):
         calls.append(m)
         return snf(m)
 
-    for module in (liepar.intlinalg, liepar.fiber, liepar.kgb):
+    for module in (liepar.intlinalg, liepar.fiber):
         monkeypatch.setattr(module, "smith_normal_form", counted)
 
     def prepared():

@@ -93,6 +93,14 @@ def test_vectors_mod_z_add_and_negate_mod_z():
     assert str(z) == "1/2,2/3"
 
 
+def test_vectors_mod_z_of_different_lengths_do_not_add():
+    # zip truncated the sum to the shorter vector
+    with pytest.raises(ValueError, match="lengths 2 and 1"):
+        RatVecModZ.reduce([1, 0]) + RatVecModZ.reduce([0])
+    with pytest.raises(ValueError, match="lengths 0 and 1"):
+        RatVecModZ.reduce([]) + RatVecModZ.reduce([Fraction(1, 2)])
+
+
 def test_value_records_are_named_tuples():
     ic = make_ic("C2", "sc")
     tbl = twisted_involutions(ic)

@@ -12,22 +12,21 @@ import liepar.rootdatum
 import liepar.weyl
 from conftest import GRID, GRID_IDS, make_ic
 from liepar import (InnerClass, InvalidInvolution, WeylError,
-                    WeylGroup, cartan_class_of, cartan_classes, enumerate_X,
-                    from_type, inner_class_from_perm, new_root_datum,
-                    real_weyl, tits_group, trivial_inner_class,
-                    twisted_involutions)
+                    WeylGroup, cartan_classes, enumerate_X, from_type,
+                    inner_class_from_perm, new_root_datum, real_weyl,
+                    tits_group, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
 from liepar.intlinalg import identity, mat_apply, mat_mul
 from liepar.weyl import (TwistedInvolutionTable, _compose, _inverse, _perm,
                          _table, cartan_index, subsystem_heights,
                          subsystem_order)
-from props import (act_Xv, all_elements, from_matrix, from_word,
-                   inverse_matrix, is_positive, matrix_canonical_word, mult,
-                   perm_bfs, perm_closure, reference_canonical_word,
-                   reference_classification, reference_complex_fixed,
-                   reference_compose, reference_reflection_perm,
-                   reference_tau_distances, root_is_negative, root_status,
-                   simple_reflection)
+from props import (act_Xv, all_elements, cartan_class_of, from_matrix,
+                   from_word, inverse_matrix, is_positive,
+                   matrix_canonical_word, mult, perm_bfs, perm_closure,
+                   reference_canonical_word, reference_classification,
+                   reference_complex_fixed, reference_compose,
+                   reference_reflection_perm, reference_tau_distances,
+                   root_is_negative, root_status, simple_reflection)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "C2": 8, "G2": 12,
           "B3": 48, "A1.A1": 4}
