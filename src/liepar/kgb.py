@@ -668,4 +668,3 @@ def _real_weyl(table: KGBTable, xid: int) -> RealWeylInfo:
         complex_fixed=fixed, stab_imaginary=stab,
         real_order=cls.re_order, imaginary_order=cls.im_order,
         orbit_size=len(orbit))
-

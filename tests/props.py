@@ -19,8 +19,7 @@ from liepar.fiber import _signature, _twice_nu, fiber_frame
 from liepar.intlinalg import (f2_vec, identity, mat_add, mat_apply, mat_mul,
                               vec_dot)
 from liepar.rootdatum import _reflection_closure
-from liepar.weyl import (WeylError, _compose, _in_range, _inverse, _perm,
-                         cartan_index)
+from liepar.weyl import WeylError, _compose, _inverse, _perm, cartan_index
 
 
 def frac_vec(v) -> tuple:
@@ -212,14 +211,6 @@ def reference_reduced_z0(ic, n_scan):
 # one class index per tau
 
 
-class NotNoncompactImaginary(ValueError):
-    pass
-
-
-class NotReal(ValueError):
-    pass
-
-
 # z0: a transversal of the twist-fixed central squares modulo
 # {z delta(z)}; slices: z -> the element ids of X(z)
 ReducedSpace = namedtuple("ReducedSpace", "z0 slices")
@@ -241,13 +232,6 @@ def nu_tau(tau, ic) -> tuple:
     return tuple(Fraction(x, 2) for x in _twice_nu(tau, ic))
 
 
-def cartan_class_of(ic, tau_idx: int) -> int:
-    index = cartan_index(ic)
-    if not 0 <= tau_idx < len(index):
-        raise WeylError("tau not found in any Cartan class")
-    return index[tau_idx]
-
-
 @lru_cache(maxsize=4)
 def _cayley_down_index(table) -> dict:
     """(s, id) -> the ids whose Cayley transform in alpha_s is id."""
@@ -263,16 +247,8 @@ def cayley_down_ids(table, s: int, xid: int) -> tuple:
     return tuple(sorted(_cayley_down_index(table).get((s, xid), ())))
 
 
-def cayley_up(s: int, x):
-    if x.status[_in_range(s, len(x.status), "simple root")] != 'n':
-        raise NotNoncompactImaginary(
-            f"simple root {s} is not noncompact imaginary here")
-    return x.table[x.cayley[s]]
-
-
 def cayley_down(s: int, x):
-    if x.status[_in_range(s, len(x.status), "simple root")] != 'r':
-        raise NotReal(f"simple root {s} is not real here")
+    """The elements whose Cayley transform in alpha_s is x."""
     ids = cayley_down_ids(x.table, s, x.id)
     if len(ids) not in (1, 2):
         raise WeylError(f"{len(ids)} Cayley preimages, expected 1 or 2")
@@ -287,7 +263,8 @@ def cartans_for(x0):
     tbl = twisted_involutions(ic)
     classes = cartan_classes(ic)
     ids = table.forms[table.form_of(x0.id)].element_ids
-    met = sorted({cartan_class_of(ic, table._taus[i]) for i in ids})
+    index = cartan_index(ic)
+    met = sorted({index[table._taus[i]] for i in ids})
     return tuple((c, fiber_space(tbl.elements[classes[c].rep], ic).signature)
                  for c in met)
 
@@ -819,7 +796,7 @@ def check_cayley_roundtrip(ic):
     for x in table:
         for s in range(ic.n_simple):
             if x.status[s] == 'n':
-                y = cayley_up(s, x)
+                y = table[x.cayley[s]]
                 assert y.status[s] == 'r'
                 assert x.id in {z.id for z in cayley_down(s, y)}
                 cases += 1
@@ -828,7 +805,7 @@ def check_cayley_roundtrip(ic):
                 assert len(downs) in (1, 2)
                 for z in downs:
                     assert z.status[s] == 'n'
-                    assert cayley_up(s, z) == x
+                    assert z.cayley[s] == x.id
                     cases += 1
     return cases
 
