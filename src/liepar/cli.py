@@ -106,8 +106,8 @@ def _diagram_involutions(cartan):
 
 
 class Session:
-    def __init__(self, out=None, verbose=False):
-        self.out = out if out is not None else sys.stdout
+    def __init__(self, out, verbose=False):
+        self.out = out
         self.verbose = verbose
         self.rd = None
         self.ic = None
@@ -115,7 +115,7 @@ class Session:
         self.done = False
         self.lineno = 0
 
-    def emit(self, text=""):
+    def emit(self, text):
         self.out.write(text + "\n")
 
     # -- command loop ----------------------------------------------------

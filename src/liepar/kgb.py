@@ -405,19 +405,14 @@ def _validate_square(ic, z: RatVecModZ) -> RatVecModZ:
     return RatVecModZ.from_scaled(y, den)
 
 
-def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
-    """The full one-sided space (or its slices over the given central
-    squares, a repeated square counted once), built breadth-first from
-    the distinguished fiber."""
-    cache_key = None
-    if squares is None:
-        cache_key = 'kgbtable'
-        if cache_key in ic._cache:
-            return ic._cache[cache_key]
-        squares = central_fixed_points(ic)
-    else:
-        squares = tuple(sorted({_validate_square(ic, z) for z in squares},
-                               key=lambda z: z.entries))
+def enumerate_X(ic: InnerClass) -> KGBTable:
+    """The one-sided space over every central square, built breadth-first
+    from the distinguished fiber once per inner class.  Every move keeps
+    the square, so X over one square z is the slice table.ids_over(z),
+    a union of strong real forms."""
+    if 'kgbtable' in ic._cache:
+        return ic._cache['kgbtable']
+    squares = central_fixed_points(ic)
     tbl = twisted_involutions(ic)
     k = ic.rd.n_simple
     blank = [None] * k
@@ -560,10 +555,8 @@ def enumerate_X(ic: InnerClass, squares=None) -> KGBTable:
         base_ids=tuple(i for i in comps[r] if i < len(seeds)),
         element_ids=tuple(comps[r]), quasisplit=r in quasisplit)
         for f, r in enumerate(final))
-    table = KGBTable(ic, squares, denom, taus, ys, sqs, grads, cross_ids,
-                     cayley_ids, forms)
-    if cache_key:
-        ic._cache[cache_key] = table
+    table = ic._cache['kgbtable'] = KGBTable(
+        ic, squares, denom, taus, ys, sqs, grads, cross_ids, cayley_ids, forms)
     return table
 
 

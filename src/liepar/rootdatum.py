@@ -39,7 +39,7 @@ class RootDatum:
 
     def __init__(self, rank, simple_roots, simple_coroots, roots, coroots,
                  cartan_matrix, coefficients=(), coroot_coefficients=(),
-                 heights=(), root_index=None):
+                 root_index=None):
         self.rank = rank
         self.simple_roots = simple_roots
         self.simple_coroots = simple_coroots
@@ -50,7 +50,6 @@ class RootDatum:
         # roots, coroot_coefficients per coroot in the simple coroots
         self.coefficients = coefficients
         self.coroot_coefficients = coroot_coefficients
-        self.heights = heights
         self.root_index = {} if root_index is None else root_index
 
     def _key(self) -> tuple:
@@ -225,7 +224,6 @@ def _ordered_datum(rank, simple_roots, simple_coroots, cartan_matrix, roots,
         pick, (roots, coroots, coefficients, coroot_coefficients))
     return RootDatum(rank, simple_roots, simple_coroots, roots, coroots,
                      cartan_matrix, coefficients, coroot_coefficients,
-                     tuple(map(sum, coefficients)),
                      dict(zip(roots, range(len(order)))))
 
 
@@ -259,8 +257,6 @@ def _cartan_C(n):
 
 
 def _cartan_D(n):
-    if n < 3:
-        raise UnknownType(f"D{n} requires n >= 3")
     c = _cartan_A(n)
     c[n - 2][n - 1] = c[n - 1][n - 2] = 0
     c[n - 3][n - 1] = c[n - 1][n - 3] = -1

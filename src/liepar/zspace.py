@@ -48,14 +48,11 @@ def dual_tau(tau: TwistedInvolution, ic: InnerClass) -> TwistedInvolution:
     return dtbl.elements[tbl.dual_index[idx]]
 
 
-def enumerate_Z(ic: InnerClass, restrict_x_square=None,
-                restrict_y_square=None):
-    """All pairs (x, y), grouped by the x-side twisted involution."""
-    dic = ic.dual
-    xt = enumerate_X(ic) if restrict_x_square is None \
-        else enumerate_X(ic, squares=[restrict_x_square])
-    yt = enumerate_X(dic) if restrict_y_square is None \
-        else enumerate_X(dic, squares=[restrict_y_square])
+def enumerate_Z(ic: InnerClass):
+    """All pairs (x, y) of the X tables of ic and of its dual, grouped by
+    the x-side twisted involution; the pairs over chosen squares are a
+    filter on x_square and y_square."""
+    xt, yt = enumerate_X(ic), enumerate_X(ic.dual)
     return match_pairs(ic, xt, range(len(xt)), yt, range(len(yt)))
 
 
@@ -94,8 +91,8 @@ def count_z_blocks(ic: InnerClass, restrict_x_square=None,
     total number of pairs, without enumerating elements.  Both sizes are
     Cartan-class invariants (dual_tau maps a class onto a class), so they
     are computed once per class, at its representative, and the per-tau
-    rows are lookups.  A restrict square is checked as enumerate_X
-    checks its squares."""
+    rows are lookups.  A restrict square must be a RatVecModZ of the
+    lattice's rank, central and fixed by the twist."""
     dic = ic.dual
     xs = (_validate_square(ic, restrict_x_square),) \
         if restrict_x_square is not None else central_fixed_points(ic)
@@ -144,14 +141,13 @@ def langlands_count(ic: InnerClass, x0: KGBElt) -> LanglandsCount:
     dual central square (infinitesimal character class), as
     count_z_blocks counts: x per Cartan class from the tau column over
     x0's form record, times the dual fiber size at the dual class per
-    dual square.  x0 may come from the full table, a per-form one or a
-    restricted one of ic or of an equal class; neither X of ic nor X of
-    its dual is built.  With rho a character, the closed form
-    sum |W| / |W(G, H)| 2^a over the form's Cartan classes is checked
-    against the count at the trivial dual square."""
+    dual square.  x0 may come from the full table or a per-form one of
+    ic or of an equal class; X of the dual is not built.  With rho a
+    character, the closed form sum |W| / |W(G, H)| 2^a over the form's
+    Cartan classes is checked against the count at the trivial dual
+    square."""
     table = _table_of(ic, x0)
     ic = table.ic
-    central_fixed_points(ic)    # raises where Z is not built, as for X
     index = cartan_index(ic)
     nx, first = {}, {}
     for i in table.forms[table.form_of(x0.id)].element_ids:

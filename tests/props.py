@@ -484,8 +484,9 @@ def simple_reflection(rd, i) -> tuple:
 
 
 def is_positive(rd, idx) -> bool:
-    """Is the root positive: is its height over the simple roots > 0?"""
-    return rd.heights[idx] > 0
+    """Is the root positive?  Roots are ordered by height, so the
+    negative ones come first."""
+    return idx >= rd.n_pos
 
 
 def sigma_for_root(tg, root_idx):
@@ -501,7 +502,8 @@ def sigma_for_root(tg, root_idx):
         return tg.canonical_lift(wg.simple(simple.index(root_idx)))
     for i in range(rd.n_simple):
         j = wg.simple_perms[i][root_idx]
-        if is_positive(rd, j) and rd.heights[j] < rd.heights[root_idx]:
+        if is_positive(rd, j) and \
+                sum(rd.coefficients[j]) < sum(rd.coefficients[root_idx]):
             si = tg.canonical_lift(wg.simple(i))
             si_inv = TitsElt(si.w, f2_vec(rd.simple_coroots[i]))
             return tg.multiply(tg.multiply(si, sigma_for_root(tg, j)), si_inv)

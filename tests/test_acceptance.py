@@ -302,20 +302,30 @@ def test_library_has_no_unreferenced_definitions():
     # method but a dunder or a cli cmd_* handler (Session.handle finds
     # those by name) is read as an attribute (x.name) outside its own
     # definition, since a local variable of the same name does not call
-    # it: code only the tests call belongs in the tests
+    # it: code only the tests call belongs in the tests.  Every attribute
+    # an __init__ assigns on self is read as x.name (not assigned) in the
+    # library, or named as a whole word in README.md
     src = Path(liepar.__file__).parent
     root = Path(__file__).resolve().parents[1]
-    doc_words = {word for name in ("README.md", "bench/run.py")
-                 for word in re.findall(r"\w+", (root / name).read_text())}
+
+    def words(name):
+        return set(re.findall(r"\w+", (root / name).read_text()))
+
+    readme_words = words("README.md")
+    doc_words = readme_words | words("bench/run.py")
     defined = []  # (file, owner, name, documented, method)
     uses = {}     # name -> set of (file, owner) naming it
     attr_uses = {}  # name -> set of (file, owner) reading it as x.name
+    attr_reads = set()  # names loaded as x.name anywhere in the library
+    fields = []   # (file, class, name) of each self.name an __init__ sets
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def record(path, owner, node):
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute):
                 attr_uses.setdefault(sub.attr, set()).add((path.name, owner))
+                if isinstance(sub.ctx, ast.Load):
+                    attr_reads.add(sub.attr)
             name = sub.id if isinstance(sub, ast.Name) else \
                 sub.attr if isinstance(sub, ast.Attribute) else None
             if name:
@@ -341,6 +351,14 @@ def test_library_has_no_unreferenced_definitions():
                             or item.name.startswith("cmd_")):
                         defined.append((path.name, owner, item.name, False,
                                         True))
+                    if item.name == "__init__":
+                        fields.extend(
+                            (path.name, stmt.name, sub.attr)
+                            for sub in ast.walk(item)
+                            if isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self")
                 record(path, owner, item)
             for base in stmt.bases + stmt.decorator_list:
                 record(path, stmt.name, base)
@@ -348,4 +366,6 @@ def test_library_has_no_unreferenced_definitions():
              for file, owner, name, documented, method in defined
              if not documented and not (attr_uses if method else uses)
              .get(name, set()) - {(file, owner)}]
+    found += [f"{file}: {owner}.{name}" for file, owner, name in fields
+              if name not in attr_reads and name not in readme_words]
     assert found == []

@@ -347,6 +347,15 @@ def test_pure_torus_reports_its_rank_and_refuses_strongreal(spec, rank):
         strong_real_forms(trivial_inner_class(from_type(spec[:2], "sc")))
 
 
+def test_a_twist_fixed_torus_counts_pairs_over_given_squares():
+    # X and Z are not built, but count-z with both squares reads fibers
+    out = run_session("type A1.T1 sc\ninner c\ncount-z 1 1\ncount-z\n")
+    assert out.splitlines()[-3:] == [
+        "tau e: 4 x 1 = 4", "total 4",
+        "error (line 4): the twist fixes a central torus; central squares "
+        "are not finite"]
+
+
 def test_a_torus_session_switches_to_the_dual():
     out = run_session("type T1 sc\ninner c\ndual\ncartan\n")
     assert out.splitlines()[-3:] == [

@@ -408,28 +408,6 @@ def test_a_letter_out_of_range_is_an_error():
     assert cross_by_word((1,), x) == cross(1, x)
 
 
-def test_restricted_squares():
-    ic = make_ic("A1", "sc")
-    table = enumerate_X(ic, squares=[rv("1/2")])
-    assert len(table) == 3
-    with pytest.raises(ValueError):
-        enumerate_X(ic, squares=[rv("1/3")])
-
-
-def test_a_repeated_square_is_counted_once():
-    # the slice over a set of squares is the same however often a square
-    # is listed; both squares of SL(2) once broke the search
-    ic = make_ic("A1", "sc")
-    squares = central_fixed_points(ic)
-    for z in squares:
-        once = enumerate_X(ic, squares=[z])
-        twice = enumerate_X(ic, squares=[z, z])
-        assert twice.squares == (z,)
-        assert table_digest(twice) == table_digest(once)
-    both = enumerate_X(ic, squares=squares[::-1] + squares)
-    assert table_digest(both) == table_digest(enumerate_X(ic))
-
-
 def test_lengths_monotone_and_seeded_at_zero():
     for t, iso, tw in GRID:
         table = enumerate_X(make_ic(t, iso, tw))
@@ -942,12 +920,6 @@ def test_search_and_forms_build_no_element_view(t, tw, size, digest,
     assert "error" not in out.getvalue()
     monkeypatch.undo()
     assert table_digest(table) == digest
-    # an element of a table over one square leaves the full X unbuilt
-    ic = fresh_ic(t, tw)
-    part = enumerate_X(ic, squares=[forms[-1].square])
-    langlands_count(ic, part[0])
-    assert 'kgbtable' not in ic._cache
-    assert 'kgbtable' not in ic.dual._cache
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
@@ -1089,6 +1061,32 @@ def test_x_over_a_quasisplit_square_is_the_signature_count(t, iso, tw):
         count = signature_count(side)
         for z in squares:
             assert len(table.ids_over(z)) == count
+
+
+SQUARE_SLICE_DATA = [(t, iso, tw, side) for t, iso, tw in GRID
+                     for side in ("primal", "dual")] \
+    + [(t, "sc", tw, "primal") for t, tw, _, _ in LADDER_DIGESTS]
+
+
+@pytest.mark.parametrize("t,iso,tw,side", SQUARE_SLICE_DATA)
+def test_x_over_one_square_is_a_slice_of_whole_forms(t, iso, tw, side):
+    # every cross and Cayley link keeps the central square, so X over a
+    # square z is table.ids_over(z): the slices partition X and each is
+    # a union of strong real forms
+    ic = make_ic(t, iso, tw)
+    ic = ic.dual if side == "dual" else ic
+    table = enumerate_X(ic)
+    k, sq = ic.rd.n_simple, table._square_idx
+    for links in (table._cross, table._cayley):
+        # slot i * k + s holds the link of element i in simple root s
+        for slot, j in enumerate(links):
+            assert j is None or sq[j] == sq[slot // k]
+    slices = [table.ids_over(z) for z in central_fixed_points(ic)]
+    assert sorted(i for ids in slices for i in ids) == list(range(len(table)))
+    for ids in slices:
+        forms = {table.form_of(i) for i in ids}
+        assert sorted(i for f in forms for i in table.forms[f].element_ids) \
+            == list(ids)
 
 
 # form sizes by a second route: the K-orbits on G/B over the Cartan class

@@ -86,10 +86,11 @@ def test_heights_and_positivity():
     pos = [i for i in range(len(rd.roots)) if is_positive(rd, i)]
     assert len(pos) == 6
     # the highest root of G2 has height 5
-    assert max(rd.heights) == 5
-    # roots are sorted by height then lex
-    hs = [rd.heights[i] for i in range(len(rd.roots))]
+    hs = [sum(coeffs) for coeffs in rd.coefficients]
+    assert max(hs) == 5
+    # roots are sorted by height then lex, the positive ones last
     assert hs == sorted(hs)
+    assert all((h > 0) == is_positive(rd, i) for i, h in enumerate(hs))
 
 
 @pytest.mark.parametrize(
@@ -97,11 +98,10 @@ def test_heights_and_positivity():
 def test_coefficients_from_the_closure(t, iso):
     for rd in (from_type(t, iso), from_type(t, iso).dual()):
         assert len(rd.coefficients) == len(rd.roots)
-        for root, coeffs, h in zip(rd.roots, rd.coefficients, rd.heights):
+        for root, coeffs in zip(rd.roots, rd.coefficients):
             assert tuple(sum(c * a[r] for c, a in zip(coeffs, rd.simple_roots))
                          for r in range(rd.rank)) == root
             assert coeffs == simple_coordinates(root, rd.simple_roots)
-            assert h == sum(coeffs)
         # and each coroot's, in the simple coroots
         assert [simple_coordinates(c, rd.simple_coroots)
                 for c in rd.coroots] == list(rd.coroot_coefficients)
@@ -159,7 +159,6 @@ def test_the_dual_is_the_closure_of_the_swapped_simple_data(t, iso):
         assert datum == ref
         assert datum.coefficients == ref.coefficients
         assert datum.coroot_coefficients == ref.coroot_coefficients
-        assert datum.heights == ref.heights
         assert datum.root_index == ref.root_index
         assert datum.cartan_matrix == ref.cartan_matrix
 

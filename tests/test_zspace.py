@@ -234,30 +234,17 @@ def test_langlands_count_matches_pair_tally(spec):
     ic = make_ic(*spec)
     table = enumerate_X(ic)
     pairs = enumerate_Z(ic)
-    tallies = []
     for form in strong_real_forms(ic):
         ids = set(form.element_ids)
         tally = {}
         for p in pairs:
             if p.x in ids:
                 tally[p.y_square] = tally.get(p.y_square, 0) + 1
-        tallies.append(tally)
         lc = langlands_count(ic, table[form.element_ids[0]])
         assert lc.counts == tally
         # a per-form table's element names the same form
         sub = enumerate_form(ic, table[form.element_ids[-1]])
         assert langlands_count(ic, sub[0]).counts == tally
-    # so does an element of a table restricted to one square, found in
-    # the full table by tau and fiber coordinates
-    full_id = {(x.tau.index, x.coords): x.id for x in table}
-    for z in central_fixed_points(ic):
-        part = enumerate_X(ic, squares=[z])
-        scale = table.denom // part.denom
-        for form in part.forms:
-            x = part[form.element_ids[0]]
-            f = table.form_of(full_id[x.tau.index,
-                                      tuple(scale * a for a in x.coords)])
-            assert langlands_count(ic, x).counts == tallies[f]
 
 
 def test_langlands_count_checks_the_inner_class():
@@ -269,18 +256,22 @@ def test_langlands_count_checks_the_inner_class():
     again = trivial_inner_class(from_type("A2", "sc"))
     assert langlands_count(again, x0) == \
         langlands_count(x0.table.ic, x0)
-    # no pair space where the twist fixes a central torus
+    # no pair space where the twist fixes a central torus, but a count
+    # with both squares given
     ic = trivial_inner_class(from_type("A1.T1", "sc"))
-    part = enumerate_X(ic, squares=[rv(0, 0)])
     with pytest.raises(InfiniteCenterFixedPoints):
-        langlands_count(ic, part[0])
+        enumerate_Z(ic)
+    assert count_z_blocks(ic, rv(0, 0), rv(0, 0))[1] == 4
 
 
 def test_restricted_z():
-    ic = make_ic("A1", "sc")
-    pairs = enumerate_Z(ic, restrict_x_square=rv("1/2"),
-                        restrict_y_square=rv(0))
-    assert len(pairs) == 4
+    # the pairs over chosen squares are a filter of Z: SL(2) has 4 with
+    # x^2 = -1 and y^2 = 1
+    pairs = enumerate_Z(make_ic("A1", "sc"))
+    assert [(p.x, p.y) for p in pairs
+            if (p.x_square, p.y_square) == (rv("1/2"), rv(0))] == \
+        [(2, 2), (3, 2), (4, 0), (4, 1)]
+    assert count_z_blocks(make_ic("A1", "sc"), rv("1/2"), rv(0))[1] == 4
 
 
 def test_central_square_counts_consistency():
@@ -296,30 +287,18 @@ def test_central_square_counts_consistency():
 @pytest.mark.parametrize("side", ["restrict_x_square", "restrict_y_square"])
 def test_restrict_squares_are_validated(side):
     # count_z_blocks checks x^2 against the group and y^2 against its
-    # dual, with the typed errors of enumerate_Z and enumerate_X
+    # dual, with typed errors
     ic = make_ic("A1", "sc")
     with pytest.raises(ValueError, match="not central"):
         count_z_blocks(ic, **{side: rv("1/3")})
-    with pytest.raises(ValueError, match="not central"):
-        enumerate_Z(ic, **{side: rv("1/3")})
-    for call in (count_z_blocks, enumerate_Z):
-        with pytest.raises(ValueError, match="needs 1 coordinates") as info:
-            call(ic, **{side: rv(0, 0)})
-        assert not isinstance(info.value, WeylError)
+    with pytest.raises(ValueError, match="needs 1 coordinates") as info:
+        count_z_blocks(ic, **{side: rv(0, 0)})
+    assert not isinstance(info.value, WeylError)
 
 
 def test_a_square_that_is_no_ratvecmodz_raises_a_type_error():
     ic = make_ic("A1", "sc")
     half = (Fraction(1, 2),)
-    with pytest.raises(TypeError, match="RatVecModZ, got tuple"):
-        enumerate_X(ic, squares=[half])
     for side in ("restrict_x_square", "restrict_y_square"):
-        for call in (count_z_blocks, enumerate_Z):
-            with pytest.raises(TypeError, match="RatVecModZ, got tuple"):
-                call(ic, **{side: half})
-
-
-def test_enumerate_x_rejects_a_square_of_the_wrong_length():
-    with pytest.raises(ValueError, match="needs 1 coordinates") as info:
-        enumerate_X(make_ic("A1", "sc"), squares=[rv(0, 0)])
-    assert not isinstance(info.value, WeylError)
+        with pytest.raises(TypeError, match="RatVecModZ, got tuple"):
+            count_z_blocks(ic, **{side: half})
