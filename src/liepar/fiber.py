@@ -23,6 +23,10 @@ serves every tau in it: the frame of tau (fiber_frame) is its class
 representative's V carried along a spanning tree of cross edges by
 V_{s tau} = S_s V_tau, with 2 nu_tau carried along the same edges mod
 2.  In frame coordinates a tree edge moves y by a translation alone.
+The tree also gives each tau its path P_tau, the product of the simple
+reflections along it (V_tau = P_tau V_rep), and its offset o_tau, the
+sum of the tree-edge translations: the element P_tau x over tau, for x
+over the representative with coordinates f, has coordinates f + o_tau.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from typing import NamedTuple
 from .intlinalg import (IntMatrix, RatVecModZ, identity, mat_add, mat_apply,
                         mat_mul, smith_normal_form)
 from .tits import TitsGroup
-from .weyl import (InnerClass, TwistedInvolution, WeylError, cartan_classes,
-                   cartan_index, twisted_involutions)
+from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
+                   cartan_classes, cartan_index, twisted_involutions)
 
 
 class NotAnInvolution(ValueError):
@@ -211,14 +215,19 @@ class Frame(NamedTuple):
     """Fiber data of one twisted involution tau in the basis carried over
     from its Cartan class representative: the unimodular V with its
     inverse, the coordinates j with (1 + theta_v) V e_j = 0, the rows of
-    (1 + theta_v) V, the integer vector 2 nu_tau mod 2, and the tree edge
-    (tau index, s) it was carried along (None at the representative)."""
+    (1 + theta_v) V, the integer vector 2 nu_tau mod 2, the tree edge
+    (tau index, s) it was carried along (None at the representative),
+    the root permutation P_tau of the tree path from the representative,
+    and the offset o_tau as bits: D/2 times them is o_tau mod D in
+    coordinates y mod D, 0 on the kernel coordinates."""
     v: tuple
     vinv: tuple
     kernel: tuple
     square: tuple
     twice_nu: tuple
     parent: tuple
+    path: bytes     # a tuple above 256 roots (see weyl._perm)
+    offset: tuple
 
 
 def _reflect_rows(m, a, av):
@@ -242,14 +251,20 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
     order.  2 nu is carried too: with sigma_s sigma_w sigma_gamma(s)^-1 =
     x_u sigma_w2, squaring sigma_s (sigma_w delta) sigma_s^-1 gives
     2 nu_tau2 = S_s (2 nu_tau) + (1 + theta_tau2) u mod 2, and
-    1 + theta_tau2 is the carried square rows times V^-1."""
+    1 + theta_tau2 is the carried square rows times V^-1.  The edge
+    translates y by D/2 V_tau2^-1 u, so the offset adds V_tau2^-1 u mod 2
+    off the kernel, and the path P_tau2 = s P_tau is one compose.  The
+    Weyl part w2 of the Tits product must be the table's target."""
     tbl = twisted_involutions(ic)
     rd = ic.rd
     tg = tits_group(ic)
+    simple_tables = ic.weyl.simple_tables
     fs = fiber_space(tbl.elements[rep], ic)
     square = mat_mul(mat_add(identity(ic.rank), fs.theta_v), fs._v)
-    frames[rep] = Frame(fs._v, fs._vinv, fs._kernel_coords, square,
-                        tuple(x % 2 for x in fs._twice_nu), None)
+    kernel = fs._kernel_coords
+    frames[rep] = Frame(fs._v, fs._vinv, kernel, square,
+                        tuple(x % 2 for x in fs._twice_nu), None,
+                        ic.weyl.identity.perm, (0,) * ic.rank)
     queue = deque([rep])
     while queue:
         t = queue.popleft()
@@ -260,20 +275,28 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             a, av = rd.simple_roots[s], rd.simple_coroots[s]
             sq2 = _reflect_rows(fr.square, a, av)
             vinv2 = _reflect_cols(fr.vinv, a, av)
-            _, u = tg.conjugate_simple(s, tbl.elements[t].w,
-                                       ic.diagram_perm[s])
+            perm, u = tg.conjugate_simple(s, tbl.elements[t].w,
+                                          ic.diagram_perm[s])
+            if perm != tbl.elements[t2].w.perm:
+                raise WeylError(
+                    "cross action disagrees with the involution table")
             c = sum(map(mul, a, fr.twice_nu))
-            shift = mat_apply(sq2, mat_apply(vinv2, u))
+            step = mat_apply(vinv2, u)
+            shift = mat_apply(sq2, step)
             frames[t2] = Frame(
-                _reflect_rows(fr.v, a, av), vinv2, fr.kernel, sq2,
+                _reflect_rows(fr.v, a, av), vinv2, kernel, sq2,
                 tuple([(x - c * y + z) % 2
-                       for x, y, z in zip(fr.twice_nu, av, shift)]), (t, s))
+                       for x, y, z in zip(fr.twice_nu, av, shift)]), (t, s),
+                _compose(simple_tables[s], fr.path),
+                tuple([0 if j in kernel else (o + x) % 2
+                       for j, (o, x) in enumerate(zip(fr.offset, step))]))
             queue.append(t2)
 
 
 def fiber_frame(ic: InnerClass, tau_idx: int) -> Frame:
-    """The frame of tau_idx; the first call in a Cartan class builds the
-    representative's Smith form and the frames of the whole class."""
+    """The frame of tau_idx, with its path P_tau and offset o_tau; the
+    first call in a Cartan class builds the representative's Smith form
+    and the frames of the whole class."""
     frames = ic._cache.setdefault('frames', {})
     if tau_idx not in frames:
         cls = cartan_classes(ic)[cartan_index(ic)[tau_idx]]

@@ -7,18 +7,28 @@ the cross action of W, Cayley transforms between fibers, and a Z/2
 grading (compact/noncompact) on imaginary roots; connected components
 of the move graph are the strong real forms.
 
-The breadth-first search keys an element by integer fiber coordinates
-y = D V^-1 lambda mod D in tau's frame (see fiber_frame), with the
-kernel coordinates 0 and D = 2 lcm(2, denominators of the central
-squares); it builds no Fraction.  Each cross action and Cayley
-transform (tau, s) is tabulated once, on first use, as an integer
-affine map y -> M y + c mod D plus a map of the grading bits (see
-_move_map); its target is read from the involution table.  M is the
-identity on an edge of the frames' spanning tree, and 1 - c r for an s
-that fixes tau: there an element pays one dot product r . y, and one
-that s fixes is linked to itself with no key to look up.  The cross
-action of s is an involution, so a cross edge is computed from one end
-and linked both ways.  The seeds are the integer solutions over each
+The breadth-first search works in class-representative coordinates.
+An element over tau is P_tau x for a point x over the representative
+rho of tau's Cartan class, with P_tau the path of tau's frame (see
+fiber_frame), and its fiber coordinates y = D V^-1 lambda mod D in
+tau's frame are f + o_tau, with the kernel coordinates 0 and D =
+2 lcm(2, denominators of the central squares).  The search keys an
+element by (tau, f), keeps its grading bits in the order of rho's
+positive imaginary roots and checks its square on f against rho's rows;
+it builds no Fraction.  X is a W-set and Cayley transforms commute with
+the cross action, so a cross move (tau, s) acts on f as the cross action
+of w = P_tau2^-1 s P_tau, which fixes rho, and a Cayley move as the
+Cayley transform in beta = P_tau^-1 alpha_s followed by the cross action
+of u = P_tau2^-1 P_tau.  Each such key of a Cartan class gets one
+integer affine map f -> M f + c mod D plus a map of the grading bits,
+built from the first edge that meets it (_move_map, rewritten on f by
+_class_move); the key w = 1, every edge of the frames' spanning tree
+among them, moves nothing.  M is 1 - c r for an s that fixes tau: there
+an element pays one dot product r . f, and one that s fixes is linked to
+itself with no key to look up.  Targets are read from the involution
+table, and each tau and each slot checks it on root permutations.  The
+cross action of s is an involution, so a cross edge is computed from one
+end and linked both ways.  The seeds are the integer solutions over each
 central square on the distinguished fiber, graded by the sign of delta
 on each imaginary root (see _delta_signs): 1 exactly on the roots
 alpha + gamma(alpha) with gamma(alpha) != alpha, each A2 fold confirmed
@@ -45,8 +55,8 @@ from typing import NamedTuple
 from .fiber import (_reflect_rows, central_fixed_points, fiber_frame,
                     fiber_space, frame_torus_coord, tits_group)
 from .intlinalg import RatVecModZ, mat_apply, vec_dot
-from .weyl import (InnerClass, WeylError, _in_range, cartan_classes,
-                   cartan_index, twisted_involutions)
+from .weyl import (InnerClass, WeylError, _compose, _in_range, _inverse,
+                   cartan_classes, cartan_index, twisted_involutions)
 
 
 class NotImaginary(ValueError):
@@ -101,9 +111,12 @@ class KGBTable(Sequence):
     """X as the sequence of its elements: table[i] and iter(table) form
     one KGBElt view per read, a slice the tuple of its views, and the
     table holds none.  It holds columns indexed by element id: tau
-    index, fiber coordinates, square index, grading bits (in the order of
-    tau's positive imaginary roots), and k slots each of cross and
-    Cayley ids (None where no Cayley transform applies).  It holds only
+    index, class coordinates f, square index, grading bits in the order
+    of the class representative's positive imaginary roots, and k slots
+    each of cross and Cayley ids (None where no Cayley transform
+    applies).  A view converts: its coords are f + o_tau in tau's frame,
+    and its grading and status read the bits through tau's class
+    positions (see _class_positions).  It holds only
     these columns: the path by which the search reached each element is
     read off the links.  forms holds one StrongRealForm record per
     connected component, in the canonical order (quasisplit last)."""
@@ -134,25 +147,32 @@ class KGBTable(Sequence):
             return tuple(map(self.__getitem__, range(len(self))[i]))
         i = range(len(self._taus))[i]
         t, g = self._taus[i], self._grading_bits[i]
-        tau = twisted_involutions(self.ic).elements[t]
+        tbl = twisted_involutions(self.ic)
+        tau = tbl.elements[t]
         k = self.ic.rd.n_simple
+        denom, half = self.denom, self.denom // 2
+        coords = tuple([(a + half * b) % denom for a, b in
+                        zip(self._coords[i], fiber_frame(self.ic, t).offset)])
         return KGBElt(
-            id=i, tau=tau, coords=self._coords[i], length=tau.length,
+            id=i, tau=tau, coords=coords, length=tau.length,
             square=self.squares[self._square_idx[i]],
             status=self._status(t, g),
             cross=tuple(self._cross[i * k:i * k + k]),
             cayley=tuple(self._cayley[i * k:i * k + k]),
-            grading=tuple(zip(twisted_involutions(self.ic)
-                              .classification(t).im_pos, g)), table=self)
+            grading=tuple(zip(tbl.classification(t).im_pos,
+                              map(g.__getitem__,
+                                  _class_positions(self.ic, t)[0]))),
+            table=self)
 
     def _status(self, t, g) -> tuple:
-        """Per simple root over tau index t with grading bits g: 'c' or
-        'n' where theta fixes it, 'r' where it negates it, else 'C'."""
+        """Per simple root over tau index t with class grading bits g:
+        'c' or 'n' where theta fixes it, 'r' where it negates it, else
+        'C'."""
         theta = twisted_involutions(self.ic).elements[t].theta
         return tuple('cn'[g[p]] if p is not None
                      else 'r' if theta[a] == self.ic.weyl.neg[a] else 'C'
                      for a, p in zip(self.ic.weyl.simple_idx,
-                                     _simple_positions(self.ic, t)))
+                                     _class_positions(self.ic, t)[1]))
 
     def form_of(self, xid: int) -> int:
         if not 0 <= xid < len(self._form_of):
@@ -229,7 +249,7 @@ class KGBTable(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# move arithmetic: per-move tables on integer fiber coordinates
+# move arithmetic: per-key tables on integer class coordinates
 
 
 def _square_map(ic, tau_idx, denom):
@@ -302,10 +322,10 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     rank-one part), in the frames of the two taus.  An element with
     fiber coordinates y moves to y2 mod denom in one of three forms:
 
-    - translation, y2 = y + offset, where M = V_tau2^-1 S_s V_tau is
-      the identity with tau's kernel coordinates: on a cross edge of
-      the frames' spanning tree, read from either end, or any other
-      cross edge where S_s V_tau = V_tau2.
+    - translation, y2 = y + offset, where S_s V_tau = V_tau2 with the
+      same kernel coordinates, so that M = V_tau2^-1 S_s V_tau is the
+      identity: on a cross edge of the frames' spanning tree, read from
+      either end.
     - rank-one loop, where s fixes tau and so its frame V: M = 1 - c r
       with r = alpha_s V and c = V^-1 alpha_s^v, zeroed on the kernel
       coordinates.  The part is (r, c, fixes); with t = r . y mod
@@ -314,9 +334,10 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     - general rows: y2[j] = row_j . y + offset[j], or 0 where row_j is
       None (on tau2's kernel).
 
-    The grading bits g map to g2 = regrade(g) on a cross action, and to
-    g2[j] = g[at[j]] ^ flips[j] with (at, flips) = regrade on a Cayley
-    transform.  The cross action conjugates exp(2 pi i lambda) sigma_w
+    The grading bits g map to g2[j] = g[regrade[j]] on a cross action,
+    and to g2[j] = g[at[j]] ^ flips[j] with (at, flips) = regrade on a
+    Cayley transform, bits in the order of each tau's own positive
+    imaginary roots.  The cross action conjugates exp(2 pi i lambda) sigma_w
     delta by sigma_s; the Cayley transform left-multiplies it by
     sigma_s.  tau2 is read from the involution table and checked
     against the Weyl part of that Tits product."""
@@ -345,7 +366,7 @@ def _move_map(ic, tau_idx, s, cayley, denom):
         rank_one = (tuple([sum(map(mul, alpha, col)) for col in zip(*fr.v)]),
                     tuple([0 if j in kernel else sum(map(mul, row, av))
                            for j, row in enumerate(fr.vinv)]), {})
-    elif cayley or (fr2.parent != (tau_idx, s) and fr.parent != (t2, s)):
+    else:
         sv = _reflect_rows(fr.v, alpha, av)
         if sv != fr2.v or fr.kernel != kernel:
             svt = tuple(zip(*sv))
@@ -367,20 +388,84 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     else:
         sp, neg = ic.weyl.simple_perms[s], ic.weyl.neg
         # max: the positive one of +-s(b)
-        p2 = tuple([pos.get(max(sp[b], neg[sp[b]])) for b in im2])
-        if len(im2) != len(im) or None in p2:
+        regrade = tuple([pos.get(max(sp[b], neg[sp[b]])) for b in im2])
+        if len(im2) != len(im) or None in regrade:
             raise WeylError("cross action misses an imaginary root")
-        # tuple(g) is g itself; a map that moves a bit moves two
-        regrade = tuple if p2 == tuple(range(len(p2))) else itemgetter(*p2)
     return t2, rows, offset, regrade, rank_one
 
 
-def _simple_positions(ic, tau_idx) -> tuple:
-    """Per simple root, its position among the positive imaginary roots
-    of tau_idx, or None when it is not imaginary there."""
-    cls = twisted_involutions(ic).classification(tau_idx)
-    return tuple(cls.im_pos.index(a) if cls.theta[a] == a else None
-                 for a in ic.weyl.simple_idx)
+def _class_positions(ic, tau_idx) -> tuple:
+    """(pos, simple) for tau_idx: pos[j] is the position, among the
+    positive imaginary roots of its Cartan class representative, of
+    +-P_tau^-1 of tau's j-th one, so that the grading of P_tau x there is
+    x's at pos[j]; simple holds per simple root that position, or None
+    when the root is not imaginary at tau_idx."""
+    cache = ic._cache.setdefault('class_positions', {})
+    out = cache.get(tau_idx)
+    if out is None:
+        tbl = twisted_involutions(ic)
+        cls = tbl.classification(tau_idx)
+        fr = fiber_frame(ic, tau_idx)
+        if fr.parent is None:   # the representative: P_tau = 1
+            pos = tuple(range(len(cls.im_pos)))
+        else:
+            rep = cartan_classes(ic)[cartan_index(ic)[tau_idx]].rep
+            at = {b: j for j, b in enumerate(tbl.classification(rep).im_pos)}
+            inv, neg = _inverse(fr.path), ic.weyl.neg
+            # max: the positive one of +-b
+            pos = tuple([at.get(max(inv[b], neg[inv[b]]))
+                         for b in cls.im_pos])
+            if len(pos) != len(at) or None in pos:
+                raise WeylError("the frame path misses an imaginary root")
+        out = cache[tau_idx] = (pos, tuple(
+            pos[cls.im_pos.index(a)] if cls.theta[a] == a else None
+            for a in ic.weyl.simple_idx))
+    return out
+
+
+# the move of the key w = 1: f and the grading bits stay (tuple(g) is g)
+_STAY = (None, None, tuple, None)
+
+
+def _class_move(ic, tau_idx, s, cayley, denom):
+    """The move (tau_idx, s) of _move_map rewritten on class coordinates
+    f = y - o_tau and class grading bits: (rows, offset, regrade,
+    rank-one part) in the forms of _move_map, with a cross regrade
+    g2 = regrade(g).  With y2 = M y + c and y = f + o_tau, f2 = M f +
+    (M o_tau + c - o_tau2).  M = V_tau2^-1 S_s V_tau is V_rho2^-1
+    P_tau2^-1 S_s P_tau V_rho, which depends on the move's key alone, and
+    so does the new offset, as the move is the key's action on X."""
+    t2, rows, offset, regrade, rank_one = _move_map(ic, tau_idx, s, cayley,
+                                                    denom)
+    fr1, fr2 = fiber_frame(ic, tau_idx), fiber_frame(ic, t2)
+    if fr1.parent is not None or fr2.parent is not None:
+        # off the representatives, where f = y and the bits are in place
+        half = denom // 2
+        o1 = [half * b for b in fr1.offset]
+        o2 = [half * b for b in fr2.offset]
+        if rank_one is not None:    # M = 1 - c r
+            r, c = rank_one[:2]
+            ro = sum(map(mul, r, o1))
+            m = [a - ro * b for a, b in zip(o1, c)]
+        elif rows is None:
+            m = o1
+        else:                       # a kernel row of tau2 is 0, as is o_tau2
+            m = [0 if row is None else sum(map(mul, row, o1)) for row in rows]
+        offset = tuple([(a + o - b) % denom
+                        for a, o, b in zip(m, offset, o2)])
+        # bit j of tau2 is bit pos2[j] of the class, tau's bit a is pos1[a]
+        pos1 = _class_positions(ic, tau_idx)[0]
+        pos2 = _class_positions(ic, t2)[0]
+        reads, bits = regrade if cayley else (regrade, pos2)
+        at, flips = [0] * len(pos2), [0] * len(pos2)
+        for j, a, e in zip(pos2, reads, bits):
+            at[j], flips[j] = pos1[a], e
+        regrade = (tuple(at), tuple(flips)) if cayley else tuple(at)
+    if not cayley:
+        # tuple(g) is g itself; a map that moves a bit moves two
+        regrade = tuple if regrade == tuple(range(len(regrade))) \
+            else itemgetter(*regrade)
+    return rows, offset, regrade, rank_one
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +499,17 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
         return ic._cache['kgbtable']
     squares = central_fixed_points(ic)
     tbl = twisted_involutions(ic)
+    wg = ic.weyl
     k = ic.rd.n_simple
     blank = [None] * k
+    classes, class_of = cartan_classes(ic), cartan_index(ic)
 
     # fiber coordinates y = denom * V^-1 lambda are integers mod denom:
     # denom clears the denominators of every solution over the squares
     denom = 2 * lcm(2, *(z.order for z in squares))
-    # the columns; an element's square is kept as its index in squares,
-    # and roots[i] is the seed whose search found element i
+    # the columns: ys holds class coordinates f, grads class grading
+    # bits; an element's square is kept as its index in squares, and
+    # roots[i] is the seed whose search found element i
     taus, ys, sqs, grads, roots = [], [], [], [], []
     cross_ids, cayley_ids = [], []
     key_index = {}
@@ -455,24 +543,86 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
             a = seed_parent[a]
         return a
 
+    one, neg, simple_idx = wg.identity.perm, wg.neg, wg.simple_idx
+    # per tau, P_tau and P_tau^-1; per class representative, the
+    # position of each positive imaginary root; filled one Cartan class
+    # at a time
+    paths, reps = {}, {}
+
+    def enter(c):
+        for t in c.members:
+            p = fiber_frame(ic, t).path
+            paths[t] = (p, _inverse(p))
+        reps[c.rep] = {b: j for j, b in
+                       enumerate(tbl.classification(c.rep).im_pos)}
+
+    # the moves by key number; key 0 is w = 1
+    key_ids = {}
+    moves = [_STAY]
+
+    def key_id(key):
+        kid = key_ids[key] = len(moves)
+        moves.append(None)
+        return kid
+
+    def make_slots(t):
+        """Per tau, one slot (s, class position of alpha_s, cayley, tau2,
+        key number) per cross move and then per Cayley move.  The keys
+        are checked against the table's targets: P_tau theta_rho P_tau^-1
+        = theta_tau, a cross key w fixes theta_rho and a Cayley key
+        carries s_beta theta_rho to theta_rho2 (see the module doc).  The
+        cross check reads w alone, and a wrong target gives a w that
+        fixes no theta_rho, so it runs once per key.  The Cayley check
+        is read on tau2: u s_beta theta_rho u^-1 = P_tau2^-1 s theta_tau
+        P_tau2 is theta_rho2 = P_tau2^-1 theta_tau2 P_tau2 exactly when
+        s theta_tau = theta_tau2, as tau2's own check holds."""
+        rep = classes[class_of[t]].rep
+        if rep not in reps:
+            enter(classes[class_of[t]])
+        theta, at = tbl.elements[rep].theta, reps[rep]
+        p, pinv = paths[t]
+        theta_t = tbl.elements[t].theta
+        if p != one and _compose(p, theta) != _compose(theta_t, p):
+            raise WeylError("cross action disagrees with the involution table")
+        out = []
+        for s, t2 in enumerate(tbl.cross[t]):
+            w = _compose(paths[t2][1], _compose(wg.simple_tables[s], p))
+            kid = 0 if w == one else key_ids.get((rep, w))
+            if kid is None:
+                if _compose(w, theta) != _compose(theta, w):
+                    raise WeylError(
+                        "cross action disagrees with the involution table")
+                kid = key_id((rep, w))
+            out.append((s, None, False, t2, kid))
+        for s, a in enumerate(simple_idx):
+            if theta_t[a] != a:
+                continue
+            t2 = tbl.cayley[t][s]
+            if _compose(wg.simple_tables[s], theta_t) != \
+                    tbl.elements[t2].theta:
+                raise WeylError(
+                    "Cayley transform disagrees with the involution table")
+            if classes[class_of[t2]].rep not in reps:
+                enter(classes[class_of[t2]])
+            u = _compose(paths[t2][1], p)
+            # beta = P_tau^-1 alpha_s; its grading bit sits at +-beta
+            b = pinv[a]
+            key = (rep, b, u)
+            kid = key_ids.get(key)
+            out.append((s, at[max(b, neg[b])], True, t2,
+                        key_id(key) if kid is None else kid))
+        return out
+
     # breadth first: every new element is queued at the end, so the
-    # queue is the id order.  Per tau, one slot [s, position of alpha_s
-    # among the imaginary roots, cayley, move] per cross move and then
-    # per Cayley move; a move is tabulated on first use
+    # queue is the id order.  A key's move is built on first use
     slots = {}
     i = 0
     while i < len(taus):
         tau_idx, y, q, g, root = taus[i], ys[i], sqs[i], grads[i], roots[i]
         if tau_idx not in slots:
-            pos = _simple_positions(ic, tau_idx)
-            slots[tau_idx] = []
-            for cayley in (False, True):
-                for s, p in enumerate(pos):
-                    if not cayley or p is not None:
-                        slots[tau_idx].append([s, p, cayley, None])
+            slots[tau_idx] = make_slots(tau_idx)
         base = i * k
-        for slot in slots[tau_idx]:
-            s, p, cayley, move = slot
+        for s, p, cayley, t2, kid in slots[tau_idx]:
             if cayley:
                 if not g[p]:
                     continue
@@ -480,9 +630,10 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                 # linked from the other end: the cross action of s is an
                 # involution
                 continue
+            move = moves[kid]
             if move is None:
-                move = slot[3] = _move_map(ic, tau_idx, s, cayley, denom)
-            t2, rows, offset, regrade, rank_one = move
+                move = moves[kid] = _class_move(ic, tau_idx, s, cayley, denom)
+            rows, offset, regrade, rank_one = move
             if cayley:
                 at, flips = regrade
                 g2 = tuple(map(xor, map(g.__getitem__, at), flips))
@@ -504,7 +655,8 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                 y2 = tuple([(a - t * b + o) % denom
                             for a, b, o in zip(y, c, offset)])
             elif rows is None:
-                y2 = tuple([(a + o) % denom for a, o in zip(y, offset)])
+                y2 = y if offset is None else \
+                    tuple([(a + o) % denom for a, o in zip(y, offset)])
             else:
                 y2 = tuple([o if row is None
                             else (sum(map(mul, row, y)) + o) % denom
@@ -530,8 +682,12 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
         i += 1
 
     n = len(taus)
-    # sanity: squares recompute, lengths nondecreasing
-    square_rows = {t: _square_map(ic, t, denom) for t in set(taus)}
+    # sanity: squares recompute, on class coordinates against the class
+    # representative's rows (a square is invariant under the cross
+    # action), lengths nondecreasing
+    rep_of = {t: classes[class_of[t]].rep for t in set(taus)}
+    rep_rows = {r: _square_map(ic, r, denom) for r in set(rep_of.values())}
+    square_rows = {t: rep_rows[r] for t, r in rep_of.items()}
     square_ints = [z.scaled(denom) for z in squares]
     for i in range(n):
         if tuple([(sum(map(mul, row, ys[i])) + c) % denom

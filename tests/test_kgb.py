@@ -7,6 +7,7 @@ import io
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -27,8 +28,8 @@ from liepar import (NoMatch, NotImaginary, RatVecModZ, TitsGroup,
 from liepar.cli import Session
 from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
 from liepar.intlinalg import identity, mat_add, mat_apply, mat_mul
-from liepar.kgb import _delta_signs, _move_map
-from liepar.weyl import RootClassification, cartan_index
+from liepar.kgb import _class_move, _delta_signs, _move_map
+from liepar.weyl import RootClassification, _compose, _inverse, cartan_index
 from props import (MoveRecord, RankOne, all_elements, cartans_for,
                    cayley_down, cayley_down_ids, check_cayley_roundtrip,
                    check_cross_action, check_cross_involutive,
@@ -619,6 +620,155 @@ def test_which_cross_actions_fix_an_element(t, iso, tw):
                     else {'C', 'c', 'r', 'nI', 'nII'})
 
 
+# one move map per key: the search acts on class coordinates f = y - o_tau,
+# a cross move (tau, s) through w = P_tau2^-1 s P_tau and a Cayley move
+# through (beta = P_tau^-1 alpha_s, u = P_tau2^-1 P_tau), read here off the
+# frames' paths
+
+# the _move_map calls of one search, frozen; the search that built one
+# per (tau, s) it met made 290, 264, 152, 440, 84 and 3588
+MAP_COUNTS = {("A5", "c"): 34, ("C4", "c"): 59, ("D4", "c"): 51,
+              ("F4", "c"): 52, ("A4", (3, 2, 1, 0)): 18, ("E6", "c"): 70}
+
+SHARING_DATA = [(t, iso, tw, side) for t, iso, tw in GRID
+                for side in ("primal", "dual")] \
+    + [(t, "sc", tw, "primal") for t, tw in MAP_COUNTS]
+
+
+def move_key(ic, t, s, cayley):
+    """The key of the move (t, s): (rep, w) for a cross move, or None
+    when w = 1, and (rep, beta, u) for a Cayley move."""
+    tbl, wg = twisted_involutions(ic), ic.weyl
+    t2 = (tbl.cayley if cayley else tbl.cross)[t][s]
+    p = fiber_frame(ic, t).path
+    inv2 = _inverse(fiber_frame(ic, t2).path)
+    rep = cartan_classes(ic)[cartan_index(ic)[t]].rep
+    if cayley:
+        return rep, _inverse(p)[wg.simple_idx[s]], _compose(inv2, p)
+    w = _compose(inv2, _compose(wg.simple_perms[s], p))
+    return None if w == wg.identity.perm else (rep, w)
+
+
+def affine_form(move, kernel, n_imaginary, denom):
+    """A _class_move record as the function it is on class coordinates,
+    whose kernel coordinates are 0: (M with the kernel columns zeroed, c,
+    grading map) with f2 = M f + c mod denom."""
+    rows, offset, regrade, rank_one = move
+    n = len(offset)
+    if rank_one is not None:
+        r, c = rank_one[:2]
+        rows = [[(i == j) - c[j] * r[i] for i in range(n)] for j in range(n)]
+    elif rows is None:
+        rows = identity(n)
+    m = tuple(tuple(0 if row is None or i in kernel else row[i] % denom
+                    for i in range(n)) for row in rows)
+    if callable(regrade):
+        regrade = regrade(tuple(range(n_imaginary)))
+    return m, tuple(o % denom for o in offset), regrade
+
+
+def counted_move_maps(monkeypatch):
+    """The (tau, s, cayley) of each _move_map call, patched through the
+    module global that the search calls."""
+    tabulated = liepar.kgb._move_map
+    calls = []
+
+    def counted(ic, tau_idx, s, cayley, denom):
+        calls.append((tau_idx, s, cayley))
+        return tabulated(ic, tau_idx, s, cayley, denom)
+
+    monkeypatch.setattr(liepar.kgb, "_move_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t,iso,tw,side", SHARING_DATA)
+def test_every_move_is_its_keys_shared_map(t, iso, tw, side, monkeypatch):
+    ic = fresh_ic(t, tw, iso)
+    ic = ic.dual if side == "dual" else ic
+    built = counted_move_maps(monkeypatch)
+    denom = enumerate_X(ic).denom
+    first = list(built)
+    if (t, tw) in MAP_COUNTS:
+        assert len(first) == MAP_COUNTS[(t, tw)]
+    # every edge's own map, rewritten on class coordinates, by key
+    forms = {}
+    n = ic.rank
+    tbl = twisted_involutions(ic)
+    for tau in tbl.elements:
+        kernel = fiber_frame(ic, tau.index).kernel
+        m = len(tbl.classification(tau.index).im_pos)
+        stay = (tuple(tuple(int(i == j and i not in kernel)
+                            for i in range(n)) for j in range(n)),
+                (0,) * n, tuple(range(m)))
+        for s, a in enumerate(ic.weyl.simple_idx):
+            for cayley in (False, True) if tau.theta[a] == a else (False,):
+                key = move_key(ic, tau.index, s, cayley)
+                own = affine_form(_class_move(ic, tau.index, s, cayley,
+                                              denom), kernel, m, denom)
+                # the key w = 1, every frame-tree edge among them, moves
+                # nothing; any other key has one map on all its edges
+                assert own == (stay if key is None
+                               else forms.setdefault(key, own))
+    # the search built each key it met once, from the first edge
+    keys = [move_key(ic, *e) for e in first]
+    assert None not in keys and len(set(keys)) == len(keys)
+    assert set(keys) <= set(forms)
+
+
+@pytest.mark.parametrize("cayley", [False, True])
+def test_search_checks_each_slot_against_the_involution_table(cayley):
+    # one table target moved to another tau of the same Cartan class,
+    # after the classes and frames are built: the slot's key no longer
+    # carries theta_rho to the target's.  The cross slot is one the search
+    # never moves along, as its edge is linked from the shorter end, so
+    # only the slot check reads it; every Cayley slot of C3 is used
+    ic = fresh_ic("C3", "c")
+    tbl = twisted_involutions(ic)
+    for t in range(len(tbl)):
+        fiber_frame(ic, t)
+    members = {c.index: c.members for c in cartan_classes(ic)}
+    length = [tau.length for tau in tbl.elements]
+    col = tbl.cayley if cayley else tbl.cross
+    t, s, t3 = next(
+        (t, s, t3) for t in range(len(tbl)) for s, t2 in enumerate(col[t])
+        if t2 is not None and (cayley or length[t2] < length[t])
+        for t3 in members[cartan_index(ic)[t2]] if t3 not in (t, t2))
+    col[t] = col[t][:s] + (t3,) + col[t][s + 1:]
+    with pytest.raises(WeylError, match=("Cayley transform" if cayley else
+                                         "cross action")
+                       + " disagrees with the involution table"):
+        enumerate_X(ic)
+
+
+def test_search_checks_a_corrupted_shared_cross_key(monkeypatch):
+    # the cross key of A5 that the most slots share, its map shifted by
+    # denom/2 on a coordinate the square reads: whatever element reads it
+    # is sent over another square
+    ic = make_ic("A5", "sc")
+    tbl = twisted_involutions(ic)
+    shared = Counter(move_key(ic, t, s, False) for t in range(len(tbl))
+                     for s in range(ic.rd.n_simple))
+    del shared[None]
+    (key, slots), = shared.most_common(1)
+    assert slots >= 20
+    square = fiber_frame(ic, key[0]).square
+    j = next(j for j in range(ic.rank) if any(row[j] % 2 for row in square))
+    tabulated = liepar.kgb._move_map
+
+    def corrupted(ic2, tau_idx, s, cayley, denom):
+        move = MoveRecord(*tabulated(ic2, tau_idx, s, cayley, denom))
+        if not cayley and move_key(ic2, tau_idx, s, False) == key:
+            offset = list(move.offset)
+            offset[j] = (offset[j] + denom // 2) % denom
+            move = move._replace(offset=tuple(offset))
+        return move
+
+    monkeypatch.setattr(liepar.kgb, "_move_map", corrupted)
+    with pytest.raises(WeylError, match="square of element|inconsistent "
+                                        "duplicate element"):
+        enumerate_X(fresh_ic("A5", "c"))
+
+
 # frames: each tau's fiber basis is its Cartan class representative's
 # Smith form carried along a spanning tree of cross edges
 
@@ -1131,10 +1281,14 @@ def test_e7_form_sizes_are_sums_of_real_weyl_indices():
 
 
 @pytest.mark.slow
-def test_e7_space_is_frozen():
-    # frozen from the search that kept element objects and link dicts
+def test_e7_space_is_frozen(monkeypatch):
+    # frozen from the search that kept element objects and link dicts;
+    # it builds one move map per key, where the search that built one per
+    # (tau, s) it met made 46,256
     ic = fresh_ic("E7", "c")
+    built = counted_move_maps(monkeypatch)
     assert len(enumerate_X(ic)) == 41837
+    assert len(built) == 198
     assert sorted(len(f.element_ids) for f in strong_real_forms(ic)) == \
         [1, 1, 3017, 8946, 8946, 20926]
 
