@@ -21,12 +21,13 @@ s tau s, and 1 + theta_v of s tau s is S_s (1 + theta_v) S_s for the
 reflection S_s of the cocharacters.  So one Smith form per Cartan class
 serves every tau in it: the frame of tau (fiber_frame) is its class
 representative's V carried along a spanning tree of cross edges by
-V_{s tau} = S_s V_tau, with 2 nu_tau carried along the same edges mod
-2.  In frame coordinates a tree edge moves y by a translation alone.
-The tree also gives each tau its path P_tau, the product of the simple
-reflections along it (V_tau = P_tau V_rep), and its offset o_tau, the
-sum of the tree-edge translations: the element P_tau x over tau, for x
-over the representative with coordinates f, has coordinates f + o_tau.
+V_{s tau} = S_s V_tau.  In frame coordinates a tree edge moves y by a
+translation alone.  The tree also gives each tau its path P_tau, the
+product of the simple reflections along it (V_tau = P_tau V_rep), and
+its offset o_tau, the sum of the tree-edge translations: the element
+P_tau x over tau, for x over the representative with coordinates f, has
+coordinates f + o_tau.  Squares are read at the representative alone,
+from its Smith form (FiberSpace._shifted).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .intlinalg import (IntMatrix, RatVecModZ, identity, mat_add, mat_apply,
-                        mat_mul, smith_normal_form)
+                        smith_normal_form)
 from .tits import TitsGroup
 from .weyl import (InnerClass, TwistedInvolution, WeylError, _compose,
                    cartan_classes, cartan_index, twisted_involutions)
@@ -214,17 +215,15 @@ def fiber_space(tau: TwistedInvolution, ic: InnerClass) -> FiberSpace:
 class Frame(NamedTuple):
     """Fiber data of one twisted involution tau in the basis carried over
     from its Cartan class representative: the unimodular V with its
-    inverse, the coordinates j with (1 + theta_v) V e_j = 0, the rows of
-    (1 + theta_v) V, the integer vector 2 nu_tau mod 2, the tree edge
-    (tau index, s) it was carried along (None at the representative),
-    the root permutation P_tau of the tree path from the representative,
-    and the offset o_tau as bits: D/2 times them is o_tau mod D in
-    coordinates y mod D, 0 on the kernel coordinates."""
+    inverse, the coordinates j with (1 + theta_v) V e_j = 0, the tree
+    edge (tau index, s) it was carried along (None at the
+    representative), the root permutation P_tau of the tree path from the
+    representative, and the offset o_tau as bits: D/2 times them is o_tau
+    mod D in coordinates y mod D, 0 on the kernel coordinates.  V is read
+    on the first edge of each move key and for lambda."""
     v: tuple
     vinv: tuple
     kernel: tuple
-    square: tuple
-    twice_nu: tuple
     parent: tuple
     path: bytes     # a tuple above 256 roots (see weyl._perm)
     offset: tuple
@@ -248,23 +247,18 @@ def _reflect_cols(m, a, av):
 def _carry_frames(ic: InnerClass, rep: int, frames: dict):
     """Frames of the Cartan class of rep: the representative's Smith form,
     carried along cross edges breadth-first from rep in simple-root
-    order.  2 nu is carried too: with sigma_s sigma_w sigma_gamma(s)^-1 =
-    x_u sigma_w2, squaring sigma_s (sigma_w delta) sigma_s^-1 gives
-    2 nu_tau2 = S_s (2 nu_tau) + (1 + theta_tau2) u mod 2, and
-    1 + theta_tau2 is the carried square rows times V^-1.  The edge
-    translates y by D/2 V_tau2^-1 u, so the offset adds V_tau2^-1 u mod 2
-    off the kernel, and the path P_tau2 = s P_tau is one compose.  The
-    Weyl part w2 of the Tits product must be the table's target."""
+    order.  With sigma_s sigma_w sigma_gamma(s)^-1 = x_u sigma_w2, the
+    edge translates y by D/2 V_tau2^-1 u, so the offset adds V_tau2^-1 u
+    mod 2 off the kernel, and the path P_tau2 = s P_tau is one compose.
+    The Weyl part w2 of the Tits product must be the table's target."""
     tbl = twisted_involutions(ic)
     rd = ic.rd
     tg = tits_group(ic)
     simple_tables = ic.weyl.simple_tables
     fs = fiber_space(tbl.elements[rep], ic)
-    square = mat_mul(mat_add(identity(ic.rank), fs.theta_v), fs._v)
     kernel = fs._kernel_coords
-    frames[rep] = Frame(fs._v, fs._vinv, kernel, square,
-                        tuple(x % 2 for x in fs._twice_nu), None,
-                        ic.weyl.identity.perm, (0,) * ic.rank)
+    frames[rep] = Frame(fs._v, fs._vinv, kernel, None, ic.weyl.identity.perm,
+                        (0,) * ic.rank)
     queue = deque([rep])
     while queue:
         t = queue.popleft()
@@ -273,20 +267,15 @@ def _carry_frames(ic: InnerClass, rep: int, frames: dict):
             if t2 in frames:
                 continue
             a, av = rd.simple_roots[s], rd.simple_coroots[s]
-            sq2 = _reflect_rows(fr.square, a, av)
             vinv2 = _reflect_cols(fr.vinv, a, av)
             perm, u = tg.conjugate_simple(s, tbl.elements[t].w,
                                           ic.diagram_perm[s])
             if perm != tbl.elements[t2].w.perm:
                 raise WeylError(
                     "cross action disagrees with the involution table")
-            c = sum(map(mul, a, fr.twice_nu))
             step = mat_apply(vinv2, u)
-            shift = mat_apply(sq2, step)
             frames[t2] = Frame(
-                _reflect_rows(fr.v, a, av), vinv2, kernel, sq2,
-                tuple([(x - c * y + z) % 2
-                       for x, y, z in zip(fr.twice_nu, av, shift)]), (t, s),
+                _reflect_rows(fr.v, a, av), vinv2, kernel, (t, s),
                 _compose(simple_tables[s], fr.path),
                 tuple([0 if j in kernel else (o + x) % 2
                        for j, (o, x) in enumerate(zip(fr.offset, step))]))

@@ -14,19 +14,19 @@ fiber_frame), and its fiber coordinates y = D V^-1 lambda mod D in
 tau's frame are f + o_tau, with the kernel coordinates 0 and D =
 2 lcm(2, denominators of the central squares).  The search keys an
 element by (tau, f), keeps its grading bits in the order of rho's
-positive imaginary roots and checks its square on f against rho's rows;
+positive imaginary roots and checks its square on f at rho's Smith form;
 it builds no Fraction.  X is a W-set and Cayley transforms commute with
 the cross action, so a cross move (tau, s) acts on f as the cross action
 of w = P_tau2^-1 s P_tau, which fixes rho, and a Cayley move as the
 Cayley transform in beta = P_tau^-1 alpha_s followed by the cross action
 of u = P_tau2^-1 P_tau.  Each such key of a Cartan class gets one
 integer affine map f -> M f + c mod D plus a map of the grading bits,
-built from the first edge that meets it (_move_map, rewritten on f by
-_class_move); the key w = 1, every edge of the frames' spanning tree
-among them, moves nothing.  M is 1 - c r for an s that fixes tau: there
-an element pays one dot product r . f, and one that s fixes is linked to
-itself with no key to look up.  Targets are read from the involution
-table, and each tau and each slot checks it on root permutations.  The
+built on f from the first edge that meets it (_move_map); the key
+w = 1, every edge of the frames' spanning tree among them, moves
+nothing.  M is 1 - c r for an s that fixes tau: there an element pays
+one dot product r . f, and one that s fixes is linked to itself with no
+key to look up.  Targets are read from the involution table, and
+each tau and each slot checks it on root permutations.  The
 cross action of s is an involution, so a cross edge is computed from one
 end and linked both ways.  The seeds are the integer solutions over each
 central square on the distinguished fiber, graded by the sign of delta
@@ -252,16 +252,6 @@ class KGBTable(Sequence):
 # move arithmetic: per-key tables on integer class coordinates
 
 
-def _square_map(ic, tau_idx, denom):
-    """The central square z = (1 + theta_v) lambda + nu of the element
-    with fiber coordinates y over tau_idx, as affine rows on y: with
-    lambda = V y / denom in tau's frame, row j gives denom z_j mod
-    denom."""
-    fr = fiber_frame(ic, tau_idx)
-    half = denom // 2
-    return tuple((row, half * t) for row, t in zip(fr.square, fr.twice_nu))
-
-
 def _delta_signs(ic) -> dict:
     """For each delta-imaginary positive root beta, the sign (0 or 1) by
     which delta acts on a root vector for beta: conjugating by delta a
@@ -318,29 +308,28 @@ def _base_grading(ic, fibers, denom) -> list:
 def _move_map(ic, tau_idx, s, cayley, denom):
     """The cross action by simple root s (or, with cayley, the Cayley
     transform in alpha_s) on the fiber over tau_idx, as data shared by
-    every element there: (target tau index, rows, offset, grading map,
-    rank-one part), in the frames of the two taus.  An element with
-    fiber coordinates y moves to y2 mod denom in one of three forms:
+    every element there: (rows, offset, grading map, rank-one part) on
+    class coordinates f = y - o_tau, y the fiber coordinates in tau's
+    frame.  The cross action conjugates exp(2 pi i lambda) sigma_w delta
+    by sigma_s, the Cayley transform left-multiplies it by sigma_s; either
+    way y2 = M y + c mod denom with M = V_tau2^-1 S_s V_tau, so f2 = M f +
+    (M o_tau + c - o_tau2).  M is V_rho2^-1 P_tau2^-1 S_s P_tau V_rho,
+    which depends on the move's key alone, and so does the offset, as the
+    move is the key's action on X.  An element moves in one of two forms:
 
-    - translation, y2 = y + offset, where S_s V_tau = V_tau2 with the
-      same kernel coordinates, so that M = V_tau2^-1 S_s V_tau is the
-      identity: on a cross edge of the frames' spanning tree, read from
-      either end.
     - rank-one loop, where s fixes tau and so its frame V: M = 1 - c r
       with r = alpha_s V and c = V^-1 alpha_s^v, zeroed on the kernel
-      coordinates.  The part is (r, c, fixes); with t = r . y mod
-      denom, y2 = y - t c + offset, and the memo fixes records per t
-      whether t c = offset, that is whether s fixes y.
-    - general rows: y2[j] = row_j . y + offset[j], or 0 where row_j is
+      coordinates.  The part is (r, c, fixes); with t = r . f mod
+      denom, f2 = f - t c + offset, and the memo fixes records per t
+      whether t c = offset, that is whether s fixes the element.
+    - general rows: f2[j] = row_j . f + offset[j], or 0 where row_j is
       None (on tau2's kernel).
 
-    The grading bits g map to g2[j] = g[regrade[j]] on a cross action,
-    and to g2[j] = g[at[j]] ^ flips[j] with (at, flips) = regrade on a
-    Cayley transform, bits in the order of each tau's own positive
-    imaginary roots.  The cross action conjugates exp(2 pi i lambda) sigma_w
-    delta by sigma_s; the Cayley transform left-multiplies it by
-    sigma_s.  tau2 is read from the involution table and checked
-    against the Weyl part of that Tits product."""
+    Grading bits are in the order of the class representatives' positive
+    imaginary roots: a cross move maps them by g2 = regrade(g), a Cayley
+    move by g2[j] = g[at[j]] ^ flips[j] with (at, flips) = regrade.  tau2
+    is read from the involution table and checked against the Weyl part
+    of the Tits product."""
     tg = tits_group(ic)
     tbl = twisted_involutions(ic)
     rd = ic.rd
@@ -354,44 +343,58 @@ def _move_map(ic, tau_idx, s, cayley, denom):
     if perm != tbl.elements[t2].w.perm:
         raise WeylError(("Cayley transform" if cayley else "cross action")
                         + " disagrees with the involution table")
-    # lambda2 rewritten on y = denom V^-1 lambda in the frames: the
-    # offset sums the columns of V_tau2^-1 at the set bits of u
-    fr = fiber_frame(ic, tau_idx)
-    fr2 = fiber_frame(ic, t2)
+    fr, fr2 = fiber_frame(ic, tau_idx), fiber_frame(ic, t2)
     kernel = fr2.kernel
-    offset = tuple([0 if j in kernel else denom // 2 * sum(compress(row, u))
-                    for j, row in enumerate(fr2.vinv)])
+    half = denom // 2
+    o1 = [half * b for b in fr.offset]
     rows = rank_one = None
     if t2 == tau_idx:
-        rank_one = (tuple([sum(map(mul, alpha, col)) for col in zip(*fr.v)]),
-                    tuple([0 if j in kernel else sum(map(mul, row, av))
-                           for j, row in enumerate(fr.vinv)]), {})
+        r = tuple([sum(map(mul, alpha, col)) for col in zip(*fr.v)])
+        c = tuple([0 if j in kernel else sum(map(mul, row, av))
+                   for j, row in enumerate(fr.vinv)])
+        rank_one = (r, c, {})
+        ro = sum(map(mul, r, o1))
+        m = [a - ro * b for a, b in zip(o1, c)]
     else:
-        sv = _reflect_rows(fr.v, alpha, av)
-        if sv != fr2.v or fr.kernel != kernel:
-            svt = tuple(zip(*sv))
-            rows = tuple([None if j in kernel else
-                          tuple([sum(map(mul, row, col)) for col in svt])
-                          for j, row in enumerate(fr2.vinv)])
-    # grading bits are kept in the order of the positive imaginary roots:
-    # a cross move maps tau2's imaginary roots back through s onto tau's,
-    # a Cayley move keeps those of tau orthogonal to alpha_s
-    im = tbl.classification(tau_idx).im_pos
-    im2 = tbl.classification(t2).im_pos
-    pos = dict(zip(im, range(len(im))))
+        svt = tuple(zip(*_reflect_rows(fr.v, alpha, av)))
+        rows = tuple([None if j in kernel else
+                      tuple([sum(map(mul, row, col)) for col in svt])
+                      for j, row in enumerate(fr2.vinv)])
+        m = [0 if row is None else sum(map(mul, row, o1)) for row in rows]
+    # c = D/2 V_tau2^-1 u sums the columns of V_tau2^-1 at the set bits
+    # of u; c, o_tau2 and M o_tau are 0 on tau2's kernel
+    offset = tuple([0 if j in kernel else
+                    (a + half * (sum(compress(row, u)) - b)) % denom
+                    for j, (a, row, b) in enumerate(zip(m, fr2.vinv,
+                                                        fr2.offset))])
+    # tau2's j-th imaginary root is class bit pos2[j]: a cross move reads
+    # it at +-s of it over tau, a Cayley move at the same root, as it
+    # keeps the imaginary roots of tau orthogonal to alpha_s
+    cls, im2 = tbl.classification(tau_idx), tbl.classification(t2).im_pos
     if cayley:
-        if im2 != tuple(b for b in im if not sum(map(mul, rd.roots[b], av))):
+        if im2 != tuple(b for b in cls.im_pos
+                        if not sum(map(mul, rd.roots[b], av))):
             raise WeylError("Cayley transform misses an imaginary root")
-        regrade = (tuple(map(pos.__getitem__, im2)),
-                   tuple([int(tuple(map(add, alpha, rd.roots[b]))
-                              in rd.root_index) for b in im2]))
+        reads = [cls.im_index[b] for b in im2]
     else:
         sp, neg = ic.weyl.simple_perms[s], ic.weyl.neg
         # max: the positive one of +-s(b)
-        regrade = tuple([pos.get(max(sp[b], neg[sp[b]])) for b in im2])
-        if len(im2) != len(im) or None in regrade:
+        reads = [cls.im_index.get(max(sp[b], neg[sp[b]])) for b in im2]
+        if len(im2) != len(cls.im_pos) or None in reads:
             raise WeylError("cross action misses an imaginary root")
-    return t2, rows, offset, regrade, rank_one
+    pos1 = _class_positions(ic, tau_idx)[0]
+    pos2 = _class_positions(ic, t2)[0]
+    at = [0] * len(pos2)
+    for j, a in zip(pos2, reads):
+        at[j] = pos1[a]
+    if not cayley:
+        # tuple(g) is g itself; a map that moves a bit moves two
+        return rows, offset, (tuple if at == list(range(len(at)))
+                              else itemgetter(*at)), rank_one
+    flips = [0] * len(pos2)
+    for j, b in zip(pos2, im2):
+        flips[j] = int(tuple(map(add, alpha, rd.roots[b])) in rd.root_index)
+    return rows, offset, (tuple(at), tuple(flips)), rank_one
 
 
 def _class_positions(ic, tau_idx) -> tuple:
@@ -405,67 +408,21 @@ def _class_positions(ic, tau_idx) -> tuple:
     if out is None:
         tbl = twisted_involutions(ic)
         cls = tbl.classification(tau_idx)
-        fr = fiber_frame(ic, tau_idx)
-        if fr.parent is None:   # the representative: P_tau = 1
-            pos = tuple(range(len(cls.im_pos)))
-        else:
-            rep = cartan_classes(ic)[cartan_index(ic)[tau_idx]].rep
-            at = {b: j for j, b in enumerate(tbl.classification(rep).im_pos)}
-            inv, neg = _inverse(fr.path), ic.weyl.neg
-            # max: the positive one of +-b
-            pos = tuple([at.get(max(inv[b], neg[inv[b]]))
-                         for b in cls.im_pos])
-            if len(pos) != len(at) or None in pos:
-                raise WeylError("the frame path misses an imaginary root")
+        rep = cartan_classes(ic)[cartan_index(ic)[tau_idx]].rep
+        at = tbl.classification(rep).im_index
+        inv, neg = _inverse(fiber_frame(ic, tau_idx).path), ic.weyl.neg
+        # max: the positive one of +-b
+        pos = tuple([at.get(max(inv[b], neg[inv[b]])) for b in cls.im_pos])
+        if len(pos) != len(at) or None in pos:
+            raise WeylError("the frame path misses an imaginary root")
         out = cache[tau_idx] = (pos, tuple(
-            pos[cls.im_pos.index(a)] if cls.theta[a] == a else None
+            pos[cls.im_index[a]] if cls.theta[a] == a else None
             for a in ic.weyl.simple_idx))
     return out
 
 
 # the move of the key w = 1: f and the grading bits stay (tuple(g) is g)
 _STAY = (None, None, tuple, None)
-
-
-def _class_move(ic, tau_idx, s, cayley, denom):
-    """The move (tau_idx, s) of _move_map rewritten on class coordinates
-    f = y - o_tau and class grading bits: (rows, offset, regrade,
-    rank-one part) in the forms of _move_map, with a cross regrade
-    g2 = regrade(g).  With y2 = M y + c and y = f + o_tau, f2 = M f +
-    (M o_tau + c - o_tau2).  M = V_tau2^-1 S_s V_tau is V_rho2^-1
-    P_tau2^-1 S_s P_tau V_rho, which depends on the move's key alone, and
-    so does the new offset, as the move is the key's action on X."""
-    t2, rows, offset, regrade, rank_one = _move_map(ic, tau_idx, s, cayley,
-                                                    denom)
-    fr1, fr2 = fiber_frame(ic, tau_idx), fiber_frame(ic, t2)
-    if fr1.parent is not None or fr2.parent is not None:
-        # off the representatives, where f = y and the bits are in place
-        half = denom // 2
-        o1 = [half * b for b in fr1.offset]
-        o2 = [half * b for b in fr2.offset]
-        if rank_one is not None:    # M = 1 - c r
-            r, c = rank_one[:2]
-            ro = sum(map(mul, r, o1))
-            m = [a - ro * b for a, b in zip(o1, c)]
-        elif rows is None:
-            m = o1
-        else:                       # a kernel row of tau2 is 0, as is o_tau2
-            m = [0 if row is None else sum(map(mul, row, o1)) for row in rows]
-        offset = tuple([(a + o - b) % denom
-                        for a, o, b in zip(m, offset, o2)])
-        # bit j of tau2 is bit pos2[j] of the class, tau's bit a is pos1[a]
-        pos1 = _class_positions(ic, tau_idx)[0]
-        pos2 = _class_positions(ic, t2)[0]
-        reads, bits = regrade if cayley else (regrade, pos2)
-        at, flips = [0] * len(pos2), [0] * len(pos2)
-        for j, a, e in zip(pos2, reads, bits):
-            at[j], flips[j] = pos1[a], e
-        regrade = (tuple(at), tuple(flips)) if cayley else tuple(at)
-    if not cayley:
-        # tuple(g) is g itself; a map that moves a bit moves two
-        regrade = tuple if regrade == tuple(range(len(regrade))) \
-            else itemgetter(*regrade)
-    return rows, offset, regrade, rank_one
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +501,13 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
         return a
 
     one, neg, simple_idx = wg.identity.perm, wg.neg, wg.simple_idx
-    # per tau, P_tau and P_tau^-1; per class representative, the
-    # position of each positive imaginary root; filled one Cartan class
-    # at a time
-    paths, reps = {}, {}
+    # per tau, P_tau and P_tau^-1, filled one Cartan class at a time
+    paths = {}
 
     def enter(c):
         for t in c.members:
             p = fiber_frame(ic, t).path
             paths[t] = (p, _inverse(p))
-        reps[c.rep] = {b: j for j, b in
-                       enumerate(tbl.classification(c.rep).im_pos)}
 
     # the moves by key number; key 0 is w = 1
     key_ids = {}
@@ -577,9 +530,9 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
         P_tau2 is theta_rho2 = P_tau2^-1 theta_tau2 P_tau2 exactly when
         s theta_tau = theta_tau2, as tau2's own check holds."""
         rep = classes[class_of[t]].rep
-        if rep not in reps:
+        if t not in paths:
             enter(classes[class_of[t]])
-        theta, at = tbl.elements[rep].theta, reps[rep]
+        theta, at = tbl.elements[rep].theta, tbl.classification(rep).im_index
         p, pinv = paths[t]
         theta_t = tbl.elements[t].theta
         if p != one and _compose(p, theta) != _compose(theta_t, p):
@@ -602,7 +555,7 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                     tbl.elements[t2].theta:
                 raise WeylError(
                     "Cayley transform disagrees with the involution table")
-            if classes[class_of[t2]].rep not in reps:
+            if t2 not in paths:
                 enter(classes[class_of[t2]])
             u = _compose(paths[t2][1], p)
             # beta = P_tau^-1 alpha_s; its grading bit sits at +-beta
@@ -632,7 +585,7 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                 continue
             move = moves[kid]
             if move is None:
-                move = moves[kid] = _class_move(ic, tau_idx, s, cayley, denom)
+                move = moves[kid] = _move_map(ic, tau_idx, s, cayley, denom)
             rows, offset, regrade, rank_one = move
             if cayley:
                 at, flips = regrade
@@ -654,9 +607,8 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                     continue
                 y2 = tuple([(a - t * b + o) % denom
                             for a, b, o in zip(y, c, offset)])
-            elif rows is None:
-                y2 = y if offset is None else \
-                    tuple([(a + o) % denom for a, o in zip(y, offset)])
+            elif rows is None:     # the key w = 1
+                y2 = y
             else:
                 y2 = tuple([o if row is None
                             else (sum(map(mul, row, y)) + o) % denom
@@ -681,20 +633,22 @@ def enumerate_X(ic: InnerClass) -> KGBTable:
                 cross_ids[base + s] = j
         i += 1
 
-    n = len(taus)
-    # sanity: squares recompute, on class coordinates against the class
-    # representative's rows (a square is invariant under the cross
-    # action), lengths nondecreasing
-    rep_of = {t: classes[class_of[t]].rep for t in set(taus)}
-    rep_rows = {r: _square_map(ic, r, denom) for r in set(rep_of.values())}
-    square_rows = {t: rep_rows[r] for t, r in rep_of.items()}
-    square_ints = [z.scaled(denom) for z in squares]
-    for i in range(n):
-        if tuple([(sum(map(mul, row, ys[i])) + c) % denom
-                  for row, c in square_rows[taus[i]]]) != square_ints[sqs[i]]:
+    # sanity: squares recompute, lengths nondecreasing.  A square is
+    # invariant under the cross action, so it is checked on class
+    # coordinates at the representative's Smith form U (1 + theta_v) V =
+    # diag(d): (1 + theta_v) V f = D (z - nu) mod D, times the unimodular
+    # U, is diag(d) f = U (D z - D nu) mod D
+    shifted = {}    # (Cartan class, square index) -> U (D z - D nu), d
+    for i, (t, f, q) in enumerate(zip(taus, ys, sqs)):
+        key = (class_of[t], q)
+        if key not in shifted:
+            fs = fiber_space(tbl.elements[classes[key[0]].rep], ic)
+            shifted[key] = fs._shifted(squares[q], denom), fs._diag
+        uw, diag = shifted[key]
+        if uw is None or any([(a - d * x) % denom
+                              for a, d, x in zip(uw, diag, f)]):
             raise WeylError(f"square of element {i} does not recompute")
-        if i and tbl.elements[taus[i]].length < \
-                tbl.elements[taus[i - 1]].length:
+        if i and tbl.elements[t].length < tbl.elements[taus[i - 1]].length:
             raise WeylError("element lengths decrease")
 
     # each component holds a seed, so its least seed is its least id;

@@ -414,6 +414,11 @@ class RootClassification:
         return self.weyl.rd
 
     @cached_property
+    def im_index(self) -> dict:
+        """The position in im_pos of each positive imaginary root."""
+        return {b: j for j, b in enumerate(self.im_pos)}
+
+    @cached_property
     def re_pos(self) -> tuple:
         """Positive real root indices."""
         theta, neg = self.theta, self.weyl.neg

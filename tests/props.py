@@ -925,7 +925,7 @@ def derived_generation_log(table):
 # the one place outside the library that knows their shapes.
 # MoveRecord(*record) reads one, and a record _replace'd from it is a
 # record the search takes
-MoveRecord = namedtuple("MoveRecord", "target rows offset regrade rank_one")
+MoveRecord = namedtuple("MoveRecord", "rows offset regrade rank_one")
 RankOne = namedtuple("RankOne", "r c fixes")
 
 

@@ -26,21 +26,21 @@ from liepar import (NoMatch, NotImaginary, RatVecModZ, TitsGroup,
                     langlands_count, real_weyl, strong_real_forms,
                     theta_matrix, trivial_inner_class, twisted_involutions)
 from liepar.cli import Session
-from liepar.fiber import _reflect_rows, _twice_nu, fiber_frame
+from liepar.fiber import _reflect_rows, fiber_frame
 from liepar.intlinalg import identity, mat_add, mat_apply, mat_mul
-from liepar.kgb import _class_move, _delta_signs, _move_map
+from liepar.kgb import _delta_signs, _move_map
 from liepar.weyl import RootClassification, _compose, _inverse, cartan_index
 from props import (MoveRecord, RankOne, all_elements, cartans_for,
                    cayley_down, cayley_down_ids, check_cayley_roundtrip,
                    check_cross_action, check_cross_involutive,
                    check_fiber_power_two, check_form_partition,
                    check_grading_transfer, check_projection_surjective,
-                   derived_generation_log, is_positive, nu_tau,
-                   per_tau_torus_coord, reduced_space, reference_base_grading,
+                   derived_generation_log, is_positive, per_tau_torus_coord,
+                   rational_inverse, reduced_space, reference_base_grading,
                    reference_canonical_form, reference_complex_fixed,
                    reference_delta_signs, reference_fiber, reference_forms,
                    reference_real_weyl, root_is_negative, signature_count,
-                   simple_reflection)
+                   simple_reflection, square_of)
 
 
 def rv(*entries):
@@ -496,6 +496,28 @@ def test_square_check_covers_every_element():
         enumerate_X(ic)
 
 
+def test_square_check_reads_the_representatives_smith_form():
+    # 2 nu of a class representative other than delta moved by U^-1 e_j,
+    # d_j != 0: U (D z - D nu) moves by D/2 on coordinate j alone, so
+    # every kernel row stays divisible and only diag(d) f = U (D z - D nu)
+    # mod D fails, first at the class's first element
+    ic = fresh_ic("C2", "c")
+    tbl = twisted_involutions(ic)
+    rep, fs = next((c.rep, fs) for c in cartan_classes(ic) if c.rep
+                   for fs in [fiber_space(tbl.elements[c.rep], ic)]
+                   if any(fs._diag))
+    j = next(j for j, d in enumerate(fs._diag) if d)
+    fs._twice_nu = tuple(x + int(row[j]) for x, row in
+                         zip(fs._twice_nu, rational_inverse(fs._u)))
+    table = enumerate_X(make_ic("C2", "sc"))
+    first = next(x for x in table
+                 if cartan_index(ic)[x.tau.index] == cartan_index(ic)[rep])
+    assert fs._shifted(first.square, table.denom) is not None
+    with pytest.raises(WeylError, match=f"square of element {first.id} "
+                                        "does not recompute"):
+        enumerate_X(ic)
+
+
 def test_cross_moves_check_the_involution_table(monkeypatch):
     # a Tits product whose Weyl part is not the table's cross target:
     # the search reads tau2 from the table and compares the two
@@ -513,6 +535,47 @@ def test_cross_moves_check_the_involution_table(monkeypatch):
         enumerate_X(fresh_ic("C2", "c"))
 
 
+def test_frames_check_each_tree_edge(monkeypatch):
+    # the Tits product of a tree edge out of a class representative given
+    # the representative's own Weyl part: the frame carry compares it with
+    # the table's cross target
+    ic = fresh_ic("C2", "c")
+    tbl = twisted_involutions(ic)
+    rep, s = next((c.rep, s) for c in cartan_classes(ic)
+                  for s, t2 in enumerate(tbl.cross[c.rep]) if t2 != c.rep)
+    conjugate = TitsGroup.conjugate_simple
+
+    def corrupted(self, s2, w, r=None):
+        perm, u = conjugate(self, s2, w, r)
+        if (s2, w, r is None) == (s, tbl.elements[rep].w, False):
+            perm = w.perm
+        return perm, u
+
+    monkeypatch.setattr(TitsGroup, "conjugate_simple", corrupted)
+    with pytest.raises(WeylError,
+                       match="cross action disagrees with the involution"):
+        fiber_frame(ic, rep)
+
+
+def test_search_checks_each_path_against_the_involution_table():
+    # a tau off its representative that no Cayley edge enters, read as
+    # another tau of its class once its frame and root types are built:
+    # its path no longer carries theta_rho to its theta
+    ic = fresh_ic("C3", "c")
+    tbl = twisted_involutions(ic)
+    for t in range(len(tbl)):
+        fiber_frame(ic, t)
+        tbl.classification(t)
+    entered = {t2 for row in tbl.cayley for t2 in row}
+    t, t3 = next((t, t3) for c in cartan_classes(ic) for t in c.members
+                 if t != c.rep and t not in entered
+                 for t3 in c.members if t3 != t)
+    tbl.elements[t].theta = tbl.elements[t3].theta
+    with pytest.raises(WeylError,
+                       match="cross action disagrees with the involution"):
+        enumerate_X(ic)
+
+
 def test_cross_grading_map_checks_both_lengths():
     # a cross target that has lost its imaginary roots: every root it
     # keeps is found, so only the length check catches it
@@ -528,6 +591,45 @@ def test_cross_grading_map_checks_both_lengths():
         _move_map(ic, t, s, False, 2)
 
 
+def test_cayley_grading_map_checks_the_kept_roots():
+    # a Cayley target read as keeping every imaginary root of its source,
+    # alpha_s among them, though alpha_s is not orthogonal to itself
+    ic = fresh_ic("C2", "c")
+    tbl = twisted_involutions(ic)
+    t, s = next((t, s) for t in range(len(tbl)) for s in range(2)
+                if tbl.cayley[t][s] is not None)
+    t2 = tbl.cayley[t][s]
+    cls = tbl.classification(t2)
+    tbl._classification[t2] = RootClassification(
+        cls.theta, tbl.classification(t).im_pos, cls.weyl)
+    with pytest.raises(WeylError,
+                       match="Cayley transform misses an imaginary root"):
+        _move_map(ic, t, s, True, 2)
+
+
+def test_class_positions_check_the_frame_path():
+    # a tau off its class representative read as having no imaginary
+    # root, while the representative has some: the path finds no match
+    ic = fresh_ic("C2", "c")
+    tbl = twisted_involutions(ic)
+    t = next(t for c in cartan_classes(ic) for t in c.members
+             if t != c.rep and tbl.classification(c.rep).im_pos)
+    cls = tbl.classification(t)
+    tbl._classification[t] = RootClassification(cls.theta, (), cls.weyl)
+    with pytest.raises(WeylError,
+                       match="the frame path misses an imaginary root"):
+        liepar.kgb._class_positions(ic, t)
+
+
+def test_search_checks_that_lengths_do_not_decrease():
+    # tau 1 of SL(2) read as shorter than delta: element 4, its one
+    # element, follows the four over delta
+    ic = fresh_ic("A1", "c")
+    twisted_involutions(ic).elements[1].length = -1
+    with pytest.raises(WeylError, match="element lengths decrease"):
+        enumerate_X(ic)
+
+
 def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
     # elements 0 and 1 of SL(2) x SL(2) lie over delta with the same
     # square and grading; a cross move by s = 0 that sends the whole
@@ -536,7 +638,11 @@ def test_search_checks_that_the_cross_action_is_an_involution(monkeypatch):
     true = enumerate_X(make_ic("A1.A1", "sc"))
     x0, x1 = true[0], true[1]
     assert (x0.tau, x0.square, x0.grading) == (x1.tau, x1.square, x1.grading)
-    target = true[x0.cross[0]].coords
+    # the move is on class coordinates: the target's coords - o_tau2
+    y = true[x0.cross[0]]
+    half = true.denom // 2
+    target = tuple((a - half * b) % true.denom for a, b in
+                   zip(y.coords, fiber_frame(y.table.ic, y.tau.index).offset))
     tabulated = liepar.kgb._move_map
 
     def corrupted(ic, tau_idx, s, cayley, denom):
@@ -650,7 +756,7 @@ def move_key(ic, t, s, cayley):
 
 
 def affine_form(move, kernel, n_imaginary, denom):
-    """A _class_move record as the function it is on class coordinates,
+    """A _move_map record as the function it is on class coordinates,
     whose kernel coordinates are 0: (M with the kernel columns zeroed, c,
     grading map) with f2 = M f + c mod denom."""
     rows, offset, regrade, rank_one = move
@@ -665,6 +771,12 @@ def affine_form(move, kernel, n_imaginary, denom):
     if callable(regrade):
         regrade = regrade(tuple(range(n_imaginary)))
     return m, tuple(o % denom for o in offset), regrade
+
+
+def stay_form(n, kernel, n_imaginary):
+    """The affine_form of the key w = 1: f and the grading bits stay."""
+    return (tuple(tuple(int(i == j and i not in kernel) for i in range(n))
+                  for j in range(n)), (0,) * n, tuple(range(n_imaginary)))
 
 
 def counted_move_maps(monkeypatch):
@@ -690,21 +802,18 @@ def test_every_move_is_its_keys_shared_map(t, iso, tw, side, monkeypatch):
     first = list(built)
     if (t, tw) in MAP_COUNTS:
         assert len(first) == MAP_COUNTS[(t, tw)]
-    # every edge's own map, rewritten on class coordinates, by key
+    # every edge's own map on class coordinates, by key
     forms = {}
-    n = ic.rank
     tbl = twisted_involutions(ic)
     for tau in tbl.elements:
         kernel = fiber_frame(ic, tau.index).kernel
         m = len(tbl.classification(tau.index).im_pos)
-        stay = (tuple(tuple(int(i == j and i not in kernel)
-                            for i in range(n)) for j in range(n)),
-                (0,) * n, tuple(range(m)))
+        stay = stay_form(ic.rank, kernel, m)
         for s, a in enumerate(ic.weyl.simple_idx):
             for cayley in (False, True) if tau.theta[a] == a else (False,):
                 key = move_key(ic, tau.index, s, cayley)
-                own = affine_form(_class_move(ic, tau.index, s, cayley,
-                                              denom), kernel, m, denom)
+                own = affine_form(_move_map(ic, tau.index, s, cayley, denom),
+                                  kernel, m, denom)
                 # the key w = 1, every frame-tree edge among them, moves
                 # nothing; any other key has one map on all its edges
                 assert own == (stay if key is None
@@ -751,7 +860,8 @@ def test_search_checks_a_corrupted_shared_cross_key(monkeypatch):
     del shared[None]
     (key, slots), = shared.most_common(1)
     assert slots >= 20
-    square = fiber_frame(ic, key[0]).square
+    fs = fiber_space(tbl.elements[key[0]], ic)
+    square = mat_mul(mat_add(identity(ic.rank), fs.theta_v), fs._v)
     j = next(j for j in range(ic.rank) if any(row[j] % 2 for row in square))
     tabulated = liepar.kgb._move_map
 
@@ -794,10 +904,8 @@ def test_frames_carry_the_representative_smith_form(t, tw):
         fr = fiber_frame(ic, tau.index)
         assert mat_mul(fr.v, fr.vinv) == ident
         square = mat_mul(mat_add(ident, theta_matrix(tau, ic)), fr.v)
-        assert square == fr.square
         assert fr.kernel == tuple(j for j, col in enumerate(zip(*square))
                                   if not any(col))
-        assert fr.twice_nu == tuple(2 * x for x in nu_tau(tau, ic))
         if tau.index in reps:
             assert fr.parent is None
             assert fr.v == fiber_space(tau, ic)._v
@@ -805,15 +913,18 @@ def test_frames_carry_the_representative_smith_form(t, tw):
         p, s = fr.parent
         assert tbl.cross[p][s] == tau.index
         assert cartan_index(ic)[p] == cartan_index(ic)[tau.index]
-        # a tree edge is a translation in both directions: S_s V_p = V_tau
-        # with the same kernel, so M = V_tau^-1 S_s V_p is the identity
+        # a tree edge is the key w = 1 in both directions: S_s V_p =
+        # V_tau with the same kernel, so M = V_tau^-1 S_s V_p is the
+        # identity, and the offsets differ by the edge's translation
         fp = fiber_frame(ic, p)
         assert _reflect_rows(fp.v, ic.rd.simple_roots[s],
                              ic.rd.simple_coroots[s]) == fr.v
         assert fp.kernel == fr.kernel
-        for a, b in ((p, tau.index), (tau.index, p)):
-            move = MoveRecord(*_move_map(ic, a, s, False, table.denom))
-            assert (move.target, move.rows) == (b, None)
+        stay = stay_form(n, fr.kernel,
+                         len(tbl.classification(tau.index).im_pos))
+        for a in (p, tau.index):
+            assert affine_form(_move_map(ic, a, s, False, table.denom),
+                               fr.kernel, len(stay[2]), table.denom) == stay
     for x in table:
         assert x.torus_coord == per_tau_torus_coord(x)
 
@@ -840,15 +951,6 @@ def test_frames_do_not_depend_on_the_search_order():
         n = len(twisted_involutions(fresh))
         frames = [fiber_frame(fresh, i) for i in reversed(range(n))]
         assert frames[::-1] == [fiber_frame(ic, i) for i in range(n)]
-
-
-@pytest.mark.parametrize("t,iso,tw", GRID + [("E6", "sc", "c"),
-                                             ("D4", "sc", (0, 1, 3, 2))])
-def test_carried_twice_nu_is_the_fold_along_w(t, iso, tw):
-    ic = make_ic(t, iso, tw)
-    for tau in twisted_involutions(ic).elements:
-        assert fiber_frame(ic, tau.index).twice_nu == \
-            tuple(x % 2 for x in _twice_nu(tau, ic))
 
 
 @pytest.mark.parametrize("t,tw", [("C3", "c"), ("G2", "c"), ("B3", "c"),
@@ -997,6 +1099,18 @@ LADDER_DIGESTS = [
     ("A4", (3, 2, 1, 0), 26,
      "92e2d07a26d2e8bdb2b3d7742a84654d79e89614c2984efa757a4465d167f3d5"),
 ]
+
+
+@pytest.mark.parametrize("t,iso,tw,side", [
+    (t, iso, tw, side) for t, iso, tw in GRID for side in ("primal", "dual")]
+    + [(t, "sc", tw, "primal") for t, tw, _, _ in LADDER_DIGESTS])
+def test_every_square_is_the_fraction_route(t, iso, tw, side):
+    # (1 + theta_v) lambda + nu_tau over each element's own tau, in
+    # Fractions: no frame, class coordinate or Smith form of the search
+    ic = make_ic(t, iso, tw)
+    ic = ic.dual if side == "dual" else ic
+    for x in enumerate_X(ic):
+        assert x.square == square_of(ic, x.tau.index, x.torus_coord.entries)
 
 
 @pytest.mark.parametrize("t,tw,size,digest", LADDER_DIGESTS)
